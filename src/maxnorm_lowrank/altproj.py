@@ -2,11 +2,24 @@
 
 Optimal low-rank approximation in the maximum norm is NP-hard already at
 rank one, so this module implements the standard heuristic: alternate
-Frobenius projections between the set of rank-r matrices (truncated SVD;
-TT-SVD for tensors, where it is quasi-optimal) and the set of matrices
-within entrywise distance eps of the target.  A binary search over eps
-then produces an upper bound on the attainable entrywise error at a
-given rank.
+Frobenius projections between the set of rank-r matrices and the set of
+matrices within entrywise distance eps of the target.  A binary search
+over eps then produces an upper bound on the attainable entrywise error
+at a given rank.
+
+For matrices the rank projection is a warm subspace iteration
+(Halko-Martinsson-Tropp 2011): an orthonormal basis of ``r + OVERSAMPLE``
+columns is seeded by one exact SVD per run and then refreshed by a
+single power step per iteration, because consecutive clipped iterates
+differ little.  The new iterate is the rank-r part of the clipped
+iterate projected on that basis, so it is always exactly rank <= r.  Tensors and matrices
+too narrow for the oversampled basis use the exact projection
+(truncated SVD; TT-SVD for tensors, where it is quasi-optimal).
+
+The bisection starts from the exact rank projection of the target itself,
+which is feasible at its own error, so the result is never worse than
+the truncated-SVD (TT-SVD) baseline; each probe is warm-started from the
+last feasible iterate.
 """
 
 from __future__ import annotations
@@ -24,9 +37,12 @@ from .lowrank import max_norm, truncated_svd
 from .records import ExperimentRecord
 from .rng import SeedLike, generator, seed_sequence, split
 from .sampling import PointSet, SamplingScheme, sample_ball
-from .tensors import tt_svd
+from .tensors import TTTensor, tt_svd
 
 RankSpec = Union[int, tuple[int, ...]]
+
+# extra columns of the warm subspace basis beyond the target rank
+OVERSAMPLE = 4
 
 
 @dataclass(frozen=True)
@@ -60,6 +76,7 @@ class AltProjResult:
     converged: bool
     iters: int
     max_error: float
+    stop: str  # "converged", "stalled" (no progress for stall_patience iterations) or "budget"
 
 
 @dataclass
@@ -92,6 +109,25 @@ def _rank_projection(E: np.ndarray, r: RankSpec) -> np.ndarray:
     return tt_svd(E, max_ranks=ranks).dense()
 
 
+def _subspace_projection(
+    E: np.ndarray, r: int, Q: Optional[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-r part of ``E`` on a warm orthonormal basis ``Q`` of r + OVERSAMPLE columns.
+
+    One power step ``Q <- qr(E E^T Q)`` refreshes the basis; the result is
+    the best rank-r approximant of ``Q Q^T E``.  ``Q=None`` seeds the
+    basis from an exact SVD of ``E`` and returns its exact rank-r part.
+    """
+    if Q is None:
+        U, s, Vt = np.linalg.svd(E, full_matrices=False)
+        Q = U[:, : r + OVERSAMPLE]
+    else:
+        Q = np.linalg.qr(E @ (E.T @ Q))[0]
+        W, s, Vt = np.linalg.svd(Q.T @ E, full_matrices=False)
+        U = Q @ W[:, :r]
+    return (U[:, :r] * s[:r]) @ Vt[:r], Q
+
+
 def initial_guess(F: np.ndarray, r: RankSpec, seed: SeedLike, kind: str = "gaussian") -> np.ndarray:
     """Random low-rank starting point, rescaled to the magnitude of F."""
     if kind == "zero":
@@ -108,10 +144,7 @@ def initial_guess(F: np.ndarray, r: RankSpec, seed: SeedLike, kind: str = "gauss
             rng.standard_normal((full[k], F.shape[k], full[k + 1]))
             for k in range(F.ndim)
         ]
-        T = cores[0][0]
-        for core in cores[1:]:
-            T = np.tensordot(T, core, axes=([T.ndim - 1], [0]))
-        T = T[..., 0]
+        T = TTTensor(tuple(cores)).dense()
     peak = float(np.abs(T).max())
     scale = max_norm(F) / peak if peak > 0 else 0.0
     return T * scale
@@ -127,25 +160,36 @@ def alternating_projections(
 ) -> AltProjResult:
     """Iterate rank-projection(clip(T)) until T is eps-feasible or the budget runs out.
 
-    Non-convergence is reported in the ``converged`` flag, never as an
-    exception.  A precomputed ``init_dense`` overrides the seeded
-    Gaussian start (the binary search uses this to keep every probe on
-    the same trajectory family).
+    Non-convergence is reported in the ``converged`` flag and the
+    ``stop`` reason, never as an exception.  A precomputed ``init_dense``
+    overrides the seeded start (the binary search passes its last
+    feasible iterate).  Feasibility is always tested on the returned
+    rank-<=r iterate itself.
     """
     F = np.asarray(F, dtype=np.float64)
     limit = max_norm(F)
     if eps >= limit:
         # the zero (rank-0) matrix is already feasible
-        return AltProjResult(np.zeros_like(F), True, 0, limit)
+        return AltProjResult(np.zeros_like(F), True, 0, limit, "converged")
     T = init_dense if init_dense is not None else initial_guess(F, r, seed, cfg.init)
+    warm = (
+        F.ndim == 2
+        and isinstance(r, (int, np.integer))
+        and int(r) + OVERSAMPLE < min(F.shape)
+    )
+    Q = None
     threshold = eps * (1.0 + cfg.tol)
     best_gap = math.inf
     stalled = 0
     for it in range(1, cfg.max_iters + 1):
-        T = _rank_projection(clip_projection(T, F, eps), r)
+        E = clip_projection(T, F, eps)
+        if warm:
+            T, Q = _subspace_projection(E, int(r), Q)
+        else:
+            T = _rank_projection(E, r)
         err = float(np.abs(F - T).max())
         if err <= threshold:
-            return AltProjResult(T, True, it, err)
+            return AltProjResult(T, True, it, err, "converged")
         # track the feasibility gap, not the raw error: near the boundary the
         # error flattens at eps while the gap still contracts geometrically
         gap = err - eps
@@ -156,8 +200,8 @@ def alternating_projections(
             best_gap = min(best_gap, gap)
             stalled += 1
             if stalled >= cfg.stall_patience:
-                return AltProjResult(T, False, it, err)
-    return AltProjResult(T, False, cfg.max_iters, err)
+                return AltProjResult(T, False, it, err, "stalled")
+    return AltProjResult(T, False, cfg.max_iters, err, "budget")
 
 
 def binary_search_eps(
@@ -168,26 +212,32 @@ def binary_search_eps(
 ) -> BinarySearchResult:
     """Bisect over eps for the smallest level at which the projections converge.
 
-    The upper bracket ``||F||_max`` is always feasible (rank-0), so the
+    The upper bracket is the error of the exact rank projection of F
+    (truncated SVD, or TT-SVD for tensors), or ``||F||_max`` (the rank-0
+    matrix) when that is smaller; both are feasible for free, so the
     result is a valid upper bound on the optimal entrywise error of
-    rank-r approximation; re-running the solver at ``eps_star`` with the
-    same seed reproduces the convergence.  Starting points are drawn
-    once per restart and reused across all bisection probes.
+    rank-r approximation and never worse than that baseline.  Each probe
+    first runs from the last feasible iterate; the seeded ``cfg.init``
+    starts, one per restart, are fallbacks tried in order only when the
+    warm start fails.  The whole search is deterministic for a seed.
     """
     F = np.asarray(F, dtype=np.float64)
     limit = max_norm(F)
     if limit == 0.0:
         return BinarySearchResult(0.0, 0.0, np.zeros_like(F), 0)
+    best_T = _rank_projection(F, r)
+    hi = max_norm(F - best_T)
+    if hi > limit:
+        best_T, hi = np.zeros_like(F), limit
     inits = [
         initial_guess(F, r, s, cfg.init) for s in split(seed, cfg.restarts)
     ]
-    lo, hi = 0.0, limit
-    best_T = np.zeros_like(F)
+    lo = 0.0
     evaluations = 0
     for _ in range(cfg.bisect_iters):
         mid = 0.5 * (lo + hi)
         hit = None
-        for T0 in inits:
+        for T0 in [best_T] + inits:
             res = alternating_projections(F, r, mid, cfg, init_dense=T0.copy())
             evaluations += 1
             if res.converged:

@@ -216,8 +216,8 @@ def cmd_bounds(args) -> int:
 def cmd_experiment(args) -> int:
     overrides = {}
     for key in ("experiment", "function", "scheme", "trials", "seed", "output",
-                "radius", "eps", "theta", "rho", "jobs", "max_iters",
-                "bisect_iters", "restarts", "init", "stall_patience"):
+                "radius", "eps", "theta", "rho", "jobs", "max_iters", "tol",
+                "bisect_iters", "restarts", "init", "stall_patience", "stall_rtol"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
@@ -242,6 +242,11 @@ def cmd_plot(args) -> int:
     print(f"aggregated {len(rows)} points into {args.out}"
           + (f" and {args.svg}" if args.svg else ""))
     return 0
+
+
+_INIT_HELP = ("fallback start of a bisection probe, tried only when the run from "
+              "the last feasible iterate fails")
+_RESTARTS_HELP = "number of seeded fallback starts per bisection probe"
 
 
 def _int_list(raw: str) -> list[int]:
@@ -286,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--bisect-iters", type=int, default=20)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--init", choices=["gaussian", "zero"], default="gaussian")
+    p.add_argument("--restarts", type=int, default=1, help=_RESTARTS_HELP)
+    p.add_argument("--init", choices=["gaussian", "zero"], default="gaussian", help=_INIT_HELP)
     p.add_argument("--stall-patience", type=int, default=50)
     p.add_argument("--stall-rtol", type=float, default=1e-3)
     p.set_defaults(func=cmd_altproj)
@@ -322,10 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--algorithms", type=lambda s: s.split(","), default=None)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--bisect-iters", dest="bisect_iters", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--init", choices=["gaussian", "zero"], default=None)
+    p.add_argument("--restarts", type=int, default=None, help=_RESTARTS_HELP)
+    p.add_argument("--init", choices=["gaussian", "zero"], default=None, help=_INIT_HELP)
     p.add_argument("--stall-patience", dest="stall_patience", type=int, default=None)
+    p.add_argument("--stall-rtol", dest="stall_rtol", type=float, default=None)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("plot", help="aggregate an experiment CSV for plotting")

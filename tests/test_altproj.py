@@ -1,0 +1,199 @@
+import numpy as np
+import pytest
+
+from maxnorm_lowrank import altproj
+from maxnorm_lowrank.altproj import (
+    AltProjConfig,
+    alternating_projections,
+    binary_search_eps,
+    initial_guess,
+)
+from maxnorm_lowrank.experiments import kernel_for
+from maxnorm_lowrank.kernels import eval_kernel_matrix, eval_kernel_tensor
+from maxnorm_lowrank.lowrank import max_norm, truncated_svd
+from maxnorm_lowrank.rng import generator, split
+from maxnorm_lowrank.sampling import sample_ball
+from maxnorm_lowrank.tensors import tt_svd
+
+CFG = AltProjConfig(max_iters=200, bisect_iters=6)
+# (function, n, m, r, seed): every instance is wide enough for the warm subspace path
+SUITE = [
+    ("gauss", 40, 3, 3, 11),
+    ("gauss", 40, 10, 4, 12),
+    ("f1", 36, 4, 3, 13),
+    ("f2", 30, 5, 2, 14),
+]
+
+
+def _target(function, n, m, seed):
+    streams = split(seed, 2)
+    X, Y = (sample_ball(s, n, m) for s in streams)
+    return eval_kernel_matrix(kernel_for(function, 1.0), "independent", X, Y)
+
+
+def _tsvd_error(F, r):
+    return max_norm(F - truncated_svd(F, r).matrix())
+
+
+def _upper_bracket(F, r):
+    return min(max_norm(F), _tsvd_error(F, r))
+
+
+@pytest.fixture(scope="module")
+def searches():
+    out = []
+    for function, n, m, r, seed in SUITE:
+        F = _target(function, n, m, seed)
+        assert r + altproj.OVERSAMPLE < min(F.shape)
+        out.append((F, r, binary_search_eps(F, r, CFG, seed)))
+    return out
+
+
+class TestBinarySearch:
+    def test_rank_at_most_r(self, searches):
+        for F, r, res in searches:
+            assert np.linalg.matrix_rank(res.approximant) <= r
+
+    def test_approximant_is_eps_star_feasible(self, searches):
+        for F, r, res in searches:
+            err = max_norm(F - res.approximant)
+            assert err <= res.eps_star * (1.0 + CFG.tol)
+            assert res.relative == res.eps_star / max_norm(F)
+
+    def test_beats_truncated_svd(self, searches):
+        # strict here because every instance of the suite has a converging probe;
+        # equality when none converges is covered below
+        for F, r, res in searches:
+            assert res.eps_star < _tsvd_error(F, r)
+
+    def test_same_seed_same_result(self, searches):
+        F, r, first = searches[1]
+        again = binary_search_eps(F, r, CFG, SUITE[1][4])
+        assert again.eps_star == first.eps_star
+        assert again.evaluations == first.evaluations
+        np.testing.assert_array_equal(again.approximant, first.approximant)
+
+    def test_upper_bracket_never_increases(self, monkeypatch):
+        F = _target("gauss", 40, 10, 21)
+        r = 4
+        probes = []
+        solve = altproj.alternating_projections
+
+        def logged(F_, r_, eps, *args, **kwargs):
+            res = solve(F_, r_, eps, *args, **kwargs)
+            probes.append((eps, res.converged))
+            return res
+
+        monkeypatch.setattr(altproj, "alternating_projections", logged)
+        res = binary_search_eps(F, r, CFG, 21)
+        hi = _upper_bracket(F, r)
+        for eps, converged in probes:
+            assert eps < hi
+            if converged:
+                hi = eps
+        assert res.eps_star == hi
+        assert res.evaluations == len(probes)
+
+    def test_no_converging_probe_returns_truncated_svd(self):
+        F = _target("gauss", 40, 10, 22)
+        cfg = AltProjConfig(max_iters=1, bisect_iters=3)
+        res = binary_search_eps(F, 4, cfg, 22)
+        assert res.eps_star == _tsvd_error(F, 4)
+        # the warm start and one fallback start per probe
+        assert res.evaluations == 2 * cfg.bisect_iters
+
+    def test_matches_exact_projection(self, monkeypatch, searches):
+        def exact(E, r, Q):
+            return truncated_svd(E, r).matrix(), None
+
+        monkeypatch.setattr(altproj, "_subspace_projection", exact)
+        step = 2.0 ** -CFG.bisect_iters
+        for (F, r, res), (*_, seed) in zip(searches, SUITE):
+            ref = binary_search_eps(F, r, CFG, seed)
+            assert abs(ref.eps_star - res.eps_star) <= step * _upper_bracket(F, r)
+
+    def test_fallback_starts(self):
+        F = _target("f1", 36, 4, 23)
+        for cfg in (
+            AltProjConfig(max_iters=100, bisect_iters=4, restarts=2),
+            AltProjConfig(max_iters=100, bisect_iters=4, init="zero"),
+        ):
+            res = binary_search_eps(F, 3, cfg, 23)
+            assert res.eps_star <= _tsvd_error(F, 3)
+            assert max_norm(F - res.approximant) <= res.eps_star * (1.0 + cfg.tol)
+
+    def test_zero_target(self):
+        res = binary_search_eps(np.zeros((6, 5)), 2, CFG, 0)
+        assert (res.eps_star, res.relative, res.evaluations) == (0.0, 0.0, 0)
+
+    def test_tensor(self):
+        streams = split(31, 3)
+        F = eval_kernel_tensor(kernel_for("f3", 1.0), [sample_ball(s, 8, 3) for s in streams])
+        ranks = (2, 2)
+        cfg = AltProjConfig(max_iters=100, bisect_iters=4)
+        res = binary_search_eps(F, ranks, cfg, 31)
+        baseline = max_norm(F - tt_svd(F, max_ranks=ranks).dense())
+        assert res.eps_star <= baseline
+        assert max_norm(F - res.approximant) <= res.eps_star * (1.0 + cfg.tol)
+        assert all(k <= 2 for k in tt_svd(res.approximant, tol=1e-10).ranks)
+
+
+class TestAlternatingProjections:
+    def test_stop_converged(self):
+        F = _target("gauss", 40, 3, 41)
+        eps = 0.8 * _tsvd_error(F, 3)
+        res = alternating_projections(F, 3, eps, init_dense=truncated_svd(F, 3).matrix())
+        assert res.converged and res.stop == "converged"
+        assert 1 < res.iters < AltProjConfig().max_iters
+        assert res.max_error <= eps * (1.0 + CFG.tol)
+        assert np.linalg.matrix_rank(res.approximant) <= 3
+
+    def test_stop_trivial(self):
+        F = _target("gauss", 20, 3, 42)
+        res = alternating_projections(F, 3, max_norm(F), CFG)
+        assert (res.converged, res.stop, res.iters) == (True, "converged", 0)
+        assert not res.approximant.any()
+
+    def test_stop_stalled(self):
+        F = _target("gauss", 40, 10, 43)
+        cfg = AltProjConfig(max_iters=500, stall_patience=3)
+        # eps = 0 clips every iterate back to F, so the gap never moves
+        res = alternating_projections(F, 3, 0.0, cfg, seed=43)
+        assert (res.converged, res.stop) == (False, "stalled")
+        assert res.iters < cfg.max_iters
+
+    def test_stop_budget(self):
+        F = _target("gauss", 40, 10, 44)
+        cfg = AltProjConfig(max_iters=2, stall_patience=50)
+        res = alternating_projections(F, 3, 1e-3 * max_norm(F), cfg, seed=44)
+        assert (res.converged, res.stop, res.iters) == (False, "budget", 2)
+
+    def test_narrow_matrix_uses_exact_projection(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("subspace projection on a narrow matrix")
+
+        monkeypatch.setattr(altproj, "_subspace_projection", fail)
+        F = _target("gauss", 6, 3, 45)
+        res = alternating_projections(F, 3, 0.5 * _tsvd_error(F, 3), CFG, seed=45)
+        assert np.linalg.matrix_rank(res.approximant) <= 3
+
+
+class TestInitialGuess:
+    def test_tt_start_matches_core_contraction(self):
+        F = np.ones((4, 5, 6))
+        ranks = (2, 3)
+        T = initial_guess(F, ranks, 7)
+        rng = generator(7)
+        full = (1, 2, 3, 1)
+        cores = [rng.standard_normal((full[k], F.shape[k], full[k + 1])) for k in range(3)]
+        ref = np.einsum("ia,ajb,bk->ijk", cores[0][0], cores[1], cores[2][..., 0])
+        np.testing.assert_allclose(T, ref / np.abs(ref).max(), rtol=1e-12, atol=1e-14)
+
+    def test_matrix_start_scaled_to_target(self):
+        F = 3.0 * np.ones((5, 4))
+        T = initial_guess(F, 2, 8)
+        assert max_norm(T) == pytest.approx(3.0)
+        assert np.linalg.matrix_rank(T) <= 2
+
+    def test_zero_start(self):
+        assert not initial_guess(np.ones((3, 3)), 1, 0, "zero").any()
