@@ -47,7 +47,11 @@ OVERSAMPLE = 4
 
 @dataclass(frozen=True)
 class AltProjConfig:
-    """Hyperparameters of the solver; all exposed on the command line.
+    """Hyperparameters of the solver.
+
+    ``cli._add_solver_flags`` builds one flag per field for the
+    ``altproj`` and ``experiment`` subcommands, and ``ExperimentConfig``
+    inherits the fields as config-file keys.
 
     ``stall_patience``/``stall_rtol`` stop an eps-run early when the
     feasibility gap has not improved by a relative ``stall_rtol`` for

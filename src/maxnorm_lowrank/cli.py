@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
+from dataclasses import fields
 
 from . import bounds as bounds_mod
 from . import kernels, matio, rff, taylor, tensors
-from .altproj import AltProjConfig, binary_search_eps, run_trials
-from .compress import jl_compress, rank_formula
+from .altproj import AltProjConfig, _dense_target, binary_search_eps, run_trials
+from .compress import jl_compress
 from .experiments import (
     ExperimentConfig,
     bounds_table_text,
@@ -53,7 +52,30 @@ def _add_common_points(p, scheme_default="independent"):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--scheme", choices=["independent", "symmetric"], default=scheme_default)
-    p.add_argument("--sampling", choices=["ball", "sphere"], default="ball")
+
+
+def _add_solver_flags(p):
+    """One flag per ``AltProjConfig`` field; unset flags keep the dataclass default."""
+    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--bisect-iters", dest="bisect_iters", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None,
+                   help="number of seeded fallback starts per bisection probe")
+    p.add_argument("--init", choices=["gaussian", "zero"], default=None,
+                   help="fallback start of a bisection probe, tried only when the run "
+                        "from the last feasible iterate fails")
+    p.add_argument("--stall-patience", dest="stall_patience", type=int, default=None)
+    p.add_argument("--stall-rtol", dest="stall_rtol", type=float, default=None)
+
+
+def _given(args, cls) -> dict:
+    """The fields of dataclass ``cls`` that were set on the command line."""
+    out = {}
+    for f in fields(cls):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            out[f.name] = tuple(value) if isinstance(value, list) else value
+    return out
 
 
 def cmd_generate(args) -> int:
@@ -152,17 +174,9 @@ def cmd_approx(args) -> int:
     return 0
 
 
-def _solver_from_args(args) -> AltProjConfig:
-    return AltProjConfig(
-        max_iters=args.max_iters, tol=args.tol, bisect_iters=args.bisect_iters,
-        restarts=args.restarts, init=args.init,
-        stall_patience=args.stall_patience, stall_rtol=args.stall_rtol,
-    )
-
-
 def cmd_altproj(args) -> int:
     spec = kernel_for(args.function, args.radius)
-    cfg = _solver_from_args(args)
+    cfg = AltProjConfig(**_given(args, AltProjConfig))
     if args.trials > 1:
         summary = run_trials(
             spec, args.scheme, args.n, args.m, args.r, cfg=cfg,
@@ -179,19 +193,11 @@ def cmd_altproj(args) -> int:
             print(f"wrote {len(summary.records)} rows to {args.out}")
         return 0
     streams = split(args.seed, 4)
-    if args.function == "f3":
-        sets = [sample_ball(streams[j], args.n, args.m, args.radius) for j in range(3)]
-        F = kernels.eval_kernel_tensor(spec, sets)
-        rank = (args.r, args.r)
-    else:
-        X = sample_ball(streams[0], args.n, args.m, args.radius)
-        scheme = SamplingScheme.coerce(args.scheme)
-        Y = None if scheme is SamplingScheme.SYMMETRIC else sample_ball(
-            streams[1], args.n, args.m, args.radius
-        )
-        F = kernels.eval_kernel_matrix(spec, scheme, X, Y)
-        rank = args.r
-    result = binary_search_eps(F, rank, cfg, streams[3])
+    tensor = args.function == "f3"
+    F = _dense_target(
+        spec, args.scheme, args.n, args.m, args.radius, streams[:3], 3 if tensor else 2
+    )
+    result = binary_search_eps(F, (args.r, args.r) if tensor else args.r, cfg, streams[3])
     print(f"eps* = {result.eps_star:.6g} (relative {result.relative:.6g}) "
           f"after {result.evaluations} solver runs")
     return 0
@@ -214,19 +220,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    overrides = {}
-    for key in ("experiment", "function", "scheme", "trials", "seed", "output",
-                "radius", "eps", "theta", "rho", "jobs", "max_iters", "tol",
-                "bisect_iters", "restarts", "init", "stall_patience", "stall_rtol"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    for key in ("n_grid", "m_grid", "r_grid"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = tuple(value)
-    if args.algorithms is not None:
-        overrides["algorithms"] = tuple(args.algorithms)
+    overrides = _given(args, ExperimentConfig)
     if args.config:
         cfg = load_config(args.config, overrides)
     else:
@@ -244,11 +238,6 @@ def cmd_plot(args) -> int:
     return 0
 
 
-_INIT_HELP = ("fallback start of a bisection probe, tried only when the run from "
-              "the last feasible iterate fails")
-_RESTARTS_HELP = "number of seeded fallback starts per bisection probe"
-
-
 def _int_list(raw: str) -> list[int]:
     return [int(x) for x in raw.split(",") if x.strip()]
 
@@ -264,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="evaluate a kernel matrix and store it")
     p.add_argument("--function", choices=["f1", "f2", "gauss"], required=True)
     _add_common_points(p)
+    p.add_argument("--sampling", choices=["ball", "sphere"], default="ball")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -274,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", default="gauss",
                    choices=["f1", "f2", "f3", "gauss", "cauchy", "linear"])
     _add_common_points(p)
+    p.add_argument("--sampling", choices=["ball", "sphere"], default="ball")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--r", type=int, default=10, help="TT target rank (tt-taylor)")
@@ -288,13 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--bisect-iters", type=int, default=20)
-    p.add_argument("--restarts", type=int, default=1, help=_RESTARTS_HELP)
-    p.add_argument("--init", choices=["gaussian", "zero"], default="gaussian", help=_INIT_HELP)
-    p.add_argument("--stall-patience", type=int, default=50)
-    p.add_argument("--stall-rtol", type=float, default=1e-3)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_altproj)
 
     p = sub.add_parser("bounds", help="closed-form rank-bound table")
@@ -326,13 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--algorithms", type=lambda s: s.split(","), default=None)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--bisect-iters", dest="bisect_iters", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None, help=_RESTARTS_HELP)
-    p.add_argument("--init", choices=["gaussian", "zero"], default=None, help=_INIT_HELP)
-    p.add_argument("--stall-patience", dest="stall_patience", type=int, default=None)
-    p.add_argument("--stall-rtol", dest="stall_rtol", type=float, default=None)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("plot", help="aggregate an experiment CSV for plotting")

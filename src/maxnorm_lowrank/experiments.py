@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,11 +35,21 @@ from .sampling import SamplingScheme, sample_ball
 
 EXPERIMENTS = ("varm", "varr", "varn", "bounds", "single")
 FUNCTIONS = ("f1", "f2", "f3", "gauss")
-CONSTRUCTIVE = ("taylor", "rff", "tt")
+# the test functions each algorithm can approximate: rff needs a
+# positive-definite shift-invariant kernel, the Taylor routes a
+# distance kernel, tt the tensor function
+APPLICABLE = {
+    "altproj": FUNCTIONS,
+    "taylor": ("f1", "f2", "gauss"),
+    "rff": ("f1", "gauss"),
+    "tt": ("f3",),
+}
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(frozen=True)
+class ExperimentConfig(AltProjConfig):
+    """One experiment grid; the solver hyperparameters are inherited from ``AltProjConfig``."""
+
     experiment: str = "single"
     function: str = "f1"
     scheme: str = "independent"
@@ -62,14 +72,6 @@ class ExperimentConfig:
     Cu: float = 0.0
     Cv: float = 0.0
     beta2: Optional[int] = None
-    # solver hyperparameters
-    max_iters: int = 500
-    tol: float = 1e-6
-    bisect_iters: int = 20
-    restarts: int = 1
-    init: str = "gaussian"
-    stall_patience: int = 50
-    stall_rtol: float = 1e-3
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
@@ -91,43 +93,34 @@ class ExperimentConfig:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         for alg in self.algorithms:
-            if alg not in ("altproj",) + CONSTRUCTIVE:
+            if alg not in APPLICABLE:
                 raise ValueError(f"unknown algorithm {alg!r}")
-        if "tt" in self.algorithms and self.function != "f3":
-            raise ValueError("the tt algorithm applies to the tensor function f3")
+            if self.function not in APPLICABLE[alg]:
+                raise ValueError(
+                    f"the {alg} algorithm applies to {', '.join(APPLICABLE[alg])}, "
+                    f"not {self.function}"
+                )
         if self.function == "f3" and SamplingScheme.coerce(self.scheme) is not SamplingScheme.INDEPENDENT:
             raise ValueError("tensors use independent sampling only")
 
     def solver(self) -> AltProjConfig:
-        return AltProjConfig(
-            max_iters=self.max_iters,
-            tol=self.tol,
-            bisect_iters=self.bisect_iters,
-            restarts=self.restarts,
-            init=self.init,
-            stall_patience=self.stall_patience,
-            stall_rtol=self.stall_rtol,
-        )
+        return AltProjConfig(**{f.name: getattr(self, f.name) for f in fields(AltProjConfig)})
 
 
-_LIST_FIELDS = {"n_grid", "m_grid", "r_grid", "algorithms"}
-_FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _parse_value(name: str, raw: str):
+    kind = _FIELD_TYPES[name]
     raw = raw.strip()
-    if name in _LIST_FIELDS:
-        items = [x.strip() for x in raw.split(",") if x.strip()]
-        if name == "algorithms":
-            return tuple(items)
-        return tuple(int(x) for x in items)
-    if name in ("seed", "beta2", "t"):
-        return None if raw.lower() in ("none", "") else int(raw)
-    if name in ("trials", "rho", "jobs", "max_iters", "bisect_iters", "restarts", "stall_patience"):
-        return int(raw)
-    if name in ("radius", "eps", "theta", "C", "M", "Cu", "Cv", "tol", "stall_rtol"):
-        return float(raw)
-    return raw
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(item(x.strip()) for x in raw.split(",") if x.strip())
+    if get_origin(kind) is Union:  # Optional[int]
+        if raw.lower() in ("none", ""):
+            return None
+        kind = get_args(kind)[0]
+    return kind(raw)
 
 
 def parse_config_text(text: str) -> dict:

@@ -10,23 +10,9 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 CSV_VERSION_LINE = "# maxnorm-lowrank v1"
-
-COLUMNS = (
-    "experiment",
-    "function",
-    "scheme",
-    "n",
-    "m",
-    "r",
-    "trial",
-    "seed",
-    "algorithm",
-    "rel_error",
-    "wall_time_s",
-)
 
 ALGORITHMS = frozenset(
     {"altproj", "tsvd_baseline", "taylor", "rff", "tt", "jl", "altproj_median"}
@@ -68,17 +54,8 @@ class ExperimentRecord:
 
     def to_row(self) -> list[str]:
         return [
-            self.experiment,
-            self.function,
-            self.scheme,
-            str(self.n),
-            str(self.m),
-            str(self.r),
-            str(self.trial),
-            str(self.seed),
-            self.algorithm,
-            format_float(self.rel_error),
-            format_float(self.wall_time_s),
+            format_float(getattr(self, name)) if kind is float else str(getattr(self, name))
+            for name, kind in _COLUMN_TYPES.items()
         ]
 
     @staticmethod
@@ -86,20 +63,14 @@ class ExperimentRecord:
         if len(row) != len(COLUMNS):
             raise ValueError(f"expected {len(COLUMNS)} fields, got {len(row)}")
         rec = ExperimentRecord(
-            experiment=row[0],
-            function=row[1],
-            scheme=row[2],
-            n=int(row[3]),
-            m=int(row[4]),
-            r=int(row[5]),
-            trial=int(row[6]),
-            seed=int(row[7]),
-            algorithm=row[8],
-            rel_error=float(row[9]),
-            wall_time_s=float(row[10]),
+            **{name: kind(text) for (name, kind), text in zip(_COLUMN_TYPES.items(), row)}
         )
         rec.validate()
         return rec
+
+
+_COLUMN_TYPES = get_type_hints(ExperimentRecord)
+COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def write_csv(records: Iterable[ExperimentRecord], stream: io.TextIOBase):
@@ -123,5 +94,3 @@ def read_csv(stream: io.TextIOBase) -> list[ExperimentRecord]:
         out.append(ExperimentRecord.from_row(ln.split(",")))
     return out
 
-
-assert tuple(f.name for f in fields(ExperimentRecord)) == COLUMNS

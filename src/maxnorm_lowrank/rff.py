@@ -27,7 +27,7 @@ import numpy as np
 
 from . import caps
 from .compress import CompressionReport, jl_compress
-from .kernels import KernelSpec
+from .kernels import KernelSpec, distance_matrix
 from .lowrank import Factorization, max_norm, max_norm_error
 from .rng import SeedLike, generator, split
 from .sampling import PointSet
@@ -60,12 +60,7 @@ def kernel_tag(spec: KernelLike) -> str:
 
 def kernel_values(tag: str, X: PointSet, Y: PointSet) -> np.ndarray:
     """Dense kernel matrix kappa(x_i - y_j)."""
-    diff_sq = (
-        (X.points**2).sum(1)[:, None]
-        + (Y.points**2).sum(1)[None, :]
-        - 2.0 * X.points @ Y.points.T
-    )
-    np.maximum(diff_sq, 0.0, out=diff_sq)
+    diff_sq = distance_matrix(X, None, Y)[0]
     if tag == GAUSSIAN:
         return np.exp(-diff_sq)
     if tag == EXPONENTIAL:

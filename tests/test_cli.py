@@ -1,8 +1,44 @@
-from maxnorm_lowrank import cli, experiments
-from maxnorm_lowrank.records import read_csv
+import argparse
+import json
+import math
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from maxnorm_lowrank import cli, experiments, matio
+from maxnorm_lowrank.altproj import AltProjConfig
+from maxnorm_lowrank.experiments import kernel_for
+from maxnorm_lowrank.kernels import eval_kernel_matrix
+from maxnorm_lowrank.records import MEDIAN_TRIAL, ExperimentRecord, read_csv, write_csv
+from maxnorm_lowrank.rng import split
+from maxnorm_lowrank.sampling import sample_ball
+
+
+def _solver_values():
+    """A non-default value for every solver field, and the flags that set it."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in commands.choices["altproj"]._actions}
+    values, flags = {}, []
+    for f in fields(AltProjConfig):
+        choices = actions[f.name].choices
+        if choices:
+            value = next(c for c in choices if c != f.default)
+        elif isinstance(f.default, int):
+            value = f.default + 1
+        else:
+            value = f.default * 2
+        values[f.name] = value
+        flags += ["--" + f.name.replace("_", "-"), str(value)]
+    return values, flags
+
+
+SMALL = ["--function", "gauss", "--seed", "4"]
 
 
 def test_experiment_forwards_solver_settings(tmp_path, monkeypatch):
+    values, flags = _solver_values()
     seen = []
     run_trials = experiments.run_trials
 
@@ -13,27 +49,56 @@ def test_experiment_forwards_solver_settings(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "run_trials", spy)
     out = tmp_path / "exp.csv"
     code = cli.main([
-        "experiment", "--experiment", "single", "--function", "gauss",
-        "--n-grid", "12", "--m-grid", "3", "--r-grid", "2", "--trials", "1",
-        "--seed", "4", "--output", str(out), "--max-iters", "40",
-        "--bisect-iters", "3", "--tol", "0.01", "--stall-rtol", "0.05",
-        "--stall-patience", "7", "--restarts", "2", "--init", "zero",
+        "experiment", "--experiment", "single", *SMALL, "--n-grid", "8", "--m-grid", "2",
+        "--r-grid", "1", "--trials", "1", "--output", str(out), *flags,
     ])
     assert code == 0
-    assert [(c.tol, c.stall_rtol, c.stall_patience, c.restarts, c.init, c.max_iters,
-             c.bisect_iters) for c in seen] == [(0.01, 0.05, 7, 2, "zero", 40, 3)]
+    assert seen == [AltProjConfig(**values)]
     with open(out, encoding="utf-8") as fh:
         algorithms = [rec.algorithm for rec in read_csv(fh)]
     assert algorithms == ["altproj", "tsvd_baseline", "altproj_median"]
+    config = tmp_path / "exp.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+    assert experiments.load_config(config, {"seed": 1}).solver() == AltProjConfig(**values)
+
+
+def test_altproj_forwards_solver_settings(monkeypatch, capsys):
+    values, flags = _solver_values()
+    seen = []
+    search = cli.binary_search_eps
+
+    def spy(F, r, cfg, seed):
+        seen.append(cfg)
+        return search(F, r, cfg, seed)
+
+    monkeypatch.setattr(cli, "binary_search_eps", spy)
+    assert cli.main(["altproj", *SMALL, "--n", "8", "--m", "2", "--r", "1", *flags]) == 0
+    assert seen == [AltProjConfig(**values)]
+
+
+def test_altproj_rejects_sampling():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["altproj", *SMALL, "--n", "8", "--m", "2", "--r", "1", "--sampling", "sphere"])
+    assert exc.value.code == 2
+
+
+ALTPROJ_ARGS = ["altproj", "--n", "15", "--m", "3", "--r", "2", "--seed", "1",
+                "--max-iters", "40", "--bisect-iters", "3"]
 
 
 def test_altproj_single_run(capsys):
-    code = cli.main([
-        "altproj", "--function", "gauss", "--n", "15", "--m", "3", "--r", "2",
-        "--seed", "1", "--max-iters", "40", "--bisect-iters", "3",
-    ])
-    assert code == 0
-    assert capsys.readouterr().out.startswith("eps* = ")
+    assert cli.main([*ALTPROJ_ARGS, "--function", "gauss"]) == 0
+    assert capsys.readouterr().out == "eps* = 0.565316 (relative 0.588951) after 6 solver runs\n"
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--function", "f1", "--scheme", "symmetric"],
+     "eps* = 0.703235 (relative 0.703235) after 6 solver runs"),
+    (["--function", "f3", "--n", "8"], "eps* = 0.24658 (relative 0.316774) after 6 solver runs"),
+], ids=["f1-symmetric", "f3-tensor"])
+def test_altproj_single_run_targets(flags, expected, capsys):
+    assert cli.main([*ALTPROJ_ARGS, *flags]) == 0
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_altproj_trials_to_csv(tmp_path, capsys):
@@ -50,3 +115,128 @@ def test_altproj_trials_to_csv(tmp_path, capsys):
     with open(out, encoding="utf-8") as fh:
         records = read_csv(fh)
     assert [rec.algorithm for rec in records] == ["altproj", "tsvd_baseline"] * 2
+
+
+# ----------------------------------------------------------------------
+# golden outputs: every subcommand at fixed seeds
+# ----------------------------------------------------------------------
+
+POINTS = ["--n", "30", "--m", "3", "--seed", "5"]
+
+APPROX_GOLDEN = [
+    (["--algorithm", "taylor-ip", "--function", "gauss", "--sampling", "sphere"], {
+        "algorithm": "taylor-ip", "certified": True, "certified_bound": 1.3874674466279784,
+        "corollary_bound": 0.6886926782609291, "measured_relative_error": 0.323133261907516,
+        "order": 3, "rank": 13, "regime_ok": False,
+    }),
+    (["--algorithm", "taylor-dist", "--function", "f2"], {
+        "algorithm": "taylor-dist", "certified": True, "certified_bound": math.inf,
+        "corollary_bound": math.inf, "measured_relative_error": 13.350174745662416,
+        "order": 3, "rank": 26, "regime_ok": False,
+    }),
+    (["--algorithm", "taylor-dist-local", "--function", "f1"], {
+        "algorithm": "taylor-dist-local", "certified": True,
+        "certified_bound": 9878.768960168294, "corollary_bound": math.inf,
+        "measured_relative_error": 0.3999854235551656, "order": 3, "rank": 43,
+        "regime_ok": False,
+    }),
+    (["--algorithm", "rff", "--function", "f1"], {
+        "algorithm": "rff", "feature_error": 0.04745126630020233,
+        "measured_relative_error": 0.05422286929721446, "rank": 4096, "rho": 2048,
+        "sketch_certified": True,
+    }),
+    (["--algorithm", "rff", "--function", "cauchy"], {
+        "algorithm": "rff", "feature_error": 0.04925348915789522,
+        "measured_relative_error": 0.05013496761531046, "rank": 2048, "rho": 1024,
+        "sketch_certified": True,
+    }),
+    (["--algorithm", "jl", "--function", "linear"], {
+        "achieved_max_error": 0.0, "algorithm": "jl", "attempts": 1, "certified": True,
+        "rank": 3, "requested_rank": 7111, "target_bound": 0.09942117899105671,
+    }),
+    (["--algorithm", "tt-taylor", "--function", "f3"], {
+        "algorithm": "tt-taylor", "error_sampled": False, "incremental_powers": [],
+        "measured_relative_error": 0.09011526667810263, "rank_budget": 21, "ranks": [3, 3],
+    }),
+]
+
+
+@pytest.mark.parametrize("flags, expected", APPROX_GOLDEN,
+                         ids=["-".join(flags[1::2]) for flags, _ in APPROX_GOLDEN])
+def test_approx_golden(flags, expected, capsys):
+    assert cli.main(["approx", *flags, *POINTS]) == 0
+    assert json.loads(capsys.readouterr().out) == pytest.approx(expected, rel=1e-9)
+
+
+def test_approx_out_prefix_writes_factors(tmp_path, capsys):
+    prefix = str(tmp_path / "g")
+    assert cli.main(["approx", "--algorithm", "jl", "--function", "linear", *POINTS,
+                     "--out-prefix", prefix]) == 0
+    report = json.loads(capsys.readouterr().out)
+    left, right = matio.load_matrix(prefix + ".left.bin"), matio.load_matrix(prefix + ".right.bin")
+    assert left.shape == right.shape == (30, report["rank"])
+
+
+def test_generate_golden(tmp_path, capsys):
+    out = tmp_path / "g.bin"
+    assert cli.main(["generate", "--function", "gauss", *POINTS, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 30 x 30 matrix to {out}\n"
+    F = matio.load_matrix(out)
+    X = sample_ball(split(5, 2)[0], 30, 3)
+    Y = sample_ball(split(5, 2)[1], 30, 3)
+    np.testing.assert_allclose(F, eval_kernel_matrix(kernel_for("gauss", 1.0), "independent", X, Y),
+                               rtol=0, atol=0)
+
+
+def test_generate_rejects_tensor(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--function", "f3", *POINTS, "--out", str(tmp_path / "t")])
+    assert exc.value.code == 2
+
+
+def test_bounds_golden(capsys):
+    assert cli.main(["bounds", "--eps", "0.1", "--m", "2", "--n-grid", "10,1000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "# maxnorm-lowrank v1\n"
+        "n,r_formula,r_analytical,r_ut,r_ut_tighter,stage\n"
+        "10,5134,120,10742,280275,linear\n"
+        "1000,13423,120,26818,732856,linear\n"
+    )
+    assert captured.err == "# stage-2 onset for eps=0.1: n = 18695\n"
+
+
+def test_bounds_to_file(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert cli.main(["bounds", "--eps", "0.2", "--m", "3", "--n-grid", "100",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote bounds table to {out}\n"
+    assert out.read_text(encoding="utf-8").splitlines()[2] == "100,2320,2300,5134,935759,linear"
+
+
+def test_plot_golden(tmp_path, capsys):
+    records = []
+    for m, errors in ((2, (0.5, 0.4, 0.3)), (8, (0.2, 0.1, 0.15))):
+        for trial, e in enumerate(errors):
+            for alg, scale, wall in (("altproj", 1, 0.01), ("tsvd_baseline", 2, 0.001)):
+                records.append(ExperimentRecord("varm", "gauss", "independent", 30, m, 3,
+                                                trial, 7, alg, scale * e, wall))
+        records.append(ExperimentRecord("varm", "gauss", "independent", 30, m, 3, MEDIAN_TRIAL,
+                                        7, "altproj_median", sorted(errors)[1], 0.0))
+    infile, out, svg = tmp_path / "in.csv", tmp_path / "agg.csv", tmp_path / "p.svg"
+    with open(infile, "w", encoding="utf-8", newline="\n") as fh:
+        write_csv(records, fh)
+    assert cli.main(["plot", "--in", str(infile), "--out", str(out), "--svg", str(svg)]) == 0
+    assert capsys.readouterr().out == f"aggregated 4 points into {out} and {svg}\n"
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[:2] == ["# maxnorm-lowrank v1",
+                         "experiment,function,scheme,algorithm,x,median,q25,q75,loglog_slope"]
+    rows = [ln.rsplit(",", 1) for ln in lines[2:]]
+    assert [r[0] for r in rows] == [
+        "varm,gauss,independent,altproj,2,0.40000000000000002,0.34999999999999998,0.45000000000000001",
+        "varm,gauss,independent,altproj,8,0.14999999999999999,0.125,0.17499999999999999",
+        "varm,gauss,independent,tsvd_baseline,2,0.80000000000000004,0.69999999999999996,0.90000000000000002",
+        "varm,gauss,independent,tsvd_baseline,8,0.29999999999999999,0.25,0.34999999999999998",
+    ]
+    assert [float(r[1]) for r in rows] == pytest.approx([math.log(0.375) / math.log(4)] * 4)
+    assert svg.read_text(encoding="utf-8").count("<polyline") == 2

@@ -1,6 +1,12 @@
 import pytest
 
-from maxnorm_lowrank.experiments import ExperimentConfig, run_experiment
+from maxnorm_lowrank.altproj import AltProjConfig
+from maxnorm_lowrank.experiments import (
+    ExperimentConfig,
+    load_config,
+    parse_config_text,
+    run_experiment,
+)
 from maxnorm_lowrank.records import COLUMNS
 
 # toy version of the varying-dimension experiment; n leaves room for the warm subspace basis
@@ -36,3 +42,78 @@ def test_altproj_never_worse_than_baseline(runs):
     for m in TOY_VARM["m_grid"]:
         for trial in range(TOY_VARM["trials"]):
             assert found[(m, trial, "altproj")] <= found[(m, trial, "tsvd_baseline")]
+
+
+CONFIG_TEXT = """
+# every kind of field
+experiment = varr
+n_grid = 40, 50,
+r_grid = 2
+algorithms = altproj , taylor
+seed = none
+beta2 = 3
+t =
+trials = 4
+stall_patience = 9
+eps = 0.25
+tol = 1e-5
+init = zero
+output = out dir/x.csv
+"""
+
+
+def test_parse_config_text_every_field_kind():
+    assert parse_config_text(CONFIG_TEXT) == {
+        "experiment": "varr", "n_grid": (40, 50), "r_grid": (2,),
+        "algorithms": ("altproj", "taylor"), "seed": None, "beta2": 3, "t": None,
+        "trials": 4, "stall_patience": 9, "eps": 0.25, "tol": 1e-5, "init": "zero",
+        "output": "out dir/x.csv",
+    }
+    assert parse_config_text("seed = NONE\nseed = 7")["seed"] == 7
+
+
+def test_load_config_applies_overrides(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(CONFIG_TEXT, encoding="utf-8")
+    cfg = load_config(path, {"seed": 3, "m_grid": (4,)})
+    assert (cfg.seed, cfg.m_grid, cfg.n_grid, cfg.tol) == (3, (4,), (40, 50), 1e-5)
+    assert cfg.solver() == AltProjConfig(tol=1e-5, stall_patience=9, init="zero")
+    with pytest.raises(ValueError, match="seed is mandatory"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("trials = 2\nepsilon = 0.1\n", "line 2: unknown key 'epsilon'"),
+    ("# header\nseed 4\n", "line 2: expected 'key = value'"),
+    ("trials = two\n", "invalid literal"),
+])
+def test_parse_config_text_errors(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("function, algorithm", [
+    ("f2", "rff"), ("f3", "rff"), ("f3", "taylor"), ("gauss", "tt"), ("f1", "tt"),
+])
+def test_validate_rejects_inapplicable_pairs(function, algorithm, tmp_path):
+    cfg = ExperimentConfig(function=function, algorithms=("altproj", algorithm), seed=1,
+                           n_grid=(8,), m_grid=(2,), r_grid=(1,), trials=1,
+                           output=str(tmp_path / "x.csv"))
+    with pytest.raises(ValueError, match=f"the {algorithm} algorithm applies to"):
+        run_experiment(cfg)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("function, algorithm", [
+    ("f1", "rff"), ("gauss", "rff"), ("f1", "taylor"), ("f2", "taylor"), ("gauss", "taylor"),
+    ("f3", "tt"), ("f3", "altproj"), ("f2", "altproj"),
+])
+def test_validate_accepts_applicable_pairs(function, algorithm):
+    ExperimentConfig(function=function, algorithms=(algorithm,), seed=1).validate()
+
+
+def test_config_is_frozen():
+    cfg = ExperimentConfig(seed=1)
+    with pytest.raises(AttributeError):
+        cfg.tol = 1.0
+    assert cfg.solver() == AltProjConfig()

@@ -151,3 +151,26 @@ class TestRffThenCompress:
         X = sample_ball(14, 25, 6, 1.0)
         dense = kernel_values("exponential", X, X)
         np.testing.assert_allclose(np.diag(dense), 1.0, atol=1e-12)
+
+
+class TestKernelValues:
+    def test_matches_explicit_distances_bitwise(self):
+        X, Y = sample_ball(3, 40, 5), sample_ball(4, 30, 5)
+        diff_sq = (
+            (X.points**2).sum(1)[:, None] + (Y.points**2).sum(1)[None, :]
+            - 2.0 * (X.points @ Y.points.T)
+        )
+        np.maximum(diff_sq, 0.0, out=diff_sq)
+        assert np.array_equal(kernel_values("gaussian", X, Y), np.exp(-diff_sq))
+        assert np.array_equal(kernel_values("exponential", X, Y), np.exp(-np.sqrt(diff_sq)))
+
+    def test_symmetric_diagonal_is_one(self):
+        X = sample_ball(5, 20, 3)
+        for tag in ("gaussian", "exponential", "cauchy"):
+            K = kernel_values(tag, X, X)
+            np.testing.assert_allclose(np.diag(K), 1.0, rtol=0, atol=1e-7)
+
+    def test_unknown_tag(self):
+        X = sample_ball(5, 4, 2)
+        with pytest.raises(ValueError, match="unknown kernel tag"):
+            kernel_values("laplace", X, X)
