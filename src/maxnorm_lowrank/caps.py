@@ -1,10 +1,13 @@
 """Size caps for dense evaluation.
 
-Dense matrices, tensors, and Khatri-Rao widths are guarded by caps so a
-mistyped experiment cannot silently allocate hundreds of gigabytes.  The
-entry-count caps can be overridden at runtime with the environment
-variable ``MAXNORM_DENSE_CAP`` (a single integer, applied to matrix,
-tensor, and verification caps alike).
+Dense matrices, tensors, and the exact factors built for Hadamard powers
+are guarded by caps so a mistyped experiment cannot silently allocate
+hundreds of gigabytes.  The entry-count caps can be overridden at runtime
+with the environment variable ``MAXNORM_DENSE_CAP`` (a single integer,
+applied to matrix, tensor, and verification caps alike).  The matrix cap
+bounds both a dense n1 x n2 matrix and the ``(n1 + n2) x min(width,
+n1 + n2)`` factor that ``compress.hadamard_compress`` sketches; the CP
+caps below still bound widths.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ MATRIX_DENSE_CAP = 4096**2
 TENSOR_DENSE_CAP = 256**3
 DENSE_CHECK_CAP = 2**24
 
-KHATRI_RAO_WIDTH_CAP = 2**20
 CP_WIDTH_CAP = 2**16
 # middle cores of an exact CP->TT conversion hold width**2 * n entries
 CP_TO_TT_CORE_CAP = 2**24

@@ -79,9 +79,6 @@ def _given(args, cls) -> dict:
 
 
 def cmd_generate(args) -> int:
-    if args.function == "f3":
-        print("f3 generates a tensor; the flat binary format stores matrices only", file=sys.stderr)
-        return 2
     spec = kernel_for(args.function, args.radius)
     X, Y = _point_pair(args)
     F = kernels.eval_kernel_matrix(spec, args.scheme, X, None if Y is X else Y)

@@ -7,6 +7,14 @@ factors with a common Gaussian matrix.  The guarantee is probabilistic,
 so the compressor here is a Las-Vegas loop: it redraws the sketch until
 the measured error certifies the bound, and reports honestly when the
 attempt budget runs out.
+
+A Hadamard product of factorizations is one factorization whose rows are
+Kronecker products of the factor rows, ``prod_s m_s`` columns wide.  The
+Gaussian sketch sees those rows only through their Gram matrix, so
+``hadamard_compress`` never builds them when they are wider than the
+``n1 + n2`` rows they have: it sketches an exact ``n1 + n2``-wide
+factorization with the same Gram matrix instead, which gives the
+sketched product the same law.
 """
 
 from __future__ import annotations
@@ -101,24 +109,53 @@ def khatri_rao_rows(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def gram_root_rows(factors: Sequence[Factorization]) -> Factorization:
+    """Exact ``(n1 + n2)``-wide factorization of a Hadamard product of factorizations.
+
+    With ``S_s = [A_s; B_s]``, the Kronecker rows of the product have the
+    Gram matrix ``K = S_1 S_1' * ... * S_t S_t'`` (entrywise product).
+    Its symmetric square root ``C = Q diag(sqrt(max(lam, 0))) Q'`` has
+    ``C C' = K`` up to rounding, so ``C[:n1] @ C[n1:].T`` is the product
+    and the rows of ``C`` have the Kronecker rows' norms.  The square root
+    is unique, unlike ``Q diag(sqrt(lam))``, whose columns depend on the
+    eigenvector signs and on rotations within repeated eigenvalues.
+    """
+    n1 = factors[0].shape[0]
+    K = None
+    for f in factors:
+        S = np.vstack([f.left, f.right])
+        K = S @ S.T if K is None else K * (S @ S.T)
+    lam, Q = np.linalg.eigh(K)
+    C = (Q * np.sqrt(np.maximum(lam, 0.0))) @ Q.T
+    return Factorization(C[:n1], C[n1:])
+
+
 def hadamard_compress(
     factors: Sequence[Factorization],
     eps: float,
     seed: SeedLike,
     max_attempts: int = 50,
-    width_cap: int | None = None,
 ) -> tuple[Factorization, CompressionReport]:
     """Compress the Hadamard product of factorized matrices.
 
-    The product ``(A_1 B_1') * ... * (A_t B_t')`` equals ``At @ Bt.T``
-    where the rows of ``At``/``Bt`` are Kronecker products of the
-    corresponding factor rows, so the row norms multiply and the sketch
-    guarantee carries over with target
+    The product ``(A_1 B_1') * ... * (A_t B_t')`` equals ``X_A @ X_B.T``
+    where the rows of ``X_A``/``X_B`` are Kronecker products of the
+    corresponding factor rows (``W = prod_s m_s`` columns), so the row
+    norms multiply and the sketch guarantee carries over with target
     ``eps * prod_s ||A_s||_{2,inf} ||B_s||_{2,inf}``.
 
-    Refuses (rather than silently approximating) when the combined width
-    ``prod m_s`` exceeds the cap; callers fall back to dense truncated
-    SVD in that case.
+    The sketch ``X R`` of the stacked rows ``X = [X_A; X_B]`` with i.i.d.
+    N(0, 1/r) entries in R is Gaussian with covariance ``(X X') kron I / r``:
+    it depends on X only through its Gram matrix.  So when two or more
+    factors give ``W > N = n1 + n2``, the exact N-wide factorization of
+    ``gram_root_rows`` is sketched instead, with an N x r Gaussian matrix;
+    the sketched product, its certification target and its certification
+    rate have the same law as with the Kronecker rows.  A single factor,
+    or a product no wider than N, is sketched through its Kronecker rows.
+
+    Refuses (rather than silently approximating) when the one factor it
+    builds, ``N * min(W, N)`` entries, exceeds ``caps.matrix_dense_cap()``;
+    callers fall back to dense truncated SVD in that case.
     """
     if not factors:
         raise ValueError("need at least one factorization")
@@ -126,19 +163,23 @@ def hadamard_compress(
     for f in factors:
         if f.shape != shape:
             raise ValueError(f"shape mismatch: {f.shape} vs {shape}")
-    cap = width_cap if width_cap is not None else caps.KHATRI_RAO_WIDTH_CAP
-    width = 1
-    for f in factors:
-        width *= f.width
-    if width > cap:
+    rows = shape[0] + shape[1]
+    width = math.prod(f.width for f in factors)
+    use_gram = len(factors) > 1 and width > rows
+    entries = rows * (rows if use_gram else width)
+    cap = caps.matrix_dense_cap()
+    if entries > cap:
         raise caps.DenseCapExceeded(
-            f"Khatri-Rao width {width} exceeds cap {cap}; "
+            f"exact factor of the Hadamard product needs {entries} entries, above cap {cap}; "
             "compress via dense truncated SVD of the exact Hadamard product instead"
         )
-    combined = Factorization(
-        khatri_rao_rows([f.left for f in factors]),
-        khatri_rao_rows([f.right for f in factors]),
-    )
+    if use_gram:
+        combined = gram_root_rows(factors)
+    else:
+        combined = Factorization(
+            khatri_rao_rows([f.left for f in factors]),
+            khatri_rao_rows([f.right for f in factors]),
+        )
     return jl_compress(combined, eps, seed, max_attempts)
 
 

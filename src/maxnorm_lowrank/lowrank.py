@@ -154,3 +154,22 @@ def truncated_svd(M: np.ndarray, r: int) -> Factorization:
             U[:, j] = -col
             Vt[j] = -Vt[j]
     return Factorization(U * s, Vt.T)
+
+
+def reduce_width(F: Factorization) -> Factorization:
+    """Exact factorization of ``F.matrix()`` no wider than ``min(n1, n2)``.
+
+    A factorization wider than ``min(n1, n2)`` is rewritten through the
+    QR decompositions ``A = Q_A R_A`` and ``B = Q_B R_B`` and the SVD of
+    the small core ``R_A R_B' = U diag(s) V'``: the result is
+    ``(Q_A U sqrt(s), Q_B V sqrt(s))``, equal to ``A @ B.T`` up to rounding.
+    Narrower factorizations are returned unchanged.
+    """
+    n1, n2 = F.shape
+    if F.width <= min(n1, n2):
+        return F
+    QA, RA = np.linalg.qr(F.left)
+    QB, RB = np.linalg.qr(F.right)
+    U, s, Vt = np.linalg.svd(RA @ RB.T, full_matrices=False)
+    root = np.sqrt(s)
+    return Factorization(QA @ (U * root), QB @ (Vt.T * root))

@@ -5,8 +5,12 @@ or of a weighted squared distance, ``h(||x - y||_W^2)``, admit explicit
 low-rank approximants: truncate the Taylor series of h, write each
 monomial term as a Hadamard power of an exact factorization, and sketch
 each power down to the universal rank ``rank_formula(eps, n1, n2)``.
-The result has width at most ``1 + (t - 1) * r`` and a two-part error
-bound: an analytical remainder from the truncation plus an algebraic
+A power wider than its ``n1 + n2`` rows is sketched through an exact
+``n1 + n2``-wide factor with the same Gram matrix (see
+``compress.hadamard_compress``), so no ``m**s``-wide factor is built.
+The sum has width at most ``1 + (t - 1) * r`` and is then reduced
+exactly to width at most ``min(n1, n2)``.  The error bound has two
+parts: an analytical remainder from the truncation plus an algebraic
 term from the sketches.
 
 The squared-distance variants ride on the same machinery after the
@@ -33,7 +37,14 @@ from .compress import (
     rank_formula,
 )
 from .kernels import ARG_SQDIST, KernelSpec, WeightLike, WeightMatrix, distance_matrix
-from .lowrank import Factorization, RankOne, max_norm, max_norm_error, truncated_svd
+from .lowrank import (
+    Factorization,
+    RankOne,
+    max_norm,
+    max_norm_error,
+    reduce_width,
+    truncated_svd,
+)
 from .rng import SeedLike, split
 from .sampling import PointSet
 
@@ -155,10 +166,11 @@ def _assemble(
 ) -> tuple[Factorization, list[CompressionReport], list[int], float]:
     """Sum the compressed Hadamard powers of ``base`` with the plan's weights.
 
-    Returns the assembled factorization, per-power compression reports,
-    the powers where the Khatri-Rao width cap forced a dense truncated
-    SVD fallback, and the algebraic error term
-    ``eps * sum_s |c_s| * (||A|| * ||B||)^s`` (measured row norms).
+    Returns the assembled factorization, reduced exactly to width at
+    most ``min(n1, n2)``, the per-power compression reports, the powers
+    where the dense cap forced a dense truncated SVD fallback, and the
+    algebraic error term ``eps * sum_s |c_s| * (||A|| * ||B||)^s``
+    (measured row norms).
     """
     n1, n2 = base.shape
     r = rank_formula(eps, n1, n2)
@@ -182,8 +194,8 @@ def _assemble(
         try:
             G, rep = hadamard_compress([base] * s, eps, streams[s - 1], max_attempts)
         except caps.DenseCapExceeded:
-            # width m**s blew past the Khatri-Rao cap: fall back to a dense
-            # exact power compressed by truncated SVD (measured, not certified)
+            # the power's exact factor is above the dense cap: fall back to a
+            # dense exact power compressed by truncated SVD (measured, not certified)
             if base_dense is None:
                 base_dense = base.matrix()
             power = base_dense**s
@@ -198,7 +210,7 @@ def _assemble(
     if not pieces:
         G = Factorization(np.zeros((n1, 1)), np.zeros((n2, 1)))
     else:
-        G = Factorization.concat(pieces)
+        G = reduce_width(Factorization.concat(pieces))
     return G, reports, fallbacks, algebraic
 
 

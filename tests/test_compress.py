@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from maxnorm_lowrank.caps import DenseCapExceeded
+from maxnorm_lowrank import compress
 from maxnorm_lowrank.compress import (
     augment_rank_one,
+    gram_root_rows,
     hadamard_compress,
     jl_compress,
     khatri_rao_rows,
@@ -129,17 +131,143 @@ class TestHadamardCompress:
         np.testing.assert_allclose(G.matrix(), [[1.0, 4.0], [4.0, 16.0]], atol=1e-12)
         assert rep.certified
 
-    def test_width_cap_refusal(self):
+    def test_width_cap_refusal(self, monkeypatch):
+        # the cap bounds the entries of the one factor built: here 8 x 8 Gram rows
         rng = np.random.default_rng(9)
         f = Factorization(rng.normal(size=(4, 40)), rng.normal(size=(4, 40)))
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "63")
         with pytest.raises(DenseCapExceeded):
-            hadamard_compress([f, f, f, f], 0.5, seed=0, width_cap=10**6)
+            hadamard_compress([f, f, f, f], 0.5, seed=0)
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "64")
+        G, _ = hadamard_compress([f, f, f, f], 0.5, seed=0)
+        assert G.width == 8
 
     def test_shape_mismatch(self):
         f1 = Factorization(np.ones((3, 1)), np.ones((4, 1)))
         f2 = Factorization(np.ones((3, 1)), np.ones((5, 1)))
         with pytest.raises(ValueError):
             hadamard_compress([f1, f2], 0.5, seed=0)
+
+
+def _unit_rows(rng, n, k):
+    M = rng.normal(size=(n, k))
+    return M / np.linalg.norm(M, axis=1, keepdims=True)
+
+
+def _kronecker_sketch(factors, eps, seed, max_attempts):
+    """Reference: sketch the explicit Khatri-Rao rows, as for widths up to n1 + n2."""
+    wide = Factorization(
+        khatri_rao_rows([f.left for f in factors]),
+        khatri_rao_rows([f.right for f in factors]),
+    )
+    return jl_compress(wide, eps, seed, max_attempts)
+
+
+def _refuse_wide_kronecker(monkeypatch, rows):
+    original = compress.khatri_rao_rows
+
+    def guarded(blocks):
+        width = math.prod(b.shape[1] for b in blocks)
+        assert width <= rows, f"built a {width}-wide Khatri-Rao factor"
+        return original(blocks)
+
+    monkeypatch.setattr(compress, "khatri_rao_rows", guarded)
+
+
+class TestGramPath:
+    @pytest.mark.parametrize("widths", [(3, 4, 5), (4, 4, 4, 4)])
+    def test_exact_product_and_row_norms(self, widths):
+        rng = np.random.default_rng(21)
+        if len(set(widths)) == 1:
+            f = Factorization(rng.normal(size=(9, widths[0])), rng.normal(size=(7, widths[0])))
+            facts = [f] * len(widths)
+        else:
+            facts = [
+                Factorization(rng.normal(size=(9, k)), rng.normal(size=(7, k))) for k in widths
+            ]
+        C = gram_root_rows(facts)
+        assert C.width == 16
+        exact = np.ones((9, 7))
+        scale = 1.0
+        for f in facts:
+            exact = exact * f.matrix()
+            na, nb = f.row_norms()
+            scale *= na * nb
+        assert np.abs(C.matrix() - exact).max() <= 1e-12 * scale
+        left = khatri_rao_rows([f.left for f in facts])
+        right = khatri_rao_rows([f.right for f in facts])
+        np.testing.assert_allclose(
+            np.linalg.norm(C.left, axis=1), np.linalg.norm(left, axis=1), rtol=1e-9
+        )
+        np.testing.assert_allclose(
+            np.linalg.norm(C.right, axis=1), np.linalg.norm(right, axis=1), rtol=1e-9
+        )
+
+    def test_same_law_as_khatri_rao_sketch(self, monkeypatch):
+        # one draw per seed (max_attempts=1), so the returned sketch is unselected
+        rng = np.random.default_rng(22)
+        n, k, s, eps = 60, 5, 3, 0.9
+        f = Factorization(_unit_rows(rng, n, k), _unit_rows(rng, n, k))
+        factors = [f] * s
+        r = rank_formula(eps, n, n)
+        assert k**s > 2 * n > r, "the Gram path must run and really sketch"
+        left = khatri_rao_rows([f.left] * s)
+        right = khatri_rao_rows([f.right] * s)
+        exact = left @ right.T
+        variance = (
+            np.outer((left**2).sum(axis=1), (right**2).sum(axis=1)) + exact**2
+        ) / r
+
+        seeds = range(300)
+        gram = [hadamard_compress(factors, eps, seed=q, max_attempts=1) for q in seeds]
+        ref = [_kronecker_sketch(factors, eps, q, 1) for q in seeds]
+        _refuse_wide_kronecker(monkeypatch, 2 * n)
+        assert hadamard_compress(factors, eps, seed=0, max_attempts=1)[0].width == r
+
+        def moments(results):
+            draws = np.stack([G.matrix() for G, _ in results])
+            z = (draws.mean(axis=0) - exact) / np.sqrt(variance / len(results))
+            return float((z**2).mean()), float((draws.var(axis=0, ddof=1) / variance).mean())
+
+        # the entries of one sketch are correlated, so the mean of z**2 spreads
+        # well beyond a chi-square over independent entries (0.8 to 1.3 on other
+        # factor draws, for both sketches); a bias of one standard deviation gives 2
+        for results in (gram, ref):
+            mean_z2, var_ratio = moments(results)
+            assert abs(mean_z2 - 1.0) < 0.4
+            assert abs(var_ratio - 1.0) < 0.1
+        # certification depends on the error/target ratio: its distribution must
+        # agree (two-sample Kolmogorov-Smirnov, critical value 0.16 at level 0.001)
+        ratios = [
+            np.sort([rep.achieved_max_error / rep.target_bound for _, rep in results])
+            for results in (gram, ref)
+        ]
+        grid = np.concatenate(ratios)
+        ecdf = [np.searchsorted(x, grid, side="right") / len(x) for x in ratios]
+        assert np.abs(ecdf[0] - ecdf[1]).max() < 0.16
+        rates = [np.mean([rep.certified for _, rep in results]) for results in (gram, ref)]
+        assert abs(rates[0] - rates[1]) < 0.05
+
+    def test_deterministic(self):
+        rng = np.random.default_rng(23)
+        f = Factorization(_unit_rows(rng, 60, 5), _unit_rows(rng, 60, 5))
+        G1, rep1 = hadamard_compress([f] * 3, 0.9, seed=4)
+        G2, rep2 = hadamard_compress([f] * 3, 0.9, seed=4)
+        np.testing.assert_array_equal(G1.left, G2.left)
+        np.testing.assert_array_equal(G1.right, G2.right)
+        assert rep1 == rep2
+
+    def test_width_above_old_cap_certifies(self, monkeypatch):
+        # 40**4 = 2,560,000 columns, above the former width cap of 2**20
+        rng = np.random.default_rng(24)
+        f = Factorization(_unit_rows(rng, 60, 40), _unit_rows(rng, 60, 40))
+        _refuse_wide_kronecker(monkeypatch, 120)
+        G, rep = hadamard_compress([f] * 4, 0.9, seed=5)
+        assert rep.certified
+        assert G.width == rep.requested_rank < 120
+        exact = f.matrix() ** 4
+        assert max_norm_error(exact, G) == pytest.approx(rep.achieved_max_error, abs=1e-12)
+        assert rep.achieved_max_error <= rep.target_bound
 
 
 class TestAugmentRankOne:

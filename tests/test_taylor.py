@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from maxnorm_lowrank import compress, taylor
 from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.kernels import (
     ARG_SQDIST,
@@ -190,6 +191,54 @@ class TestApproxSqDistanceLocal:
         G, rep = approx_sq_distance_local(spec, X, None, X, t=3, eps=0.3, seed=2)
         assert rep.analytic_term == math.inf
         assert rep.measured_max_error is not None
+
+
+ROUTES = [
+    (approx_inner_product, gaussian_on_sphere(), sample_sphere, 5),
+    (approx_sq_distance, gauss_sq_dist((-4, 4)), sample_ball, 3),
+    (approx_sq_distance_local, gauss_sq_dist((-4, 4)), sample_ball, 3),
+]
+
+
+class TestAssemble:
+    @pytest.mark.parametrize("route, spec, sample, m", ROUTES,
+                             ids=[r[0].__name__ for r in ROUTES])
+    def test_width_reduced_exactly(self, monkeypatch, route, spec, sample, m):
+        X, Y = sample(21, 30, m), sample(22, 30, m)
+        G, rep = route(spec, X, None, Y, t=4, eps=0.5, seed=3)
+        monkeypatch.setattr(taylor, "reduce_width", lambda F: F)
+        wide, wide_rep = route(spec, X, None, Y, t=4, eps=0.5, seed=3)
+        assert wide.width > 30
+        assert G.width == rep.rank == 30
+        assert rep.measured_max_error == pytest.approx(wide_rep.measured_max_error, abs=1e-12)
+
+    def test_powers_wider_than_rows_never_build_khatri_rao_factors(self, monkeypatch):
+        original = compress.khatri_rao_rows
+
+        def guarded(blocks):
+            width = math.prod(b.shape[1] for b in blocks)
+            assert width <= 80, f"built a {width}-wide Khatri-Rao factor"
+            return original(blocks)
+
+        monkeypatch.setattr(compress, "khatri_rao_rows", guarded)
+        X, Y = sample_sphere(23, 40, 16), sample_sphere(24, 40, 16)
+        G, rep = approx_inner_product(gaussian_on_sphere(), X, None, Y, t=5, eps=0.5, seed=4)
+        assert rep.certified and rep.fallback_powers == []
+        assert rep.measured_max_error <= rep.certified_bound
+        assert G.width <= 40
+
+    def test_dense_fallback_above_the_cap(self, monkeypatch):
+        # n1 * n2 = 400 <= cap < (n1 + n2)**2 = 1600: the cube (width 125 > 40)
+        # has no exact factor under the cap, the square (width 25) has one
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "1000")
+        X, Y = sample_ball(25, 20, 3, 1.0), sample_ball(26, 20, 3, 1.0)
+        spec = gauss_sq_dist((-4, 4))
+        G, rep = approx_sq_distance(spec, X, None, Y, t=4, eps=0.5, seed=5)
+        assert rep.fallback_powers == [3]
+        assert rep.certified is False
+        assert G.width <= 20
+        F = spec.h(distance_matrix(X, None, Y)[0])
+        assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), abs=1e-12)
 
 
 class TestMultiIndex:
