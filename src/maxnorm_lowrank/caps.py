@@ -5,9 +5,13 @@ are guarded by caps so a mistyped experiment cannot silently allocate
 hundreds of gigabytes.  The entry-count caps can be overridden at runtime
 with the environment variable ``MAXNORM_DENSE_CAP`` (a single integer,
 applied to matrix, tensor, and verification caps alike).  The matrix cap
-bounds both a dense n1 x n2 matrix and the ``(n1 + n2) x min(width,
-n1 + n2)`` factor that ``compress.hadamard_compress`` sketches; the CP
-caps below still bound widths.
+bounds a dense n1 x n2 matrix, the ``(n1 + n2) x min(width, n1 + n2)``
+factor that ``compress.hadamard_compress`` sketches, and in ``tensors``
+the largest matrix of a power's Gram-based TT-SVD (the L x L Gram, the
+(r n_k) x L frame or the last unfolding; a power above it is built
+incrementally) and the (n_1 n_2) x r_2 contraction that
+``TTTensor.entries`` gathers rows from.  The CP caps below still bound
+the exact Khatri-Rao powers and CP -> TT cores.
 """
 
 from __future__ import annotations

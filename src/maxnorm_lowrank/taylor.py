@@ -170,7 +170,8 @@ def _assemble(
     most ``min(n1, n2)``, the per-power compression reports, the powers
     where the dense cap forced a dense truncated SVD fallback, and the
     algebraic error term ``eps * sum_s |c_s| * (||A|| * ||B||)^s``
-    (measured row norms).
+    (measured row norms).  Raises ``caps.DenseCapExceeded`` when a power
+    needs that fallback and its dense n1 x n2 matrix is above the cap.
     """
     n1, n2 = base.shape
     r = rank_formula(eps, n1, n2)
@@ -196,6 +197,11 @@ def _assemble(
         except caps.DenseCapExceeded:
             # the power's exact factor is above the dense cap: fall back to a
             # dense exact power compressed by truncated SVD (measured, not certified)
+            if n1 * n2 > caps.matrix_dense_cap():
+                raise caps.DenseCapExceeded(
+                    f"power {s}: the dense fallback needs {n1}x{n2} = {n1 * n2} "
+                    "entries, above the matrix cap"
+                ) from None
             if base_dense is None:
                 base_dense = base.matrix()
             power = base_dense**s

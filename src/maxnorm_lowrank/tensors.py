@@ -1,17 +1,26 @@
 """CP and tensor-train machinery for higher-order inner-product tensors.
 
 The tensor of higher-order inner products of d point sets is exactly a
-CP tensor whose factors are the point matrices.  Entrywise powers of a
-CP tensor are again CP with Khatri-Rao factors, so a truncated Taylor
+CP tensor whose factors are the point matrices.  A truncated Taylor
 series of the profile function h turns ``h(<x, y, z, ...>)`` into a sum
-of CP tensors.  Each power is carried into the TT format and rounded;
-sums add TT ranks blockwise, and a final rounding sweep enforces the
-target rank budget ``1 + (t - 1) * r``.
+of entrywise powers of that CP tensor.  The s-th power of a width-m CP
+tensor is again CP, of width ``C(m+s-1, s)`` when its terms are indexed
+by multisets of columns (``cp_symmetric_power``), and each power is
+rounded straight to a TT by a TT-SVD computed from the CP factors'
+Gram matrices (``cp_tt_svd``), so neither the ``m**s``-wide
+Khatri-Rao factors nor an exact TT with ``L x n x L`` cores is formed.
+When that route's largest matrix is above ``caps.matrix_dense_cap()``
+the power is built incrementally instead, as the Hadamard product of
+the previous power and P, rounded after each step.  Sums add TT ranks
+blockwise, and a final rounding sweep enforces the target rank budget
+``1 + (t - 1) * r``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,6 +32,11 @@ from .kernels import KernelSpec, hoip_subscripts
 from .lowrank import max_norm
 from .rng import SeedLike, generator
 from .sampling import PointSet
+
+# samples per block in ``TTTensor.entries`` and in the sampled error check
+ENTRY_BLOCK = 2**15
+# entries per mode-1 slab in the dense error check
+SLAB_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -107,19 +121,51 @@ class TTTensor:
         return out[..., 0]
 
     def entries(self, idx: np.ndarray) -> np.ndarray:
-        """Evaluate a batch of entries; ``idx`` has shape (batch, d)."""
+        """Evaluate a batch of entries; ``idx`` has shape (batch, d).
+
+        Works through ``ENTRY_BLOCK`` samples at a time in O(block * r)
+        memory.  When it fits under the matrix cap, the first two cores
+        are contracted once into an (n_1 n_2, r_2) matrix whose rows are
+        gathered; each further middle core is applied by one matmul per
+        distinct index in the block, and the last core by a row-wise dot
+        product.
+        """
         idx = np.asarray(idx, dtype=np.intp)
-        vec = self.cores[0][:, idx[:, 0], :]  # (1, batch, r1)
-        out = vec[0]  # (batch, r1)
-        for k in range(1, self.order):
-            core = self.cores[k][:, idx[:, k], :]  # (r_{k-1}, batch, r_k)
-            out = np.einsum("br,rbs->bs", out, core)
-        return out[:, 0]
+        if self.order == 1:
+            return self.cores[0][0, idx[:, 0], 0]
+        first = self.cores[0][0]  # (n_1, r_1)
+        rows = idx[:, 0]
+        start = 1
+        n1, n2, r2 = first.shape[0], *self.cores[1].shape[1:]
+        if self.order > 2 and n1 * n2 * r2 <= caps.matrix_dense_cap():
+            first = np.tensordot(first, self.cores[1], axes=1).reshape(n1 * n2, r2)
+            rows = idx[:, 0] * n2 + idx[:, 1]
+            start = 2
+        last = self.cores[-1][:, :, 0].T  # (n_d, r_{d-1})
+        out = np.empty(idx.shape[0])
+        for lo in range(0, idx.shape[0], ENTRY_BLOCK):
+            block = slice(lo, lo + ENTRY_BLOCK)
+            left = first[rows[block]]
+            for k in range(start, self.order - 1):
+                left = _apply_core(left, self.cores[k], idx[block, k])
+            out[block] = np.einsum("br,br->b", left, last[idx[block, -1]])
+        return out
 
     def scaled(self, c: float) -> "TTTensor":
         cores = list(self.cores)
         cores[0] = cores[0] * c
         return TTTensor(tuple(cores))
+
+
+def _apply_core(left: np.ndarray, core: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Row b of the result is ``left[b] @ core[:, col[b], :]``, one matmul per index."""
+    order = np.argsort(col, kind="stable")
+    sorted_col = col[order]
+    cuts = np.flatnonzero(np.diff(sorted_col)) + 1
+    out = np.empty((left.shape[0], core.shape[2]))
+    for group in np.split(order, cuts):
+        out[group] = left[group] @ core[:, col[group[0]], :]
+    return out
 
 
 def cp_from_points(pointsets: Sequence[PointSet]) -> CPTensor:
@@ -162,6 +208,84 @@ def cp_to_tt(T: CPTensor) -> TTTensor:
         cores.append(np.einsum("ia,ab->aib", f, eye))
     cores.append(T.factors[-1].T[:, :, None])  # (L, n_d, 1)
     return TTTensor(tuple(cores))
+
+
+def cp_symmetric_power(T: CPTensor, s: int) -> CPTensor:
+    """Entrywise s-th power as a CP tensor of width ``C(m+s-1, s)``.
+
+    By the multinomial theorem ``(sum_a prod_k F_k[i_k, a])**s`` is the
+    sum over multisets alpha of s columns of ``(s!/alpha!) prod_k
+    prod_{a in alpha} F_k[i_k, a]``; the weights go into the first factor.
+    """
+    if s < 1:
+        raise ValueError(f"power must be >= 1, got {s}")
+    alphas = list(itertools.combinations_with_replacement(range(T.width), s))
+    cols = np.array(alphas, dtype=np.intp).reshape(len(alphas), s)
+    weights = np.array([
+        math.factorial(s) // math.prod(math.factorial(c) for c in Counter(alpha).values())
+        for alpha in alphas
+    ], dtype=np.float64)
+    factors = []
+    for f in T.factors:
+        g = f[:, cols[:, 0]]
+        for j in range(1, s):
+            g = g * f[:, cols[:, j]]
+        factors.append(g)
+    factors[0] = factors[0] * weights
+    return CPTensor(tuple(factors))
+
+
+def cp_tt_svd(T: CPTensor, max_rank: int) -> TTTensor:
+    """TT-SVD of a CP tensor with ranks <= ``max_rank``, from its factors.
+
+    Gives the tensor that ``tt_round(cp_to_tt(T), max_ranks=max_rank)``
+    gives, without the L x n x L cores.  A frame Z (r_{k-1} x L) starts
+    as ones; step k forms ``M = Z * F_k`` as an (r_{k-1} n_k) x L matrix,
+    takes the leading left singular vectors U of the unfolding ``M
+    KR(F_{>k})^T`` as eigenvectors of ``M H M^T``, with H the Hadamard
+    product of the Gram matrices ``F_j^T F_j`` for j > k, keeps U as core
+    k and sets ``Z = U^T M``.  The last unfolding ``M F_d^T`` is
+    decomposed by an SVD.  A tall M is first reduced to the R of its QR
+    (at the last step only when L < n_d), so each step solves a problem
+    of size min(r_{k-1} n_k, L).
+    """
+    F = T.factors
+    d, L = T.order, T.width
+    suffix: list[np.ndarray] = []  # suffix[k] = Hadamard product of F_j^T F_j, j > k
+    if d > 2:
+        H = F[-1].T @ F[-1]
+        for j in range(d - 2, 0, -1):
+            H = (F[j].T @ F[j]) * H
+            suffix.append(H)
+        suffix.reverse()
+    Z = np.ones((1, L))
+    cores = []
+    for k in range(d - 1):
+        n = F[k].shape[0]
+        M = (Z[:, None, :] * F[k][None, :, :]).reshape(-1, L)
+        rank = max(1, min(max_rank, *M.shape, math.prod(T.shape[k + 1 :])))
+        tall = M.shape[0] > L and (k < d - 2 or L < F[-1].shape[0])
+        Q, R = np.linalg.qr(M) if tall else (None, M)
+        if k < d - 2:
+            _, V = np.linalg.eigh(R @ suffix[k] @ R.T)
+            U = V[:, ::-1][:, :rank]
+        else:
+            U, sig, Vt = np.linalg.svd(R @ F[-1].T, full_matrices=False)
+            U, last = U[:, :rank], sig[:rank, None] * Vt[:rank]
+        if Q is not None:
+            U = Q @ U
+        cores.append(U.reshape(-1, n, rank))
+        Z = U.T @ M
+    cores.append(last[:, :, None])
+    return TTTensor(tuple(cores))
+
+
+def _cp_tt_svd_entries(shape: Sequence[int], width: int, max_rank: int) -> int:
+    """Entries of the largest matrix ``cp_tt_svd`` forms: a Gram, a frame or the last unfolding."""
+    d = len(shape)
+    rows = [min(max_rank, math.prod(shape[:k])) * shape[k] for k in range(d - 1)]
+    gram = width * width if d > 2 else 0
+    return max(gram, max(rows) * width, rows[-1] * shape[-1])
 
 
 def tt_ones(shape: Sequence[int]) -> TTTensor:
@@ -310,24 +434,28 @@ class TTApproxReport:
 
 def _power_in_tt(
     P: CPTensor,
-    P_tt: TTTensor,
     s: int,
     round_ranks: int,
     incremental: list[int],
     cache: dict[int, TTTensor],
 ) -> TTTensor:
-    """s-th entrywise power of P as a TT, exact when the CP width allows."""
-    if s in cache:
-        return cache[s]
-    try:
-        power = cp_hadamard_power(P, s)
-        tt = tt_round(cp_to_tt(power), max_ranks=round_ranks)
-    except caps.DenseCapExceeded:
-        prev = _power_in_tt(P, P_tt, s - 1, round_ranks, incremental, cache)
-        tt = tt_round(tt_hadamard(prev, P_tt), max_ranks=round_ranks)
-        incremental.append(s)
-    cache[s] = tt
-    return tt
+    """s-th entrywise power of P as a TT with ranks <= ``round_ranks``.
+
+    A TT-SVD of the symmetric-power CP tensor when its largest matrix
+    fits under the matrix cap; otherwise the rounded Hadamard product of
+    the previous power and P.
+    """
+    if s not in cache:
+        width = math.comb(P.width + s - 1, s)
+        if _cp_tt_svd_entries(P.shape, width, round_ranks) <= caps.matrix_dense_cap():
+            cache[s] = cp_tt_svd(cp_symmetric_power(P, s), round_ranks)
+        elif s == 1:
+            cache[s] = tt_round(cp_to_tt(P), max_ranks=round_ranks)
+        else:
+            prev = _power_in_tt(P, s - 1, round_ranks, incremental, cache)
+            cache[s] = tt_round(tt_hadamard(prev, cp_to_tt(P)), max_ranks=round_ranks)
+            incremental.append(s)
+    return cache[s]
 
 
 def taylor_tt_approx(
@@ -348,9 +476,10 @@ def taylor_tt_approx(
     asserted from theory).  Powers are summed with the Taylor weights
     and the result rounded to ranks <= ``1 + (t - 1) * r``.
 
-    The error is measured against the dense tensor when it fits under
-    the dense-check cap, otherwise estimated on ``sample_size`` random
-    entries (the only use of ``seed``).
+    The error is measured against the dense tensor, in mode-1 slabs of
+    at most ``SLAB_ENTRIES`` entries, when it fits under the dense-check
+    cap, otherwise estimated on ``sample_size`` random entries (the only
+    use of ``seed``) in blocks of ``ENTRY_BLOCK``.
     """
     if t < 1:
         raise ValueError(f"order t must be >= 1, got {t}")
@@ -360,10 +489,9 @@ def taylor_tt_approx(
     shape = P.shape
     budget = 1 + (t - 1) * r
 
-    P_tt = cp_to_tt(P)
     incremental: list[int] = []
     skipped = [s for s in range(1, t) if coeffs[s] == 0.0]
-    cache: dict[int, TTTensor] = {1: tt_round(P_tt, max_ranks=r)}
+    cache: dict[int, TTTensor] = {}
 
     total: Optional[TTTensor] = None
     if coeffs[0] != 0.0:
@@ -371,34 +499,36 @@ def taylor_tt_approx(
     for s in range(1, t):
         if coeffs[s] == 0.0:
             continue
-        term = _power_in_tt(P, P_tt, s, r, incremental, cache).scaled(coeffs[s])
+        term = _power_in_tt(P, s, r, incremental, cache).scaled(coeffs[s])
         total = term if total is None else tt_add(total, term)
     if total is None:
         total = tt_ones(shape).scaled(0.0)
     total = tt_round(total, max_ranks=budget)
 
     # measured error: dense when affordable, sampled otherwise
-    measured = relative = None
-    sampled = False
-    if P.size() <= caps.dense_check_cap() and P.size() <= caps.tensor_dense_cap():
-        dense_args = P.dense()
-        F = spec.h(dense_args)
-        measured = float(np.abs(F - total.dense()).max())
-        denom = max_norm(F)
-        relative = measured / denom if denom else math.inf
-    else:
-        sampled = True
+    sampled = P.size() > min(caps.dense_check_cap(), caps.tensor_dense_cap())
+    if sampled:
         rng = generator(seed)
         idx = np.column_stack([rng.integers(0, n, size=sample_size) for n in shape])
-        rows = [f[idx[:, j], :] for j, f in enumerate(P.factors)]
-        args = np.ones((sample_size, P.width))
-        for block in rows:
-            args *= block
-        f_vals = spec.h(args.sum(axis=1))
-        g_vals = total.entries(idx)
-        measured = float(np.abs(f_vals - g_vals).max())
+        f_vals = np.empty(sample_size)
+        for lo in range(0, sample_size, ENTRY_BLOCK):
+            block = idx[lo : lo + ENTRY_BLOCK]
+            args = np.ones((block.shape[0], P.width))
+            for j, f in enumerate(P.factors):
+                args *= f[block[:, j], :]
+            f_vals[lo : lo + ENTRY_BLOCK] = spec.h(args.sum(axis=1))
+        measured = float(np.abs(f_vals - total.entries(idx)).max())
         denom = float(np.abs(f_vals).max())
-        relative = measured / denom if denom else math.inf
+    else:
+        measured = denom = 0.0
+        step = max(1, SLAB_ENTRIES // math.prod(shape[1:]))
+        for lo in range(0, shape[0], step):
+            rows = slice(lo, lo + step)
+            F = spec.h(CPTensor((P.factors[0][rows], *P.factors[1:])).dense())
+            G = TTTensor((total.cores[0][:, rows], *total.cores[1:])).dense()
+            measured = max(measured, float(np.abs(F - G).max()))
+            denom = max(denom, max_norm(F))
+    relative = measured / denom if denom else math.inf
 
     R_eff = max(
         (float(np.sqrt((f**2).sum(axis=1).max())) for f in P.factors), default=0.0

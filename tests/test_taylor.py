@@ -240,6 +240,13 @@ class TestAssemble:
         F = spec.h(distance_matrix(X, None, Y)[0])
         assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), abs=1e-12)
 
+    def test_dense_fallback_refused_above_the_cap(self, monkeypatch):
+        # cap < n1 * n2 = 400: the fallback's dense power does not fit either
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "100")
+        X, Y = sample_ball(25, 20, 3, 1.0), sample_ball(26, 20, 3, 1.0)
+        with pytest.raises(DenseCapExceeded, match=r"power 1: .* 400 entries"):
+            approx_sq_distance(gauss_sq_dist((-4, 4)), X, None, Y, t=4, eps=0.5, seed=5)
+
 
 class TestMultiIndex:
     def test_count_examples(self):

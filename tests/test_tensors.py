@@ -1,18 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from maxnorm_lowrank import tensors
 from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.compress import khatri_rao_rows
 from maxnorm_lowrank.kernels import custom_series, eval_kernel_tensor, sinh_hoip
+from maxnorm_lowrank.rng import generator
 from maxnorm_lowrank.sampling import PointSet, sample_ball
 from maxnorm_lowrank.tensors import (
     CPTensor,
     TTTensor,
     cp_from_points,
     cp_hadamard_power,
+    cp_symmetric_power,
     cp_to_tt,
+    cp_tt_svd,
     taylor_tt_approx,
     tt_add,
     tt_hadamard,
@@ -282,3 +287,120 @@ class TestTaylorTTApprox:
         F = eval_kernel_tensor(spec, sets)
         F_perm = eval_kernel_tensor(spec, [sets[1], sets[2], sets[0]])
         np.testing.assert_allclose(np.transpose(F, (1, 2, 0)), F_perm, atol=1e-12)
+
+
+class TestSymmetricPower:
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5), (2, 3, 2, 3)])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_width_and_dense_power(self, shape, s):
+        rng = np.random.default_rng(30 + s)
+        P = random_cp(rng, shape, 3)
+        Q = cp_symmetric_power(P, s)
+        assert Q.width == math.comb(3 + s - 1, s)
+        expected = P.dense() ** s
+        assert np.linalg.norm(Q.dense() - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_rejects_power_zero(self):
+        with pytest.raises(ValueError):
+            cp_symmetric_power(random_cp(np.random.default_rng(0), (2, 2), 2), 0)
+
+
+class TestCpTTSvd:
+    @pytest.mark.parametrize("shape", [(7, 8), (5, 6, 7), (3, 4, 3, 4)])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_rounding_the_exact_tt(self, shape, s):
+        rng = np.random.default_rng(40 + s)
+        P = random_cp(rng, shape, 3)
+        ref = tt_round(cp_to_tt(cp_hadamard_power(P, s)), max_ranks=3)
+        tt = cp_tt_svd(cp_symmetric_power(P, s), 3)
+        assert tt.ranks == ref.ranks
+        assert all(r <= 3 for r in tt.ranks)
+        scale = np.linalg.norm(P.dense() ** s)
+        assert np.linalg.norm(tt.dense() - ref.dense()) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("shape", [(7, 8), (5, 6, 7), (3, 4, 3, 4)])
+    def test_lossless_when_rank_covers_width(self, shape):
+        rng = np.random.default_rng(50)
+        P = cp_symmetric_power(random_cp(rng, shape, 2), 3)  # width 4
+        tt = cp_tt_svd(P, P.width)
+        expected = P.dense()
+        assert np.linalg.norm(tt.dense() - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+class TestTaylorTTPowers:
+    def test_incremental_fallback_below_the_gram_size(self, monkeypatch):
+        # ranks 6 >= every unfolding rank of a 6x6x6 tensor: both routes are exact
+        sets = [sample_ball(s, 6, 3, 1.0) for s in (1, 2, 3)]
+        P = cp_from_points(sets)
+        G_ref, ref = taylor_tt_approx(sinh_hoip(), P, t=6, r=6, seed=0)
+        assert ref.incremental_powers == []
+        # the Gram of power 5 has C(7, 5)**2 = 441 entries and its last frame
+        # 6 * 6 * 21 = 756; powers 1 and 3 need at most 360
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "400")
+        G, rep = taylor_tt_approx(sinh_hoip(), P, t=6, r=6, seed=0)
+        assert rep.incremental_powers == [4, 5]
+        assert not rep.error_sampled
+        np.testing.assert_allclose(G.dense(), G_ref.dense(), atol=1e-10)
+
+    def test_sinh_builds_odd_powers_only(self, monkeypatch):
+        built, hadamards = [], []
+        original = tensors.cp_symmetric_power
+
+        def recording(T, s):
+            built.append(s)
+            return original(T, s)
+
+        monkeypatch.setattr(tensors, "cp_symmetric_power", recording)
+        monkeypatch.setattr(tensors, "tt_hadamard", lambda *a: hadamards.append(a))
+        sets = [sample_ball(s, 10, 4, 1.0) for s in (4, 5, 6)]
+        G, rep = taylor_tt_approx(sinh_hoip(), cp_from_points(sets), t=8, r=6, seed=0)
+        assert built == [1, 3, 5, 7]
+        assert hadamards == [] and rep.incremental_powers == []
+        assert rep.measured_relative_error < 1e-2
+
+
+class TestBlockedEntries:
+    @pytest.mark.parametrize("cap", [None, "10"])
+    @pytest.mark.parametrize("shape, ranks", [
+        ((9, 11), (4,)), ((5, 6, 7), (3, 4)), ((4, 5, 3, 6), (3, 5, 2)),
+    ])
+    def test_matches_dense(self, monkeypatch, shape, ranks, cap):
+        rng = np.random.default_rng(60)
+        T = random_tt(rng, shape, ranks)
+        dense = T.dense()
+        if cap is not None:  # too small to contract the first two cores
+            monkeypatch.setenv("MAXNORM_DENSE_CAP", cap)
+        for batch in (tensors.ENTRY_BLOCK + 123, 0):
+            idx = np.column_stack([rng.integers(0, n, batch) for n in shape])
+            values = T.entries(idx)
+            assert values.shape == (batch,)
+            np.testing.assert_allclose(values, dense[tuple(idx.T)], rtol=1e-12, atol=1e-12)
+
+    def test_memory_stays_in_blocks(self):
+        rng = np.random.default_rng(61)
+        T = random_tt(rng, (200, 200, 200), (36, 36))
+        idx = np.column_stack([rng.integers(0, 200, 2 * 10**5) for _ in range(3)])
+        tracemalloc.start()
+        try:
+            T.entries(idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20  # a (36, 2e5, 36) gather alone is 2 GB
+
+    def test_sampled_error_matches_direct_recomputation(self, monkeypatch):
+        # 40**3 entries, about half of them sampled
+        sets = [sample_ball(s, 40, 3, 1.0) for s in (7, 8, 9)]
+        P = cp_from_points(sets)
+        spec = sinh_hoip()
+        size = tensors.ENTRY_BLOCK + 1000
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "20000")
+        G, rep = taylor_tt_approx(spec, P, t=4, r=4, seed=11, sample_size=size)
+        monkeypatch.delenv("MAXNORM_DENSE_CAP")
+        assert rep.error_sampled
+        rng = generator(11)
+        idx = np.column_stack([rng.integers(0, 40, size=size) for _ in range(3)])
+        f = spec.h(np.einsum("bi,bi,bi->b", *(S.points[idx[:, j]] for j, S in enumerate(sets))))
+        g = G.dense()[tuple(idx.T)]
+        expected = np.abs(f - g).max() / np.abs(f).max()
+        assert rep.measured_relative_error == pytest.approx(expected, rel=1e-12)
