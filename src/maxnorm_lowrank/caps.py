@@ -5,8 +5,10 @@ are guarded by caps so a mistyped experiment cannot silently allocate
 hundreds of gigabytes.  The entry-count caps can be overridden at runtime
 with the environment variable ``MAXNORM_DENSE_CAP`` (a single integer,
 applied to matrix, tensor, and verification caps alike).  The matrix cap
-bounds a dense n1 x n2 matrix, the ``(n1 + n2) x min(width, n1 + n2)``
-factor that ``compress.hadamard_compress`` sketches, and in ``tensors``
+bounds a dense n1 x n2 matrix, the ``N x min(width, N)`` factor that
+``compress.hadamard_compress`` sketches (N = n1 + n2; the width is
+L = C(m+s-1, s) for an s-th power of a width-m factorization and the
+Kronecker width prod_s m_s for distinct factors), and in ``tensors``
 the largest matrix of a power's Gram-based TT-SVD (the L x L Gram, the
 (r n_k) x L frame or the last unfolding; a power above it is built
 incrementally) and the (n_1 n_2) x r_2 contraction that

@@ -11,15 +11,19 @@ attempt budget runs out.
 A Hadamard product of factorizations is one factorization whose rows are
 Kronecker products of the factor rows, ``prod_s m_s`` columns wide.  The
 Gaussian sketch sees those rows only through their Gram matrix, so
-``hadamard_compress`` never builds them when they are wider than the
-``n1 + n2`` rows they have: it sketches an exact ``n1 + n2``-wide
-factorization with the same Gram matrix instead, which gives the
-sketched product the same law.
+``hadamard_compress`` sketches whichever exact factorization with that
+Gram matrix is narrowest to build, which gives the sketched product the
+same law: the ``C(m+s-1, s)``-wide symmetric-power factor for an s-th
+power of one width-m factorization, the Kronecker rows for distinct
+factors no wider than the ``N = n1 + n2`` rows they have, and an exact
+N-wide square root of the Gram matrix otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -109,6 +113,36 @@ def khatri_rao_rows(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def symmetric_power_blocks(
+    blocks: Sequence[np.ndarray], s: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Symmetric-power columns of each block, and their multinomial weights.
+
+    By the multinomial theorem ``(sum_a x_a y_a)**s`` is the sum over the
+    ``C(m+s-1, s)`` multisets alpha of s of the m columns of ``(s!/alpha!)
+    prod_{a in alpha} x_a y_a``.  Returns, for each block, the matrix whose
+    column alpha is the entrywise product of the block's columns in alpha
+    (multisets in lexicographic order), and the weights ``s!/alpha!``;
+    callers decide where the weights go.
+    """
+    if s < 1:
+        raise ValueError(f"power must be >= 1, got {s}")
+    m = blocks[0].shape[1]
+    alphas = list(itertools.combinations_with_replacement(range(m), s))
+    cols = np.array(alphas, dtype=np.intp).reshape(len(alphas), s)
+    weights = np.array([
+        math.factorial(s) // math.prod(math.factorial(c) for c in Counter(alpha).values())
+        for alpha in alphas
+    ], dtype=np.float64)
+    out = []
+    for block in blocks:
+        g = block[:, cols[:, 0]]
+        for j in range(1, s):
+            g = g * block[:, cols[:, j]]
+        out.append(g)
+    return out, weights
+
+
 def gram_root_rows(factors: Sequence[Factorization]) -> Factorization:
     """Exact ``(n1 + n2)``-wide factorization of a Hadamard product of factorizations.
 
@@ -146,16 +180,26 @@ def hadamard_compress(
 
     The sketch ``X R`` of the stacked rows ``X = [X_A; X_B]`` with i.i.d.
     N(0, 1/r) entries in R is Gaussian with covariance ``(X X') kron I / r``:
-    it depends on X only through its Gram matrix.  So when two or more
-    factors give ``W > N = n1 + n2``, the exact N-wide factorization of
-    ``gram_root_rows`` is sketched instead, with an N x r Gaussian matrix;
-    the sketched product, its certification target and its certification
-    rate have the same law as with the Kronecker rows.  A single factor,
-    or a product no wider than N, is sketched through its Kronecker rows.
+    it depends on X only through its Gram matrix.  So any exact
+    factorization with the Gram matrix of the Kronecker rows can be
+    sketched instead; the sketched product, its certification target and
+    its certification rate keep their law.  With ``N = n1 + n2``, three
+    routes build one:
+
+    * an s-th power of a width-m factorization (every factor is the same
+      object, as in ``[F] * s``) takes its symmetric-power factor from
+      ``symmetric_power_blocks``, ``L = C(m+s-1, s)`` wide with
+      ``sqrt(s!/alpha!)`` on both sides, when ``L <= N``;
+    * distinct factors with ``W <= N``, and a single factor, take the
+      Kronecker rows of ``khatri_rao_rows``;
+    * anything wider takes the N-wide root of ``gram_root_rows``.
+
+    A power is never sketched through its Kronecker rows, since ``L <= m**s``.
 
     Refuses (rather than silently approximating) when the one factor it
-    builds, ``N * min(W, N)`` entries, exceeds ``caps.matrix_dense_cap()``;
-    callers fall back to dense truncated SVD in that case.
+    builds, ``N * min(width, N)`` entries for the route's width L or W,
+    exceeds ``caps.matrix_dense_cap()``; callers fall back to dense
+    truncated SVD in that case.
     """
     if not factors:
         raise ValueError("need at least one factorization")
@@ -164,9 +208,14 @@ def hadamard_compress(
         if f.shape != shape:
             raise ValueError(f"shape mismatch: {f.shape} vs {shape}")
     rows = shape[0] + shape[1]
-    width = math.prod(f.width for f in factors)
-    use_gram = len(factors) > 1 and width > rows
-    entries = rows * (rows if use_gram else width)
+    s = len(factors)
+    power = s > 1 and all(f is factors[0] for f in factors)
+    if power:
+        width = math.comb(factors[0].width + s - 1, s)
+    else:
+        width = math.prod(f.width for f in factors)
+    use_gram = s > 1 and width > rows
+    entries = rows * min(width, rows)
     cap = caps.matrix_dense_cap()
     if entries > cap:
         raise caps.DenseCapExceeded(
@@ -175,6 +224,10 @@ def hadamard_compress(
         )
     if use_gram:
         combined = gram_root_rows(factors)
+    elif power:
+        (left, right), weights = symmetric_power_blocks([factors[0].left, factors[0].right], s)
+        root = np.sqrt(weights)
+        combined = Factorization(left * root, right * root)
     else:
         combined = Factorization(
             khatri_rao_rows([f.left for f in factors]),

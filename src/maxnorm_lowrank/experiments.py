@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import kernels, rff, taylor, tensors
+from . import caps, kernels, rff, taylor, tensors
 from .altproj import AltProjConfig, run_trials
 from .compress import rank_formula
 from .records import (
@@ -100,6 +100,15 @@ class ExperimentConfig(AltProjConfig):
                     f"the {alg} algorithm applies to {', '.join(APPLICABLE[alg])}, "
                     f"not {self.function}"
                 )
+        # taylor and rff rows report an error measured on the dense n x n
+        # target; tt falls back to sampled entries above the cap
+        dense = [alg for alg in self.algorithms if alg in ("taylor", "rff")]
+        n, cap = max(self.n_grid), caps.matrix_dense_cap()
+        if self.experiment != "bounds" and dense and n * n > cap:
+            raise ValueError(
+                f"the {dense[0]} algorithm measures its error on the dense n x n target: "
+                f"n={n} needs {n * n} entries, above the matrix cap {cap}"
+            )
         if self.function == "f3" and SamplingScheme.coerce(self.scheme) is not SamplingScheme.INDEPENDENT:
             raise ValueError("tensors use independent sampling only")
 

@@ -159,17 +159,20 @@ def truncated_svd(M: np.ndarray, r: int) -> Factorization:
 def reduce_width(F: Factorization) -> Factorization:
     """Exact factorization of ``F.matrix()`` no wider than ``min(n1, n2)``.
 
-    A factorization wider than ``min(n1, n2)`` is rewritten through the
-    QR decompositions ``A = Q_A R_A`` and ``B = Q_B R_B`` and the SVD of
-    the small core ``R_A R_B' = U diag(s) V'``: the result is
-    ``(Q_A U sqrt(s), Q_B V sqrt(s))``, equal to ``A @ B.T`` up to rounding.
-    Narrower factorizations are returned unchanged.
+    A factorization ``A @ B.T`` wider than ``min(n1, n2)`` is rewritten
+    through one QR decomposition of the factor with fewer rows: if
+    ``n1 <= n2``, ``A' = Q R`` gives ``A B' = R' (B Q)'``, so the result is
+    ``(R', B Q)``, n1 wide; if ``n1 > n2`` the roles of A and B swap.  The
+    rows of ``R'`` have exactly the row norms of A (Q has orthonormal
+    columns), and the rows of ``B Q`` are orthogonal projections of the
+    rows of B, so no row norm grows.  Narrower factorizations are
+    returned unchanged.
     """
     n1, n2 = F.shape
     if F.width <= min(n1, n2):
         return F
-    QA, RA = np.linalg.qr(F.left)
-    QB, RB = np.linalg.qr(F.right)
-    U, s, Vt = np.linalg.svd(RA @ RB.T, full_matrices=False)
-    root = np.sqrt(s)
-    return Factorization(QA @ (U * root), QB @ (Vt.T * root))
+    if n1 <= n2:
+        Q, R = np.linalg.qr(F.left.T)
+        return Factorization(R.T, F.right @ Q)
+    Q, R = np.linalg.qr(F.right.T)
+    return Factorization(F.left @ Q, R.T)

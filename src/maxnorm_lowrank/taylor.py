@@ -5,11 +5,14 @@ or of a weighted squared distance, ``h(||x - y||_W^2)``, admit explicit
 low-rank approximants: truncate the Taylor series of h, write each
 monomial term as a Hadamard power of an exact factorization, and sketch
 each power down to the universal rank ``rank_formula(eps, n1, n2)``.
-A power wider than its ``n1 + n2`` rows is sketched through an exact
-``n1 + n2``-wide factor with the same Gram matrix (see
-``compress.hadamard_compress``), so no ``m**s``-wide factor is built.
-The sum has width at most ``1 + (t - 1) * r`` and is then reduced
-exactly to width at most ``min(n1, n2)``.  The error bound has two
+The s-th power of a width-m base is sketched through its exact
+``C(m+s-1, s)``-wide symmetric-power factor, or, when that is wider
+than its ``n1 + n2`` rows, through an exact ``n1 + n2``-wide factor with
+the same Gram matrix (see ``compress.hadamard_compress``), so no
+``m**s``-wide factor is built; a power no wider than r passes through
+exactly.  The sum has width at most ``1 + sum_s min(C(m+s-1, s), n1 + n2, r)``
+and is then reduced exactly to width at most ``min(n1, n2)`` by one QR
+(``lowrank.reduce_width``).  The error bound has two
 parts: an analytical remainder from the truncation plus an algebraic
 term from the sketches.
 

@@ -18,16 +18,14 @@ blockwise, and a final rounding sweep enforces the target rank budget
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import caps
-from .compress import khatri_rao_rows
+from .compress import khatri_rao_rows, symmetric_power_blocks
 from .kernels import KernelSpec, hoip_subscripts
 from .lowrank import max_norm
 from .rng import SeedLike, generator
@@ -74,7 +72,7 @@ class CPTensor:
             raise caps.DenseCapExceeded(
                 f"dense CP tensor with {self.size()} entries exceeds cap"
             )
-        return np.einsum(hoip_subscripts(self.order), *self.factors)
+        return np.einsum(hoip_subscripts(self.order), *self.factors, optimize=True)
 
 
 @dataclass(frozen=True)
@@ -217,20 +215,7 @@ def cp_symmetric_power(T: CPTensor, s: int) -> CPTensor:
     sum over multisets alpha of s columns of ``(s!/alpha!) prod_k
     prod_{a in alpha} F_k[i_k, a]``; the weights go into the first factor.
     """
-    if s < 1:
-        raise ValueError(f"power must be >= 1, got {s}")
-    alphas = list(itertools.combinations_with_replacement(range(T.width), s))
-    cols = np.array(alphas, dtype=np.intp).reshape(len(alphas), s)
-    weights = np.array([
-        math.factorial(s) // math.prod(math.factorial(c) for c in Counter(alpha).values())
-        for alpha in alphas
-    ], dtype=np.float64)
-    factors = []
-    for f in T.factors:
-        g = f[:, cols[:, 0]]
-        for j in range(1, s):
-            g = g * f[:, cols[:, j]]
-        factors.append(g)
+    factors, weights = symmetric_power_blocks(T.factors, s)
     factors[0] = factors[0] * weights
     return CPTensor(tuple(factors))
 

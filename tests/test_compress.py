@@ -12,6 +12,7 @@ from maxnorm_lowrank.compress import (
     jl_compress,
     khatri_rao_rows,
     rank_formula,
+    symmetric_power_blocks,
 )
 from maxnorm_lowrank.lowrank import Factorization, RankOne, max_norm_error, row_norm_inf
 
@@ -174,6 +175,66 @@ def _refuse_wide_kronecker(monkeypatch, rows):
     monkeypatch.setattr(compress, "khatri_rao_rows", guarded)
 
 
+def _count_gram_roots(monkeypatch):
+    calls = []
+    original = compress.gram_root_rows
+
+    def counted(factors):
+        calls.append(len(factors))
+        return original(factors)
+
+    monkeypatch.setattr(compress, "gram_root_rows", counted)
+    return calls
+
+
+def _assert_same_law_as_khatri_rao_sketch(monkeypatch, factors, eps):
+    """``hadamard_compress`` and a sketch of the explicit Kronecker rows agree in law.
+
+    Over seeds 0-299 with one draw each (max_attempts=1, so no draw is
+    selected): per-entry mean and variance ``(||x_i||^2 ||y_j||^2 + <x_i,
+    y_j>^2) / r``, the distribution of the error/target ratio and the
+    certification rate.
+    """
+    n1, n2 = factors[0].shape
+    r = rank_formula(eps, n1, n2)
+    left = khatri_rao_rows([f.left for f in factors])
+    right = khatri_rao_rows([f.right for f in factors])
+    exact = left @ right.T
+    variance = (
+        np.outer((left**2).sum(axis=1), (right**2).sum(axis=1)) + exact**2
+    ) / r
+
+    seeds = range(300)
+    ref = [_kronecker_sketch(factors, eps, q, 1) for q in seeds]
+    _refuse_wide_kronecker(monkeypatch, n1 + n2)
+    sketched = [hadamard_compress(factors, eps, seed=q, max_attempts=1) for q in seeds]
+    assert sketched[0][0].width == r
+
+    def moments(results):
+        draws = np.stack([G.matrix() for G, _ in results])
+        z = (draws.mean(axis=0) - exact) / np.sqrt(variance / len(results))
+        return float((z**2).mean()), float((draws.var(axis=0, ddof=1) / variance).mean())
+
+    # the entries of one sketch are correlated, so the mean of z**2 spreads
+    # well beyond a chi-square over independent entries (0.8 to 1.3 on other
+    # factor draws, for both sketches); a bias of one standard deviation gives 2
+    for results in (sketched, ref):
+        mean_z2, var_ratio = moments(results)
+        assert abs(mean_z2 - 1.0) < 0.4
+        assert abs(var_ratio - 1.0) < 0.1
+    # certification depends on the error/target ratio: its distribution must
+    # agree (two-sample Kolmogorov-Smirnov, critical value 0.16 at level 0.001)
+    ratios = [
+        np.sort([rep.achieved_max_error / rep.target_bound for _, rep in results])
+        for results in (sketched, ref)
+    ]
+    grid = np.concatenate(ratios)
+    ecdf = [np.searchsorted(x, grid, side="right") / len(x) for x in ratios]
+    assert np.abs(ecdf[0] - ecdf[1]).max() < 0.16
+    rates = [np.mean([rep.certified for _, rep in results]) for results in (sketched, ref)]
+    assert abs(rates[0] - rates[1]) < 0.05
+
+
 class TestGramPath:
     @pytest.mark.parametrize("widths", [(3, 4, 5), (4, 4, 4, 4)])
     def test_exact_product_and_row_norms(self, widths):
@@ -204,53 +265,21 @@ class TestGramPath:
         )
 
     def test_same_law_as_khatri_rao_sketch(self, monkeypatch):
-        # one draw per seed (max_attempts=1), so the returned sketch is unselected
+        # width-9 rows at s=3: L = C(11, 3) = 165 > N = 120, so the power
+        # takes the Gram route
         rng = np.random.default_rng(22)
-        n, k, s, eps = 60, 5, 3, 0.9
+        n, k, s, eps = 60, 9, 3, 0.9
         f = Factorization(_unit_rows(rng, n, k), _unit_rows(rng, n, k))
-        factors = [f] * s
         r = rank_formula(eps, n, n)
-        assert k**s > 2 * n > r, "the Gram path must run and really sketch"
-        left = khatri_rao_rows([f.left] * s)
-        right = khatri_rao_rows([f.right] * s)
-        exact = left @ right.T
-        variance = (
-            np.outer((left**2).sum(axis=1), (right**2).sum(axis=1)) + exact**2
-        ) / r
-
-        seeds = range(300)
-        gram = [hadamard_compress(factors, eps, seed=q, max_attempts=1) for q in seeds]
-        ref = [_kronecker_sketch(factors, eps, q, 1) for q in seeds]
-        _refuse_wide_kronecker(monkeypatch, 2 * n)
-        assert hadamard_compress(factors, eps, seed=0, max_attempts=1)[0].width == r
-
-        def moments(results):
-            draws = np.stack([G.matrix() for G, _ in results])
-            z = (draws.mean(axis=0) - exact) / np.sqrt(variance / len(results))
-            return float((z**2).mean()), float((draws.var(axis=0, ddof=1) / variance).mean())
-
-        # the entries of one sketch are correlated, so the mean of z**2 spreads
-        # well beyond a chi-square over independent entries (0.8 to 1.3 on other
-        # factor draws, for both sketches); a bias of one standard deviation gives 2
-        for results in (gram, ref):
-            mean_z2, var_ratio = moments(results)
-            assert abs(mean_z2 - 1.0) < 0.4
-            assert abs(var_ratio - 1.0) < 0.1
-        # certification depends on the error/target ratio: its distribution must
-        # agree (two-sample Kolmogorov-Smirnov, critical value 0.16 at level 0.001)
-        ratios = [
-            np.sort([rep.achieved_max_error / rep.target_bound for _, rep in results])
-            for results in (gram, ref)
-        ]
-        grid = np.concatenate(ratios)
-        ecdf = [np.searchsorted(x, grid, side="right") / len(x) for x in ratios]
-        assert np.abs(ecdf[0] - ecdf[1]).max() < 0.16
-        rates = [np.mean([rep.certified for _, rep in results]) for results in (gram, ref)]
-        assert abs(rates[0] - rates[1]) < 0.05
+        assert math.comb(k + s - 1, s) > 2 * n > r, "the Gram path must run and really sketch"
+        roots = _count_gram_roots(monkeypatch)
+        _assert_same_law_as_khatri_rao_sketch(monkeypatch, [f] * s, eps)
+        assert len(roots) == 300
 
     def test_deterministic(self):
+        # width 9: L = 165 > N = 120, so the Gram route runs
         rng = np.random.default_rng(23)
-        f = Factorization(_unit_rows(rng, 60, 5), _unit_rows(rng, 60, 5))
+        f = Factorization(_unit_rows(rng, 60, 9), _unit_rows(rng, 60, 9))
         G1, rep1 = hadamard_compress([f] * 3, 0.9, seed=4)
         G2, rep2 = hadamard_compress([f] * 3, 0.9, seed=4)
         np.testing.assert_array_equal(G1.left, G2.left)
@@ -268,6 +297,79 @@ class TestGramPath:
         exact = f.matrix() ** 4
         assert max_norm_error(exact, G) == pytest.approx(rep.achieved_max_error, abs=1e-12)
         assert rep.achieved_max_error <= rep.target_bound
+
+
+class TestSymmetricPowerPath:
+    @pytest.mark.parametrize("k, s", [(1, 3), (3, 2), (4, 3), (5, 3), (3, 5), (2, 7)])
+    def test_exact_product_and_row_norms(self, monkeypatch, k, s):
+        # L = C(k+s-1, s) <= 55 rows and far below the rank at eps=0.5, so the
+        # symmetric factor is passed through and can be inspected
+        rng = np.random.default_rng(25)
+        f = Factorization(rng.normal(size=(30, k)), rng.normal(size=(25, k)))
+        roots = _count_gram_roots(monkeypatch)
+        _refuse_wide_kronecker(monkeypatch, 1)
+        C, rep = hadamard_compress([f] * s, 0.5, seed=0)
+        assert roots == []
+        assert C.width == math.comb(k + s - 1, s)
+        assert rep.achieved_max_error == 0.0
+        na, nb = f.row_norms()
+        assert np.abs(C.matrix() - f.matrix() ** s).max() <= 1e-12 * (na * nb) ** s
+        left = khatri_rao_rows([f.left] * s)
+        right = khatri_rao_rows([f.right] * s)
+        np.testing.assert_allclose(
+            np.linalg.norm(C.left, axis=1), np.linalg.norm(left, axis=1), rtol=1e-9
+        )
+        np.testing.assert_allclose(
+            np.linalg.norm(C.right, axis=1), np.linalg.norm(right, axis=1), rtol=1e-9
+        )
+        np.testing.assert_allclose(C.left @ C.left.T, left @ left.T, atol=1e-12 * na ** (2 * s))
+
+    def test_same_law_as_khatri_rao_sketch(self, monkeypatch):
+        # width-8 rows at s=3 and n=80: r = 110 < L = C(10, 3) = 120 < N = 160,
+        # so the symmetric factor is built and really sketched
+        rng = np.random.default_rng(26)
+        n, k, s, eps = 80, 8, 3, 0.9
+        f = Factorization(_unit_rows(rng, n, k), _unit_rows(rng, n, k))
+        assert 2 * n > math.comb(k + s - 1, s) > rank_formula(eps, n, n)
+        roots = _count_gram_roots(monkeypatch)
+        _assert_same_law_as_khatri_rao_sketch(monkeypatch, [f] * s, eps)
+        assert roots == []
+
+    def test_routing(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        f = Factorization(_unit_rows(rng, 30, 6), _unit_rows(rng, 30, 6))
+        g = Factorization(f.left.copy(), f.right.copy())
+        roots = _count_gram_roots(monkeypatch)
+        hadamard_compress([f] * 3, 0.9, seed=0)  # L = 56 < N = 60
+        assert roots == []
+        hadamard_compress([f] * 4, 0.9, seed=0)  # L = 126 > N
+        assert roots == [4]
+        # equal but distinct objects are not recognised as a power: W = 36 <= N
+        # takes the Kronecker rows, W = 216 > N the Gram root
+        G, _ = hadamard_compress([f, g], 0.5, seed=0)
+        assert G.width == 36
+        hadamard_compress([f, g, f], 0.9, seed=0)
+        assert roots == [4, 3]
+
+    def test_cap_counts_the_symmetric_width(self, monkeypatch):
+        # N * L = 60 * 56 entries for the cube of a width-6 factorization
+        rng = np.random.default_rng(28)
+        f = Factorization(_unit_rows(rng, 30, 6), _unit_rows(rng, 30, 6))
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", str(60 * 56 - 1))
+        with pytest.raises(DenseCapExceeded):
+            hadamard_compress([f] * 3, 0.9, seed=0)
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", str(60 * 56))
+        hadamard_compress([f] * 3, 0.9, seed=0)
+
+    def test_weights_are_multinomial(self):
+        x = np.array([[0.3, -1.2, 2.0]])
+        for s in range(1, 6):
+            (cols,), weights = symmetric_power_blocks([x], s)
+            assert cols.shape == (1, math.comb(s + 2, s))
+            assert weights.sum() == 3**s
+            assert (cols * weights).sum() == pytest.approx(x.sum() ** s, rel=1e-12)
+        with pytest.raises(ValueError):
+            symmetric_power_blocks([x], 0)
 
 
 class TestAugmentRankOne:

@@ -117,3 +117,23 @@ def test_config_is_frozen():
     with pytest.raises(AttributeError):
         cfg.tol = 1.0
     assert cfg.solver() == AltProjConfig()
+
+
+@pytest.mark.parametrize("algorithm, function", [("taylor", "f1"), ("rff", "gauss")])
+def test_validate_refuses_dense_targets_above_the_cap(algorithm, function, monkeypatch, tmp_path):
+    # the error of a taylor or rff row is measured on the dense n x n target
+    monkeypatch.setenv("MAXNORM_DENSE_CAP", "100")
+    cfg = ExperimentConfig(function=function, algorithms=(algorithm,), seed=1,
+                           n_grid=(8, 11), m_grid=(2,), r_grid=(1,), trials=1,
+                           output=str(tmp_path / "x.csv"))
+    with pytest.raises(ValueError, match=f"the {algorithm} algorithm .* n=11 needs 121 entries, "
+                                         "above the matrix cap 100"):
+        run_experiment(cfg)
+    assert not (tmp_path / "x.csv").exists()
+    ExperimentConfig(function=function, algorithms=(algorithm,), seed=1, n_grid=(10,)).validate()
+
+
+def test_validate_lets_tt_sample_above_the_cap(monkeypatch):
+    monkeypatch.setenv("MAXNORM_DENSE_CAP", "100")
+    ExperimentConfig(function="f3", algorithms=("tt",), seed=1, n_grid=(11,)).validate()
+    ExperimentConfig(experiment="bounds", algorithms=("taylor",), n_grid=(10**6,)).validate()

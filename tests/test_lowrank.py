@@ -6,6 +6,7 @@ from maxnorm_lowrank.lowrank import (
     RankOne,
     max_norm,
     max_norm_error,
+    reduce_width,
     relative_max_norm_error,
     row_norm_inf,
     truncated_svd,
@@ -115,6 +116,41 @@ class TestFactorization:
         z = RankOne([1.0, -2.0], [0.5, 4.0])
         assert z.max_norm() == pytest.approx(8.0)
         np.testing.assert_allclose(z.matrix(), np.outer([1, -2], [0.5, 4.0]))
+
+
+class TestReduceWidth:
+    @pytest.mark.parametrize("n1, n2, k", [(20, 35, 50), (35, 20, 50), (25, 25, 26), (1, 4, 3)])
+    def test_exact_and_min_width(self, n1, n2, k):
+        rng = np.random.default_rng(12)
+        F = Factorization(rng.normal(size=(n1, k)), rng.normal(size=(n2, k)))
+        G = reduce_width(F)
+        assert G.shape == (n1, n2)
+        assert G.width == min(n1, n2)
+        na, nb = F.row_norms()
+        assert np.abs(G.matrix() - F.matrix()).max() <= 1e-12 * na * nb
+
+    @pytest.mark.parametrize("n1, n2", [(20, 35), (35, 20), (25, 25)])
+    def test_row_norms(self, n1, n2):
+        # the factor with fewer rows keeps its row norms; the other one's
+        # rows are projected, so none grows
+        rng = np.random.default_rng(13)
+        F = Factorization(rng.normal(size=(n1, 60)), rng.normal(size=(n2, 60)))
+        G = reduce_width(F)
+        pairs = [(F.left, G.left), (F.right, G.right)]
+        (kept, kept_new), (projected, projected_new) = pairs if n1 <= n2 else pairs[::-1]
+        np.testing.assert_allclose(
+            np.linalg.norm(kept_new, axis=1), np.linalg.norm(kept, axis=1), rtol=1e-12
+        )
+        old = np.linalg.norm(projected, axis=1)
+        new = np.linalg.norm(projected_new, axis=1)
+        assert np.all(new <= old * (1 + 1e-12))
+        assert np.any(new < 0.99 * old)
+
+    @pytest.mark.parametrize("k", [3, 20])
+    def test_narrow_input_unchanged(self, k):
+        rng = np.random.default_rng(14)
+        F = Factorization(rng.normal(size=(20, k)), rng.normal(size=(30, k)))
+        assert reduce_width(F) is F
 
 
 def test_max_norm_empty_guard():
