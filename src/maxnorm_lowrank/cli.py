@@ -134,6 +134,7 @@ def cmd_approx(args) -> int:
         _print_report(alg, {
             "rank": rep.rank, "rho": rep.rho,
             "feature_error": rep.feature_error,
+            "feature_certified": rep.feature_certified,
             "measured_relative_error": rep.measured_relative_error,
             "sketch_certified": rep.sketch.certified,
         })

@@ -92,6 +92,8 @@ class ExperimentConfig(AltProjConfig):
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if "rff" in self.algorithms and self.rho < 1:
+            raise ValueError(f"rho must be >= 1, got {self.rho}")
         for alg in self.algorithms:
             if alg not in APPLICABLE:
                 raise ValueError(f"unknown algorithm {alg!r}")

@@ -9,6 +9,14 @@ Because the factor row norms equal one, compressing the feature
 factorization with a Gaussian sketch gives an approximation whose rank
 does not depend on the point dimension.
 
+``rff_then_compress`` grows the frequency set by nested doubling: each
+step keeps the rho frequencies it has and draws rho new ones, so only the
+new block of features is built, and the held n1 x n2 feature product is
+updated in place as the average of the old product and the new block's.
+The result is the narrowest exact factorization of that product that the
+sketch budget allows (the feature blocks, the product itself, or a
+Gaussian sketch of the features); see ``rff_then_compress``.
+
 Bochner pairs used here (standard results, validated by the unbiasedness
 tests rather than asserted from first principles):
 
@@ -26,7 +34,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import caps
-from .compress import CompressionReport, jl_compress
+from .compress import CompressionReport, jl_compress, rank_formula
 from .kernels import KernelSpec, distance_matrix
 from .lowrank import Factorization, max_norm, max_norm_error
 from .rng import SeedLike, generator, split
@@ -126,9 +134,10 @@ def rff_factorization(freqs: FrequencySet, X: PointSet, Y: PointSet) -> Factoriz
     def features(P: PointSet) -> np.ndarray:
         phases = P.points @ freqs.omegas.T  # (n, rho)
         out = np.empty((P.n, 2 * freqs.rho))
-        out[:, 0::2] = np.cos(phases)
-        out[:, 1::2] = np.sin(phases)
-        return out * scale
+        np.cos(phases, out=out[:, 0::2])
+        np.sin(phases, out=out[:, 1::2])
+        out *= scale
+        return out
 
     return Factorization(features(X), features(Y))
 
@@ -163,36 +172,88 @@ def rff_then_compress(
     average and ``theta * eps`` for the sketch.  Starting from ``rho``
     frequencies, the feature count doubles until the measured feature
     error meets its share of the budget (or the cap is hit, which is
-    reported, not hidden).  With ``theta = 1`` no feature growth happens
-    and the call reduces to a plain sketch of the feature factorization.
+    reported as ``feature_certified=False``, not hidden).  With
+    ``theta = 1`` no feature growth happens and the call reduces to a
+    plain sketch of the feature factorization.
+
+    Doubling is nested: the first ``rho`` frequencies come from the first
+    substream of the frequency stream, and each doubling keeps every
+    frequency drawn so far and adds as many new ones from the next
+    substream.  The final rho_total frequencies are therefore still
+    i.i.d. from the spectral law given rho_total; only the stopping rule
+    sees nested prefixes of one sequence rather than fresh draws.  Each step
+    builds only the new block and updates the held product in place,
+    ``P <- (P + A_new B_new') / 2``; the feature error is ``max|K - P|``.
+
+    With ``w = 2 * rho_total``, ``n = min(n1, n2)`` and
+    ``r = rank_formula(theta * eps, n1, n2)`` the result takes one of
+    three forms:
+
+    (a) ``w <= n`` and ``w <= r``: the concatenated feature blocks, scaled
+        to ``1 / sqrt(rho_total)``, w wide; every row of both factors has
+        norm 1.
+    (b) ``w > n`` and ``n <= r``: the held product itself as
+        ``Factorization(I_n1, P')`` (``(P, I_n2)`` when n1 > n2), n wide;
+        left rows have norm 1 and right rows norm <= sqrt(n1) (mirrored
+        when n1 > n2), since every entry of P lies in [-1, 1].
+    (c) otherwise (``r < min(w, n)``): a ``jl_compress`` sketch of the
+        feature factorization to rank r, verified against the kernel.
+
+    In (a) and (b) the result is exactly the product whose error stopped
+    the growth, so ``measured_max_error`` is the feature error and no
+    second product is formed.  The feature blocks are kept only while
+    (a) or (c) can still be the result, so outside (c) memory stays
+    O(n1 n2) whatever rho_total is.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    if rho < 1:
+        raise ValueError(f"rho must be >= 1, got {rho}")
     tag = kernel_tag(spec)
     if X.n * Y.n > caps.matrix_dense_cap():
         raise caps.DenseCapExceeded("dense kernel verification exceeds the cap")
     dense = kernel_values(tag, X, Y)
     feature_target = (1.0 - theta) * eps
+    eps_sketch = theta * eps
+    n_min = min(X.n, Y.n)
+    r = rank_formula(eps_sketch, X.n, Y.n)
 
     freq_stream, sketch_stream = split(seed, 2)
     grow_streams = iter(freq_stream.spawn(64))
-    current_rho = max(1, rho)
-    freqs = sample_frequencies(tag, current_rho, next(grow_streams), m=X.m)
-    fact = rff_factorization(freqs, X, Y)
-    feat_err = max_norm_error(dense, fact)
+    current_rho = rho
+    features = rff_factorization(sample_frequencies(tag, rho, next(grow_streams), m=X.m), X, Y)
+    held = features.matrix()
+    work = np.empty_like(held)
+    feat_err = _max_deviation(dense, held, work)
     feature_certified = theta == 1.0 or feat_err <= feature_target
     while theta < 1.0 and feat_err > feature_target and current_rho * 2 <= rho_cap:
+        block = rff_factorization(
+            sample_frequencies(tag, current_rho, next(grow_streams), m=X.m), X, Y
+        )
         current_rho *= 2
-        freqs = sample_frequencies(tag, current_rho, next(grow_streams), m=X.m)
-        fact = rff_factorization(freqs, X, Y)
-        feat_err = max_norm_error(dense, fact)
+        if 2 * current_rho <= min(n_min, r):
+            # stopping here gives form (a): hold the exact product of its factors
+            features = _nest(features, block)
+            np.matmul(features.left, features.right.T, out=held)
+        else:
+            np.matmul(block.left, block.right.T, out=work)
+            held += work
+            held *= 0.5
+            features = _nest(features, block) if r < n_min else None
+        feat_err = _max_deviation(dense, held, work)
         feature_certified = feat_err <= feature_target
+    del work  # free n1 x n2 buffers before the result allocates its own
 
-    eps_sketch = theta * eps
-    G, sketch_rep = jl_compress(fact, eps_sketch, sketch_stream, max_attempts)
-    measured = max_norm_error(dense, G)
+    if 2 * current_rho > n_min and n_min <= r:  # form (b)
+        eye = np.eye(n_min)
+        result = Factorization(eye, held.T) if X.n <= Y.n else Factorization(held, eye)
+    else:  # forms (a) and (c)
+        result = features
+    del held
+    G, sketch_rep = jl_compress(result, eps_sketch, sketch_stream, max_attempts)
+    measured = feat_err if G is result else max_norm_error(dense, G)
     denom = max_norm(dense)
     report = RffReport(
         rho=current_rho,
@@ -206,3 +267,25 @@ def rff_then_compress(
         theta=theta,
     )
     return G, report
+
+
+def _nest(features: Factorization, block: Factorization) -> Factorization:
+    """Features of the union of two equally large frequency sets.
+
+    Both inputs are scaled to ``1 / sqrt(rho)``; the concatenation is
+    rescaled by ``1 / sqrt(2)`` so that its product is the average of
+    the two products and its rows keep norm 1.
+    """
+    c = math.sqrt(0.5)
+    left = np.hstack([features.left, block.left])
+    right = np.hstack([features.right, block.right])
+    left *= c
+    right *= c
+    return Factorization(left, right)
+
+
+def _max_deviation(dense: np.ndarray, held: np.ndarray, work: np.ndarray) -> float:
+    """``max|dense - held|`` computed in ``work``, as ``max_norm_error`` computes it."""
+    np.subtract(dense, held, out=work)
+    np.abs(work, out=work)
+    return float(work.max())

@@ -104,6 +104,15 @@ def test_validate_rejects_inapplicable_pairs(function, algorithm, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_validate_refuses_rff_rho_below_one(tmp_path):
+    cfg = ExperimentConfig(function="gauss", algorithms=("rff",), seed=1, rho=0,
+                           n_grid=(8,), m_grid=(2,), r_grid=(1,), trials=1,
+                           output=str(tmp_path / "x.csv"))
+    with pytest.raises(ValueError, match="rho must be >= 1, got 0"):
+        run_experiment(cfg)
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("function, algorithm", [
     ("f1", "rff"), ("gauss", "rff"), ("f1", "taylor"), ("f2", "taylor"), ("gauss", "taylor"),
     ("f3", "tt"), ("f3", "altproj"), ("f2", "altproj"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from maxnorm_lowrank import rff
 from maxnorm_lowrank.compress import rank_formula
 from maxnorm_lowrank.kernels import exp_dist, gauss_sq_dist, quartic_dist
 from maxnorm_lowrank.lowrank import max_norm_error
@@ -14,6 +15,7 @@ from maxnorm_lowrank.rff import (
     rff_then_compress,
     sample_frequencies,
 )
+from maxnorm_lowrank.rng import split
 from maxnorm_lowrank.sampling import PointSet, sample_ball
 
 
@@ -151,6 +153,88 @@ class TestRffThenCompress:
         X = sample_ball(14, 25, 6, 1.0)
         dense = kernel_values("exponential", X, X)
         np.testing.assert_allclose(np.diag(dense), 1.0, atol=1e-12)
+
+
+def _record_blocks(monkeypatch) -> list[FrequencySet]:
+    """Record the frequency set of every feature block rff_then_compress builds."""
+    blocks = []
+
+    def spy(freqs, X, Y):
+        blocks.append(freqs)
+        return rff_factorization(freqs, X, Y)
+
+    monkeypatch.setattr(rff, "rff_factorization", spy)
+    return blocks
+
+
+def _assert_exact_average(tag, X, Y, G, rep, blocks):
+    """G is the feature average over every drawn frequency, and its error was measured on G."""
+    assert rep.measured_max_error == max_norm_error(kernel_values(tag, X, Y), G) == rep.feature_error
+    union = FrequencySet(np.vstack([b.omegas for b in blocks]), tag)
+    assert np.abs(G.matrix() - rff_factorization(union, X, Y).matrix()).max() <= 1e-12
+
+
+class TestNestedDoubling:
+    def test_rejects_rho_below_one(self):
+        X = sample_ball(1, 10, 3, 1.0)
+        for rho in (0, -3):
+            with pytest.raises(ValueError, match="rho must be >= 1"):
+                rff_then_compress("gaussian", X, X, rho=rho)
+
+    def test_frequencies_are_nested_prefixes(self, monkeypatch):
+        X, Y = sample_ball(20, 40, 6, 1.0), sample_ball(21, 35, 6, 1.0)
+        blocks = _record_blocks(monkeypatch)
+        _, rep = rff_then_compress("gaussian", X, Y, rho=4, eps=0.3, seed=7, theta=0.5)
+        assert rep.rho > 4
+        grow_streams = split(7, 2)[0].spawn(64)
+        first = sample_frequencies("gaussian", 4, grow_streams[0], m=6)
+        np.testing.assert_array_equal(blocks[0].omegas, first.omegas)
+        # each doubling keeps every frequency and adds as many from the next stream
+        sizes = [4] + [4 * 2**k for k in range(len(blocks) - 1)]
+        assert [b.rho for b in blocks] == sizes
+        assert sum(sizes) == rep.rho
+        for block, stream in zip(blocks[1:], grow_streams[1:]):
+            expected = sample_frequencies("gaussian", block.rho, stream, m=6)
+            np.testing.assert_array_equal(block.omegas, expected.omegas)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_form_a_feature_blocks(self, seed, monkeypatch):
+        X, Y = sample_ball(22, 200, 8, 1.0), sample_ball(23, 150, 8, 1.0)
+        blocks = _record_blocks(monkeypatch)
+        G, rep = rff_then_compress("gaussian", X, Y, rho=2, eps=0.8, seed=seed, theta=0.25)
+        assert len(blocks) > 1  # grown, so the blocks were concatenated
+        assert rep.feature_certified
+        assert G.width == rep.rank == 2 * rep.rho
+        assert G.width <= min(150, rank_formula(0.2, 200, 150))
+        np.testing.assert_allclose(np.linalg.norm(G.left, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(G.right, axis=1), 1.0, atol=1e-12)
+        _assert_exact_average("gaussian", X, Y, G, rep, blocks)
+
+    @pytest.mark.parametrize("n1, n2", [(30, 45), (45, 30)])
+    def test_form_b_held_product(self, n1, n2, monkeypatch):
+        X, Y = sample_ball(24, n1, 5, 1.0), sample_ball(25, n2, 5, 1.0)
+        blocks = _record_blocks(monkeypatch)
+        G, rep = rff_then_compress("exponential", X, Y, rho=64, eps=0.3, seed=4, theta=0.5)
+        assert len(blocks) > 1
+        n = min(n1, n2)
+        assert 2 * rep.rho > n and G.width == rep.rank == n
+        eye, held = (G.left, G.right) if n1 <= n2 else (G.right, G.left)
+        np.testing.assert_array_equal(eye, np.eye(n))
+        assert np.linalg.norm(held, axis=1).max() <= math.sqrt(n)  # entries of P lie in [-1, 1]
+        _assert_exact_average("exponential", X, Y, G, rep, blocks)
+
+    @pytest.mark.parametrize("rho", [100, 256])
+    def test_form_c_sketch(self, rho):
+        # r = 146 < min(n1, n2) = 400, and 2 rho lies on either side of 400
+        X, Y = sample_ball(26, 400, 10, 1.0), sample_ball(27, 400, 10, 1.0)
+        r = rank_formula(0.9, 400, 400)
+        assert r < min(2 * rho, 400)
+        G, rep = rff_then_compress("cauchy", X, Y, rho=rho, eps=0.9, seed=5, theta=1.0)
+        assert rep.rho == rho
+        assert G.width == rep.rank == r
+        assert rep.sketch.requested_rank == r
+        dense = kernel_values("cauchy", X, Y)
+        assert rep.measured_max_error == pytest.approx(max_norm_error(dense, G), abs=1e-12)
 
 
 class TestKernelValues:
