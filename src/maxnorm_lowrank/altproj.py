@@ -8,13 +8,18 @@ over eps then produces an upper bound on the attainable entrywise error
 at a given rank.
 
 For matrices the rank projection is a warm subspace iteration
-(Halko-Martinsson-Tropp 2011): an orthonormal basis of ``r + OVERSAMPLE``
+(Halko-Martinsson-Tropp 2011): an orthonormal basis Q of ``r + OVERSAMPLE``
 columns is seeded by one exact SVD per run and then refreshed by a
 single power step per iteration, because consecutive clipped iterates
 differ little.  The new iterate is the rank-r part of the clipped
-iterate projected on that basis, so it is always exactly rank <= r.  Tensors and matrices
-too narrow for the oversampled basis use the exact projection
-(truncated SVD; TT-SVD for tensors, where it is quasi-optimal).
+iterate E projected on that basis (Rayleigh-Ritz), so it is always
+exactly rank <= r.  Its Ritz vectors come from an eigensolve of the
+small Gram matrix B B^T, with B = Q^T E, of order r + OVERSAMPLE (8 at
+r = 4), not from an SVD of B.  Tensors and matrices too narrow
+for the oversampled basis use the exact projection (truncated SVD;
+TT-SVD for tensors, where it is quasi-optimal).  Each iteration writes
+the clipped iterate and the residual F - T into two buffers held for
+the run, and computes the residual once.
 
 The bisection starts from the exact rank projection of the target itself,
 which is feasible at its own error, so the result is never worse than
@@ -91,15 +96,24 @@ class BinarySearchResult:
     evaluations: int
 
 
-def clip_projection(T: np.ndarray, F: np.ndarray, eps: float) -> np.ndarray:
-    """Frobenius projection of T onto the entrywise ball of radius eps around F."""
+def clip_projection(
+    T: np.ndarray, F: np.ndarray, eps: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Frobenius projection of T onto the entrywise ball of radius eps around F.
+
+    ``out``, a float64 array of F's shape other than F itself, receives
+    the result and is returned; without it a new array is returned.
+    """
     T = np.asarray(T, dtype=np.float64)
     F = np.asarray(F, dtype=np.float64)
     if T.shape != F.shape:
         raise ValueError(f"shape mismatch: {T.shape} vs {F.shape}")
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    return F + np.clip(T - F, -eps, eps)
+    out = np.subtract(T, F, out=out)
+    np.clip(out, -eps, eps, out=out)
+    out += F
+    return out
 
 
 def _rank_projection(E: np.ndarray, r: RankSpec) -> np.ndarray:
@@ -119,17 +133,18 @@ def _subspace_projection(
     """Rank-r part of ``E`` on a warm orthonormal basis ``Q`` of r + OVERSAMPLE columns.
 
     One power step ``Q <- qr(E E^T Q)`` refreshes the basis; the result is
-    the best rank-r approximant of ``Q Q^T E``.  ``Q=None`` seeds the
-    basis from an exact SVD of ``E`` and returns its exact rank-r part.
+    the best rank-r approximant of ``Q Q^T E``, that is ``(Q W) (W^T B)``
+    with ``B = Q^T E`` and W the top r eigenvectors of ``B B^T`` (the
+    left singular vectors of B).  ``Q=None`` seeds the basis from an
+    exact SVD of ``E`` and returns its exact rank-r part.
     """
     if Q is None:
         U, s, Vt = np.linalg.svd(E, full_matrices=False)
-        Q = U[:, : r + OVERSAMPLE]
-    else:
-        Q = np.linalg.qr(E @ (E.T @ Q))[0]
-        W, s, Vt = np.linalg.svd(Q.T @ E, full_matrices=False)
-        U = Q @ W[:, :r]
-    return (U[:, :r] * s[:r]) @ Vt[:r], Q
+        return (U[:, :r] * s[:r]) @ Vt[:r], U[:, : r + OVERSAMPLE]
+    Q = np.linalg.qr(E @ (E.T @ Q))[0]
+    B = Q.T @ E
+    W = np.linalg.eigh(B @ B.T)[1][:, -r:]  # eigenvalues ascend
+    return (Q @ W) @ (W.T @ B), Q
 
 
 def initial_guess(F: np.ndarray, r: RankSpec, seed: SeedLike, kind: str = "gaussian") -> np.ndarray:
@@ -185,13 +200,17 @@ def alternating_projections(
     threshold = eps * (1.0 + cfg.tol)
     best_gap = math.inf
     stalled = 0
+    # the clipped iterate and the residual F - T, reused by every iteration
+    E = np.empty_like(F)
+    D = np.empty_like(F)
     for it in range(1, cfg.max_iters + 1):
-        E = clip_projection(T, F, eps)
+        clip_projection(T, F, eps, out=E)
         if warm:
             T, Q = _subspace_projection(E, int(r), Q)
         else:
             T = _rank_projection(E, r)
-        err = float(np.abs(F - T).max())
+        np.subtract(F, T, out=D)
+        err = float(max(D.max(), -D.min()))
         if err <= threshold:
             return AltProjResult(T, True, it, err, "converged")
         # track the feasibility gap, not the raw error: near the boundary the

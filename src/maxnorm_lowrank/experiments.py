@@ -6,11 +6,19 @@ flags.  The drivers reproduce the three experiment regimes -- varying
 dimension, varying rank, varying size -- at desk scale: the grids are
 deliberately small enough to finish in minutes and are not the ones
 behind the original figures.
+
+``run_experiment`` runs grid points on ``jobs`` threads, but the altproj
+trials of different grid points run one at a time, under one module
+lock: the alternating-projections loop is many small numpy calls that
+hold the interpreter lock, so two of them in flight only contend.  The
+constructive routes (taylor, rff, tt) of other grid points still
+overlap with them.  The CSV is the same for every ``jobs`` value.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -44,6 +52,9 @@ APPLICABLE = {
     "rff": ("f1", "gauss"),
     "tt": ("f3",),
 }
+
+# held around every run_trials call: altproj trials never run concurrently
+_ALTPROJ_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -246,11 +257,12 @@ def _run_grid_point(
     spec = kernel_for(cfg.function, cfg.radius)
     records: list[ExperimentRecord] = []
     if "altproj" in cfg.algorithms:
-        summary = run_trials(
-            spec, cfg.scheme, n, m, r,
-            cfg=cfg.solver(), trials=cfg.trials, seed=seed_word,
-            radius=cfg.radius, experiment=cfg.experiment, function=cfg.function,
-        )
+        with _ALTPROJ_LOCK:
+            summary = run_trials(
+                spec, cfg.scheme, n, m, r,
+                cfg=cfg.solver(), trials=cfg.trials, seed=seed_word,
+                radius=cfg.radius, experiment=cfg.experiment, function=cfg.function,
+            )
         records.extend(summary.records)
         records.append(
             ExperimentRecord(

@@ -16,8 +16,18 @@ SeedLike = int | np.random.SeedSequence
 
 
 def seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
+    """Seed sequence for ``seed``; a given ``SeedSequence`` is copied, never advanced.
+
+    ``spawn`` on the copy leaves the caller's object as it was, so the
+    same object passed twice gives the same substreams both times.
+    """
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(
+            seed.entropy,
+            spawn_key=seed.spawn_key,
+            pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned,
+        )
     return np.random.SeedSequence(int(seed))
 
 

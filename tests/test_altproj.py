@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from maxnorm_lowrank.altproj import (
     AltProjConfig,
     alternating_projections,
     binary_search_eps,
+    clip_projection,
     initial_guess,
 )
 from maxnorm_lowrank.experiments import kernel_for
@@ -197,3 +200,95 @@ class TestInitialGuess:
 
     def test_zero_start(self):
         assert not initial_guess(np.ones((3, 3)), 1, 0, "zero").any()
+
+
+def _svd_ritz(E, r, Q):
+    """Reference warm step: the rank-r part of Q Q^T E from an SVD of Q^T E."""
+    Q = np.linalg.qr(E @ (E.T @ Q))[0]
+    W, s, Vt = np.linalg.svd(Q.T @ E, full_matrices=False)
+    return ((Q @ W[:, :r]) * s[:r]) @ Vt[:r], Q
+
+
+def _reference_run(F, r, eps, cfg, T):
+    """Reference alternating projections: allocating clip, SVD Ritz step; (iters, stop, error)."""
+    Q = None
+    threshold = eps * (1.0 + cfg.tol)
+    best_gap, stalled = math.inf, 0
+    for it in range(1, cfg.max_iters + 1):
+        E = F + np.clip(T - F, -eps, eps)
+        if Q is None:
+            U, s, Vt = np.linalg.svd(E, full_matrices=False)
+            T, Q = (U[:, :r] * s[:r]) @ Vt[:r], U[:, : r + altproj.OVERSAMPLE]
+        else:
+            T, Q = _svd_ritz(E, r, Q)
+        err = float(np.abs(F - T).max())
+        if err <= threshold:
+            return it, "converged", err
+        gap = err - eps
+        if gap < best_gap * (1.0 - cfg.stall_rtol):
+            best_gap, stalled = gap, 0
+        else:
+            best_gap = min(best_gap, gap)
+            stalled += 1
+            if stalled >= cfg.stall_patience:
+                return it, "stalled", err
+    return cfg.max_iters, "budget", err
+
+
+class TestRitzStep:
+    def _check(self, E, r, Q):
+        T, Q_new = altproj._subspace_projection(E, r, Q)
+        ref, Q_ref = _svd_ritz(E, r, Q)
+        np.testing.assert_array_equal(Q_new, Q_ref)
+        assert np.abs(T - ref).max() <= 1e-10 * np.linalg.norm(E, 2)
+        assert np.linalg.matrix_rank(T) <= r
+
+    def test_matches_svd_on_warm_bases(self):
+        for function, n, m, r, seed in SUITE:
+            F = _target(function, n, m, seed)
+            E = clip_projection(truncated_svd(F, r).matrix(), F, 0.5 * _tsvd_error(F, r))
+            # warm bases from the target and from a noisy copy of E, and a random one
+            rng = generator(seed)
+            near = E + 1e-3 * max_norm(E) * rng.standard_normal(E.shape)
+            width = r + altproj.OVERSAMPLE
+            for source in (F, near, rng.standard_normal((n, width))):
+                self._check(E, r, np.linalg.svd(source, full_matrices=False)[0][:, :width])
+
+    def test_matches_svd_on_rank_deficient_input(self):
+        rng = generator(3)
+        E = rng.standard_normal((40, 2)) @ rng.standard_normal((2, 35))
+        Q = np.linalg.qr(rng.standard_normal((40, 3 + altproj.OVERSAMPLE)))[0]
+        self._check(E, 3, Q)
+        T, _ = altproj._subspace_projection(E, 3, Q)
+        np.testing.assert_allclose(T, E, atol=1e-10 * np.linalg.norm(E, 2))
+
+    def test_loop_matches_reference(self):
+        for function, n, m, r, seed in SUITE:
+            F = _target(function, n, m, seed)
+            top = _tsvd_error(F, r)
+            starts = (truncated_svd(F, r).matrix(), initial_guess(F, r, seed))
+            for frac in (0.9, 0.7, 0.5, 0.3):
+                for T0 in starts:
+                    res = alternating_projections(F, r, frac * top, CFG, init_dense=T0.copy())
+                    iters, stop, err = _reference_run(F, r, frac * top, CFG, T0.copy())
+                    assert (res.iters, res.stop) == (iters, stop)
+                    assert abs(res.max_error - err) <= 1e-12 * max_norm(F)
+
+
+class TestClipProjection:
+    def test_out_is_filled_and_returned(self):
+        F = _target("gauss", 20, 3, 51)
+        T = initial_guess(F, 2, 51)
+        for eps in (0.0, 0.1 * max_norm(F), 2.0 * max_norm(F)):
+            buf = np.empty_like(F)
+            got = clip_projection(T, F, eps, out=buf)
+            assert got is buf
+            expected = clip_projection(T, F, eps)
+            assert expected.tobytes() == buf.tobytes()
+            assert (F + np.clip(T - F, -eps, eps)).tobytes() == buf.tobytes()
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            clip_projection(np.zeros((2, 3)), np.zeros((3, 2)), 0.1)
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            clip_projection(np.zeros((2, 2)), np.zeros((2, 2)), -1.0)

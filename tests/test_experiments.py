@@ -1,5 +1,10 @@
+import sys
+import threading
+import time
+
 import pytest
 
+from maxnorm_lowrank import experiments
 from maxnorm_lowrank.altproj import AltProjConfig
 from maxnorm_lowrank.experiments import (
     ExperimentConfig,
@@ -42,6 +47,38 @@ def test_altproj_never_worse_than_baseline(runs):
     for m in TOY_VARM["m_grid"]:
         for trial in range(TOY_VARM["trials"]):
             assert found[(m, trial, "altproj")] <= found[(m, trial, "tsvd_baseline")]
+
+
+def test_altproj_trials_run_one_at_a_time(monkeypatch, tmp_path):
+    # with a thread per grid point all are submitted at once; the sleep holds each
+    # run_trials call open long enough that an unserialised second one would overlap
+    run_trials = experiments.run_trials
+    guard = threading.Lock()
+    state = {"in_flight": 0, "peak": 0, "calls": 0}
+
+    def watched(*args, **kwargs):
+        with guard:
+            state["in_flight"] += 1
+            state["calls"] += 1
+            state["peak"] = max(state["peak"], state["in_flight"])
+        try:
+            time.sleep(0.2)
+            return run_trials(*args, **kwargs)
+        finally:
+            with guard:
+                state["in_flight"] -= 1
+
+    monkeypatch.setattr(experiments, "run_trials", watched)
+    grid = {**TOY_VARM, "m_grid": (3, 5, 10), "trials": 1}
+    # more threads than cores, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_experiment(ExperimentConfig(output=str(tmp_path / "x.csv"), jobs=3, **grid))
+    finally:
+        sys.setswitchinterval(interval)
+    assert state["calls"] == len(grid["m_grid"])
+    assert state["peak"] == 1
 
 
 CONFIG_TEXT = """

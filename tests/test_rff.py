@@ -111,6 +111,20 @@ class TestRffThenCompress:
         dense = kernel_values("gaussian", X, Y)
         assert max_norm_error(dense, G) == pytest.approx(rep.measured_max_error)
 
+    def test_seed_sequence_is_not_advanced(self):
+        X = sample_ball(8, 40, 10, 1.0)
+        Y = sample_ball(9, 40, 10, 1.0)
+        ss = np.random.SeedSequence(7)
+        first, rep1 = rff_then_compress("gaussian", X, Y, rho=8, eps=0.3, seed=ss, theta=0.5)
+        second, rep2 = rff_then_compress("gaussian", X, Y, rho=8, eps=0.3, seed=ss, theta=0.5)
+        assert ss.n_children_spawned == 0
+        np.testing.assert_array_equal(first.left, second.left)
+        np.testing.assert_array_equal(first.right, second.right)
+        assert rep1 == rep2
+        # the same draws as the integer seed
+        G, _ = rff_then_compress("gaussian", X, Y, rho=8, eps=0.3, seed=7, theta=0.5)
+        np.testing.assert_array_equal(G.left, first.left)
+
     def test_theta_one_degenerates_to_plain_sketch(self):
         X = sample_ball(10, 40, 20, 1.0)
         Y = sample_ball(11, 40, 20, 1.0)
