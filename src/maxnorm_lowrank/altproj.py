@@ -15,11 +15,10 @@ differ little.  The new iterate is the rank-r part of the clipped
 iterate E projected on that basis (Rayleigh-Ritz), so it is always
 exactly rank <= r.  Its Ritz vectors come from an eigensolve of the
 small Gram matrix B B^T, with B = Q^T E, of order r + OVERSAMPLE (8 at
-r = 4), not from an SVD of B.  Tensors and matrices too narrow
+r = 4), not from an SVD of B, unless B B^T is too ill-conditioned for
+its trailing Ritz vectors (``GRAM_RTOL``).  Tensors and matrices too narrow
 for the oversampled basis use the exact projection (truncated SVD;
-TT-SVD for tensors, where it is quasi-optimal).  Each iteration writes
-the clipped iterate and the residual F - T into two buffers held for
-the run, and computes the residual once.
+TT-SVD for tensors, where it is quasi-optimal).
 
 The bisection starts from the exact rank projection of the target itself,
 which is feasible at its own error, so the result is never worse than
@@ -48,6 +47,9 @@ RankSpec = Union[int, tuple[int, ...]]
 
 # extra columns of the warm subspace basis beyond the target rank
 OVERSAMPLE = 4
+# below this ratio of the r-th to the largest Gram eigenvalue the Ritz
+# vectors come from an SVD: squaring B leaves the trailing ones too inexact
+GRAM_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -96,24 +98,15 @@ class BinarySearchResult:
     evaluations: int
 
 
-def clip_projection(
-    T: np.ndarray, F: np.ndarray, eps: float, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Frobenius projection of T onto the entrywise ball of radius eps around F.
-
-    ``out``, a float64 array of F's shape other than F itself, receives
-    the result and is returned; without it a new array is returned.
-    """
+def clip_projection(T: np.ndarray, F: np.ndarray, eps: float) -> np.ndarray:
+    """Frobenius projection of T onto the entrywise ball of radius eps around F."""
     T = np.asarray(T, dtype=np.float64)
     F = np.asarray(F, dtype=np.float64)
     if T.shape != F.shape:
         raise ValueError(f"shape mismatch: {T.shape} vs {F.shape}")
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    out = np.subtract(T, F, out=out)
-    np.clip(out, -eps, eps, out=out)
-    out += F
-    return out
+    return F + np.clip(T - F, -eps, eps)
 
 
 def _rank_projection(E: np.ndarray, r: RankSpec) -> np.ndarray:
@@ -135,15 +128,20 @@ def _subspace_projection(
     One power step ``Q <- qr(E E^T Q)`` refreshes the basis; the result is
     the best rank-r approximant of ``Q Q^T E``, that is ``(Q W) (W^T B)``
     with ``B = Q^T E`` and W the top r eigenvectors of ``B B^T`` (the
-    left singular vectors of B).  ``Q=None`` seeds the basis from an
-    exact SVD of ``E`` and returns its exact rank-r part.
+    left singular vectors of B), or the same from an SVD of B when
+    ``B B^T`` is ill-conditioned (see ``GRAM_RTOL``).  ``Q=None`` seeds the
+    basis from an exact SVD of ``E`` and returns its exact rank-r part.
     """
     if Q is None:
         U, s, Vt = np.linalg.svd(E, full_matrices=False)
         return (U[:, :r] * s[:r]) @ Vt[:r], U[:, : r + OVERSAMPLE]
     Q = np.linalg.qr(E @ (E.T @ Q))[0]
     B = Q.T @ E
-    W = np.linalg.eigh(B @ B.T)[1][:, -r:]  # eigenvalues ascend
+    lam, W = np.linalg.eigh(B @ B.T)  # eigenvalues ascend
+    if lam[-r] < GRAM_RTOL * lam[-1]:
+        W, s, Vt = np.linalg.svd(B, full_matrices=False)
+        return ((Q @ W[:, :r]) * s[:r]) @ Vt[:r], Q
+    W = W[:, -r:]
     return (Q @ W) @ (W.T @ B), Q
 
 
@@ -200,17 +198,13 @@ def alternating_projections(
     threshold = eps * (1.0 + cfg.tol)
     best_gap = math.inf
     stalled = 0
-    # the clipped iterate and the residual F - T, reused by every iteration
-    E = np.empty_like(F)
-    D = np.empty_like(F)
     for it in range(1, cfg.max_iters + 1):
-        clip_projection(T, F, eps, out=E)
+        E = clip_projection(T, F, eps)
         if warm:
             T, Q = _subspace_projection(E, int(r), Q)
         else:
             T = _rank_projection(E, r)
-        np.subtract(F, T, out=D)
-        err = float(max(D.max(), -D.min()))
+        err = float(np.abs(F - T).max())
         if err <= threshold:
             return AltProjResult(T, True, it, err, "converged")
         # track the feasibility gap, not the raw error: near the boundary the

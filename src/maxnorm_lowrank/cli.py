@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
                    help="threads running grid points (default 1); altproj trials "
-                   "still run one at a time, other algorithms overlap them")
+                   "on matrices of n <= 175 still run one at a time; the CSV is "
+                   "the same for any value")
     p.add_argument("--algorithms", type=lambda s: s.split(","), default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_experiment)

@@ -7,16 +7,20 @@ dimension, varying rank, varying size -- at desk scale: the grids are
 deliberately small enough to finish in minutes and are not the ones
 behind the original figures.
 
-``run_experiment`` runs grid points on ``jobs`` threads, but the altproj
-trials of different grid points run one at a time, under one module
-lock: the alternating-projections loop is many small numpy calls that
-hold the interpreter lock, so two of them in flight only contend.  The
-constructive routes (taylor, rff, tt) of other grid points still
-overlap with them.  The CSV is the same for every ``jobs`` value.
+``run_experiment`` runs grid points on ``jobs`` threads, and the CSV is
+the same for every ``jobs`` value.  Two altproj loops overlap only as far
+as their numpy calls release the interpreter lock.  On a small matrix
+target (n up to ``_SERIAL_ALTPROJ_N``) the loop is many small calls bound
+by the interpreter, two in flight only contend, so such altproj trials
+run one at a time under a module lock while the constructive routes of
+other grid points still overlap them.  Larger matrices (the default
+n = 400) and tensors spend most of each iteration outside the
+interpreter, and their altproj trials run side by side.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +57,12 @@ APPLICABLE = {
     "tt": ("f3",),
 }
 
-# held around every run_trials call: altproj trials never run concurrently
+# Altproj trials on n x n matrix targets up to this n run one at a time.
+# On 2 cores, at r = 4 and 10, two unserialised loops made jobs=2 1.4-1.6x
+# slower than jobs=1 at n = 100, mostly slower at n = 150, mostly faster at
+# n = 200 and 1.4-1.8x faster at n = 300-400; on tensor targets jobs=2 was
+# already faster at n = 20.
+_SERIAL_ALTPROJ_N = 175
 _ALTPROJ_LOCK = threading.Lock()
 
 
@@ -257,7 +266,8 @@ def _run_grid_point(
     spec = kernel_for(cfg.function, cfg.radius)
     records: list[ExperimentRecord] = []
     if "altproj" in cfg.algorithms:
-        with _ALTPROJ_LOCK:
+        serial = spec.arg_kind != kernels.ARG_HOIP and n <= _SERIAL_ALTPROJ_N
+        with _ALTPROJ_LOCK if serial else contextlib.nullcontext():
             summary = run_trials(
                 spec, cfg.scheme, n, m, r,
                 cfg=cfg.solver(), trials=cfg.trials, seed=seed_word,

@@ -26,6 +26,13 @@ SUITE = [
     ("f1", 36, 4, 3, 13),
     ("f2", 30, 5, 2, 14),
 ]
+# SUITE-style instances for the Ritz step: the default rank 10, a rank just
+# above the SVD fallback (sigma_r / sigma_1 ~ 1e-4) and one far below it (~4e-7)
+RITZ_SUITE = SUITE + [
+    ("gauss", 60, 3, 10, 15),
+    ("gauss", 40, 1, 6, 16),
+    ("gauss", 60, 2, 30, 17),
+]
 
 
 def _target(function, n, m, seed):
@@ -210,7 +217,7 @@ def _svd_ritz(E, r, Q):
 
 
 def _reference_run(F, r, eps, cfg, T):
-    """Reference alternating projections: allocating clip, SVD Ritz step; (iters, stop, error)."""
+    """Reference alternating projections with the SVD Ritz step; (iters, stop, error)."""
     Q = None
     threshold = eps * (1.0 + cfg.tol)
     best_gap, stalled = math.inf, 0
@@ -244,7 +251,7 @@ class TestRitzStep:
         assert np.linalg.matrix_rank(T) <= r
 
     def test_matches_svd_on_warm_bases(self):
-        for function, n, m, r, seed in SUITE:
+        for function, n, m, r, seed in RITZ_SUITE:
             F = _target(function, n, m, seed)
             E = clip_projection(truncated_svd(F, r).matrix(), F, 0.5 * _tsvd_error(F, r))
             # warm bases from the target and from a noisy copy of E, and a random one
@@ -253,6 +260,17 @@ class TestRitzStep:
             width = r + altproj.OVERSAMPLE
             for source in (F, near, rng.standard_normal((n, width))):
                 self._check(E, r, np.linalg.svd(source, full_matrices=False)[0][:, :width])
+
+    def test_matches_svd_on_graded_spectra(self):
+        # sigma_r / sigma_1 from well conditioned to far below the SVD fallback
+        rng = generator(5)
+        n, r = 60, 10
+        for ratio in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+            U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+            s = np.concatenate([np.geomspace(1.0, ratio, r), ratio * np.geomspace(0.5, 1e-3, n - r)])
+            E = (U * s) @ V.T
+            near = E + 1e-3 * rng.standard_normal(E.shape)
+            self._check(E, r, np.linalg.svd(near, full_matrices=False)[0][:, : r + altproj.OVERSAMPLE])
 
     def test_matches_svd_on_rank_deficient_input(self):
         rng = generator(3)
@@ -263,7 +281,7 @@ class TestRitzStep:
         np.testing.assert_allclose(T, E, atol=1e-10 * np.linalg.norm(E, 2))
 
     def test_loop_matches_reference(self):
-        for function, n, m, r, seed in SUITE:
+        for function, n, m, r, seed in RITZ_SUITE:
             F = _target(function, n, m, seed)
             top = _tsvd_error(F, r)
             starts = (truncated_svd(F, r).matrix(), initial_guess(F, r, seed))
@@ -276,17 +294,6 @@ class TestRitzStep:
 
 
 class TestClipProjection:
-    def test_out_is_filled_and_returned(self):
-        F = _target("gauss", 20, 3, 51)
-        T = initial_guess(F, 2, 51)
-        for eps in (0.0, 0.1 * max_norm(F), 2.0 * max_norm(F)):
-            buf = np.empty_like(F)
-            got = clip_projection(T, F, eps, out=buf)
-            assert got is buf
-            expected = clip_projection(T, F, eps)
-            assert expected.tobytes() == buf.tobytes()
-            assert (F + np.clip(T - F, -eps, eps)).tobytes() == buf.tobytes()
-
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             clip_projection(np.zeros((2, 3)), np.zeros((3, 2)), 0.1)

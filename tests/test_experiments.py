@@ -1,6 +1,6 @@
-import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,36 +49,48 @@ def test_altproj_never_worse_than_baseline(runs):
             assert found[(m, trial, "altproj")] <= found[(m, trial, "tsvd_baseline")]
 
 
-def test_altproj_trials_run_one_at_a_time(monkeypatch, tmp_path):
-    # with a thread per grid point all are submitted at once; the sleep holds each
-    # run_trials call open long enough that an unserialised second one would overlap
-    run_trials = experiments.run_trials
+def _fake_trials(hook):
+    """A ``run_trials`` stand-in that calls ``hook`` and returns an empty summary."""
+
+    def fake(*args, **kwargs):
+        hook()
+        return SimpleNamespace(records=[], median_relative=0.0)
+
+    return fake
+
+
+def test_small_matrix_altproj_trials_run_one_at_a_time(monkeypatch, tmp_path):
+    # a thread per grid point, all submitted at once; each call stays open long
+    # enough that an unserialised second one would overlap it
     guard = threading.Lock()
     state = {"in_flight": 0, "peak": 0, "calls": 0}
 
-    def watched(*args, **kwargs):
+    def hold():
         with guard:
             state["in_flight"] += 1
             state["calls"] += 1
             state["peak"] = max(state["peak"], state["in_flight"])
-        try:
-            time.sleep(0.2)
-            return run_trials(*args, **kwargs)
-        finally:
-            with guard:
-                state["in_flight"] -= 1
+        time.sleep(0.1)
+        with guard:
+            state["in_flight"] -= 1
 
-    monkeypatch.setattr(experiments, "run_trials", watched)
-    grid = {**TOY_VARM, "m_grid": (3, 5, 10), "trials": 1}
-    # more threads than cores, switching often
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        run_experiment(ExperimentConfig(output=str(tmp_path / "x.csv"), jobs=3, **grid))
-    finally:
-        sys.setswitchinterval(interval)
-    assert state["calls"] == len(grid["m_grid"])
+    monkeypatch.setattr(experiments, "run_trials", _fake_trials(hold))
+    grid = {**TOY_VARM, "n_grid": (experiments._SERIAL_ALTPROJ_N,), "m_grid": (3, 5, 10)}
+    run_experiment(ExperimentConfig(output=str(tmp_path / "x.csv"), jobs=3, **grid))
+    assert state["calls"] == 3
     assert state["peak"] == 1
+
+
+@pytest.mark.parametrize("target", [
+    {"n_grid": (experiments._SERIAL_ALTPROJ_N + 1,)},
+    {"function": "f3", "n_grid": (10,)},
+], ids=["large-matrix", "tensor"])
+def test_other_altproj_trials_overlap(monkeypatch, tmp_path, target):
+    # the barrier only opens while both grid points are inside run_trials
+    barrier = threading.Barrier(2, timeout=10)
+    monkeypatch.setattr(experiments, "run_trials", _fake_trials(barrier.wait))
+    grid = {**TOY_VARM, **target}
+    run_experiment(ExperimentConfig(output=str(tmp_path / "x.csv"), jobs=2, **grid))
 
 
 CONFIG_TEXT = """
