@@ -165,6 +165,7 @@ def cmd_approx(args) -> int:
             "certified_bound": rep.certified_bound,
             "corollary_bound": rep.corollary_bound,
             "regime_ok": rep.regime_ok, "certified": rep.certified,
+            "sketched_powers": rep.sketched_powers,
         })
     if args.out_prefix and alg != "tt-taylor":
         matio.save_matrix(args.out_prefix + ".left.bin", G.left)

@@ -16,7 +16,11 @@ Gram matrix is narrowest to build, which gives the sketched product the
 same law: the ``C(m+s-1, s)``-wide symmetric-power factor for an s-th
 power of one width-m factorization, the Kronecker rows for distinct
 factors no wider than the ``N = n1 + n2`` rows they have, and an exact
-N-wide square root of the Gram matrix otherwise.
+N-wide square root of the Gram matrix otherwise.  ``hadamard_widths`` is
+the one width rule: the Taylor constructions use it to decide whether
+their sketches can narrow the sum at all, and reach ``hadamard_compress``
+with a power that needs a Gram root or a sketch only when they can (see
+``taylor._assemble``).
 """
 
 from __future__ import annotations
@@ -164,6 +168,30 @@ def gram_root_rows(factors: Sequence[Factorization]) -> Factorization:
     return Factorization(C[:n1], C[n1:])
 
 
+def _is_power(factors: Sequence[Factorization]) -> bool:
+    return len(factors) > 1 and all(f is factors[0] for f in factors)
+
+
+def hadamard_widths(factors: Sequence[Factorization], eps: float) -> tuple[int, int]:
+    """Widths ``(L, w)`` of the Hadamard product of ``factors`` in ``hadamard_compress``.
+
+    L is the width of its narrowest exact factor other than a Gram root:
+    ``C(m+s-1, s)`` for an s-th power of one width-m factorization (the
+    same object s times), ``prod_s m_s`` otherwise.  ``w = min(L, n1 + n2, r)``
+    with ``r = rank_formula(eps, n1, n2)`` is the width of the result: a
+    Gram root caps it at ``n1 + n2`` and the sketch at r.  The product
+    passes through exactly when ``w == L``, and is sketched when
+    ``r < min(L, n1 + n2)``.
+    """
+    n1, n2 = factors[0].shape
+    s = len(factors)
+    if _is_power(factors):
+        width = math.comb(factors[0].width + s - 1, s)
+    else:
+        width = math.prod(f.width for f in factors)
+    return width, min(width, n1 + n2, rank_formula(eps, n1, n2))
+
+
 def hadamard_compress(
     factors: Sequence[Factorization],
     eps: float,
@@ -195,6 +223,10 @@ def hadamard_compress(
     * anything wider takes the N-wide root of ``gram_root_rows``.
 
     A power is never sketched through its Kronecker rows, since ``L <= m**s``.
+    The Taylor constructions call this only when every power passes
+    through, when the sketches narrow their sum below ``min(n1, n2)``, or
+    when ``n1 * n2`` is above the matrix cap; otherwise they sum the series
+    exactly (``taylor._assemble``).
 
     Refuses (rather than silently approximating) when the one factor it
     builds, ``N * min(width, N)`` entries for the route's width L or W,
@@ -209,11 +241,8 @@ def hadamard_compress(
             raise ValueError(f"shape mismatch: {f.shape} vs {shape}")
     rows = shape[0] + shape[1]
     s = len(factors)
-    power = s > 1 and all(f is factors[0] for f in factors)
-    if power:
-        width = math.comb(factors[0].width + s - 1, s)
-    else:
-        width = math.prod(f.width for f in factors)
+    power = _is_power(factors)
+    width, _ = hadamard_widths(factors, eps)
     use_gram = s > 1 and width > rows
     entries = rows * min(width, rows)
     cap = caps.matrix_dense_cap()

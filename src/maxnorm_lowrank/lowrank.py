@@ -176,3 +176,17 @@ def reduce_width(F: Factorization) -> Factorization:
         return Factorization(R.T, F.right @ Q)
     Q, R = np.linalg.qr(F.right.T)
     return Factorization(F.left @ Q, R.T)
+
+
+def identity_factorization(P: np.ndarray) -> Factorization:
+    """Exact ``min(n1, n2)``-wide factorization of a held n1 x n2 matrix ``P``.
+
+    ``(I, P')`` when ``n1 <= n2``, else ``(P, I)``; ``P`` is held, not
+    copied.  The identity side has rows of norm 1, and the rows of the
+    other side, columns of P when ``n1 <= n2`` and rows of P otherwise,
+    have norm at most ``sqrt(min(n1, n2)) * max|P|``.
+    """
+    n1, n2 = P.shape
+    if n1 <= n2:
+        return Factorization(np.eye(n1), P.T)
+    return Factorization(P, np.eye(n2))

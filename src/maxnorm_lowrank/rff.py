@@ -36,7 +36,7 @@ import numpy as np
 from . import caps
 from .compress import CompressionReport, jl_compress, rank_formula
 from .kernels import KernelSpec, distance_matrix
-from .lowrank import Factorization, max_norm, max_norm_error
+from .lowrank import Factorization, identity_factorization, max_norm, max_norm_error
 from .rng import SeedLike, generator, split
 from .sampling import PointSet
 
@@ -193,7 +193,8 @@ def rff_then_compress(
         to ``1 / sqrt(rho_total)``, w wide; every row of both factors has
         norm 1.
     (b) ``w > n`` and ``n <= r``: the held product itself as
-        ``Factorization(I_n1, P')`` (``(P, I_n2)`` when n1 > n2), n wide;
+        ``lowrank.identity_factorization(P)``, that is ``(I_n1, P')``
+        (``(P, I_n2)`` when n1 > n2), n wide;
         left rows have norm 1 and right rows norm <= sqrt(n1) (mirrored
         when n1 > n2), since every entry of P lies in [-1, 1].
     (c) otherwise (``r < min(w, n)``): a ``jl_compress`` sketch of the
@@ -247,8 +248,7 @@ def rff_then_compress(
     del work  # free n1 x n2 buffers before the result allocates its own
 
     if 2 * current_rho > n_min and n_min <= r:  # form (b)
-        eye = np.eye(n_min)
-        result = Factorization(eye, held.T) if X.n <= Y.n else Factorization(held, eye)
+        result = identity_factorization(held)
     else:  # forms (a) and (c)
         result = features
     del held

@@ -10,11 +10,18 @@ The s-th power of a width-m base is sketched through its exact
 than its ``n1 + n2`` rows, through an exact ``n1 + n2``-wide factor with
 the same Gram matrix (see ``compress.hadamard_compress``), so no
 ``m**s``-wide factor is built; a power no wider than r passes through
-exactly.  The sum has width at most ``1 + sum_s min(C(m+s-1, s), n1 + n2, r)``
+exactly.  The sum has width at most ``W = 1 + sum_s min(C(m+s-1, s), n1 + n2, r)``
 and is then reduced exactly to width at most ``min(n1, n2)`` by one QR
-(``lowrank.reduce_width``).  The error bound has two
-parts: an analytical remainder from the truncation plus an algebraic
-term from the sketches.
+(``lowrank.reduce_width``).  When some power needs a Gram root or a
+sketch but ``W >= min(n1, n2)``, no sketch can narrow the result below
+the ``min(n1, n2)`` columns the exact matrix has anyway; then, if
+``n1 * n2`` is within the matrix cap, the truncated series
+``P = sum_s c_s D**s`` of the base matrix D is summed exactly by Horner's
+rule and returned as ``lowrank.identity_factorization(P)``, whose
+non-identity factor has rows of norm at most ``sqrt(min(n1, n2)) * max|P|``.
+The error bound has two parts: an analytical remainder from the
+truncation plus an algebraic term from the sketched (and dense-fallback)
+powers, zero when nothing was approximated.
 
 The squared-distance variants ride on the same machinery after the
 rank-one distance identity ``D = Z1 + Z2 - 2 X W Y'``; the localized
@@ -36,13 +43,14 @@ from .compress import (
     CompressionReport,
     augment_rank_one,
     hadamard_compress,
-    jl_compress,
+    hadamard_widths,
     rank_formula,
 )
 from .kernels import ARG_SQDIST, KernelSpec, WeightLike, WeightMatrix, distance_matrix
 from .lowrank import (
     Factorization,
     RankOne,
+    identity_factorization,
     max_norm,
     max_norm_error,
     reduce_width,
@@ -107,6 +115,14 @@ class TaylorReport:
     per-power compression certified.  ``corollary_bound`` is the closed
     form ``C * (e**-t + eps * (e**exponent_arg - 1))``, meaningful in the
     regime ``t >= regime_threshold``.
+
+    ``sketched_powers`` lists the powers s whose Hadamard power was
+    Gaussian-sketched, ``fallback_powers`` those compressed by a dense
+    truncated SVD; only these enter ``algebraic_term``.  Both are empty,
+    as is ``compressions``, when every power passed through exactly or
+    when the series was summed exactly (see ``_assemble``); in the latter
+    case the result is ``min(n1, n2)`` wide and its non-identity factor's
+    rows have norm at most ``sqrt(min(n1, n2)) * max|P|``.
     """
 
     rank: int
@@ -124,6 +140,7 @@ class TaylorReport:
     certified: bool
     compressions: list[CompressionReport] = field(default_factory=list)
     fallback_powers: list[int] = field(default_factory=list)
+    sketched_powers: list[int] = field(default_factory=list)
 
 
 def _bilinear_factors(
@@ -160,41 +177,81 @@ def _weighted_row_squares(points: np.ndarray, W: WeightLike) -> np.ndarray:
     return ((points @ entries) * points).sum(axis=1)
 
 
+@dataclass
+class _Assembly:
+    """What ``_assemble`` built: the factorization, and on the exact route
+    the held series ``P`` it factors (errors are measured on P itself)."""
+
+    result: Factorization
+    held: Optional[np.ndarray] = None
+    compressions: list[CompressionReport] = field(default_factory=list)
+    fallback_powers: list[int] = field(default_factory=list)
+    sketched_powers: list[int] = field(default_factory=list)
+
+
+def _horner(D: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """``sum_s c_s D**s`` (entrywise powers) by Horner's rule, in one new buffer."""
+    P = D * coefficients[-1]
+    for c in coefficients[-2:0:-1]:
+        P += c
+        P *= D
+    P += coefficients[0]
+    return P
+
+
 def _assemble(
     base: Factorization,
     plan: TaylorPlan,
     eps: float,
     seed: SeedLike,
     max_attempts: int,
-) -> tuple[Factorization, list[CompressionReport], list[int], float]:
+) -> _Assembly:
     """Sum the compressed Hadamard powers of ``base`` with the plan's weights.
 
-    Returns the assembled factorization, reduced exactly to width at
-    most ``min(n1, n2)``, the per-power compression reports, the powers
-    where the dense cap forced a dense truncated SVD fallback, and the
-    algebraic error term ``eps * sum_s |c_s| * (||A|| * ||B||)^s``
-    (measured row norms).  Raises ``caps.DenseCapExceeded`` when a power
-    needs that fallback and its dense n1 x n2 matrix is above the cap.
+    Power s of ``base`` comes out ``w_s = min(C(m+s-1, s), n1 + n2, r)``
+    wide (``compress.hadamard_widths``), so the sum is
+    ``W = [c_0 != 0] + sum_s w_s`` wide before ``reduce_width``.  When some
+    power needs a Gram root or a sketch (``C(m+s-1, s) > w_s``) and yet
+    ``W >= min(n1, n2)``, the sketches cannot narrow the result, so if
+    ``n1 * n2`` is within ``caps.matrix_dense_cap()`` the truncated series
+    ``P = sum_s c_s D**s`` of ``D = base.matrix()`` is summed exactly
+    instead and returned as ``identity_factorization(P)``, with P held
+    and no compression or sketch.
+
+    Otherwise returns the sum reduced exactly to width at most
+    ``min(n1, n2)``, the per-power compression reports, the powers that
+    were sketched and those where the dense cap forced a dense truncated
+    SVD fallback.  Raises ``caps.DenseCapExceeded`` when a power needs
+    that fallback and its dense n1 x n2 matrix is above the cap.
     """
     n1, n2 = base.shape
     r = rank_formula(eps, n1, n2)
+    c0 = plan.coefficients[0]
+    widths = {
+        s: hadamard_widths([base] * s, eps)
+        for s in range(1, plan.order)
+        if plan.coefficients[s] != 0.0
+    }
+    series_width = int(c0 != 0.0) + sum(w for _, w in widths.values())
+    if (
+        any(exact > w for exact, w in widths.values())
+        and series_width >= min(n1, n2)
+        and n1 * n2 <= caps.matrix_dense_cap()
+    ):
+        P = _horner(base.matrix(), plan.coefficients)
+        return _Assembly(identity_factorization(P), held=P)
+
     norm_a, norm_b = base.row_norms()
     pieces: list[Factorization] = []
     reports: list[CompressionReport] = []
     fallbacks: list[int] = []
-    algebraic = 0.0
-
-    c0 = plan.coefficients[0]
+    sketched: list[int] = []
     if c0 != 0.0:
         pieces.append(Factorization(np.full((n1, 1), c0), np.ones((n2, 1))))
 
     streams = split(seed, max(plan.order - 1, 1))
     base_dense: Optional[np.ndarray] = None
-    for s in range(1, plan.order):
-        c = float(plan.coefficients[s])
-        if c == 0.0:
-            continue
-        algebraic += eps * abs(c) * (norm_a * norm_b) ** s
+    for s, (exact, w) in widths.items():
         try:
             G, rep = hadamard_compress([base] * s, eps, streams[s - 1], max_attempts)
         except caps.DenseCapExceeded:
@@ -213,39 +270,47 @@ def _assemble(
             err = max_norm_error(power, G)
             rep = CompressionReport(r, err, 1, eps * (norm_a * norm_b) ** s, False)
             fallbacks.append(s)
-        pieces.append(G.scaled(c))
+        else:
+            if w < min(exact, n1 + n2):  # the sketch narrowed this power
+                sketched.append(s)
+        pieces.append(G.scaled(float(plan.coefficients[s])))
         reports.append(rep)
 
     if not pieces:
         G = Factorization(np.zeros((n1, 1)), np.zeros((n2, 1)))
     else:
         G = reduce_width(Factorization.concat(pieces))
-    return G, reports, fallbacks, algebraic
+    return _Assembly(G, None, reports, fallbacks, sketched)
 
 
 def _finish_report(
     F: Optional[np.ndarray],
-    G: Factorization,
+    asm: _Assembly,
     plan: TaylorPlan,
     eps: float,
     spec: KernelSpec,
     exponent_arg: float,
     regime_threshold: float,
-    reports: list[CompressionReport],
-    fallbacks: list[int],
-    algebraic: float,
+    scale: float,
 ) -> TaylorReport:
+    """Report on ``asm`` against the target ``F`` (None above the matrix cap).
+
+    The algebraic term is ``eps * sum_s |c_s| * scale**s`` over the sketched
+    and dense-fallback powers; a power that passed through is exact.
+    """
     measured = relative = None
     if F is not None:
-        measured = max_norm_error(F, G)
+        measured = max_norm_error(F, asm.result if asm.held is None else asm.held)
         denom = max_norm(F)
         relative = measured / denom if denom > 0 else math.inf
     if spec.has_constants:
         corollary = spec.C * (math.exp(-plan.order) + eps * math.expm1(exponent_arg))
     else:
         corollary = math.inf
+    approximated = sorted(asm.sketched_powers + asm.fallback_powers)
+    algebraic = eps * sum(abs(float(plan.coefficients[s])) * scale**s for s in approximated)
     return TaylorReport(
-        rank=G.width,
+        rank=asm.result.width,
         eps=eps,
         order=plan.order,
         measured_max_error=measured,
@@ -257,9 +322,10 @@ def _finish_report(
         exponent_arg=exponent_arg,
         regime_threshold=regime_threshold,
         regime_ok=plan.order >= regime_threshold,
-        certified=all(rep.certified for rep in reports),
-        compressions=reports,
-        fallback_powers=fallbacks,
+        certified=all(rep.certified for rep in asm.compressions),
+        compressions=asm.compressions,
+        fallback_powers=asm.fallback_powers,
+        sketched_powers=asm.sketched_powers,
     )
 
 
@@ -281,15 +347,15 @@ def approx_inner_product(
     spec.check_domain(-radius_arg, radius_arg)
     plan = taylor_coeffs(spec, 0.0, t, radius=radius_arg)
     base = Factorization(A, B)
-    G, reports, fallbacks, algebraic = _assemble(base, plan, eps, seed, max_attempts)
+    asm = _assemble(base, plan, eps, seed, max_attempts)
     F = None
     n1, n2 = base.shape
     if n1 * n2 <= caps.matrix_dense_cap():
         F = spec.h(A @ B.T)
     threshold = math.e**2 * spec.M * radius_arg if spec.has_constants else math.inf
     M_exp = spec.M if spec.has_constants else math.nan
-    return G, _finish_report(
-        F, G, plan, eps, spec, M_exp * radius_arg, threshold, reports, fallbacks, algebraic
+    return asm.result, _finish_report(
+        F, asm, plan, eps, spec, M_exp * radius_arg, threshold, math.prod(base.row_norms())
     )
 
 
@@ -330,15 +396,15 @@ def approx_sq_distance(
     radius_arg = 4.0 * sigma * R**2
     spec.check_domain(-radius_arg, radius_arg)
     plan = taylor_coeffs(spec, 0.0, t, radius=radius_arg)
-    G, reports, fallbacks, algebraic = _assemble(base, plan, eps, seed, max_attempts)
+    asm = _assemble(base, plan, eps, seed, max_attempts)
     F = None
     if X.n * Y.n <= caps.matrix_dense_cap():
         D, _, _ = distance_matrix(X, W, Y)
         F = spec.h(D)
     threshold = 4.0 * math.e**2 * spec.M * sigma * R**2 if spec.has_constants else math.inf
     M_exp = spec.M if spec.has_constants else math.nan
-    return G, _finish_report(
-        F, G, plan, eps, spec, M_exp * radius_arg, threshold, reports, fallbacks, algebraic
+    return asm.result, _finish_report(
+        F, asm, plan, eps, spec, M_exp * radius_arg, threshold, math.prod(base.row_norms())
     )
 
 
@@ -385,7 +451,7 @@ def approx_sq_distance_local(
         value = float(spec.h(np.array(xi)))
         G = Factorization(np.full((n1, 1), value), np.ones((n2, 1)))
         plan = TaylorPlan(xi, 1, np.array([value]), 0.0)
-        return G, _finish_report(spec.h(D), G, plan, eps, spec, 0.0, 0.0, [], [], 0.0)
+        return G, _finish_report(spec.h(D), _Assembly(G), plan, eps, spec, 0.0, 0.0, 0.0)
 
     base, sigma = _distance_base(
         X, W, Y, extra=[RankOne(np.full(n1, -xi), np.ones(n2))]
@@ -399,18 +465,14 @@ def approx_sq_distance_local(
     remainder = half_width**t / math.factorial(t) * sup_t
     plan = TaylorPlan(xi, t, coeffs, remainder)
 
-    G, reports, fallbacks, _ = _assemble(base, plan, eps, seed, max_attempts)
+    asm = _assemble(base, plan, eps, seed, max_attempts)
     shift_scale = 8.0 * sigma * R**2
-    algebraic = eps * sum(
-        abs(float(coeffs[s])) * shift_scale**s for s in range(1, t)
-    )
     threshold = (
         math.e**2 * spec.M * half_width if spec.has_constants else math.inf
     )
     M_exp = spec.M if spec.has_constants else math.nan
-    return G, _finish_report(
-        spec.h(D), G, plan, eps, spec, M_exp * shift_scale, threshold,
-        reports, fallbacks, algebraic,
+    return asm.result, _finish_report(
+        spec.h(D), asm, plan, eps, spec, M_exp * shift_scale, threshold, shift_scale
     )
 
 

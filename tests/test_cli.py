@@ -125,20 +125,20 @@ POINTS = ["--n", "30", "--m", "3", "--seed", "5"]
 
 APPROX_GOLDEN = [
     (["--algorithm", "taylor-ip", "--function", "gauss", "--sampling", "sphere"], {
-        "algorithm": "taylor-ip", "certified": True, "certified_bound": 1.3874674466279784,
+        "algorithm": "taylor-ip", "certified": True, "certified_bound": 1.3333333333333333,
         "corollary_bound": 0.6886926782609291, "measured_relative_error": 0.323133261907516,
-        "order": 3, "rank": 10, "regime_ok": False,
+        "order": 3, "rank": 10, "regime_ok": False, "sketched_powers": [],
     }),
     (["--algorithm", "taylor-dist", "--function", "f2"], {
         "algorithm": "taylor-dist", "certified": True, "certified_bound": math.inf,
         "corollary_bound": math.inf, "measured_relative_error": 13.350174745662416,
-        "order": 3, "rank": 16, "regime_ok": False,
+        "order": 3, "rank": 16, "regime_ok": False, "sketched_powers": [],
     }),
     (["--algorithm", "taylor-dist-local", "--function", "f1"], {
         "algorithm": "taylor-dist-local", "certified": True,
-        "certified_bound": 9878.768960168294, "corollary_bound": math.inf,
+        "certified_bound": 9878.513386765868, "corollary_bound": math.inf,
         "measured_relative_error": 0.3999854235551656, "order": 3, "rank": 28,
-        "regime_ok": False,
+        "regime_ok": False, "sketched_powers": [],
     }),
     (["--algorithm", "rff", "--function", "f1"], {
         "algorithm": "rff", "feature_certified": True, "feature_error": 0.047913482199407637,

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -210,9 +211,12 @@ class TestAssemble:
         wide, wide_rep = route(spec, X, None, Y, t=4, eps=0.5, seed=3)
         assert wide.width > 30
         assert G.width == rep.rank == 30
+        assert rep.sketched_powers == [] and rep.algebraic_term == 0.0
         assert rep.measured_max_error == pytest.approx(wide_rep.measured_max_error, abs=1e-12)
 
     def test_powers_wider_than_rows_never_build_khatri_rao_factors(self, monkeypatch):
+        # r = 146: the square (136 wide) passes through, the cube (816 > 800 rows)
+        # takes the Gram root and is sketched to 146, so the sum is 299 < 400 wide
         original = compress.khatri_rao_rows
 
         def guarded(blocks):
@@ -221,15 +225,18 @@ class TestAssemble:
             return original(blocks)
 
         monkeypatch.setattr(compress, "khatri_rao_rows", guarded)
-        X, Y = sample_sphere(23, 40, 16), sample_sphere(24, 40, 16)
-        G, rep = approx_inner_product(gaussian_on_sphere(), X, None, Y, t=5, eps=0.5, seed=4)
+        counts = count_calls(monkeypatch)
+        X, Y = sample_sphere(23, 400, 16), sample_sphere(24, 400, 16)
+        G, rep = approx_inner_product(gaussian_on_sphere(), X, None, Y, t=4, eps=0.9, seed=4)
         assert rep.certified and rep.fallback_powers == []
         assert rep.measured_max_error <= rep.certified_bound
-        assert G.width <= 40
+        assert G.width <= 400
+        assert counts["gram_root_rows"] == 1 and rep.sketched_powers == [3]
+        assert G.width == 1 + 16 + 136 + 146
 
     def test_dense_fallback_above_the_cap(self, monkeypatch):
-        # n1 * n2 = 400 <= cap < (n1 + n2)**2 = 1600: the cube (width 125 > 40)
-        # has no exact factor under the cap, the square (width 25) has one
+        # n1 * n2 = 400 <= cap: the cube's exact factor (40 x 35 = 1400 entries) is
+        # above the cap, the square's (40 x 15) is not; no power needs a sketch
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "1000")
         X, Y = sample_ball(25, 20, 3, 1.0), sample_ball(26, 20, 3, 1.0)
         spec = gauss_sq_dist((-4, 4))
@@ -246,6 +253,114 @@ class TestAssemble:
         X, Y = sample_ball(25, 20, 3, 1.0), sample_ball(26, 20, 3, 1.0)
         with pytest.raises(DenseCapExceeded, match=r"power 1: .* 400 entries"):
             approx_sq_distance(gauss_sq_dist((-4, 4)), X, None, Y, t=4, eps=0.5, seed=5)
+
+
+def count_calls(monkeypatch):
+    """Count the calls of every step a Taylor sum may take besides the exact sum."""
+    counts = Counter()
+    for module, name in ((taylor, "hadamard_compress"), (compress, "jl_compress"),
+                         (compress, "gram_root_rows"), (taylor, "reduce_width")):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def series_width(base_width, t, n1, n2, r):
+    """Width of the compressed sum before reduce_width: c_0 plus min(L_s, n1 + n2, r) per power."""
+    return 1 + sum(min(math.comb(base_width + s - 1, s), n1 + n2, r) for s in range(1, t))
+
+
+def truncated_series(route, spec, X, Y, t):
+    """The target and the truncated series sum_s c_s D**s the route sums, built here."""
+    if route is approx_inner_product:
+        D, center = X.points @ Y.points.T, 0.0
+    else:
+        D, dmin, dmax = distance_matrix(X, None, Y)
+        center = 0.5 * (dmin + dmax) if route is approx_sq_distance_local else 0.0
+    c = [spec.derivative(s, center) / math.factorial(s) for s in range(t)]
+    return spec.h(D), sum(c[s] * (D - center) ** s for s in range(t))
+
+
+# every base is 16 wide: the m points, plus two rank-one distance columns, plus the shift
+WIDE_ROUTES = [
+    (approx_inner_product, gaussian_on_sphere(), sample_sphere, 16),
+    (approx_sq_distance, gauss_sq_dist((-4, 4)), sample_ball, 14),
+    (approx_sq_distance_local, gauss_sq_dist((-4, 4)), sample_ball, 13),
+]
+WIDE_IDS = [r[0].__name__ for r in WIDE_ROUTES]
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("n1, n2", [(50, 70), (70, 50)])
+    @pytest.mark.parametrize("route, spec, sample, m", WIDE_ROUTES, ids=WIDE_IDS)
+    def test_series_summed_exactly(self, monkeypatch, route, spec, sample, m, n1, n2):
+        # r = 103 < n1 + n2 = 120: the square and cube need a Gram root or a sketch,
+        # yet the sum would be 1 + 16 + 103 + 103 = 223 >= min(n1, n2) wide
+        assert compress.rank_formula(0.9, n1, n2) == 103
+        counts = count_calls(monkeypatch)
+        X, Y = sample(31, n1, m), sample(32, n2, m)
+        G, rep = route(spec, X, None, Y, t=4, eps=0.9, seed=7)
+        assert counts == {}
+        F, P = truncated_series(route, spec, X, Y, 4)
+        assert G.width == rep.rank == min(n1, n2)
+        assert max_norm_error(P, G) <= 1e-12 * np.abs(P).max()
+        assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), rel=1e-14)
+        assert rep.compressions == [] and rep.fallback_powers == [] and rep.sketched_powers == []
+        assert rep.algebraic_term == 0.0 and rep.certified_bound == rep.analytic_term
+        assert rep.certified
+
+    @pytest.mark.parametrize("n1, exact", [(247, True), (248, False)])
+    @pytest.mark.parametrize("route, spec, sample, m", WIDE_ROUTES, ids=WIDE_IDS)
+    def test_sketched_only_when_it_narrows_the_sum(
+        self, monkeypatch, route, spec, sample, m, n1, exact
+    ):
+        n2, r = 260, 115
+        eps = math.sqrt(9.0 * math.log(3 * n1 * n2) / (r - 0.5))
+        assert compress.rank_formula(eps, n1, n2) == r
+        W = series_width(16, 4, n1, n2, r)
+        assert W == (n1 if exact else n1 - 1)
+        counts = count_calls(monkeypatch)
+        X, Y = sample(33, n1, m), sample(34, n2, m)
+        G, rep = route(spec, X, None, Y, t=4, eps=eps, seed=8)
+        if exact:
+            assert counts == {} and rep.sketched_powers == []
+            assert G.width == n1
+        else:
+            assert counts["hadamard_compress"] == 3 and counts["reduce_width"] == 1
+            assert counts["gram_root_rows"] == 1 and rep.sketched_powers == [2, 3]
+            assert G.width == W == n1 - 1
+            assert rep.algebraic_term > 0.0
+        F, _ = truncated_series(route, spec, X, Y, 4)
+        assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), rel=1e-12)
+
+    @pytest.mark.parametrize("route, spec, sample, m", [
+        (approx_inner_product, gaussian_on_sphere(), sample_sphere, 4),
+        (approx_sq_distance, gauss_sq_dist((-4, 4)), sample_ball, 2),
+        (approx_sq_distance_local, gauss_sq_dist((-4, 4)), sample_ball, 1),
+    ], ids=WIDE_IDS)
+    def test_above_the_matrix_cap_the_powers_are_compressed(
+        self, monkeypatch, route, spec, sample, m
+    ):
+        # base width 4, t = 8, r = 113: only the 7th power (120 wide) is sketched, and
+        # the sum is 1 + 209 + 113 = 323 >= 260 wide; every exact power factor
+        # (<= 520 x 120 entries) fits under the cap, the 260 x 260 sum does not
+        n, t, eps, cap = 260, 8, 0.99, 65000
+        assert compress.rank_formula(eps, n, n) == 113
+        assert series_width(4, t, n, n, 113) == 323
+        assert 2 * n * math.comb(4 + 6, 7) <= cap < n * n
+        X, Y = sample(35, n, m), sample(36, n, m)
+        counts = count_calls(monkeypatch)
+        route(spec, X, None, Y, t=t, eps=eps, seed=9)
+        assert counts == {}
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", str(cap))
+        G, rep = route(spec, X, None, Y, t=t, eps=eps, seed=9)
+        assert counts["hadamard_compress"] == t - 1 and counts["reduce_width"] == 1
+        assert counts["gram_root_rows"] == 0
+        assert rep.sketched_powers == [7] and rep.fallback_powers == []
+        assert G.width == n
 
 
 class TestMultiIndex:
