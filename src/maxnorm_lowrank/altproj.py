@@ -40,7 +40,7 @@ from .kernels import ARG_HOIP, KernelSpec, eval_kernel_matrix, eval_kernel_tenso
 from .lowrank import max_norm, truncated_svd
 from .records import ExperimentRecord
 from .rng import SeedLike, generator, seed_sequence, split
-from .sampling import PointSet, SamplingScheme, sample_ball
+from .sampling import PointSet, SamplingScheme, sample_ball, sample_pair
 from .tensors import TTTensor, tt_svd
 
 RankSpec = Union[int, tuple[int, ...]]
@@ -275,16 +275,13 @@ def _dense_target(
     m: int,
     radius: float,
     point_seeds: Sequence,
-    d: int,
 ) -> np.ndarray:
     scheme = SamplingScheme.coerce(scheme)
-    if spec.arg_kind == ARG_HOIP and d >= 3:
-        sets = [sample_ball(point_seeds[j], n, m, radius) for j in range(d)]
-        return eval_kernel_tensor(spec, sets)
-    X = sample_ball(point_seeds[0], n, m, radius)
-    if scheme is SamplingScheme.SYMMETRIC:
-        return eval_kernel_matrix(spec, scheme, X)
-    Y = sample_ball(point_seeds[1], n, m, radius)
+    if spec.arg_kind == ARG_HOIP:
+        if scheme is not SamplingScheme.INDEPENDENT:
+            raise ValueError("tensors use independent sampling only")
+        return eval_kernel_tensor(spec, [sample_ball(s, n, m, radius) for s in point_seeds[:3]])
+    X, Y = sample_pair(scheme, point_seeds, lambda s: sample_ball(s, n, m, radius))
     return eval_kernel_matrix(spec, scheme, X, Y)
 
 
@@ -305,10 +302,8 @@ def run_trials(
     trials: int = 5,
     seed: int = 0,
     radius: float = 1.0,
-    tensor_order: int = 3,
     experiment: str = "single",
     function: str = "custom",
-    with_baseline: bool = True,
 ) -> TrialSummary:
     """Repeat the sample/solve experiment and report the median relative error.
 
@@ -319,18 +314,14 @@ def run_trials(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     scheme = SamplingScheme.coerce(scheme)
-    is_tensor = spec.arg_kind == ARG_HOIP and tensor_order >= 3
     records: list[ExperimentRecord] = []
     rel_errors: list[float] = []
     baseline_errors: list[float] = []
     for trial, child in enumerate(split(seed_sequence(seed), trials)):
-        streams = child.spawn(tensor_order + 1)
-        F = _dense_target(
-            spec, scheme, n, m, radius, streams[:-1], tensor_order if is_tensor else 2
-        )
-        rank: RankSpec = (r,) * (F.ndim - 1) if F.ndim > 2 else r
+        streams = child.spawn(4)
+        F = _dense_target(spec, scheme, n, m, radius, streams[:3])
         start = time.perf_counter()
-        result = binary_search_eps(F, rank, cfg, streams[-1])
+        result = binary_search_eps(F, r, cfg, streams[3])
         elapsed = time.perf_counter() - start
         rel_errors.append(result.relative)
         records.append(
@@ -339,7 +330,7 @@ def run_trials(
                 "altproj", result.relative, elapsed,
             )
         )
-        if with_baseline and F.ndim == 2:
+        if F.ndim == 2:
             start = time.perf_counter()
             G = truncated_svd(F, min(r, *F.shape))
             base_rel = float(np.abs(F - G.matrix()).max()) / max_norm(F)

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: generate, approx, altproj, bounds, experiment, plot.
-Every stochastic subcommand requires an explicit --seed.
+Every stochastic subcommand requires an explicit --seed.  ``approx``
+dispatches through the route table ``experiments.COVERS``: a function
+its route does not cover exits 2.
 """
 
 from __future__ import annotations
@@ -12,11 +14,14 @@ import sys
 from dataclasses import fields
 
 from . import bounds as bounds_mod
-from . import kernels, matio, rff, taylor, tensors
+from . import kernels, matio
 from .altproj import AltProjConfig, _dense_target, binary_search_eps, run_trials
-from .compress import jl_compress
 from .experiments import (
+    COVERS,
+    EXPERIMENTS,
+    FUNCTIONS,
     ExperimentConfig,
+    approximate,
     bounds_table_text,
     emit_plot_data,
     kernel_for,
@@ -24,10 +29,9 @@ from .experiments import (
     run_experiment,
     write_bounds_table,
 )
-from .lowrank import Factorization
 from .records import write_csv
 from .rng import split
-from .sampling import SamplingScheme, sample_ball, sample_sphere
+from .sampling import sample_ball, sample_pair, sample_sphere
 
 
 def _sample(kind: str, seed, n: int, m: int, radius: float):
@@ -37,21 +41,16 @@ def _sample(kind: str, seed, n: int, m: int, radius: float):
 
 
 def _point_pair(args):
-    streams = split(args.seed, 2)
-    X = _sample(args.sampling, streams[0], args.n, args.m, args.radius)
-    scheme = SamplingScheme.coerce(args.scheme)
-    Y = X if scheme is SamplingScheme.SYMMETRIC else _sample(
-        args.sampling, streams[1], args.n, args.m, args.radius
-    )
-    return X, Y
+    return sample_pair(args.scheme, split(args.seed, 2),
+                       lambda s: _sample(args.sampling, s, args.n, args.m, args.radius))
 
 
-def _add_common_points(p, scheme_default="independent"):
+def _add_common_points(p):
     p.add_argument("--n", type=int, required=True, help="points per side")
     p.add_argument("--m", type=int, required=True, help="point dimension")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--scheme", choices=["independent", "symmetric"], default=scheme_default)
+    p.add_argument("--scheme", choices=["independent", "symmetric"], default="independent")
 
 
 def _add_solver_flags(p):
@@ -87,86 +86,43 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _print_report(tag: str, payload: dict):
-    print(json.dumps({"algorithm": tag, **payload}, indent=2, sort_keys=True, default=str))
+# the report fields approx prints, under "taylor" for the three Taylor routes;
+# jl adds its width and rff its sketch's certificate
+_REPORT_FIELDS = {
+    "tt-taylor": ("ranks", "rank_budget", "measured_relative_error", "error_sampled",
+                  "incremental_powers"),
+    "jl": ("requested_rank", "achieved_max_error", "target_bound", "attempts", "certified"),
+    "rff": ("rank", "rho", "feature_error", "feature_certified", "measured_relative_error"),
+    "taylor": ("rank", "order", "measured_relative_error", "certified_bound", "corollary_bound",
+               "regime_ok", "certified", "sketched_powers"),
+}
 
 
 def cmd_approx(args) -> int:
-    alg = args.algorithm
+    alg, refusal = args.algorithm, None
+    if args.function not in COVERS[alg]:
+        refusal = f"{alg} covers {', '.join(COVERS[alg])}, not {args.function}"
+    elif alg == "taylor-ip" and args.sampling != "sphere":
+        refusal = "taylor-ip covers the gaussian kernel on the unit sphere; pass --sampling sphere"
+    elif alg == "tt-taylor" and args.scheme != "independent":
+        refusal = "tensors use independent sampling only"
+    if refusal:
+        print(refusal, file=sys.stderr)
+        return 2
     if alg == "tt-taylor":
         streams = split(args.seed, 4)
-        sets = [_sample(args.sampling, streams[j], args.n, args.m, args.radius) for j in range(3)]
-        spec = kernel_for("f3", args.radius)
-        P = tensors.cp_from_points(sets)
-        t = args.t if args.t is not None else taylor.default_order(args.eps)
-        _, rep = tensors.taylor_tt_approx(spec, P, t, args.r, args.eps, streams[3])
-        _print_report(alg, {
-            "ranks": rep.ranks, "rank_budget": rep.rank_budget,
-            "measured_relative_error": rep.measured_relative_error,
-            "error_sampled": rep.error_sampled,
-            "incremental_powers": rep.incremental_powers,
-        })
-        return 0
-
-    X, Y = _point_pair(args)
-    if alg == "jl":
-        if args.function != "linear":
-            print("jl compresses the exact factorization of the linear kernel x'y; "
-                  "use --function linear", file=sys.stderr)
-            return 2
-        G, rep = jl_compress(Factorization(X.points, Y.points), args.eps, args.seed)
-        _print_report(alg, {
-            "rank": G.width, "requested_rank": rep.requested_rank,
-            "achieved_max_error": rep.achieved_max_error,
-            "target_bound": rep.target_bound, "attempts": rep.attempts,
-            "certified": rep.certified,
-        })
-    elif alg == "rff":
-        tag = "cauchy" if args.function == "cauchy" else kernel_for(
-            "gauss" if args.function == "gauss" else "f1", args.radius
-        )
-        if args.function not in ("gauss", "f1", "cauchy"):
-            print("rff supports gauss, f1 (exponential), and cauchy", file=sys.stderr)
-            return 2
-        G, rep = rff.rff_then_compress(
-            tag, X, Y, rho=args.rho, eps=args.eps, seed=args.seed, theta=args.theta
-        )
-        _print_report(alg, {
-            "rank": rep.rank, "rho": rep.rho,
-            "feature_error": rep.feature_error,
-            "feature_certified": rep.feature_certified,
-            "measured_relative_error": rep.measured_relative_error,
-            "sketch_certified": rep.sketch.certified,
-        })
+        points = [_sample(args.sampling, s, args.n, args.m, args.radius) for s in streams[:3]]
+        seed = streams[3]
     else:
-        if alg == "taylor-ip":
-            if args.function != "gauss" or args.sampling != "sphere":
-                print("taylor-ip covers the gaussian kernel on the unit sphere; "
-                      "pass --function gauss --sampling sphere", file=sys.stderr)
-                return 2
-            spec = kernels.gaussian_on_sphere()
-            builder = taylor.approx_inner_product
-        elif alg == "taylor-dist":
-            if args.function not in ("gauss", "f2"):
-                print("taylor-dist covers gauss and f2", file=sys.stderr)
-                return 2
-            spec = kernel_for(args.function, args.radius)
-            builder = taylor.approx_sq_distance
-        else:  # taylor-dist-local
-            if args.function not in ("gauss", "f1", "f2"):
-                print("taylor-dist-local covers gauss, f1, and f2", file=sys.stderr)
-                return 2
-            spec = kernel_for(args.function, args.radius)
-            builder = taylor.approx_sq_distance_local
-        G, rep = builder(spec, X, None, Y, t=args.t, eps=args.eps, seed=args.seed)
-        _print_report(alg, {
-            "rank": rep.rank, "order": rep.order,
-            "measured_relative_error": rep.measured_relative_error,
-            "certified_bound": rep.certified_bound,
-            "corollary_bound": rep.corollary_bound,
-            "regime_ok": rep.regime_ok, "certified": rep.certified,
-            "sketched_powers": rep.sketched_powers,
-        })
+        points, seed = _point_pair(args), args.seed
+    G, rep = approximate(alg, args.function, args.radius, points, seed,
+                         args.eps, args.t, args.r, args.rho, args.theta)
+    payload = {k: getattr(rep, k) for k in _REPORT_FIELDS.get(alg, _REPORT_FIELDS["taylor"])}
+    if alg == "jl":
+        payload["rank"] = G.width
+    if alg == "rff":
+        payload["sketch_certified"] = rep.sketch.certified
+    print(json.dumps({"algorithm": alg, **payload}, indent=2, sort_keys=True, default=str))
     if args.out_prefix and alg != "tt-taylor":
         matio.save_matrix(args.out_prefix + ".left.bin", G.left)
         matio.save_matrix(args.out_prefix + ".right.bin", G.right)
@@ -192,11 +148,8 @@ def cmd_altproj(args) -> int:
             print(f"wrote {len(summary.records)} rows to {args.out}")
         return 0
     streams = split(args.seed, 4)
-    tensor = args.function == "f3"
-    F = _dense_target(
-        spec, args.scheme, args.n, args.m, args.radius, streams[:3], 3 if tensor else 2
-    )
-    result = binary_search_eps(F, (args.r, args.r) if tensor else args.r, cfg, streams[3])
+    F = _dense_target(spec, args.scheme, args.n, args.m, args.radius, streams[:3])
+    result = binary_search_eps(F, args.r, cfg, streams[3])
     print(f"eps* = {result.eps_star:.6g} (relative {result.relative:.6g}) "
           f"after {result.evaluations} solver runs")
     return 0
@@ -250,18 +203,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="evaluate a kernel matrix and store it")
-    p.add_argument("--function", choices=["f1", "f2", "gauss"], required=True)
+    p.add_argument("--function", required=True,
+                   choices=[f for f in FUNCTIONS if f not in COVERS["tt-taylor"]])
     _add_common_points(p)
     p.add_argument("--sampling", choices=["ball", "sphere"], default="ball")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("approx", help="run one constructive approximation")
-    p.add_argument("--algorithm", required=True, choices=[
-        "taylor-ip", "taylor-dist", "taylor-dist-local", "rff", "jl", "tt-taylor",
-    ])
+    p.add_argument("--algorithm", required=True, choices=list(COVERS))
     p.add_argument("--function", default="gauss",
-                   choices=["f1", "f2", "f3", "gauss", "cauchy", "linear"])
+                   choices=list(dict.fromkeys(FUNCTIONS + sum(COVERS.values(), ()))))
     _add_common_points(p)
     p.add_argument("--sampling", choices=["ball", "sphere"], default="ball")
     p.add_argument("--eps", type=float, default=0.1)
@@ -273,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("altproj", help="alternating projections with binary search")
-    p.add_argument("--function", choices=["f1", "f2", "f3", "gauss"], required=True)
+    p.add_argument("--function", choices=FUNCTIONS, required=True)
     _add_common_points(p)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trials", type=int, default=1)
@@ -295,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a full experiment grid to CSV")
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--experiment", choices=["varm", "varr", "varn", "bounds", "single"], default=None)
-    p.add_argument("--function", choices=["f1", "f2", "f3", "gauss"], default=None)
+    p.add_argument("--experiment", choices=EXPERIMENTS, default=None)
+    p.add_argument("--function", choices=FUNCTIONS, default=None)
     p.add_argument("--scheme", choices=["independent", "symmetric"], default=None)
     p.add_argument("--n-grid", dest="n_grid", type=_int_list, default=None)
     p.add_argument("--m-grid", dest="m_grid", type=_int_list, default=None)

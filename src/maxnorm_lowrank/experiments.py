@@ -16,6 +16,10 @@ run one at a time under a module lock while the constructive routes of
 other grid points still overlap them.  Larger matrices (the default
 n = 400) and tensors spend most of each iteration outside the
 interpreter, and their altproj trials run side by side.
+
+One route table serves ``cli approx`` and the grid: ``COVERS`` maps each
+route to the functions it covers, ``GRID_ROUTES`` each experiment algorithm
+to candidate routes (a grid point runs the first that covers its function).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -33,7 +38,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import caps, kernels, rff, taylor, tensors
 from .altproj import AltProjConfig, run_trials
-from .compress import rank_formula
+from .compress import jl_compress, rank_formula
+from .lowrank import Factorization
 from .records import (
     CSV_VERSION_LINE,
     MEDIAN_TRIAL,
@@ -43,18 +49,26 @@ from .records import (
     write_csv,
 )
 from .rng import split
-from .sampling import SamplingScheme, sample_ball
+from .sampling import SamplingScheme, sample_ball, sample_pair
 
 EXPERIMENTS = ("varm", "varr", "varn", "bounds", "single")
 FUNCTIONS = ("f1", "f2", "f3", "gauss")
-# the test functions each algorithm can approximate: rff needs a
-# positive-definite shift-invariant kernel, the Taylor routes a
-# distance kernel, tt the tensor function
-APPLICABLE = {
-    "altproj": FUNCTIONS,
-    "taylor": ("f1", "f2", "gauss"),
-    "rff": ("f1", "gauss"),
-    "tt": ("f3",),
+# rff needs a positive-definite shift-invariant kernel, the distance routes
+# a distance kernel (f1 has no Taylor series at zero, so only the local one)
+COVERS = {
+    "taylor-ip": ("gauss",),
+    "taylor-dist": ("f2", "gauss"),
+    "taylor-dist-local": ("f1", "f2", "gauss"),
+    "rff": ("f1", "gauss", "cauchy"),
+    "jl": ("linear",),
+    "tt-taylor": ("f3",),
+}
+GRID_ROUTES = {
+    "taylor": ("taylor-dist", "taylor-dist-local"), "rff": ("rff",), "tt": ("tt-taylor",),
+}
+APPLICABLE = {"altproj": FUNCTIONS} | {
+    alg: tuple(f for f in FUNCTIONS if any(f in COVERS[rt] for rt in routes))
+    for alg, routes in GRID_ROUTES.items()
 }
 
 # Altproj trials on n x n matrix targets up to this n run one at a time.
@@ -206,54 +220,59 @@ def _grid_points(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
     return [(n0, m0, r0)]
 
 
+def approximate(
+    route: str, function: str, radius: float, points, seed, eps: float,
+    t: Optional[int], r: int, rho: int, theta: float,
+):
+    """Run one route on ``points`` (three sets for tt-taylor, else (X, Y)).
+
+    Returns the approximant and its report; ``r`` is the TT rank.
+    """
+    if route == "tt-taylor":
+        t = t if t is not None else taylor.default_order(eps)
+        P = tensors.cp_from_points(points)
+        return tensors.taylor_tt_approx(kernel_for(function, radius), P, t, r, eps, seed)
+    X, Y = points
+    if route == "jl":
+        return jl_compress(Factorization(X.points, Y.points), eps, seed)
+    if route == "rff":
+        spec = "cauchy" if function == "cauchy" else kernel_for(function, radius)
+        return rff.rff_then_compress(spec, X, Y, rho=rho, eps=eps, seed=seed, theta=theta)
+    if route == "taylor-ip":
+        spec, builder = kernels.gaussian_on_sphere(), taylor.approx_inner_product
+    elif route == "taylor-dist":
+        spec, builder = kernel_for(function, radius), taylor.approx_sq_distance
+    else:
+        spec, builder = kernel_for(function, radius), taylor.approx_sq_distance_local
+    return builder(spec, X, None, Y, t=t, eps=eps, seed=seed)
+
+
 def _constructive_records(
     cfg: ExperimentConfig, n: int, m: int, r: int, point_seed_words: Sequence[int]
 ) -> list[ExperimentRecord]:
     """Rows for the requested constructive approximators at one grid point."""
-    import time
-
-    spec = kernel_for(cfg.function, cfg.radius)
     scheme = SamplingScheme.coerce(cfg.scheme)
     out: list[ExperimentRecord] = []
     for alg in cfg.algorithms:
         if alg == "altproj":
             continue
+        route = next(rt for rt in GRID_ROUTES[alg] if cfg.function in COVERS[rt])
         for trial in range(cfg.trials):
             seed_word = int(point_seed_words[trial])
             streams = split(seed_word, 4)
             start = time.perf_counter()
-            if alg == "tt":
-                sets = [sample_ball(streams[j], n, m, cfg.radius) for j in range(3)]
-                P = tensors.cp_from_points(sets)
-                t = cfg.t if cfg.t is not None else taylor.default_order(cfg.eps)
-                _, rep = tensors.taylor_tt_approx(spec, P, t, r, cfg.eps, streams[3])
-                rel = rep.measured_relative_error
+            if route == "tt-taylor":
+                points = [sample_ball(s, n, m, cfg.radius) for s in streams[:3]]
             else:
-                X = sample_ball(streams[0], n, m, cfg.radius)
-                Y = X if scheme is SamplingScheme.SYMMETRIC else sample_ball(
-                    streams[1], n, m, cfg.radius
-                )
-                if alg == "rff":
-                    _, rep = rff.rff_then_compress(
-                        spec, X, Y, rho=cfg.rho, eps=cfg.eps,
-                        seed=streams[3], theta=cfg.theta,
-                    )
-                    rel = rep.measured_relative_error
-                else:  # taylor
-                    builder = (
-                        taylor.approx_sq_distance_local
-                        if cfg.function == "f1"
-                        else taylor.approx_sq_distance
-                    )
-                    _, rep = builder(
-                        spec, X, None, Y, t=cfg.t, eps=cfg.eps, seed=streams[3]
-                    )
-                    rel = rep.measured_relative_error
-            elapsed = time.perf_counter() - start
+                points = sample_pair(scheme, streams, lambda s: sample_ball(s, n, m, cfg.radius))
+            _, rep = approximate(
+                route, cfg.function, cfg.radius, points, streams[3],
+                cfg.eps, cfg.t, r, cfg.rho, cfg.theta,
+            )
             out.append(
                 ExperimentRecord(
-                    cfg.experiment, cfg.function, scheme.value, n, m, r,
-                    trial, seed_word, alg, float(rel), elapsed,
+                    cfg.experiment, cfg.function, scheme.value, n, m, r, trial, seed_word,
+                    alg, float(rep.measured_relative_error), time.perf_counter() - start,
                 )
             )
     return out

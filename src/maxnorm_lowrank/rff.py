@@ -46,6 +46,9 @@ CAUCHY = "cauchy"
 
 _FAMILY_TO_TAG = {"gauss_sq_dist": GAUSSIAN, "exp_dist": EXPONENTIAL}
 
+# rff_then_compress stops doubling the frequencies at this many
+RHO_CAP = 2**16
+
 KernelLike = Union[KernelSpec, str]
 
 
@@ -163,15 +166,13 @@ def rff_then_compress(
     eps: float = 0.25,
     seed: SeedLike = 0,
     theta: float = 0.5,
-    max_attempts: int = 50,
-    rho_cap: int = 2**16,
 ) -> tuple[Factorization, RffReport]:
     """Feature map plus Gaussian sketch: rank <= rank_formula(theta * eps, n1, n2).
 
     The error budget is split as ``(1 - theta) * eps`` for the feature
     average and ``theta * eps`` for the sketch.  Starting from ``rho``
     frequencies, the feature count doubles until the measured feature
-    error meets its share of the budget (or the cap is hit, which is
+    error meets its share of the budget (or ``RHO_CAP`` is hit, which is
     reported as ``feature_certified=False``, not hidden).  With
     ``theta = 1`` no feature growth happens and the call reduces to a
     plain sketch of the feature factorization.
@@ -229,7 +230,7 @@ def rff_then_compress(
     work = np.empty_like(held)
     feat_err = _max_deviation(dense, held, work)
     feature_certified = theta == 1.0 or feat_err <= feature_target
-    while theta < 1.0 and feat_err > feature_target and current_rho * 2 <= rho_cap:
+    while theta < 1.0 and feat_err > feature_target and current_rho * 2 <= RHO_CAP:
         block = rff_factorization(
             sample_frequencies(tag, current_rho, next(grow_streams), m=X.m), X, Y
         )
@@ -252,7 +253,7 @@ def rff_then_compress(
     else:  # forms (a) and (c)
         result = features
     del held
-    G, sketch_rep = jl_compress(result, eps_sketch, sketch_stream, max_attempts)
+    G, sketch_rep = jl_compress(result, eps_sketch, sketch_stream)
     measured = feat_err if G is result else max_norm_error(dense, G)
     denom = max_norm(dense)
     report = RffReport(

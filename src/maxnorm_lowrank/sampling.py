@@ -106,3 +106,9 @@ def sample_sphere(seed: SeedLike, n: int, m: int) -> PointSet:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     rng = generator(seed)
     return PointSet(_unit_directions(rng, n, m), 1.0)
+
+
+def sample_pair(scheme: SamplingScheme | str, streams, draw) -> tuple[PointSet, PointSet]:
+    """X from ``streams[0]``; Y from ``streams[1]``, or X itself under the symmetric scheme."""
+    X = draw(streams[0])
+    return X, X if SamplingScheme.coerce(scheme) is SamplingScheme.SYMMETRIC else draw(streams[1])

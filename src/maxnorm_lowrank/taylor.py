@@ -204,7 +204,6 @@ def _assemble(
     plan: TaylorPlan,
     eps: float,
     seed: SeedLike,
-    max_attempts: int,
 ) -> _Assembly:
     """Sum the compressed Hadamard powers of ``base`` with the plan's weights.
 
@@ -253,7 +252,7 @@ def _assemble(
     base_dense: Optional[np.ndarray] = None
     for s, (exact, w) in widths.items():
         try:
-            G, rep = hadamard_compress([base] * s, eps, streams[s - 1], max_attempts)
+            G, rep = hadamard_compress([base] * s, eps, streams[s - 1])
         except caps.DenseCapExceeded:
             # the power's exact factor is above the dense cap: fall back to a
             # dense exact power compressed by truncated SVD (measured, not certified)
@@ -337,7 +336,6 @@ def approx_inner_product(
     t: Optional[int] = None,
     eps: float = 0.1,
     seed: SeedLike = 0,
-    max_attempts: int = 50,
 ) -> tuple[Factorization, TaylorReport]:
     """Low-rank approximation of ``h(x_i' W y_j)`` with rank <= 1 + (t-1) r."""
     if t is None:
@@ -347,7 +345,7 @@ def approx_inner_product(
     spec.check_domain(-radius_arg, radius_arg)
     plan = taylor_coeffs(spec, 0.0, t, radius=radius_arg)
     base = Factorization(A, B)
-    asm = _assemble(base, plan, eps, seed, max_attempts)
+    asm = _assemble(base, plan, eps, seed)
     F = None
     n1, n2 = base.shape
     if n1 * n2 <= caps.matrix_dense_cap():
@@ -386,7 +384,6 @@ def approx_sq_distance(
     t: Optional[int] = None,
     eps: float = 0.1,
     seed: SeedLike = 0,
-    max_attempts: int = 50,
 ) -> tuple[Factorization, TaylorReport]:
     """Low-rank approximation of ``h(||x_i - y_j||_W^2)`` via Taylor at zero."""
     if t is None:
@@ -396,7 +393,7 @@ def approx_sq_distance(
     radius_arg = 4.0 * sigma * R**2
     spec.check_domain(-radius_arg, radius_arg)
     plan = taylor_coeffs(spec, 0.0, t, radius=radius_arg)
-    asm = _assemble(base, plan, eps, seed, max_attempts)
+    asm = _assemble(base, plan, eps, seed)
     F = None
     if X.n * Y.n <= caps.matrix_dense_cap():
         D, _, _ = distance_matrix(X, W, Y)
@@ -432,7 +429,6 @@ def approx_sq_distance_local(
     t: Optional[int] = None,
     eps: float = 0.1,
     seed: SeedLike = 0,
-    max_attempts: int = 50,
 ) -> tuple[Factorization, TaylorReport]:
     """Sample-aware variant: Taylor at the midpoint of the realized distance range.
 
@@ -465,7 +461,7 @@ def approx_sq_distance_local(
     remainder = half_width**t / math.factorial(t) * sup_t
     plan = TaylorPlan(xi, t, coeffs, remainder)
 
-    asm = _assemble(base, plan, eps, seed, max_attempts)
+    asm = _assemble(base, plan, eps, seed)
     shift_scale = 8.0 * sigma * R**2
     threshold = (
         math.e**2 * spec.M * half_width if spec.has_constants else math.inf

@@ -15,11 +15,16 @@ from maxnorm_lowrank.rng import split
 from maxnorm_lowrank.sampling import sample_ball
 
 
-def _solver_values():
-    """A non-default value for every solver field, and the flags that set it."""
+def _actions(command: str) -> dict:
+    """The parser actions of one subcommand, by destination."""
     commands = next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in commands.choices["altproj"]._actions}
+    return {a.dest: a for a in commands.choices[command]._actions}
+
+
+def _solver_values():
+    """A non-default value for every solver field, and the flags that set it."""
+    actions = _actions("altproj")
     values, flags = {}, []
     for f in fields(AltProjConfig):
         choices = actions[f.name].choices
@@ -240,3 +245,63 @@ def test_plot_golden(tmp_path, capsys):
     ]
     assert [float(r[1]) for r in rows] == pytest.approx([math.log(0.375) / math.log(4)] * 4)
     assert svg.read_text(encoding="utf-8").count("<polyline") == 2
+
+
+# ----------------------------------------------------------------------
+# which route covers which function
+# ----------------------------------------------------------------------
+
+COVERED = {
+    "taylor-ip": {"gauss"},
+    "taylor-dist": {"f2", "gauss"},
+    "taylor-dist-local": {"f1", "f2", "gauss"},
+    "rff": {"f1", "gauss", "cauchy"},
+    "jl": {"linear"},
+    "tt-taylor": {"f3"},
+}
+APPROX_FUNCTIONS = ["f1", "f2", "f3", "gauss", "cauchy", "linear"]
+TINY = ["--n", "6", "--m", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("function", APPROX_FUNCTIONS)
+@pytest.mark.parametrize("algorithm", list(COVERED))
+def test_approx_refuses_functions_its_route_does_not_cover(algorithm, function, capsys):
+    sampling = ["--sampling", "sphere"] if algorithm == "taylor-ip" else []
+    code = cli.main(["approx", "--algorithm", algorithm, "--function", function,
+                     *sampling, *TINY])
+    assert code == (0 if function in COVERED[algorithm] else 2)
+    if code == 2:  # the refusal names what the route covers
+        err = capsys.readouterr().err
+        assert all(f in err for f in COVERED[algorithm])
+
+
+def test_approx_choices_are_the_routes_and_their_functions():
+    actions = _actions("approx")
+    assert list(actions["algorithm"].choices) == list(COVERED)
+    assert list(actions["function"].choices) == APPROX_FUNCTIONS
+
+
+def test_taylor_ip_refuses_the_ball():
+    assert cli.main(["approx", "--algorithm", "taylor-ip", "--function", "gauss",
+                     "--sampling", "ball", *TINY]) == 2
+
+
+def test_experiment_taylor_runs_the_local_route_on_f1(tmp_path):
+    assert cli.main(["experiment", "--algorithms", "taylor", "--function", "f1",
+                     "--n-grid", "6", "--m-grid", "2", "--r-grid", "1", "--trials", "1",
+                     "--seed", "1", "--output", str(tmp_path / "x.csv")]) == 0
+
+
+def test_approx_tt_taylor_refuses_symmetric_scheme():
+    assert cli.main(["approx", "--algorithm", "tt-taylor", "--function", "f3",
+                     "--scheme", "symmetric", *TINY]) == 2
+
+
+@pytest.mark.parametrize("trials", [1, 2])
+def test_altproj_tensor_refuses_symmetric_scheme(trials, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = cli.main([*ALTPROJ_ARGS, "--function", "f3", "--n", "8", "--scheme", "symmetric",
+                     "--trials", str(trials), "--out", str(out)])
+    assert code == 1
+    assert "tensors use independent sampling only" in capsys.readouterr().err
+    assert not out.exists()

@@ -195,3 +195,57 @@ def test_validate_lets_tt_sample_above_the_cap(monkeypatch):
     monkeypatch.setenv("MAXNORM_DENSE_CAP", "100")
     ExperimentConfig(function="f3", algorithms=("tt",), seed=1, n_grid=(11,)).validate()
     ExperimentConfig(experiment="bounds", algorithms=("taylor",), n_grid=(10**6,)).validate()
+
+
+# constructive rows of a small varm grid, pinned before their dispatch moved
+# into the route table; t=4, since at the default order every tt row reads 1.0
+GOLDEN_GRID = dict(experiment="varm", n_grid=(20,), m_grid=(2, 3), r_grid=(2,), trials=2,
+                   seed=11, eps=0.5, t=4)
+SEEDS = {(2, 0): "2926583794887213564", (2, 1): "215141457385765089",
+         (3, 0): "2213756741557572059", (3, 1): "11894170964619036052"}
+# (function, scheme, algorithms) -> rel_error per row, in CSV order: for each m,
+# each algorithm, each trial
+CONSTRUCTIVE_GOLDEN = {
+    ("f1", "independent", ("taylor", "rff")): [
+        "0.36725801622405613", "0.36978581218393625", "0.21358513185255965", "0.18974523301369706",
+        "0.31908135125800469", "0.32908307636856726", "0.19500551546916858", "0.1880878550925405",
+    ],
+    ("f1", "symmetric", ("taylor", "rff")): [
+        "0.39707721285177122", "0.35965106695873195", "0.2025547859635341", "0.1582229034258657",
+        "0.39197367981820186", "0.3930113626897791", "0.14791796925501496", "0.15017054925850265",
+    ],
+    ("gauss", "independent", ("taylor", "rff")): [
+        "3.2041082345022067", "3.9419072227998582", "0.23371394524087954", "0.2473497038252343",
+        "2.789084090974443", "3.8939147413912001", "0.16289099476054583", "0.19548399619676693",
+    ],
+    ("gauss", "symmetric", ("taylor", "rff")): [
+        "4.0024462767088362", "1.8294389789353931", "0.23375435637643072", "0.24338563216030806",
+        "3.6123865593414419", "3.6888613765066633", "0.15488290281992129", "0.18216806019559401",
+    ],
+    ("f2", "independent", ("taylor",)): [
+        "10.554014786278342", "11.980499600566072", "9.6358863969362414", "11.816997944700478",
+    ],
+    ("f2", "symmetric", ("taylor",)): [
+        "12.107260912424996", "7.4477414772786368", "11.369056953675411", "11.516283169813207",
+    ],
+    ("f3", "independent", ("tt",)): [
+        "0.014611132072630708", "0.011907887556575309", "0.47954190535241725", "0.75419962801302276",
+    ],
+}
+
+
+@pytest.mark.parametrize("function, scheme, algorithms", list(CONSTRUCTIVE_GOLDEN),
+                         ids=["-".join(k[:2]) for k in CONSTRUCTIVE_GOLDEN])
+def test_constructive_rows_golden(function, scheme, algorithms, tmp_path):
+    path = tmp_path / "x.csv"
+    run_experiment(ExperimentConfig(function=function, scheme=scheme, algorithms=algorithms,
+                                    output=str(path), **GOLDEN_GRID))
+    keep = [COLUMNS.index(c) for c in ("algorithm", "m", "trial", "seed", "rel_error")]
+    rows = [[ln.split(",")[i] for i in keep]
+            for ln in path.read_text(encoding="utf-8").splitlines()[2:]]
+    expected = iter(CONSTRUCTIVE_GOLDEN[(function, scheme, algorithms)])
+    assert rows == [
+        [alg, str(m), str(trial), SEEDS[(m, trial)], next(expected)]
+        for m in GOLDEN_GRID["m_grid"] for alg in algorithms
+        for trial in range(GOLDEN_GRID["trials"])
+    ]
