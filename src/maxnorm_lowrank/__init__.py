@@ -47,7 +47,6 @@ from .lowrank import (
     RankOne,
     max_norm,
     max_norm_error,
-    relative_max_norm_error,
     row_norm_inf,
     truncated_svd,
 )
@@ -59,14 +58,11 @@ from .rff import (
 )
 from .sampling import PointSet, SamplingScheme, sample_ball, sample_sphere
 from .taylor import (
-    MultiIndexBasis,
     TaylorPlan,
     approx_inner_product,
     approx_sq_distance,
     approx_sq_distance_local,
-    count_multiindices,
     default_order,
-    multiindex_taylor_factorization,
     taylor_coeffs,
 )
 from .tensors import (

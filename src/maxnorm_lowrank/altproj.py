@@ -40,7 +40,7 @@ from .kernels import ARG_HOIP, KernelSpec, eval_kernel_matrix, eval_kernel_tenso
 from .lowrank import max_norm, truncated_svd
 from .records import ExperimentRecord
 from .rng import SeedLike, generator, seed_sequence, split
-from .sampling import PointSet, SamplingScheme, sample_ball, sample_pair
+from .sampling import SamplingScheme, sample_ball, sample_pair
 from .tensors import TTTensor, tt_svd
 
 RankSpec = Union[int, tuple[int, ...]]

@@ -19,6 +19,7 @@ saturated.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
@@ -74,9 +75,10 @@ def ut_tighter_bound(
 ) -> tuple[int, bool]:
     """Sharpened LVM bound ``ceil(9 ln(3 n1 n2) C^2/eps^2 * e^(m(1+M^2)))``.
 
-    Returns ``(value, float_overflow)``.  The value is exact-integer even
-    when it exceeds the float64 range (computed through logarithms and
-    arbitrary-precision arithmetic in that regime).
+    Returns ``(value, float_overflow)``.  Beyond the float64 range the
+    value is computed in 40-digit decimal arithmetic: its leading 40
+    significant digits are correct up to one unit in the last (relative
+    error below 1e-39), and the digits after them are zeros.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("matrix sizes must be positive")
@@ -89,11 +91,10 @@ def ut_tighter_bound(
     log_value = math.log(base) + exponent
     if log_value < math.log(_FLOAT_MAX):
         return math.ceil(base * math.exp(exponent)), False
-    import mpmath
-
-    with mpmath.workdps(40):
-        value = mpmath.mpf(base) * mpmath.exp(mpmath.mpf(exponent))
-        return int(mpmath.ceil(value)), True
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        value = decimal.Decimal(base) * decimal.Decimal(exponent).exp()
+        return int(value.to_integral_value(decimal.ROUND_CEILING)), True
 
 
 @dataclass(frozen=True)

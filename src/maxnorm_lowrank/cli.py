@@ -3,7 +3,8 @@
 Subcommands: generate, approx, altproj, bounds, experiment, plot.
 Every stochastic subcommand requires an explicit --seed.  ``approx``
 dispatches through the route table ``experiments.COVERS``: a function
-its route does not cover exits 2.
+its route does not cover exits 2, and so does an option it does not read
+(``experiments.READS``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .experiments import (
     COVERS,
     EXPERIMENTS,
     FUNCTIONS,
+    READS,
     ExperimentConfig,
     approximate,
     bounds_table_text,
@@ -98,10 +100,22 @@ _REPORT_FIELDS = {
 }
 
 
+# route options left unset on the command line take the experiment grid's defaults
+_APPROX_DEFAULTS = {
+    "t": ExperimentConfig.t, "r": ExperimentConfig.r_grid[0], "rho": ExperimentConfig.rho,
+    "theta": ExperimentConfig.theta, "radius": ExperimentConfig.radius,
+}
+
+
 def cmd_approx(args) -> int:
     alg, refusal = args.algorithm, None
+    unread = ["--" + o for o in _APPROX_DEFAULTS
+              if getattr(args, o) is not None and o not in READS[alg]]
     if args.function not in COVERS[alg]:
         refusal = f"{alg} covers {', '.join(COVERS[alg])}, not {args.function}"
+    elif unread:
+        reads = ", ".join("--" + o for o in READS[alg])
+        refusal = f"{alg} reads --eps and {reads}, not {', '.join(unread)}"
     elif alg == "taylor-ip" and args.sampling != "sphere":
         refusal = "taylor-ip covers the gaussian kernel on the unit sphere; pass --sampling sphere"
     elif alg == "tt-taylor" and args.scheme != "independent":
@@ -109,6 +123,9 @@ def cmd_approx(args) -> int:
     if refusal:
         print(refusal, file=sys.stderr)
         return 2
+    for option, default in _APPROX_DEFAULTS.items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
     if alg == "tt-taylor":
         streams = split(args.seed, 4)
         points = [_sample(args.sampling, s, args.n, args.m, args.radius) for s in streams[:3]]
@@ -215,12 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", default="gauss",
                    choices=list(dict.fromkeys(FUNCTIONS + sum(COVERS.values(), ()))))
     _add_common_points(p)
+    p.set_defaults(radius=None)  # set only for a route that reads it
     p.add_argument("--sampling", choices=["ball", "sphere"], default="ball")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--r", type=int, default=10, help="TT target rank (tt-taylor)")
-    p.add_argument("--rho", type=int, default=64)
-    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--r", type=int, default=None, help="TT target rank (tt-taylor)")
+    p.add_argument("--rho", type=int, default=None)
+    p.add_argument("--theta", type=float, default=None)
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_approx)
 

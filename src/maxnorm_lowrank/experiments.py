@@ -18,8 +18,10 @@ n = 400) and tensors spend most of each iteration outside the
 interpreter, and their altproj trials run side by side.
 
 One route table serves ``cli approx`` and the grid: ``COVERS`` maps each
-route to the functions it covers, ``GRID_ROUTES`` each experiment algorithm
-to candidate routes (a grid point runs the first that covers its function).
+route to the functions it covers, ``READS`` to the options it reads,
+``GRID_ROUTES`` each experiment algorithm to candidate routes (a grid point
+runs the first that covers its function).  ``ExperimentConfig`` holds the
+default of every route option.
 """
 
 from __future__ import annotations
@@ -62,6 +64,15 @@ COVERS = {
     "rff": ("f1", "gauss", "cauchy"),
     "jl": ("linear",),
     "tt-taylor": ("f3",),
+}
+# the options each route reads besides eps; cli approx refuses the others
+READS = {
+    "taylor-ip": ("t",),
+    "taylor-dist": ("t", "radius"),
+    "taylor-dist-local": ("t", "radius"),
+    "rff": ("rho", "theta", "radius"),
+    "jl": ("radius",),
+    "tt-taylor": ("t", "r", "radius"),
 }
 GRID_ROUTES = {
     "taylor": ("taylor-dist", "taylor-dist-local"), "rff": ("rff",), "tt": ("tt-taylor",),
@@ -231,7 +242,7 @@ def approximate(
     if route == "tt-taylor":
         t = t if t is not None else taylor.default_order(eps)
         P = tensors.cp_from_points(points)
-        return tensors.taylor_tt_approx(kernel_for(function, radius), P, t, r, eps, seed)
+        return tensors.taylor_tt_approx(kernel_for(function, radius), P, t, r, seed)
     X, Y = points
     if route == "jl":
         return jl_compress(Factorization(X.points, Y.points), eps, seed)

@@ -264,23 +264,23 @@ class WeightMatrix:
         return self.entries.shape[0]
 
 
-WeightLike = Optional[WeightMatrix | np.ndarray]
-
-
-def _weight_entries(W: WeightLike, m_left: int, m_right: int) -> Optional[np.ndarray]:
+def _weight_entries(W: Optional[WeightMatrix], m_left: int, m_right: int) -> Optional[np.ndarray]:
     """Validated dense weight, or None for the identity."""
     if W is None:
         if m_left != m_right:
             raise ValueError(f"identity weight needs equal dimensions, got {m_left} and {m_right}")
         return None
-    entries = W.entries if isinstance(W, WeightMatrix) else np.asarray(W, dtype=np.float64)
-    if entries.shape != (m_left, m_right):
-        raise ValueError(f"weight shape {entries.shape} incompatible with points ({m_left}, {m_right})")
-    return entries
+    if W.m != m_left or W.m != m_right:
+        raise ValueError(f"weight dimension {W.m} incompatible with points ({m_left}, {m_right})")
+    return W.entries
 
 
-def gram(X: PointSet, W: WeightLike, Y: PointSet) -> np.ndarray:
-    """Dense bilinear-form matrix with entries x_i' W y_j."""
+def gram(X: PointSet, W: Optional[WeightMatrix], Y: PointSet) -> np.ndarray:
+    """Dense bilinear-form matrix with entries x_i' W y_j.
+
+    The weight is the identity (None) or a ``WeightMatrix``; there is no
+    other weight type.
+    """
     entries = _weight_entries(W, X.m, Y.m)
     if entries is None:
         return X.points @ Y.points.T
@@ -288,16 +288,15 @@ def gram(X: PointSet, W: WeightLike, Y: PointSet) -> np.ndarray:
 
 
 def distance_matrix(
-    X: PointSet, W: WeightLike, Y: PointSet
+    X: PointSet, W: Optional[WeightMatrix], Y: PointSet
 ) -> tuple[np.ndarray, float, float]:
     """Weighted squared distances D(i,j) = (x_i - y_j)' W (x_i - y_j).
 
-    Returns ``(D, min{D}, max{D})``.  For identity or positive-definite
-    ``WeightMatrix`` weights, negative floating dust is clamped to zero.
+    Returns ``(D, min{D}, max{D})``.  The weight is the identity (None) or
+    a positive-definite ``WeightMatrix``, so D >= 0 and negative floating
+    dust is clamped to zero.
     """
     entries = _weight_entries(W, X.m, Y.m)
-    if entries is not None and abs(entries - entries.T).max() > _SYMMETRY_TOL:
-        raise ValueError("distance matrix needs a symmetric weight")
     if entries is None:
         rx = (X.points**2).sum(axis=1)
         ry = (Y.points**2).sum(axis=1)
@@ -308,8 +307,7 @@ def distance_matrix(
         ry = ((Y.points @ entries) * Y.points).sum(axis=1)
         cross = WX @ Y.points.T
     D = rx[:, None] + ry[None, :] - 2.0 * cross
-    if W is None or isinstance(W, WeightMatrix):
-        np.maximum(D, 0.0, out=D)
+    np.maximum(D, 0.0, out=D)
     return D, float(D.min()), float(D.max())
 
 

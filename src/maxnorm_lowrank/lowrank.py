@@ -95,10 +95,6 @@ class RankOne:
             return 0.0
         return float(np.abs(self.u).max() * np.abs(self.v).max())
 
-    @staticmethod
-    def constant(value: float, n1: int, n2: int) -> "RankOne":
-        return RankOne(np.full(n1, value), np.ones(n2))
-
 
 DenseOrFactorization = Union[np.ndarray, Factorization]
 
@@ -122,14 +118,6 @@ def max_norm_error(F: np.ndarray, G: DenseOrFactorization) -> float:
     if F.shape != Gd.shape:
         raise ValueError(f"shape mismatch: {F.shape} vs {Gd.shape}")
     return max_norm(F - Gd)
-
-
-def relative_max_norm_error(F: np.ndarray, G: DenseOrFactorization) -> float:
-    """``max_norm_error(F, G) / ||F||_max``; undefined when F is identically zero."""
-    denom = max_norm(F)
-    if denom == 0.0:
-        raise ZeroDivisionError("relative max-norm error undefined for F == 0")
-    return max_norm_error(F, G) / denom
 
 
 def truncated_svd(M: np.ndarray, r: int) -> Factorization:

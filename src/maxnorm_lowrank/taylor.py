@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .compress import (
     hadamard_widths,
     rank_formula,
 )
-from .kernels import ARG_SQDIST, KernelSpec, WeightLike, WeightMatrix, distance_matrix
+from .kernels import KernelSpec, WeightMatrix, distance_matrix
 from .lowrank import (
     Factorization,
     RankOne,
@@ -144,37 +144,22 @@ class TaylorReport:
 
 
 def _bilinear_factors(
-    X: PointSet, W: WeightLike, Y: PointSet
+    X: PointSet, W: Optional[WeightMatrix], Y: PointSet
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Split x' W y into A B' with controlled row norms; returns (A, B, ||W||_2).
 
-    For a symmetric positive-definite ``WeightMatrix`` the cached
-    eigendecomposition is used; a raw array (possibly non-symmetric or
-    rectangular) goes through the SVD, which folds the singular values
-    symmetrically into both factors.
+    The weight is the identity (None) or a symmetric positive-definite
+    ``WeightMatrix``, whose cached eigendecomposition ``U diag(lam) U'``
+    gives both factors the same half ``U diag(sqrt(lam))``.
     """
     if W is None:
         if X.m != Y.m:
             raise ValueError("identity weight needs equal point dimensions")
         return X.points, Y.points, 1.0
-    if isinstance(W, WeightMatrix):
-        if X.m != W.m or Y.m != W.m:
-            raise ValueError("weight dimension mismatch")
-        half = W.eigenvectors * np.sqrt(W.eigenvalues)
-        return X.points @ half, Y.points @ half, float(W.spectral_norm_bound)
-    W = np.asarray(W, dtype=np.float64)
-    if W.shape[0] != X.m or W.shape[1] != Y.m:
-        raise ValueError(f"weight shape {W.shape} incompatible with points")
-    U, s, Vt = np.linalg.svd(W, full_matrices=False)
-    root = np.sqrt(s)
-    return X.points @ (U * root), Y.points @ (Vt.T * root), float(s.max()) if s.size else 0.0
-
-
-def _weighted_row_squares(points: np.ndarray, W: WeightLike) -> np.ndarray:
-    if W is None:
-        return (points**2).sum(axis=1)
-    entries = W.entries if isinstance(W, WeightMatrix) else np.asarray(W, dtype=np.float64)
-    return ((points @ entries) * points).sum(axis=1)
+    if X.m != W.m or Y.m != W.m:
+        raise ValueError("weight dimension mismatch")
+    half = W.eigenvectors * np.sqrt(W.eigenvalues)
+    return X.points @ half, Y.points @ half, float(W.spectral_norm_bound)
 
 
 @dataclass
@@ -331,7 +316,7 @@ def _finish_report(
 def approx_inner_product(
     spec: KernelSpec,
     X: PointSet,
-    W: WeightLike,
+    W: Optional[WeightMatrix],
     Y: PointSet,
     t: Optional[int] = None,
     eps: float = 0.1,
@@ -358,12 +343,12 @@ def approx_inner_product(
 
 
 def _distance_base(
-    X: PointSet, W: WeightLike, Y: PointSet, extra: Sequence[RankOne] = ()
+    X: PointSet, W: Optional[WeightMatrix], Y: PointSet, extra: Sequence[RankOne] = ()
 ) -> tuple[Factorization, float]:
     """Factorization of ``Z1 + Z2 - 2 X W Y' (+ extra)``, i.e. of the distance matrix."""
     A, B, sigma = _bilinear_factors(X, W, Y)
-    rx = _weighted_row_squares(X.points, W)
-    ry = _weighted_row_squares(Y.points, W)
+    rx = (A**2).sum(axis=1)  # x' W x = ||x' U diag(sqrt(lam))||^2
+    ry = (B**2).sum(axis=1)
     n1, n2 = X.n, Y.n
     terms = [
         RankOne(rx, np.ones(n2)),
@@ -379,7 +364,7 @@ def _distance_base(
 def approx_sq_distance(
     spec: KernelSpec,
     X: PointSet,
-    W: WeightLike,
+    W: Optional[WeightMatrix],
     Y: PointSet,
     t: Optional[int] = None,
     eps: float = 0.1,
@@ -424,7 +409,7 @@ def _sup_derivative(spec: KernelSpec, t: int, lo: float, hi: float, grid: int = 
 def approx_sq_distance_local(
     spec: KernelSpec,
     X: PointSet,
-    W: WeightLike,
+    W: Optional[WeightMatrix],
     Y: PointSet,
     t: Optional[int] = None,
     eps: float = 0.1,
@@ -470,161 +455,3 @@ def approx_sq_distance_local(
     return asm.result, _finish_report(
         spec.h(D), asm, plan, eps, spec, M_exp * shift_scale, threshold, shift_scale
     )
-
-
-# ----------------------------------------------------------------------
-# multi-index Taylor factorization (purely analytical route)
-# ----------------------------------------------------------------------
-
-def count_multiindices(m: int, rho: int) -> int:
-    """Number of multi-indices in N_0^m with |gamma| < rho: binom(m+rho-1, m)."""
-    if m < 1 or rho < 1:
-        raise ValueError(f"need m >= 1 and rho >= 1, got m={m}, rho={rho}")
-    return math.comb(m + rho - 1, m)
-
-
-def _multiindices(m: int, max_total: int):
-    if m == 1:
-        for i in range(max_total + 1):
-            yield (i,)
-        return
-    for first in range(max_total + 1):
-        for rest in _multiindices(m - 1, max_total - first):
-            yield (first,) + rest
-
-
-@dataclass(frozen=True)
-class MultiIndexBasis:
-    """All multi-indices gamma in N_0^m with |gamma| < order, in lexicographic order."""
-
-    m: int
-    order: int
-    indices: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def build(m: int, order: int, cap: int = 10**5) -> "MultiIndexBasis":
-        k = count_multiindices(m, order)
-        if k > cap:
-            raise caps.DenseCapExceeded(
-                f"multi-index count {k} exceeds enumeration cap {cap}"
-            )
-        indices = tuple(sorted(_multiindices(m, order - 1)))
-        assert len(indices) == k
-        return MultiIndexBasis(m, order, indices)
-
-
-@dataclass
-class RowNormReport:
-    terms: int
-    norm_left: float
-    norm_right: float
-    norm_left_sq: float
-    norm_right_sq: float
-    derivative_source: str
-
-
-def finite_difference_hook(
-    f: Callable[[np.ndarray, np.ndarray], float], scale: float = 1.0
-) -> Callable[[tuple[int, ...], np.ndarray], np.ndarray]:
-    """Mixed-partial hook estimating d^gamma/dy^gamma f(x, 0) with central differences.
-
-    The step for a total order q is ``eps_machine**(1/(q+2)) * scale``,
-    balancing truncation against cancellation.  Accuracy degrades with
-    the order; prefer an exact hook when one is available.
-    """
-
-    def hook(gamma: tuple[int, ...], points: np.ndarray) -> np.ndarray:
-        q = sum(gamma)
-        m = len(gamma)
-        h = float(np.finfo(float).eps ** (1.0 / (q + 2)) * max(scale, 1e-12))
-
-        def estimate(x: np.ndarray) -> float:
-            cache: dict[tuple, float] = {}
-
-            def rec(g: tuple[int, ...], offsets: tuple[int, ...]) -> float:
-                key = (g, offsets)
-                if key in cache:
-                    return cache[key]
-                for k in range(m):
-                    if g[k] > 0:
-                        lower = list(g)
-                        lower[k] -= 1
-                        up = list(offsets)
-                        up[k] += 1
-                        down = list(offsets)
-                        down[k] -= 1
-                        val = (
-                            rec(tuple(lower), tuple(up))
-                            - rec(tuple(lower), tuple(down))
-                        ) / (2.0 * h)
-                        break
-                else:
-                    y = h * np.asarray(offsets, dtype=np.float64)
-                    val = float(f(x, y))
-                cache[key] = val
-                return val
-
-            return rec(gamma, (0,) * m)
-
-        return np.array([estimate(x) for x in points])
-
-    return hook
-
-
-def gaussian_multiindex_hook() -> Callable[[tuple[int, ...], np.ndarray], np.ndarray]:
-    """Exact hook for f(x, y) = exp(-||x - y||^2).
-
-    Coordinatewise, d^p/dy^p exp(-(x-y)^2) at y=0 equals
-    H_p(x) exp(-x^2) with the physicists' Hermite polynomial H_p.
-    """
-    from numpy.polynomial import hermite as _herm
-
-    def hook(gamma: tuple[int, ...], points: np.ndarray) -> np.ndarray:
-        out = np.exp(-(points**2).sum(axis=1))
-        for k, p in enumerate(gamma):
-            if p > 0:
-                coeffs = np.zeros(p + 1)
-                coeffs[p] = 1.0
-                out = out * _herm.hermval(points[:, k], coeffs)
-        return out
-
-    return hook
-
-
-def multiindex_taylor_factorization(
-    f: Callable[[np.ndarray, np.ndarray], float],
-    X: PointSet,
-    Y: PointSet,
-    rho: int,
-    deriv: Optional[Callable[[tuple[int, ...], np.ndarray], np.ndarray]] = None,
-    cap: int = 10**5,
-) -> tuple[Factorization, RowNormReport]:
-    """Truncated multivariate Taylor factorization of F(i,j) = f(x_i, y_j).
-
-    Columns are indexed by multi-indices |gamma| < rho.  The left factor
-    holds the partial derivatives at y = 0 and the right factor the
-    monomials y^gamma, both scaled by 1/sqrt(gamma!) so that the row
-    norms of the two factors can be compared against their analytic
-    bounds.  Pass an exact ``deriv`` hook when possible; otherwise central
-    finite differences of ``f`` are used.
-    """
-    if X.m != Y.m:
-        raise ValueError("point sets disagree on dimension")
-    basis = MultiIndexBasis.build(X.m, rho, cap=cap)
-    if deriv is None:
-        hook = finite_difference_hook(f, scale=max(Y.radius_bound, 1.0))
-        source = "finite-difference"
-    else:
-        hook = deriv
-        source = "exact-hook"
-    k = len(basis.indices)
-    A = np.empty((X.n, k))
-    B = np.empty((Y.n, k))
-    for col, gamma in enumerate(basis.indices):
-        scale = 1.0 / math.sqrt(math.prod(math.factorial(g) for g in gamma))
-        A[:, col] = np.asarray(hook(gamma, X.points), dtype=np.float64) * scale
-        B[:, col] = np.prod(Y.points ** np.asarray(gamma), axis=1) * scale
-    fact = Factorization(A, B)
-    na, nb = fact.row_norms()
-    report = RowNormReport(k, na, nb, na**2, nb**2, source)
-    return fact, report

@@ -448,7 +448,6 @@ def taylor_tt_approx(
     P: CPTensor,
     t: int,
     r: int,
-    eps: float = 0.1,
     seed: SeedLike = 0,
     sample_size: int = 10**6,
 ) -> tuple[TTTensor, TTApproxReport]:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +105,16 @@ class TestUtTighterBound:
             math.log10(9.0 * math.log(3.0 * 10**10) / 0.01) + 2000 / math.log(10)
         )
         assert len(str(value)) == math.floor(expected_log10) + 1
+
+    def test_overflow_path_needs_no_mpmath(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        value, overflow = ut_tighter_bound(10**5, 10**5, 0.1, 1.0, 2.0, 400)
+        assert overflow
+        log10_value = math.log10(9.0 * math.log(3.0 * 10**10) / 0.01) + 2000 / math.log(10)
+        assert len(str(value)) == math.floor(log10_value) + 1
+        # leading digits: 10**frac(log10 value), good to ~1e-13 in float
+        lead = 10 ** (log10_value - math.floor(log10_value))
+        assert abs(int(str(value)[:10]) - lead * 1e9) <= 1
 
 
 class TestCompareBounds:

@@ -292,6 +292,29 @@ def test_experiment_taylor_runs_the_local_route_on_f1(tmp_path):
                      "--seed", "1", "--output", str(tmp_path / "x.csv")]) == 0
 
 
+READS = {
+    "taylor-ip": {"t"},
+    "taylor-dist": {"t", "radius"},
+    "taylor-dist-local": {"t", "radius"},
+    "rff": {"rho", "theta", "radius"},
+    "jl": {"radius"},
+    "tt-taylor": {"t", "r", "radius"},
+}
+OPTION_VALUES = {"t": "2", "r": "2", "rho": "8", "theta": "0.6", "radius": "0.9"}
+
+
+@pytest.mark.parametrize("option", list(OPTION_VALUES))
+@pytest.mark.parametrize("algorithm", list(READS))
+def test_approx_refuses_options_its_route_does_not_read(algorithm, option, capsys):
+    sampling = ["--sampling", "sphere"] if algorithm == "taylor-ip" else []
+    function = sorted(COVERED[algorithm])[0]
+    code = cli.main(["approx", "--algorithm", algorithm, "--function", function, *sampling,
+                     "--" + option, OPTION_VALUES[option], *TINY])
+    assert code == (0 if option in READS[algorithm] else 2)
+    if code == 2:  # the refusal names the option
+        assert capsys.readouterr().err.strip().endswith("not --" + option)
+
+
 def test_approx_tt_taylor_refuses_symmetric_scheme():
     assert cli.main(["approx", "--algorithm", "tt-taylor", "--function", "f3",
                      "--scheme", "symmetric", *TINY]) == 2

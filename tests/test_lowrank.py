@@ -7,7 +7,6 @@ from maxnorm_lowrank.lowrank import (
     max_norm,
     max_norm_error,
     reduce_width,
-    relative_max_norm_error,
     row_norm_inf,
     truncated_svd,
 )
@@ -66,10 +65,6 @@ class TestNorms:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             max_norm_error(np.eye(2), np.zeros((2, 3)))
-
-    def test_relative_error_undefined_for_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            relative_max_norm_error(np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_row_norm_inf(self):
         assert row_norm_inf(np.eye(2)) == 1.0

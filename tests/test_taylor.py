@@ -11,7 +11,6 @@ from maxnorm_lowrank.kernels import (
     WeightMatrix,
     custom_series,
     distance_matrix,
-    eval_kernel_matrix,
     exp_dist,
     gauss_sq_dist,
     gaussian_on_sphere,
@@ -19,15 +18,10 @@ from maxnorm_lowrank.kernels import (
 from maxnorm_lowrank.lowrank import max_norm_error
 from maxnorm_lowrank.sampling import PointSet, sample_ball, sample_sphere
 from maxnorm_lowrank.taylor import (
-    MultiIndexBasis,
     approx_inner_product,
     approx_sq_distance,
     approx_sq_distance_local,
-    count_multiindices,
     default_order,
-    finite_difference_hook,
-    gaussian_multiindex_hook,
-    multiindex_taylor_factorization,
     taylor_coeffs,
 )
 
@@ -116,16 +110,6 @@ class TestApproxInnerProduct:
         with pytest.raises(ValueError):
             approx_inner_product(spec, X, None, X, t=2, eps=0.3, seed=0)
 
-    def test_general_rectangular_weight(self):
-        # non-square weight runs through the SVD path
-        rng = np.random.default_rng(12)
-        X = PointSet(rng.normal(size=(9, 3)) / 3, 1.0)
-        Y = PointSet(rng.normal(size=(9, 4)) / 3, 1.0)
-        W = rng.normal(size=(3, 4))
-        spec = identity_profile((-10, 10))
-        G, rep = approx_inner_product(spec, X, W, Y, t=2, eps=0.5, seed=3)
-        assert max_norm_error(X.points @ W @ Y.points.T, G) <= 1e-10
-
 
 class TestApproxSqDistance:
     def test_single_point_exact(self):
@@ -137,11 +121,13 @@ class TestApproxSqDistance:
         X = sample_ball(1, 20, 5, 1.0)
         Y = sample_ball(2, 20, 5, 1.0)
         spec = identity_profile((-8, 8), arg_kind=ARG_SQDIST)
-        G, rep = approx_sq_distance(spec, X, None, Y, t=2, eps=0.5, seed=0)
-        D, _, _ = distance_matrix(X, None, Y)
-        assert max_norm_error(D, G) <= 1e-10
-        # the distance matrix has rank <= m + 2
-        assert rep.rank <= 5 + 2
+        Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(5, 5)))
+        for W in (None, WeightMatrix((Q * [0.5, 0.8, 1.0, 1.2, 1.5]) @ Q.T)):
+            G, rep = approx_sq_distance(spec, X, W, Y, t=2, eps=0.5, seed=0)
+            D, _, _ = distance_matrix(X, W, Y)
+            assert max_norm_error(D, G) <= 1e-10
+            # the distance matrix has rank <= m + 2
+            assert rep.rank <= 5 + 2
 
     def test_measured_below_certified_bound(self):
         X = sample_ball(3, 60, 30, 1.0)
@@ -362,74 +348,3 @@ class TestExactSum:
         assert rep.sketched_powers == [7] and rep.fallback_powers == []
         assert G.width == n
 
-
-class TestMultiIndex:
-    def test_count_examples(self):
-        assert count_multiindices(2, 3) == 6
-        assert count_multiindices(3, 1) == 1
-        assert count_multiindices(1, 5) == 5
-
-    def test_enumeration_matches_count(self):
-        basis = MultiIndexBasis.build(2, 3)
-        assert len(basis.indices) == 6
-        assert set(basis.indices) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
-        assert list(basis.indices) == sorted(basis.indices)
-
-    def test_enumeration_cap(self):
-        with pytest.raises(DenseCapExceeded):
-            MultiIndexBasis.build(30, 10, cap=1000)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            count_multiindices(0, 3)
-
-    def test_product_function_exact(self):
-        X = PointSet(np.linspace(-1, 1, 7).reshape(-1, 1), 1.0)
-        Y = PointSet(np.linspace(-0.9, 0.9, 5).reshape(-1, 1), 0.9)
-        hook = lambda gamma, pts: (pts[:, 0] if gamma == (1,) else np.zeros(len(pts)))
-        G, rep = multiindex_taylor_factorization(None, X, Y, 2, deriv=hook)
-        F = np.outer(X.points[:, 0], Y.points[:, 0])
-        assert max_norm_error(F, G) == 0.0
-        assert rep.terms == 2
-
-    def test_constant_function(self):
-        X = PointSet(np.zeros((3, 2)), 0.0)
-        Y = PointSet(np.zeros((4, 2)), 0.0)
-        c = 2.5
-        hook = lambda gamma, pts: (
-            np.full(len(pts), c) if gamma == (0, 0) else np.zeros(len(pts))
-        )
-        G, rep = multiindex_taylor_factorization(None, X, Y, 1, deriv=hook)
-        assert rep.terms == 1
-        np.testing.assert_allclose(G.left[:, 0], c)
-        np.testing.assert_allclose(G.right[:, 0], 1.0)
-
-    def test_gaussian_row_norm_bound(self):
-        X = sample_ball(5, 40, 2, 1.0)
-        Y = sample_ball(6, 40, 2, 1.0)
-        F = eval_kernel_matrix(gauss_sq_dist((-4, 4)), "independent", X, Y)
-        G, rep = multiindex_taylor_factorization(
-            None, X, Y, 10, deriv=gaussian_multiindex_hook()
-        )
-        # monomial-factor row norms are bounded by sum_gamma 1/gamma! = e^m
-        assert rep.norm_right_sq <= math.e**2
-        assert max_norm_error(F, G) <= 0.01
-
-    def test_finite_difference_hook_matches_exact(self):
-        X = sample_ball(5, 5, 2, 1.0)
-        f = lambda x, y: float(np.exp(-((x - y) ** 2).sum()))
-        fd = finite_difference_hook(f, scale=1.0)
-        exact = gaussian_multiindex_hook()
-        for gamma in [(0, 0), (1, 0), (0, 2), (1, 1)]:
-            np.testing.assert_allclose(
-                fd(gamma, X.points), exact(gamma, X.points), atol=1e-6
-            )
-
-    def test_fd_hook_used_when_no_deriv(self):
-        X = sample_ball(5, 6, 2, 1.0)
-        Y = sample_ball(6, 6, 2, 1.0)
-        f = lambda x, y: float(np.exp(-((x - y) ** 2).sum()))
-        F = eval_kernel_matrix(gauss_sq_dist((-4, 4)), "independent", X, Y)
-        G, rep = multiindex_taylor_factorization(f, X, Y, 4)
-        assert rep.derivative_source == "finite-difference"
-        assert max_norm_error(F, G) <= 0.5

@@ -256,13 +256,13 @@ class TestTaylorTTApprox:
             domain=(-100, 100),
             arg_kind="hoip",
         )
-        G, rep = taylor_tt_approx(identity, P, t=2, r=5, eps=0.5, seed=0)
+        G, rep = taylor_tt_approx(identity, P, t=2, r=5, seed=0)
         np.testing.assert_allclose(G.dense(), P.dense(), atol=1e-10)
 
     def test_sinh_skips_even_powers(self):
         sets = [sample_ball(s, 8, 4, 1.0) for s in (1, 2, 3)]
         P = cp_from_points(sets)
-        G, rep = taylor_tt_approx(sinh_hoip(), P, t=6, r=8, eps=0.2, seed=1)
+        G, rep = taylor_tt_approx(sinh_hoip(), P, t=6, r=8, seed=1)
         assert rep.skipped_powers == [2, 4]
         assert all(r <= rep.rank_budget for r in rep.ranks)
 
@@ -270,14 +270,14 @@ class TestTaylorTTApprox:
         sets = [sample_ball(s, 10, 5, 1.0) for s in (4, 5, 6)]
         P = cp_from_points(sets)
         spec = sinh_hoip()
-        G, rep = taylor_tt_approx(spec, P, t=7, r=10, eps=0.1, seed=2)
+        G, rep = taylor_tt_approx(spec, P, t=7, r=10, seed=2)
         assert rep.measured_relative_error < 1.0  # rank-0 error is exactly 1
         assert rep.measured_relative_error <= 1e-3
 
     def test_rank_budget_respected(self):
         sets = [sample_ball(s, 12, 3, 1.0) for s in (7, 8, 9)]
         P = cp_from_points(sets)
-        G, rep = taylor_tt_approx(sinh_hoip(), P, t=5, r=4, eps=0.3, seed=3)
+        G, rep = taylor_tt_approx(sinh_hoip(), P, t=5, r=4, seed=3)
         assert all(r <= 1 + 4 * 4 for r in rep.ranks)
 
     def test_mode_permutation_symmetry(self):
