@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .kernels import ARG_HOIP, KernelSpec, eval_kernel_matrix, eval_kernel_tensor
-from .lowrank import max_norm, truncated_svd
+from .lowrank import GRAM_RTOL, max_norm, truncated_svd
 from .records import ExperimentRecord
 from .rng import SeedLike, generator, seed_sequence, split
 from .sampling import SamplingScheme, sample_ball, sample_pair
@@ -47,9 +47,6 @@ RankSpec = Union[int, tuple[int, ...]]
 
 # extra columns of the warm subspace basis beyond the target rank
 OVERSAMPLE = 4
-# below this ratio of the r-th to the largest Gram eigenvalue the Ritz
-# vectors come from an SVD: squaring B leaves the trailing ones too inexact
-GRAM_RTOL = 1e-8
 
 
 @dataclass(frozen=True)

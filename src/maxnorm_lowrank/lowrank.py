@@ -14,6 +14,12 @@ from typing import Iterable, Union
 
 import numpy as np
 
+# below this ratio of the r-th to the largest eigenvalue of a Gram matrix
+# A^T A (or A A^T), its top r eigenvectors are not taken as singular
+# vectors of A: squaring A leaves the trailing ones too inexact, so an SVD
+# of A gives them instead (``altproj``, ``tensors.cp_tt_svd``)
+GRAM_RTOL = 1e-8
+
 
 def row_norm_inf(A: np.ndarray) -> float:
     """Largest Euclidean row norm of ``A`` (the 2->inf operator norm)."""

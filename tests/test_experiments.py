@@ -229,7 +229,7 @@ CONSTRUCTIVE_GOLDEN = {
         "12.107260912424996", "7.4477414772786368", "11.369056953675411", "11.516283169813207",
     ],
     ("f3", "independent", ("tt",)): [
-        "0.014611132072630708", "0.011907887556575309", "0.47954190535241725", "0.75419962801302276",
+        "0.014611132072630578", "0.011907887556574792", "0.47954190535241731", "0.75419962801302254",
     ],
 }
 

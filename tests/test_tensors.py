@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,41 @@ class TestCpTTSvd:
         assert np.linalg.norm(tt.dense() - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+    def test_tall_last_unfolding_takes_the_gram_step(self, monkeypatch):
+        # the last unfolding is (3 * 8) x 5: its singular vectors come from a 5 x 5 Gram
+        rng = np.random.default_rng(51)
+        P = random_cp(rng, (6, 8, 5), 3)
+        ref = tt_round(cp_to_tt(cp_hadamard_power(P, 2)), max_ranks=3)
+        svds = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or svd(*a, **k))
+        tt = cp_tt_svd(cp_symmetric_power(P, 2), 3)
+        assert svds == []
+        assert tt.ranks == ref.ranks == (3, 3)
+        scale = np.linalg.norm(P.dense() ** 2)
+        assert np.linalg.norm(tt.dense() - ref.dense()) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_rank_deficient_last_unfolding_falls_back_to_svd(self, monkeypatch, s):
+        # a duplicated column: CP rank 3 at width 4, so the power's last
+        # unfolding has fewer nonzero singular values than the kept rank
+        rng = np.random.default_rng(52)
+        P = CPTensor(tuple(f[:, [0, 1, 2, 2]] for f in random_cp(rng, (5, 6, 7), 3).factors))
+        max_rank = {1: 4, 2: 8}[s]
+        ref = tt_round(cp_to_tt(cp_hadamard_power(P, s)), max_ranks=max_rank)
+        svds = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or svd(*a, **k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tt = cp_tt_svd(cp_symmetric_power(P, s), max_rank)
+        assert len(svds) == 1
+        assert all(np.isfinite(c).all() for c in tt.cores)
+        assert tt.ranks == ref.ranks
+        scale = np.linalg.norm(P.dense() ** s)
+        assert np.linalg.norm(tt.dense() - ref.dense()) <= 1e-10 * scale
+
+
 class TestTaylorTTPowers:
     def test_incremental_fallback_below_the_gram_size(self, monkeypatch):
         # ranks 6 >= every unfolding rank of a 6x6x6 tensor: both routes are exact
@@ -387,6 +423,50 @@ class TestBlockedEntries:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20  # a (36, 2e5, 36) gather alone is 2 GB
+
+    @staticmethod
+    def _spy_slabs(monkeypatch):
+        calls = []
+        original = tensors._entries_by_slabs
+
+        def spy(*args):
+            calls.append(args[2].shape[0])
+            return original(*args)
+
+        monkeypatch.setattr(tensors, "_entries_by_slabs", spy)
+        return calls
+
+    def test_slabs_match_dense(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        shape = (5, 6, 7)
+        T = random_tt(rng, shape, (3, 4))
+        dense = T.dense()
+        # 7 merged (i_1, i_2) rows per slab: rows 6 and 7 sit on either side of a boundary
+        monkeypatch.setattr(tensors, "SLAB_ENTRIES", 50)
+        corners = np.array(np.meshgrid(*[[0, n - 1] for n in shape])).reshape(3, -1).T
+        boundary = np.array([[1, 0, 6], [1, 1, 0], [0, 5, 3], [1, 1, 3]])
+        random = np.column_stack([rng.integers(0, n, 20) for n in shape])
+        idx = np.concatenate([corners, boundary, random, random[:5], corners])
+        calls = self._spy_slabs(monkeypatch)
+        values = T.entries(idx)
+        assert calls == [idx.shape[0]]
+        np.testing.assert_allclose(values, dense[tuple(idx.T)], rtol=1e-12, atol=1e-12)
+        # no samples is below every density and takes the per-sample route
+        assert T.entries(np.empty((0, 3), dtype=int)).shape == (0,)
+        assert calls == [idx.shape[0]]
+
+    @pytest.mark.parametrize("shape, ranks, batch", [
+        ((4, 5, 3, 6), (3, 5, 2), 400),  # order 4: one sample per 0.9 entries
+        ((9, 10, 11), (3, 4), 15),  # order 3, one sample per 66 entries
+    ])
+    def test_block_path_below_slab_density_or_off_order_3(self, monkeypatch, shape, ranks, batch):
+        rng = np.random.default_rng(63)
+        T = random_tt(rng, shape, ranks)
+        idx = np.column_stack([rng.integers(0, n, batch) for n in shape])
+        calls = self._spy_slabs(monkeypatch)
+        values = T.entries(idx)
+        assert calls == []
+        np.testing.assert_allclose(values, T.dense()[tuple(idx.T)], rtol=1e-12, atol=1e-12)
 
     def test_sampled_error_matches_direct_recomputation(self, monkeypatch):
         # 40**3 entries, about half of them sampled
