@@ -29,6 +29,7 @@ from .compress import (
 from .kernels import (
     KernelSpec,
     WeightMatrix,
+    cauchy,
     custom_series,
     distance_matrix,
     estimate_growth_constants,

@@ -279,7 +279,7 @@ def _dense_target(
             raise ValueError("tensors use independent sampling only")
         return eval_kernel_tensor(spec, [sample_ball(s, n, m, radius) for s in point_seeds[:3]])
     X, Y = sample_pair(scheme, point_seeds, lambda s: sample_ball(s, n, m, radius))
-    return eval_kernel_matrix(spec, scheme, X, Y)
+    return eval_kernel_matrix(spec, X, Y)
 
 
 @dataclass

@@ -82,7 +82,7 @@ def _given(args, cls) -> dict:
 def cmd_generate(args) -> int:
     spec = kernel_for(args.function, args.radius)
     X, Y = _point_pair(args)
-    F = kernels.eval_kernel_matrix(spec, args.scheme, X, None if Y is X else Y)
+    F = kernels.eval_kernel_matrix(spec, X, Y)
     matio.save_matrix(args.out, F)
     print(f"wrote {F.shape[0]} x {F.shape[1]} matrix to {args.out}")
     return 0

@@ -217,6 +217,8 @@ def kernel_for(function: str, radius: float) -> kernels.KernelSpec:
         return kernels.sinh_hoip((-R3, R3))
     if function == "gauss":
         return kernels.gauss_sq_dist((-4.0 * R2, 4.0 * R2))
+    if function == "cauchy":
+        return kernels.cauchy((0.0, 4.0 * R2))
     raise ValueError(f"unknown function {function!r}")
 
 
@@ -247,7 +249,7 @@ def approximate(
     if route == "jl":
         return jl_compress(Factorization(X.points, Y.points), eps, seed)
     if route == "rff":
-        spec = "cauchy" if function == "cauchy" else kernel_for(function, radius)
+        spec = kernel_for(function, radius)
         return rff.rff_then_compress(spec, X, Y, rho=rho, eps=eps, seed=seed, theta=theta)
     if route == "taylor-ip":
         spec, builder = kernels.gaussian_on_sphere(), taylor.approx_inner_product

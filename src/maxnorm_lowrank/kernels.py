@@ -1,15 +1,19 @@
 """Generating functions and dense evaluation of the matrices/tensors they produce.
 
-A ``KernelSpec`` bundles the scalar profile function h (evaluation and
-exact derivative rules), how its argument is formed from a pair or tuple
-of points (inner product, squared distance, or higher-order inner
-product), the interval on which h is used, and -- when known in closed
-form -- the derivative-growth constants C, M with
-``|h^(s)(u)| <= C * M**s`` on that interval.
+This module is the only one that knows what each kernel is.  A
+``KernelSpec`` carries a ``family`` label; the ``arg_kind`` forming the
+profile's argument from points (``inner_product`` x'y, ``sq_distance``
+||x - y||^2, ``hoip`` <x_1, ..., x_d>, or ``coordinates``, a product over
+coordinates of h((x_k - y_k)^2)); the ``domain`` interval; the profile
+``h`` and its exact derivative rule ``deriv(s, u)``; growth constants C, M
+with ``|h^(s)(u)| <= C * M**s`` on the domain, when known in closed form;
+and, for a shift-invariant positive-definite kernel, its Bochner
+``spectral_law(rng, rho, m)``, which draws rho frequencies in R^m.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -18,11 +22,12 @@ import numpy as np
 from numpy.polynomial import hermite as _herm
 
 from . import caps
-from .sampling import PointSet, SamplingScheme
+from .sampling import PointSet
 
 ARG_INNER = "inner_product"
 ARG_SQDIST = "sq_distance"
 ARG_HOIP = "hoip"
+ARG_COORDS = "coordinates"
 
 _SYMMETRY_TOL = 1e-12
 
@@ -36,11 +41,11 @@ class KernelSpec:
     family: str
     arg_kind: str
     domain: tuple[float, float]
+    h: Callable[[np.ndarray], np.ndarray]
+    deriv: Callable[[int, float], float]
     C: Optional[float] = None
     M: Optional[float] = None
-    params: tuple = ()
-    h_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    h_deriv: Optional[Callable[[int, float], float]] = None
+    spectral_law: Optional[Callable[[np.random.Generator, int, int], np.ndarray]] = None
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -51,49 +56,11 @@ class KernelSpec:
     def has_constants(self) -> bool:
         return self.C is not None and self.M is not None
 
-    def h(self, u):
-        """Entrywise evaluation of the profile function."""
-        u = np.asarray(u, dtype=np.float64)
-        if self.family == "exp_affine":
-            a, b = self.params
-            return np.exp(a * u + b)
-        if self.family == "gauss_sq_dist":
-            return np.exp(-u)
-        if self.family == "exp_dist":
-            return np.exp(-np.sqrt(u))
-        if self.family == "quartic_dist":
-            return np.exp(-(u**2))
-        if self.family == "sinh_hoip":
-            return np.sinh(u)
-        if self.family == "custom_series":
-            if self.h_eval is None:
-                raise ValueError("custom_series spec lacks an evaluation hook")
-            return np.asarray(self.h_eval(u), dtype=np.float64)
-        raise ValueError(f"unknown family {self.family!r}")
-
     def derivative(self, s: int, xi: float) -> float:
         """Exact s-th derivative h^(s)(xi)."""
         if s < 0:
             raise ValueError("derivative order must be >= 0")
-        if self.family == "exp_affine":
-            a, b = self.params
-            return float(a**s * np.exp(a * xi + b))
-        if self.family == "gauss_sq_dist":
-            return float((-1.0) ** s * np.exp(-xi))
-        if self.family == "exp_dist":
-            return _exp_sqrt_derivative(s, xi)
-        if self.family == "quartic_dist":
-            # d^s/du^s exp(-u^2) = (-1)^s H_s(u) exp(-u^2), physicists' Hermite
-            coeffs = np.zeros(s + 1)
-            coeffs[s] = 1.0
-            return float((-1.0) ** s * _herm.hermval(xi, coeffs) * np.exp(-(xi**2)))
-        if self.family == "sinh_hoip":
-            return float(np.sinh(xi) if s % 2 == 0 else np.cosh(xi))
-        if self.family == "custom_series":
-            if self.h_deriv is None:
-                raise ValueError("custom_series spec lacks a derivative hook")
-            return float(self.h_deriv(s, xi))
-        raise ValueError(f"family {self.family!r} lacks a derivative rule")
+        return float(self.deriv(s, xi))
 
     def check_domain(self, lo: float, hi: float):
         dlo, dhi = self.domain
@@ -137,6 +104,13 @@ def _exp_sqrt_derivative(s: int, xi: float) -> float:
     return float(np.exp(-np.sqrt(xi)) * np.polyval(poly[::-1], w))
 
 
+def _spherical_cauchy_law(rng: np.random.Generator, rho: int, m: int) -> np.ndarray:
+    z = rng.standard_normal((rho, m))
+    u = rng.standard_normal(rho)
+    u[u == 0.0] = np.finfo(float).tiny  # guard the probability-zero division
+    return z / np.abs(u)[:, None]
+
+
 # ----------------------------------------------------------------------
 # family constructors
 # ----------------------------------------------------------------------
@@ -145,7 +119,12 @@ def exp_affine(a: float, b: float, domain: tuple[float, float] = (-1.0, 1.0)) ->
     """f(x, y) = exp(a * x'y + b).  Constants: C = sup exp, M = |a|."""
     lo, hi = domain
     C = float(max(np.exp(a * lo + b), np.exp(a * hi + b)))
-    return KernelSpec("exp_affine", ARG_INNER, domain, C=C, M=abs(float(a)), params=(float(a), float(b)))
+    a, b = float(a), float(b)
+    return KernelSpec(
+        "exp_affine", ARG_INNER, domain,
+        lambda u: np.exp(a * u + b), lambda s, xi: a**s * np.exp(a * xi + b),
+        C=C, M=abs(a),
+    )
 
 
 def gaussian_on_sphere() -> KernelSpec:
@@ -157,32 +136,69 @@ def gauss_sq_dist(domain: tuple[float, float] = (-4.0, 4.0)) -> KernelSpec:
     """f(x, y) = exp(-||x - y||_W^2); profile h(u) = exp(-u).
 
     On an interval [lo, hi] the derivatives satisfy |h^(s)| <= exp(-lo),
-    so C = exp(-lo) and M = 1.
+    so C = exp(-lo) and M = 1.  Spectral law: N(0, 2 I).
     """
     lo, _ = domain
-    return KernelSpec("gauss_sq_dist", ARG_SQDIST, domain, C=float(np.exp(-lo)), M=1.0)
+    return KernelSpec(
+        "gauss_sq_dist", ARG_SQDIST, domain,
+        lambda u: np.exp(-u), lambda s, xi: (-1.0) ** s * np.exp(-xi),
+        C=float(np.exp(-lo)), M=1.0,
+        spectral_law=lambda rng, rho, m: rng.standard_normal((rho, m)) * math.sqrt(2.0),
+    )
 
 
 def exp_dist(domain: tuple[float, float] = (0.0, 4.0)) -> KernelSpec:
-    """f(x, y) = exp(-||x - y||_2); profile h(u) = exp(-sqrt(u)), non-smooth at 0."""
+    """f(x, y) = exp(-||x - y||_2); profile h(u) = exp(-sqrt(u)), non-smooth at 0.
+
+    Spectral law: the spherical Cauchy law z / |u|, z ~ N(0, I), u ~ N(0, 1).
+    """
     if domain[0] < 0:
         raise ValueError("squared distances are nonnegative; domain must start >= 0")
-    return KernelSpec("exp_dist", ARG_SQDIST, domain)
+    return KernelSpec(
+        "exp_dist", ARG_SQDIST, domain,
+        lambda u: np.exp(-np.sqrt(u)), _exp_sqrt_derivative,
+        spectral_law=_spherical_cauchy_law,
+    )
 
 
 def quartic_dist(domain: tuple[float, float] = (-4.0, 4.0)) -> KernelSpec:
     """f(x, y) = exp(-||x - y||_2^4); profile h(u) = exp(-u^2) on the squared distance.
 
     No closed-form growth constants are carried; estimate them with
-    :func:`estimate_growth_constants` if needed.
+    :func:`estimate_growth_constants` if needed.  No spectral law either:
+    the profile violates Schoenberg's criterion, so the kernel is not
+    positive-definite.
     """
-    return KernelSpec("quartic_dist", ARG_SQDIST, domain)
+    # d^s/du^s exp(-u^2) = (-1)^s H_s(u) exp(-u^2), physicists' Hermite
+    return KernelSpec(
+        "quartic_dist", ARG_SQDIST, domain, lambda u: np.exp(-(u**2)),
+        lambda s, xi: (-1.0) ** s * _herm.hermval(xi, [0.0] * s + [1.0]) * np.exp(-(xi**2)),
+    )
+
+
+def cauchy(domain: tuple[float, float] = (0.0, 4.0)) -> KernelSpec:
+    """f(x, y) = prod_k 1/(1 + (x_k - y_k)^2); profile h(u) = 1/(1 + u) per coordinate.
+
+    ``domain`` bounds each coordinate's squared difference.  The derivatives
+    h^(s)(u) = (-1)^s s! (1 + u)^-(s+1) grow factorially, so no (C, M) is
+    carried.  Spectral law: i.i.d. Laplace(0, 1) coordinates.
+    """
+    return KernelSpec(
+        "cauchy", ARG_COORDS, domain,
+        lambda u: 1.0 / (1.0 + u),
+        lambda s, xi: (-1.0) ** s * math.factorial(s) * (1.0 + xi) ** -(s + 1),
+        spectral_law=lambda rng, rho, m: rng.laplace(0.0, 1.0, size=(rho, m)),
+    )
 
 
 def sinh_hoip(domain: tuple[float, float] = (-1.0, 1.0)) -> KernelSpec:
     """f(x1, ..., xd) = sinh(<x1, ..., xd>).  C = cosh(max|domain|), M = 1."""
     bound = max(abs(domain[0]), abs(domain[1]))
-    return KernelSpec("sinh_hoip", ARG_HOIP, domain, C=float(np.cosh(bound)), M=1.0)
+    return KernelSpec(
+        "sinh_hoip", ARG_HOIP, domain,
+        np.sinh, lambda s, xi: np.sinh(xi) if s % 2 == 0 else np.cosh(xi),
+        C=float(np.cosh(bound)), M=1.0,
+    )
 
 
 def custom_series(
@@ -193,8 +209,8 @@ def custom_series(
     M: Optional[float] = None,
     arg_kind: str = ARG_INNER,
 ) -> KernelSpec:
-    """User-supplied profile function with its derivative rule."""
-    return KernelSpec("custom_series", arg_kind, domain, C=C, M=M, h_eval=h, h_deriv=deriv)
+    """User-supplied profile function with its derivative rule; its arguments are domain-checked."""
+    return KernelSpec("custom_series", arg_kind, domain, h, deriv, C=C, M=M)
 
 
 def estimate_growth_constants(
@@ -311,38 +327,33 @@ def distance_matrix(
     return D, float(D.min()), float(D.max())
 
 
-def _resolve_pair(scheme, X: PointSet, Y: Optional[PointSet]) -> tuple[PointSet, PointSet]:
-    scheme = SamplingScheme.coerce(scheme)
-    if scheme is SamplingScheme.SYMMETRIC:
-        if Y is not None and Y is not X:
-            raise ValueError("symmetric scheme reuses X; do not pass a distinct Y")
-        return X, X
-    if Y is None:
-        raise ValueError("independent scheme needs a second point set")
-    return X, Y
+def _profile(spec: KernelSpec, args: np.ndarray) -> np.ndarray:
+    """h(args); a user-supplied profile first has its arguments checked against its domain."""
+    if spec.family == "custom_series":
+        spec.check_domain(float(args.min()), float(args.max()))
+    return spec.h(args)
 
 
-def eval_kernel_matrix(
-    spec: KernelSpec,
-    scheme: SamplingScheme | str,
-    X: PointSet,
-    Y: Optional[PointSet] = None,
-) -> np.ndarray:
-    """Exact dense matrix F(i,j) = f(x_i, y_j)."""
-    X, Y = _resolve_pair(scheme, X, Y)
+def eval_kernel_matrix(spec: KernelSpec, X: PointSet, Y: PointSet) -> np.ndarray:
+    """Exact dense matrix F(i,j) = f(x_i, y_j); under the symmetric scheme Y is X."""
     if X.n * Y.n > caps.matrix_dense_cap():
         raise caps.DenseCapExceeded(
             f"dense {X.n} x {Y.n} matrix exceeds cap {caps.matrix_dense_cap()}"
         )
+    if spec.arg_kind == ARG_COORDS:
+        if X.m != Y.m:
+            raise ValueError(f"point sets disagree on dimension: {X.m} and {Y.m}")
+        out = np.ones((X.n, Y.n))
+        for k in range(X.m):
+            out *= _profile(spec, np.subtract.outer(X.points[:, k], Y.points[:, k]) ** 2)
+        return out
     if spec.arg_kind in (ARG_INNER, ARG_HOIP):
         args = gram(X, None, Y)
     elif spec.arg_kind == ARG_SQDIST:
         args, _, _ = distance_matrix(X, None, Y)
     else:
         raise ValueError(f"unknown argument kind {spec.arg_kind!r}")
-    if spec.family == "custom_series":
-        spec.check_domain(float(args.min()), float(args.max()))
-    return spec.h(args)
+    return _profile(spec, args)
 
 
 def hoip_subscripts(d: int) -> str:
@@ -370,6 +381,4 @@ def eval_kernel_tensor(spec: KernelSpec, pointsets: Sequence[PointSet]) -> np.nd
             f"{caps.tensor_dense_cap()}; use the CP/TT pipeline instead"
         )
     args = np.einsum(hoip_subscripts(d), *[P.points for P in pointsets])
-    if spec.family == "custom_series":
-        spec.check_domain(float(args.min()), float(args.max()))
-    return spec.h(args)
+    return _profile(spec, args)

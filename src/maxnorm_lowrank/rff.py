@@ -17,72 +17,44 @@ The result is the narrowest exact factorization of that product that the
 sketch budget allows (the feature blocks, the product itself, or a
 Gaussian sketch of the features); see ``rff_then_compress``.
 
-Bochner pairs used here (standard results, validated by the unbiasedness
-tests rather than asserted from first principles):
-
-* Gaussian kernel  exp(-||d||^2)        -> frequencies N(0, 2 I)
-* exponential kernel  exp(-||d||_2)     -> spherical Cauchy (z / |u|)
-* Cauchy kernel  prod_k 1/(1 + d_k^2)   -> i.i.d. Laplace(0, 1) coordinates
+Every spec with a ``spectral_law`` qualifies, and a spec without one is
+refused.  Each Bochner pair lives on its constructor in ``kernels``
+(``gauss_sq_dist``, ``exp_dist``, ``cauchy``); they are standard results,
+validated by the unbiasedness tests rather than asserted from first
+principles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from . import caps
 from .compress import CompressionReport, jl_compress, rank_formula
-from .kernels import KernelSpec, distance_matrix
+from .kernels import KernelSpec, eval_kernel_matrix
 from .lowrank import Factorization, identity_factorization, max_norm, max_norm_error
 from .rng import SeedLike, generator, split
 from .sampling import PointSet
 
-GAUSSIAN = "gaussian"
-EXPONENTIAL = "exponential"
-CAUCHY = "cauchy"
-
-_FAMILY_TO_TAG = {"gauss_sq_dist": GAUSSIAN, "exp_dist": EXPONENTIAL}
-
 # rff_then_compress stops doubling the frequencies at this many
 RHO_CAP = 2**16
 
-KernelLike = Union[KernelSpec, str]
 
-
-def kernel_tag(spec: KernelLike) -> str:
-    """Resolve a kernel spec or tag to one of the supported PD families."""
-    if isinstance(spec, str):
-        tag = spec.lower()
-        if tag in (GAUSSIAN, EXPONENTIAL, CAUCHY):
-            return tag
-        raise ValueError(f"unknown kernel tag {spec!r}")
-    tag = _FAMILY_TO_TAG.get(spec.family)
-    if tag is None:
+def _require_law(spec: KernelSpec):
+    if spec.spectral_law is None:
         raise ValueError(
             f"family {spec.family!r} is not a supported shift-invariant "
             "positive-definite kernel (a quartic-distance profile, for one, "
             "violates Schoenberg's criterion)"
         )
-    return tag
 
 
-def kernel_values(tag: str, X: PointSet, Y: PointSet) -> np.ndarray:
-    """Dense kernel matrix kappa(x_i - y_j)."""
-    diff_sq = distance_matrix(X, None, Y)[0]
-    if tag == GAUSSIAN:
-        return np.exp(-diff_sq)
-    if tag == EXPONENTIAL:
-        return np.exp(-np.sqrt(diff_sq))
-    if tag == CAUCHY:
-        out = np.ones((X.n, Y.n))
-        for k in range(X.m):
-            d = X.points[:, k][:, None] - Y.points[:, k][None, :]
-            out /= 1.0 + d**2
-        return out
-    raise ValueError(f"unknown kernel tag {tag!r}")
+def kernel_values(spec: KernelSpec, X: PointSet, Y: PointSet) -> np.ndarray:
+    """Dense kernel matrix kappa(x_i - y_j) of a spec with a spectral law."""
+    _require_law(spec)
+    return eval_kernel_matrix(spec, X, Y)
 
 
 @dataclass(frozen=True)
@@ -90,7 +62,6 @@ class FrequencySet:
     """rho frequency vectors drawn from the spectral law of a kernel."""
 
     omegas: np.ndarray  # (rho, m)
-    kernel_tag: str
 
     def __post_init__(self):
         om = np.asarray(self.omegas, dtype=np.float64)
@@ -103,25 +74,14 @@ class FrequencySet:
         return self.omegas.shape[0]
 
 
-def sample_frequencies(spec: KernelLike, rho: int, seed: SeedLike, m: int) -> FrequencySet:
+def sample_frequencies(spec: KernelSpec, rho: int, seed: SeedLike, m: int) -> FrequencySet:
     """Draw ``rho`` i.i.d. frequencies in R^m from the spectral law of the kernel."""
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
     if m < 1:
         raise ValueError(f"dimension m must be >= 1, got {m}")
-    tag = kernel_tag(spec)
-    rng = generator(seed)
-    if tag == GAUSSIAN:
-        omegas = rng.standard_normal((rho, m)) * math.sqrt(2.0)
-    elif tag == EXPONENTIAL:
-        z = rng.standard_normal((rho, m))
-        u = rng.standard_normal(rho)
-        # guard the probability-zero division
-        u[u == 0.0] = np.finfo(float).tiny
-        omegas = z / np.abs(u)[:, None]
-    else:  # CAUCHY
-        omegas = rng.laplace(0.0, 1.0, size=(rho, m))
-    return FrequencySet(omegas, tag)
+    _require_law(spec)
+    return FrequencySet(spec.spectral_law(generator(seed), rho, m))
 
 
 def rff_factorization(freqs: FrequencySet, X: PointSet, Y: PointSet) -> Factorization:
@@ -159,7 +119,7 @@ class RffReport:
 
 
 def rff_then_compress(
-    spec: KernelLike,
+    spec: KernelSpec,
     X: PointSet,
     Y: PointSet,
     rho: int = 64,
@@ -205,7 +165,9 @@ def rff_then_compress(
     the growth, so ``measured_max_error`` is the feature error and no
     second product is formed.  The feature blocks are kept only while
     (a) or (c) can still be the result, so outside (c) memory stays
-    O(n1 n2) whatever rho_total is.
+    O(n1 n2) whatever rho_total is.  The dense kernel comes first, so above
+    ``caps.matrix_dense_cap()`` the call raises ``DenseCapExceeded`` before
+    it allocates anything.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -213,10 +175,7 @@ def rff_then_compress(
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
-    tag = kernel_tag(spec)
-    if X.n * Y.n > caps.matrix_dense_cap():
-        raise caps.DenseCapExceeded("dense kernel verification exceeds the cap")
-    dense = kernel_values(tag, X, Y)
+    dense = kernel_values(spec, X, Y)
     feature_target = (1.0 - theta) * eps
     eps_sketch = theta * eps
     n_min = min(X.n, Y.n)
@@ -225,14 +184,14 @@ def rff_then_compress(
     freq_stream, sketch_stream = split(seed, 2)
     grow_streams = iter(freq_stream.spawn(64))
     current_rho = rho
-    features = rff_factorization(sample_frequencies(tag, rho, next(grow_streams), m=X.m), X, Y)
+    features = rff_factorization(sample_frequencies(spec, rho, next(grow_streams), m=X.m), X, Y)
     held = features.matrix()
     work = np.empty_like(held)
     feat_err = _max_deviation(dense, held, work)
     feature_certified = theta == 1.0 or feat_err <= feature_target
     while theta < 1.0 and feat_err > feature_target and current_rho * 2 <= RHO_CAP:
         block = rff_factorization(
-            sample_frequencies(tag, current_rho, next(grow_streams), m=X.m), X, Y
+            sample_frequencies(spec, current_rho, next(grow_streams), m=X.m), X, Y
         )
         current_rho *= 2
         if 2 * current_rho <= min(n_min, r):

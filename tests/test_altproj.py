@@ -38,7 +38,7 @@ RITZ_SUITE = SUITE + [
 def _target(function, n, m, seed):
     streams = split(seed, 2)
     X, Y = (sample_ball(s, n, m) for s in streams)
-    return eval_kernel_matrix(kernel_for(function, 1.0), "independent", X, Y)
+    return eval_kernel_matrix(kernel_for(function, 1.0), X, Y)
 
 
 def _tsvd_error(F, r):

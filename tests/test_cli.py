@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from maxnorm_lowrank import cli, experiments, matio
+from maxnorm_lowrank import cli, experiments, matio, rff
 from maxnorm_lowrank.altproj import AltProjConfig
 from maxnorm_lowrank.experiments import kernel_for
 from maxnorm_lowrank.kernels import eval_kernel_matrix
@@ -189,7 +189,7 @@ def test_generate_golden(tmp_path, capsys):
     F = matio.load_matrix(out)
     X = sample_ball(split(5, 2)[0], 30, 3)
     Y = sample_ball(split(5, 2)[1], 30, 3)
-    np.testing.assert_allclose(F, eval_kernel_matrix(kernel_for("gauss", 1.0), "independent", X, Y),
+    np.testing.assert_allclose(F, eval_kernel_matrix(kernel_for("gauss", 1.0), X, Y),
                                rtol=0, atol=0)
 
 
@@ -279,6 +279,17 @@ def test_approx_choices_are_the_routes_and_their_functions():
     actions = _actions("approx")
     assert list(actions["algorithm"].choices) == list(COVERED)
     assert list(actions["function"].choices) == APPROX_FUNCTIONS
+
+
+def test_rff_covers_exactly_the_functions_with_a_spectral_law():
+    functions = [f for f in _actions("approx")["function"].choices if f != "linear"]
+    assert functions
+    for function in functions:
+        has_law = kernel_for(function, 1.0).spectral_law is not None
+        assert (function in experiments.COVERS["rff"]) == has_law, function
+    X = sample_ball(1, 6, 2)
+    with pytest.raises(ValueError, match="Schoenberg"):
+        rff.rff_then_compress(kernel_for("f2", 1.0), X, X)
 
 
 def test_taylor_ip_refuses_the_ball():

@@ -7,6 +7,7 @@ from maxnorm_lowrank.kernels import (
     DomainViolation,
     KernelSpec,
     WeightMatrix,
+    cauchy,
     custom_series,
     distance_matrix,
     estimate_growth_constants,
@@ -108,38 +109,46 @@ class TestWeightMatrix:
 class TestEvalKernelMatrix:
     def test_exp_dist_diagonal(self):
         X = sample_ball(3, 6, 3, 1.0)
-        F = eval_kernel_matrix(exp_dist(), "symmetric", X)
+        F = eval_kernel_matrix(exp_dist(), X, X)
         np.testing.assert_allclose(np.diag(F), 1.0, atol=1e-12)
 
     def test_quartic_unit_distance(self):
         X = pts([[0.0, 0.0]])
         Y = pts([[1.0, 0.0]])
-        F = eval_kernel_matrix(quartic_dist(), "independent", X, Y)
+        F = eval_kernel_matrix(quartic_dist(), X, Y)
         assert F[0, 0] == pytest.approx(math.exp(-1.0))
 
     def test_gaussian_on_sphere_identity(self):
         # exp(-||x-y||^2) on the unit sphere equals exp(2 x'y - 2) entrywise
         X = sample_sphere(5, 40, 12)
-        G = eval_kernel_matrix(gauss_sq_dist(), "symmetric", X)
-        F = eval_kernel_matrix(gaussian_on_sphere(), "symmetric", X)
+        G = eval_kernel_matrix(gauss_sq_dist(), X, X)
+        F = eval_kernel_matrix(gaussian_on_sphere(), X, X)
         assert np.abs(F - G).max() <= 1e-12
 
     def test_symmetric_scheme_gives_symmetric_matrix(self):
         X = sample_ball(11, 15, 4, 1.0)
-        F = eval_kernel_matrix(exp_dist(), "symmetric", X)
+        F = eval_kernel_matrix(exp_dist(), X, X)
         np.testing.assert_array_equal(F, F.T)
 
-    def test_symmetric_scheme_rejects_distinct_y(self):
-        X = sample_ball(1, 4, 2, 1.0)
-        Y = sample_ball(2, 4, 2, 1.0)
-        with pytest.raises(ValueError):
-            eval_kernel_matrix(exp_dist(), "symmetric", X, Y)
+    def test_cauchy_matches_the_coordinate_loop(self):
+        X, Y = sample_ball(6, 40, 7, 1.0), sample_ball(7, 30, 7, 1.0)
+        expected = np.ones((40, 30))
+        for k in range(7):
+            d = X.points[:, k][:, None] - Y.points[:, k][None, :]
+            expected /= 1.0 + d**2
+        np.testing.assert_allclose(eval_kernel_matrix(cauchy(), X, Y), expected, rtol=1e-14, atol=0)
+
+    def test_cauchy_refuses_unequal_dimensions(self):
+        X, Y = sample_ball(6, 5, 3, 1.0), sample_ball(7, 5, 4, 1.0)
+        for A, B in ((X, Y), (Y, X)):
+            with pytest.raises(ValueError, match="dimension"):
+                eval_kernel_matrix(cauchy(), A, B)
 
     def test_custom_domain_violation(self):
         spec = custom_series(lambda u: u, lambda s, xi: 0.0, domain=(-0.1, 0.1))
         X = pts([[1.0]])
         with pytest.raises(DomainViolation):
-            eval_kernel_matrix(spec, "independent", X, X)
+            eval_kernel_matrix(spec, X, X)
 
 
 class TestEvalKernelTensor:
@@ -176,6 +185,7 @@ class TestDerivativeRules:
             (exp_dist(), 0.9),
             (quartic_dist(), 0.4),
             (sinh_hoip(), 0.2),
+            (cauchy(), 0.6),
         ],
     )
     @pytest.mark.parametrize("s", [1, 2, 3, 4])

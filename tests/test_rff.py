@@ -5,11 +5,17 @@ import pytest
 
 from maxnorm_lowrank import rff
 from maxnorm_lowrank.compress import rank_formula
-from maxnorm_lowrank.kernels import exp_dist, gauss_sq_dist, quartic_dist
+from maxnorm_lowrank.kernels import (
+    cauchy,
+    exp_affine,
+    exp_dist,
+    gauss_sq_dist,
+    quartic_dist,
+    sinh_hoip,
+)
 from maxnorm_lowrank.lowrank import max_norm_error
 from maxnorm_lowrank.rff import (
     FrequencySet,
-    kernel_tag,
     kernel_values,
     rff_factorization,
     rff_then_compress,
@@ -18,47 +24,55 @@ from maxnorm_lowrank.rff import (
 from maxnorm_lowrank.rng import split
 from maxnorm_lowrank.sampling import PointSet, sample_ball
 
+GAUSS, EXPONENTIAL, CAUCHY = gauss_sq_dist(), exp_dist(), cauchy()
+PD_SPECS = [
+    pytest.param(GAUSS, id="gaussian"),
+    pytest.param(EXPONENTIAL, id="exponential"),
+    pytest.param(CAUCHY, id="cauchy"),
+]
+
 
 class TestSampleFrequencies:
     def test_shapes_and_determinism(self):
-        a = sample_frequencies("gaussian", 5, 3, m=4)
-        b = sample_frequencies("gaussian", 5, 3, m=4)
+        a = sample_frequencies(GAUSS, 5, 3, m=4)
+        b = sample_frequencies(GAUSS, 5, 3, m=4)
         assert a.omegas.shape == (5, 4)
         np.testing.assert_array_equal(a.omegas, b.omegas)
 
     def test_single_frequency(self):
-        fs = sample_frequencies("cauchy", 1, 0, m=7)
+        fs = sample_frequencies(CAUCHY, 1, 0, m=7)
         assert fs.omegas.shape == (1, 7)
 
     def test_gaussian_spectral_covariance(self):
         # Fourier transform of exp(-||d||^2) is N(0, 2I); Monte-Carlo check
-        fs = sample_frequencies("gaussian", 10**4, 0, m=3)
+        fs = sample_frequencies(GAUSS, 10**4, 0, m=3)
         cov = np.cov(fs.omegas.T)
         assert np.allclose(np.diag(cov), 2.0, rtol=0.1)
         off = cov - np.diag(np.diag(cov))
         assert np.abs(off).max() <= 0.2
 
-    def test_kernel_spec_resolution(self):
-        assert kernel_tag(gauss_sq_dist()) == "gaussian"
-        assert kernel_tag(exp_dist()) == "exponential"
-        assert kernel_tag("cauchy") == "cauchy"
+    def test_only_positive_definite_specs_carry_a_law(self):
+        for spec in (GAUSS, EXPONENTIAL, CAUCHY):
+            assert spec.spectral_law is not None
+        for spec in (quartic_dist(), exp_affine(2.0, -2.0), sinh_hoip()):
+            assert spec.spectral_law is None
 
     def test_rejects_non_pd_family(self):
         with pytest.raises(ValueError, match="Schoenberg"):
             sample_frequencies(quartic_dist(), 4, 0, m=2)
 
-    @pytest.mark.parametrize("tag", ["gaussian", "exponential", "cauchy"])
-    def test_unbiasedness(self, tag):
+    @pytest.mark.parametrize("spec", PD_SPECS)
+    def test_unbiasedness(self, spec):
         # Bochner check: E[cos(w'(x-y))] = kappa(x - y) within 3 standard errors
         x = np.array([0.3, -0.2, 0.5])
         y = np.array([-0.1, 0.4, 0.2])
-        fs = sample_frequencies(tag, 10**4, 1, m=3)
+        fs = sample_frequencies(spec, 10**4, 1, m=3)
         samples = np.cos(fs.omegas @ (x - y))
         mean = samples.mean()
         se = samples.std(ddof=1) / math.sqrt(samples.size)
         X = PointSet(x[None, :], 1.0)
         Y = PointSet(y[None, :], 1.0)
-        exact = kernel_values(tag, X, Y)[0, 0]
+        exact = kernel_values(spec, X, Y)[0, 0]
         assert abs(mean - exact) <= 3.0 * se
 
 
@@ -66,7 +80,7 @@ class TestRffFactorization:
     def test_row_norms_exactly_one(self):
         X = sample_ball(1, 30, 10, 1.0)
         Y = sample_ball(2, 25, 10, 1.0)
-        fs = sample_frequencies("gaussian", 37, 5, m=10)
+        fs = sample_frequencies(GAUSS, 37, 5, m=10)
         F = rff_factorization(fs, X, Y)
         np.testing.assert_allclose(
             np.linalg.norm(F.left, axis=1), 1.0, atol=1e-12
@@ -77,7 +91,7 @@ class TestRffFactorization:
 
     def test_same_points_give_ones(self):
         X = sample_ball(3, 10, 4, 1.0)
-        fs = sample_frequencies("gaussian", 11, 7, m=4)
+        fs = sample_frequencies(GAUSS, 11, 7, m=4)
         F = rff_factorization(fs, X, X)
         np.testing.assert_allclose(np.diag(F.matrix()), 1.0, atol=1e-12)
 
@@ -85,7 +99,7 @@ class TestRffFactorization:
         # (A B')(i,j) = mean_k cos(w_k'(x_i - y_j)) via cos(a-b) = cos cos + sin sin
         X = sample_ball(4, 8, 5, 1.0)
         Y = sample_ball(5, 9, 5, 1.0)
-        fs = sample_frequencies("exponential", 23, 2, m=5)
+        fs = sample_frequencies(EXPONENTIAL, 23, 2, m=5)
         F = rff_factorization(fs, X, Y).matrix()
         brute = np.empty((8, 9))
         for i in range(8):
@@ -95,7 +109,7 @@ class TestRffFactorization:
 
     def test_dimension_mismatch(self):
         X = sample_ball(1, 4, 3, 1.0)
-        fs = sample_frequencies("gaussian", 4, 0, m=5)
+        fs = sample_frequencies(GAUSS, 4, 0, m=5)
         with pytest.raises(ValueError):
             rff_factorization(fs, X, X)
 
@@ -105,31 +119,31 @@ class TestRffThenCompress:
         X = sample_ball(8, 60, 40, 1.0)
         Y = sample_ball(9, 60, 40, 1.0)
         G, rep = rff_then_compress(
-            gauss_sq_dist(), X, Y, rho=64, eps=0.3, seed=4, theta=0.5
+            GAUSS, X, Y, rho=64, eps=0.3, seed=4, theta=0.5
         )
         assert G.width <= rank_formula(0.15, 60, 60)
-        dense = kernel_values("gaussian", X, Y)
+        dense = kernel_values(GAUSS, X, Y)
         assert max_norm_error(dense, G) == pytest.approx(rep.measured_max_error)
 
     def test_seed_sequence_is_not_advanced(self):
         X = sample_ball(8, 40, 10, 1.0)
         Y = sample_ball(9, 40, 10, 1.0)
         ss = np.random.SeedSequence(7)
-        first, rep1 = rff_then_compress("gaussian", X, Y, rho=8, eps=0.3, seed=ss, theta=0.5)
-        second, rep2 = rff_then_compress("gaussian", X, Y, rho=8, eps=0.3, seed=ss, theta=0.5)
+        first, rep1 = rff_then_compress(GAUSS, X, Y, rho=8, eps=0.3, seed=ss, theta=0.5)
+        second, rep2 = rff_then_compress(GAUSS, X, Y, rho=8, eps=0.3, seed=ss, theta=0.5)
         assert ss.n_children_spawned == 0
         np.testing.assert_array_equal(first.left, second.left)
         np.testing.assert_array_equal(first.right, second.right)
         assert rep1 == rep2
         # the same draws as the integer seed
-        G, _ = rff_then_compress("gaussian", X, Y, rho=8, eps=0.3, seed=7, theta=0.5)
+        G, _ = rff_then_compress(GAUSS, X, Y, rho=8, eps=0.3, seed=7, theta=0.5)
         np.testing.assert_array_equal(G.left, first.left)
 
     def test_theta_one_degenerates_to_plain_sketch(self):
         X = sample_ball(10, 40, 20, 1.0)
         Y = sample_ball(11, 40, 20, 1.0)
         G, rep = rff_then_compress(
-            "gaussian", X, Y, rho=32, eps=0.4, seed=5, theta=1.0
+            GAUSS, X, Y, rho=32, eps=0.4, seed=5, theta=1.0
         )
         assert rep.rho == 32  # no feature growth
         assert rep.feature_target == 0.0
@@ -140,7 +154,7 @@ class TestRffThenCompress:
         X = sample_ball(12, 50, 30, 1.0)
         Y = sample_ball(13, 50, 30, 1.0)
         _, rep = rff_then_compress(
-            "gaussian", X, Y, rho=8, eps=0.4, seed=6, theta=0.5
+            GAUSS, X, Y, rho=8, eps=0.4, seed=6, theta=0.5
         )
         if rep.feature_certified:
             assert rep.feature_error <= rep.feature_target
@@ -148,14 +162,14 @@ class TestRffThenCompress:
     def test_median_error_monotone_in_rho(self):
         X = sample_ball(10, 100, 50, 1.0)
         Y = sample_ball(11, 100, 50, 1.0)
-        dense = kernel_values("gaussian", X, Y)
+        dense = kernel_values(GAUSS, X, Y)
         medians = []
         for rho in (16, 64, 256, 1024):
             errs = [
                 max_norm_error(
                     dense,
                     rff_factorization(
-                        sample_frequencies("gaussian", rho, seed, m=50), X, Y
+                        sample_frequencies(GAUSS, rho, seed, m=50), X, Y
                     ),
                 )
                 for seed in range(7)
@@ -165,7 +179,7 @@ class TestRffThenCompress:
 
     def test_exponential_symmetric_diagonal(self):
         X = sample_ball(14, 25, 6, 1.0)
-        dense = kernel_values("exponential", X, X)
+        dense = kernel_values(EXPONENTIAL, X, X)
         np.testing.assert_allclose(np.diag(dense), 1.0, atol=1e-12)
 
 
@@ -181,10 +195,10 @@ def _record_blocks(monkeypatch) -> list[FrequencySet]:
     return blocks
 
 
-def _assert_exact_average(tag, X, Y, G, rep, blocks):
+def _assert_exact_average(spec, X, Y, G, rep, blocks):
     """G is the feature average over every drawn frequency, and its error was measured on G."""
-    assert rep.measured_max_error == max_norm_error(kernel_values(tag, X, Y), G) == rep.feature_error
-    union = FrequencySet(np.vstack([b.omegas for b in blocks]), tag)
+    assert rep.measured_max_error == max_norm_error(kernel_values(spec, X, Y), G) == rep.feature_error
+    union = FrequencySet(np.vstack([b.omegas for b in blocks]))
     assert np.abs(G.matrix() - rff_factorization(union, X, Y).matrix()).max() <= 1e-12
 
 
@@ -193,49 +207,49 @@ class TestNestedDoubling:
         X = sample_ball(1, 10, 3, 1.0)
         for rho in (0, -3):
             with pytest.raises(ValueError, match="rho must be >= 1"):
-                rff_then_compress("gaussian", X, X, rho=rho)
+                rff_then_compress(GAUSS, X, X, rho=rho)
 
     def test_frequencies_are_nested_prefixes(self, monkeypatch):
         X, Y = sample_ball(20, 40, 6, 1.0), sample_ball(21, 35, 6, 1.0)
         blocks = _record_blocks(monkeypatch)
-        _, rep = rff_then_compress("gaussian", X, Y, rho=4, eps=0.3, seed=7, theta=0.5)
+        _, rep = rff_then_compress(GAUSS, X, Y, rho=4, eps=0.3, seed=7, theta=0.5)
         assert rep.rho > 4
         grow_streams = split(7, 2)[0].spawn(64)
-        first = sample_frequencies("gaussian", 4, grow_streams[0], m=6)
+        first = sample_frequencies(GAUSS, 4, grow_streams[0], m=6)
         np.testing.assert_array_equal(blocks[0].omegas, first.omegas)
         # each doubling keeps every frequency and adds as many from the next stream
         sizes = [4] + [4 * 2**k for k in range(len(blocks) - 1)]
         assert [b.rho for b in blocks] == sizes
         assert sum(sizes) == rep.rho
         for block, stream in zip(blocks[1:], grow_streams[1:]):
-            expected = sample_frequencies("gaussian", block.rho, stream, m=6)
+            expected = sample_frequencies(GAUSS, block.rho, stream, m=6)
             np.testing.assert_array_equal(block.omegas, expected.omegas)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_form_a_feature_blocks(self, seed, monkeypatch):
         X, Y = sample_ball(22, 200, 8, 1.0), sample_ball(23, 150, 8, 1.0)
         blocks = _record_blocks(monkeypatch)
-        G, rep = rff_then_compress("gaussian", X, Y, rho=2, eps=0.8, seed=seed, theta=0.25)
+        G, rep = rff_then_compress(GAUSS, X, Y, rho=2, eps=0.8, seed=seed, theta=0.25)
         assert len(blocks) > 1  # grown, so the blocks were concatenated
         assert rep.feature_certified
         assert G.width == rep.rank == 2 * rep.rho
         assert G.width <= min(150, rank_formula(0.2, 200, 150))
         np.testing.assert_allclose(np.linalg.norm(G.left, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(G.right, axis=1), 1.0, atol=1e-12)
-        _assert_exact_average("gaussian", X, Y, G, rep, blocks)
+        _assert_exact_average(GAUSS, X, Y, G, rep, blocks)
 
     @pytest.mark.parametrize("n1, n2", [(30, 45), (45, 30)])
     def test_form_b_held_product(self, n1, n2, monkeypatch):
         X, Y = sample_ball(24, n1, 5, 1.0), sample_ball(25, n2, 5, 1.0)
         blocks = _record_blocks(monkeypatch)
-        G, rep = rff_then_compress("exponential", X, Y, rho=64, eps=0.3, seed=4, theta=0.5)
+        G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4, theta=0.5)
         assert len(blocks) > 1
         n = min(n1, n2)
         assert 2 * rep.rho > n and G.width == rep.rank == n
         eye, held = (G.left, G.right) if n1 <= n2 else (G.right, G.left)
         np.testing.assert_array_equal(eye, np.eye(n))
         assert np.linalg.norm(held, axis=1).max() <= math.sqrt(n)  # entries of P lie in [-1, 1]
-        _assert_exact_average("exponential", X, Y, G, rep, blocks)
+        _assert_exact_average(EXPONENTIAL, X, Y, G, rep, blocks)
 
     @pytest.mark.parametrize("rho", [100, 256])
     def test_form_c_sketch(self, rho):
@@ -243,11 +257,11 @@ class TestNestedDoubling:
         X, Y = sample_ball(26, 400, 10, 1.0), sample_ball(27, 400, 10, 1.0)
         r = rank_formula(0.9, 400, 400)
         assert r < min(2 * rho, 400)
-        G, rep = rff_then_compress("cauchy", X, Y, rho=rho, eps=0.9, seed=5, theta=1.0)
+        G, rep = rff_then_compress(CAUCHY, X, Y, rho=rho, eps=0.9, seed=5, theta=1.0)
         assert rep.rho == rho
         assert G.width == rep.rank == r
         assert rep.sketch.requested_rank == r
-        dense = kernel_values("cauchy", X, Y)
+        dense = kernel_values(CAUCHY, X, Y)
         assert rep.measured_max_error == pytest.approx(max_norm_error(dense, G), abs=1e-12)
 
 
@@ -259,16 +273,23 @@ class TestKernelValues:
             - 2.0 * (X.points @ Y.points.T)
         )
         np.maximum(diff_sq, 0.0, out=diff_sq)
-        assert np.array_equal(kernel_values("gaussian", X, Y), np.exp(-diff_sq))
-        assert np.array_equal(kernel_values("exponential", X, Y), np.exp(-np.sqrt(diff_sq)))
+        assert np.array_equal(kernel_values(GAUSS, X, Y), np.exp(-diff_sq))
+        assert np.array_equal(kernel_values(EXPONENTIAL, X, Y), np.exp(-np.sqrt(diff_sq)))
 
     def test_symmetric_diagonal_is_one(self):
         X = sample_ball(5, 20, 3)
-        for tag in ("gaussian", "exponential", "cauchy"):
-            K = kernel_values(tag, X, X)
+        for spec in (GAUSS, EXPONENTIAL, CAUCHY):
+            K = kernel_values(spec, X, X)
             np.testing.assert_allclose(np.diag(K), 1.0, rtol=0, atol=1e-7)
 
-    def test_unknown_tag(self):
+    def test_cauchy_refuses_unequal_dimensions(self):
+        # no distance matrix is formed, so the coordinate loop itself must refuse
+        X, Y = sample_ball(5, 6, 3), sample_ball(6, 6, 4)
+        for A, B in ((X, Y), (Y, X)):
+            with pytest.raises(ValueError, match="dimension"):
+                kernel_values(CAUCHY, A, B)
+
+    def test_refuses_a_spec_without_a_law(self):
         X = sample_ball(5, 4, 2)
-        with pytest.raises(ValueError, match="unknown kernel tag"):
-            kernel_values("laplace", X, X)
+        with pytest.raises(ValueError, match="Schoenberg"):
+            kernel_values(quartic_dist(), X, X)

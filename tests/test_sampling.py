@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from maxnorm_lowrank.sampling import PointSet, SamplingScheme, sample_ball, sample_sphere
+from maxnorm_lowrank.rng import split
+from maxnorm_lowrank.sampling import (
+    PointSet,
+    SamplingScheme,
+    sample_ball,
+    sample_pair,
+    sample_sphere,
+)
 
 
 class TestSampleBall:
@@ -82,3 +89,27 @@ class TestPointSet:
         assert SamplingScheme.coerce(SamplingScheme.INDEPENDENT) is SamplingScheme.INDEPENDENT
         with pytest.raises(ValueError):
             SamplingScheme.coerce("bogus")
+
+
+def _recording_draw(calls):
+    """A point drawer that records the stream of every draw."""
+    def draw(stream):
+        calls.append(stream)
+        return sample_ball(stream, 5, 3, 1.0)
+    return draw
+
+
+class TestSamplePair:
+    def test_symmetric_reuses_x_and_draws_once(self):
+        streams, calls = split(3, 2), []
+        X, Y = sample_pair("symmetric", streams, _recording_draw(calls))
+        assert Y is X
+        assert calls == [streams[0]]
+        np.testing.assert_array_equal(X.points, sample_ball(streams[0], 5, 3, 1.0).points)
+
+    def test_independent_draws_each_side_from_its_stream(self):
+        streams, calls = split(3, 2), []
+        X, Y = sample_pair(SamplingScheme.INDEPENDENT, streams, _recording_draw(calls))
+        assert calls == [streams[0], streams[1]]
+        np.testing.assert_array_equal(X.points, sample_ball(streams[0], 5, 3, 1.0).points)
+        np.testing.assert_array_equal(Y.points, sample_ball(streams[1], 5, 3, 1.0).points)
