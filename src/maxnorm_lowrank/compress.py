@@ -70,6 +70,12 @@ def jl_compress(
     falls below ``eps * ||A||_{2,inf} * ||B||_{2,inf}``; if the budget is
     exhausted the best attempt is returned with ``certified=False``.
 
+    Each sketch ``G`` is certified by the exact ``max|A B' - G_A G_B'|``,
+    which ``max_norm_error`` takes one row block at a time: neither
+    product is ever formed whole, so certification needs a few
+    ``lowrank.ROW_BLOCK x n2`` blocks of scratch rather than two n1 x n2
+    matrices.
+
     A factorization that is already narrower than the target rank is
     passed through unchanged.
     """
@@ -82,14 +88,13 @@ def jl_compress(
     if F.width <= r:
         return F, CompressionReport(r, 0.0, 1, target, True)
 
-    dense = F.matrix()
     scale = 1.0 / math.sqrt(r)
     best: tuple[float, Factorization] | None = None
     streams = split(seed, max_attempts)
     for attempt, stream in enumerate(streams, start=1):
         R = generator(stream).standard_normal((F.width, r)) * scale
         G = Factorization(F.left @ R, F.right @ R)
-        err = max_norm_error(dense, G)
+        err = max_norm_error(F, G)
         if best is None or err < best[0]:
             best = (err, G)
         if err <= target:

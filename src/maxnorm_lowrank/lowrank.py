@@ -10,9 +10,13 @@ is tracked with the 2->inf norm (largest Euclidean row norm).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
+
+# rows per block wherever an n1 x n2 matrix is formed, compared or reduced a
+# block at a time (``row_blocks``)
+ROW_BLOCK = 128
 
 # below this ratio of the r-th to the largest eigenvalue of a Gram matrix
 # A^T A (or A A^T), its top r eigenvectors are not taken as singular
@@ -21,12 +25,30 @@ import numpy as np
 GRAM_RTOL = 1e-8
 
 
+def row_blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``ROW_BLOCK`` rows that cover ``range(n)``.
+
+    A pass over an n1 x n2 matrix in these blocks needs ``ROW_BLOCK x n2``
+    scratch instead of an n1 x n2 temporary.  Entrywise work and maxima
+    over the blocks equal those over the whole matrix bitwise; a product
+    ``A[rows] @ B.T`` formed per block may differ from the whole product
+    in its last bits once n1 exceeds one block, since the BLAS may order
+    its sums differently for the two shapes.
+    """
+    return (slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK))
+
+
 def row_norm_inf(A: np.ndarray) -> float:
-    """Largest Euclidean row norm of ``A`` (the 2->inf operator norm)."""
+    """Largest Euclidean row norm of ``A`` (the 2->inf operator norm).
+
+    The squared row norms are summed one row block at a time, so no
+    temporary as large as ``A`` is formed.
+    """
     A = np.asarray(A, dtype=np.float64)
     if A.size == 0:
         return 0.0
-    return float(np.sqrt((A * A).sum(axis=1).max()))
+    peak = np.max([(A[rows] * A[rows]).sum(axis=1).max() for rows in row_blocks(A.shape[0])])
+    return float(np.sqrt(peak))
 
 
 @dataclass(frozen=True)
@@ -105,25 +127,41 @@ class RankOne:
 DenseOrFactorization = Union[np.ndarray, Factorization]
 
 
-def _as_dense(G: DenseOrFactorization) -> np.ndarray:
-    if isinstance(G, Factorization):
-        return G.matrix()
-    return np.asarray(G, dtype=np.float64)
-
-
 def max_norm(F: np.ndarray) -> float:
-    """Largest absolute entry."""
+    """Largest absolute entry: the larger of ``max F`` and ``-min F``.
+
+    Two reductions instead of ``abs(F).max()``, so no temporary as large
+    as ``F`` is formed; the value is the same, a NaN entry gives NaN and
+    an all-zero array +0.0.
+    """
     F = np.asarray(F)
-    return float(np.abs(F).max()) if F.size else 0.0
+    if not F.size:
+        return 0.0
+    return float(np.maximum(F.max(), -F.min())) + 0.0
 
 
-def max_norm_error(F: np.ndarray, G: DenseOrFactorization) -> float:
-    """Exact maximum absolute entrywise deviation between ``F`` and ``G``."""
-    F = np.asarray(F, dtype=np.float64)
-    Gd = _as_dense(G)
-    if F.shape != Gd.shape:
-        raise ValueError(f"shape mismatch: {F.shape} vs {Gd.shape}")
-    return max_norm(F - Gd)
+def _rows_of(M: DenseOrFactorization, rows: slice) -> np.ndarray:
+    if isinstance(M, Factorization):
+        return M.left[rows] @ M.right.T
+    return M[rows]
+
+
+def max_norm_error(F: DenseOrFactorization, G: DenseOrFactorization) -> float:
+    """Exact maximum absolute entrywise deviation between ``F`` and ``G``.
+
+    Either side may be a dense array or a ``Factorization``.  The deviation
+    is taken one ``row_blocks`` block at a time, so a factorization is
+    multiplied out a row block at a time and no n1 x n2 array is formed
+    beyond what the caller holds.
+    """
+    if not isinstance(F, Factorization):
+        F = np.asarray(F, dtype=np.float64)
+    if not isinstance(G, Factorization):
+        G = np.asarray(G, dtype=np.float64)
+    if F.shape != G.shape:
+        raise ValueError(f"shape mismatch: {F.shape} vs {G.shape}")
+    blocks = [max_norm(_rows_of(F, rows) - _rows_of(G, rows)) for rows in row_blocks(F.shape[0])]
+    return float(np.max(blocks)) if blocks else 0.0
 
 
 def truncated_svd(M: np.ndarray, r: int) -> Factorization:

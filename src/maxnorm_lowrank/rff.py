@@ -12,10 +12,12 @@ does not depend on the point dimension.
 ``rff_then_compress`` grows the frequency set by nested doubling: each
 step keeps the rho frequencies it has and draws rho new ones, so only the
 new block of features is built, and the held n1 x n2 feature product is
-updated in place as the average of the old product and the new block's.
-The result is the narrowest exact factorization of that product that the
-sketch budget allows (the feature blocks, the product itself, or a
-Gaussian sketch of the features); see ``rff_then_compress``.
+updated in place, one row block at a time, as the average of the old
+product and the new block's.  Besides the dense kernel and that product
+no n1 x n2 array is held, and no feature block outlives the step that
+needs it.  The result is the narrowest exact factorization of the
+product that the sketch budget allows (the feature blocks, the product
+itself, or a Gaussian sketch of the features); see ``rff_then_compress``.
 
 Every spec with a ``spectral_law`` qualifies, and a spec without one is
 refused.  Each Bochner pair lives on its constructor in ``kernels``
@@ -34,7 +36,14 @@ import numpy as np
 
 from .compress import CompressionReport, jl_compress, rank_formula
 from .kernels import KernelSpec, eval_kernel_matrix
-from .lowrank import Factorization, identity_factorization, max_norm, max_norm_error
+from .lowrank import (
+    ROW_BLOCK,
+    Factorization,
+    identity_factorization,
+    max_norm,
+    max_norm_error,
+    row_blocks,
+)
 from .rng import SeedLike, generator, split
 from .sampling import PointSet
 
@@ -163,11 +172,23 @@ def rff_then_compress(
 
     In (a) and (b) the result is exactly the product whose error stopped
     the growth, so ``measured_max_error`` is the feature error and no
-    second product is formed.  The feature blocks are kept only while
-    (a) or (c) can still be the result, so outside (c) memory stays
-    O(n1 n2) whatever rho_total is.  The dense kernel comes first, so above
-    ``caps.matrix_dense_cap()`` the call raises ``DenseCapExceeded`` before
-    it allocates anything.
+    second product is formed.
+
+    The only n1 x n2 arrays held are the dense kernel and the product P.
+    Besides them a doubling step holds its new feature block (both
+    factors, 2 rho wide, while ``rff_factorization`` builds it) and one
+    row block of scratch (``lowrank.ROW_BLOCK x n2``): a step toward
+    (b) or (c) folds the block into P by row blocks and takes
+    ``max|K - P|`` over the same rows, and a step toward (a) writes the
+    product of the nested factors into P and compares it by row blocks
+    (``max_norm_error``).
+    Forms (a) and (c) also hold the concatenated feature blocks, which
+    are dropped, before the next block is drawn, as soon as (b) is
+    certain; each block is freed after its step.  The sketch of (c) is
+    certified by row blocks too (``jl_compress``), and so is its final
+    check against K.  The dense kernel comes first, so above
+    ``caps.matrix_dense_cap()`` the call raises ``DenseCapExceeded``
+    before it allocates anything.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -181,15 +202,22 @@ def rff_then_compress(
     n_min = min(X.n, Y.n)
     r = rank_formula(eps_sketch, X.n, Y.n)
 
+    def form_b(rho_total: int) -> bool:
+        # form (b): the held product is the result, so the features are not needed
+        return 2 * rho_total > n_min and n_min <= r
+
     freq_stream, sketch_stream = split(seed, 2)
     grow_streams = iter(freq_stream.spawn(64))
     current_rho = rho
     features = rff_factorization(sample_frequencies(spec, rho, next(grow_streams), m=X.m), X, Y)
     held = features.matrix()
-    work = np.empty_like(held)
-    feat_err = _max_deviation(dense, held, work)
+    if form_b(current_rho):
+        features = None
+    feat_err = max_norm_error(dense, held)
     feature_certified = theta == 1.0 or feat_err <= feature_target
     while theta < 1.0 and feat_err > feature_target and current_rho * 2 <= RHO_CAP:
+        if form_b(2 * current_rho):
+            features = None  # freed before the new block is drawn
         block = rff_factorization(
             sample_frequencies(spec, current_rho, next(grow_streams), m=X.m), X, Y
         )
@@ -197,20 +225,18 @@ def rff_then_compress(
         if 2 * current_rho <= min(n_min, r):
             # stopping here gives form (a): hold the exact product of its factors
             features = _nest(features, block)
+            del block
             np.matmul(features.left, features.right.T, out=held)
+            feat_err = max_norm_error(dense, held)
         else:
-            np.matmul(block.left, block.right.T, out=work)
-            held += work
-            held *= 0.5
-            features = _nest(features, block) if r < n_min else None
-        feat_err = _max_deviation(dense, held, work)
+            feat_err = _fold(dense, held, block)
+            if features is not None:  # form (c) remains possible
+                features = _nest(features, block)
+            del block
         feature_certified = feat_err <= feature_target
-    del work  # free n1 x n2 buffers before the result allocates its own
 
-    if 2 * current_rho > n_min and n_min <= r:  # form (b)
-        result = identity_factorization(held)
-    else:  # forms (a) and (c)
-        result = features
+    # the features were dropped exactly when form (b) is the result
+    result = identity_factorization(held) if features is None else features
     del held
     G, sketch_rep = jl_compress(result, eps_sketch, sketch_stream)
     measured = feat_err if G is result else max_norm_error(dense, G)
@@ -244,8 +270,25 @@ def _nest(features: Factorization, block: Factorization) -> Factorization:
     return Factorization(left, right)
 
 
-def _max_deviation(dense: np.ndarray, held: np.ndarray, work: np.ndarray) -> float:
-    """``max|dense - held|`` computed in ``work``, as ``max_norm_error`` computes it."""
-    np.subtract(dense, held, out=work)
-    np.abs(work, out=work)
-    return float(work.max())
+def _fold(dense: np.ndarray, held: np.ndarray, block: Factorization) -> float:
+    """Average ``block``'s product into ``held``; return ``max|dense - held|``.
+
+    Works one ``row_blocks`` block at a time: each block of rows is updated
+    in place, ``held <- (held + A_new B_new') / 2``, and compared with
+    ``dense`` while it is in cache.  The one scratch array is a row block,
+    ``ROW_BLOCK x n2``.  The average and the maximum are bitwise those of
+    the whole matrix; the product ``A_new[rows] @ B_new'`` is the whole
+    product while n1 fits in one block.
+    """
+    scratch = np.empty((min(ROW_BLOCK, held.shape[0]), held.shape[1]))
+    err = 0.0
+    for rows in row_blocks(held.shape[0]):
+        work = scratch[: rows.stop - rows.start]
+        part = held[rows]
+        np.matmul(block.left[rows], block.right.T, out=work)
+        part += work
+        part *= 0.5
+        np.subtract(dense[rows], part, out=work)
+        np.abs(work, out=work)
+        err = np.maximum(err, work.max())  # a NaN entry gives NaN, as in max_norm_error
+    return float(err)

@@ -14,7 +14,7 @@ from maxnorm_lowrank.compress import (
     rank_formula,
     symmetric_power_blocks,
 )
-from maxnorm_lowrank.lowrank import Factorization, RankOne, max_norm_error, row_norm_inf
+from maxnorm_lowrank.lowrank import ROW_BLOCK, Factorization, RankOne, max_norm_error, row_norm_inf
 
 
 class TestRankFormula:
@@ -79,6 +79,27 @@ class TestJlCompress:
             assert max_norm_error(F.matrix(), G) == pytest.approx(
                 rep.achieved_max_error
             )
+
+    def test_certifies_without_forming_products(self, monkeypatch):
+        # certification goes by row blocks: neither A B' nor a sketch's product is formed
+        rng = np.random.default_rng(6)
+        n1, n2, k, eps = 2 * ROW_BLOCK + 44, 260, 400, 0.9
+        F = Factorization(rng.normal(size=(n1, k)), rng.normal(size=(n2, k))).scaled(1 / k)
+        assert F.width > rank_formula(eps, n1, n2)
+        shapes = []
+        matrix = Factorization.matrix
+
+        def counted(self):
+            shapes.append(self.shape)
+            return matrix(self)
+
+        monkeypatch.setattr(Factorization, "matrix", counted)
+        G, rep = jl_compress(F, eps, seed=3)
+        assert shapes == []
+        monkeypatch.undo()
+        assert rep.certified
+        exact = np.abs(F.matrix() - G.matrix()).max()
+        assert rep.achieved_max_error == pytest.approx(exact, rel=1e-12)
 
     def test_zero_attempts_rejected(self):
         F = Factorization(np.ones((2, 2)), np.ones((2, 2)))

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from maxnorm_lowrank.lowrank import (
+    ROW_BLOCK,
     Factorization,
     RankOne,
     max_norm,
     max_norm_error,
     reduce_width,
+    row_blocks,
     row_norm_inf,
     truncated_svd,
 )
@@ -150,3 +154,96 @@ class TestReduceWidth:
 
 def test_max_norm_empty_guard():
     assert max_norm(np.zeros((0, 0))) == 0.0
+
+
+def _old_max_norm(F):
+    F = np.asarray(F)
+    return float(np.abs(F).max()) if F.size else 0.0
+
+
+def _old_row_norm_inf(A):
+    A = np.asarray(A, dtype=np.float64)
+    if A.size == 0:
+        return 0.0
+    return float(np.sqrt((A * A).sum(axis=1).max()))
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal as floats, telling -0.0 from +0.0 and taking NaN as equal to NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _norm_inputs():
+    rng = np.random.default_rng(15)
+    tall = rng.normal(size=(3 * ROW_BLOCK + 5, 37))
+    wide = rng.normal(size=(ROW_BLOCK + 40, 700))
+    late_nan = tall.copy()
+    late_nan[2 * ROW_BLOCK + 1, 3] = np.nan
+    early_nan = wide.copy()
+    early_nan[0, 0] = np.nan
+    return {
+        "c-tall": tall,
+        "f-tall": np.asfortranarray(tall),
+        "c-wide": wide,
+        "f-wide": np.asfortranarray(wide),
+        "transposed-view": wide.T,
+        "strided-view": wide[::3, ::2],
+        "empty": np.zeros((0, 0)),
+        "no-columns": np.zeros((5, 0)),
+        "no-rows": np.zeros((0, 5)),
+        "zeros": np.zeros((2 * ROW_BLOCK + 1, 9)),
+        "negative-zeros": -np.zeros((ROW_BLOCK + 1, 4)),
+        "late-nan": late_nan,
+        "early-nan": early_nan,
+        "tensor": rng.normal(size=(ROW_BLOCK + 3, 4, 5)),
+    }
+
+
+NORM_INPUTS = _norm_inputs()
+
+
+class TestBlockedNorms:
+    """The row-block and two-reduction forms keep the old expressions' values bitwise."""
+
+    @pytest.mark.parametrize("name", list(NORM_INPUTS))
+    def test_max_norm_bitwise(self, name):
+        F = NORM_INPUTS[name]
+        assert _same(max_norm(F), _old_max_norm(F))
+
+    @pytest.mark.parametrize("name", [k for k in NORM_INPUTS if k != "tensor"])
+    def test_row_norm_inf_bitwise(self, name):
+        A = NORM_INPUTS[name]
+        assert _same(row_norm_inf(A), _old_row_norm_inf(A))
+
+    def test_zero_reads_positive_zero(self):
+        for F in (np.zeros((3, 3)), -np.zeros((3, 3)), np.array([-0.0, 0.0])):
+            assert _same(max_norm(F), 0.0)
+
+    def test_max_norm_error_dense_bitwise(self):
+        rng = np.random.default_rng(16)
+        F, G = rng.normal(size=(2, 3 * ROW_BLOCK + 7, 50))
+        assert _same(max_norm_error(F, G), _old_max_norm(F - G))
+        G[2 * ROW_BLOCK, 1] = np.nan
+        assert math.isnan(max_norm_error(F, G))
+
+    @pytest.mark.parametrize("n1", [ROW_BLOCK, 2 * ROW_BLOCK + 9])
+    def test_max_norm_error_factorizations(self, n1):
+        rng = np.random.default_rng(17)
+        F = Factorization(rng.normal(size=(n1, 30)), rng.normal(size=(90, 30)))
+        G = Factorization(rng.normal(size=(n1, 8)), rng.normal(size=(90, 8)))
+        old = _old_max_norm(F.matrix() - G.matrix())
+        for a, b in ((F, G), (F.matrix(), G), (F, G.matrix())):
+            if n1 <= ROW_BLOCK:  # one block: the same products as a whole
+                assert _same(max_norm_error(a, b), old)
+            else:
+                assert max_norm_error(a, b) == pytest.approx(old, rel=1e-14)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            max_norm_error(F, np.zeros((n1, 91)))
+
+    def test_row_blocks_cover_in_order(self):
+        for n in (0, 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK - 1):
+            rows = list(row_blocks(n))
+            assert all(0 < b.stop - b.start <= ROW_BLOCK for b in rows)
+            assert [i for b in rows for i in range(n)[b]] == list(range(n))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from maxnorm_lowrank.kernels import (
     quartic_dist,
     sinh_hoip,
 )
-from maxnorm_lowrank.lowrank import max_norm_error
+from maxnorm_lowrank.lowrank import ROW_BLOCK, max_norm_error
 from maxnorm_lowrank.rff import (
     FrequencySet,
     kernel_values,
@@ -263,6 +264,62 @@ class TestNestedDoubling:
         assert rep.sketch.requested_rank == r
         dense = kernel_values(CAUCHY, X, Y)
         assert rep.measured_max_error == pytest.approx(max_norm_error(dense, G), abs=1e-12)
+
+
+def _form(G, rep, n1, n2) -> str:
+    if G.width == 2 * rep.rho:
+        return "a"
+    if G.width == min(n1, n2) and any(
+        np.array_equal(side, np.eye(side.shape[0])) for side in (G.left, G.right)
+    ):
+        return "b"
+    assert G.width == rep.sketch.requested_rank < min(2 * rep.rho, n1, n2)
+    return "c"
+
+
+# rho, rank, form, feature error and measured error of the implementation
+# that formed each doubling's whole n1 x n2 product before folding it in
+ABOVE_ONE_ROW_BLOCK = [
+    pytest.param(GAUSS, (30, 300, 31, 260, 8), dict(rho=2, eps=0.8, seed=3, theta=0.25),
+                 (32, 64, "a", 0.4592765572761549, 0.4592765572761549), id="a"),
+    pytest.param(EXPONENTIAL, (32, 300, 33, 260, 5), dict(rho=64, eps=0.3, seed=4, theta=0.5),
+                 (512, 260, "b", 0.0976315955334866, 0.0976315955334866), id="b-wide"),
+    pytest.param(EXPONENTIAL, (33, 260, 32, 300, 5), dict(rho=64, eps=0.3, seed=4, theta=0.5),
+                 (512, 260, "b", 0.0976315955334866, 0.0976315955334866), id="b-tall"),
+    pytest.param(CAUCHY, (34, 400, 35, 330, 10), dict(rho=16, eps=0.99, seed=5, theta=0.8),
+                 (256, 185, "c", 0.1759304412077153, 0.3942847310405594), id="c"),
+]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("spec, points, kwargs, expected", ABOVE_ONE_ROW_BLOCK)
+    def test_forms_above_one_row_block(self, spec, points, kwargs, expected):
+        s1, n1, s2, n2, m = points
+        assert n1 > ROW_BLOCK
+        X, Y = sample_ball(s1, n1, m, 1.0), sample_ball(s2, n2, m, 1.0)
+        G, rep = rff_then_compress(spec, X, Y, **kwargs)
+        rho, rank, form, feature_error, measured = expected
+        assert (rep.rho, rep.rank, _form(G, rep, n1, n2)) == (rho, rank, form)
+        assert rep.feature_error == pytest.approx(feature_error, rel=1e-12)
+        assert rep.measured_max_error == pytest.approx(measured, rel=1e-12)
+        assert rep.measured_max_error == pytest.approx(
+            max_norm_error(kernel_values(spec, X, Y), G), rel=1e-12
+        )
+
+    def test_traced_peak_at_benchmark_shape(self):
+        # the gauss operation of the rff_verify benchmark: five doublings to form (b)
+        n = 1500
+        X, Y = sample_ball(40, n, 20, 1.0), sample_ball(41, n, 20, 1.0)
+        tracemalloc.start()
+        try:
+            G, rep = rff_then_compress(GAUSS, X, Y, rho=64, eps=0.2, seed=42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (rep.rho, _form(G, rep, n, n)) == (2048, "b")
+        # kernel, product, one feature block and its phases: about 5.4 arrays,
+        # where a whole-product scratch array and the old features made 7.8
+        assert peak <= 6 * n * n * 8
 
 
 class TestKernelValues:
