@@ -7,11 +7,10 @@ with the environment variable ``MAXNORM_DENSE_CAP`` (a single integer,
 applied to matrix, tensor, and verification caps alike).  The matrix cap
 bounds a dense n1 x n2 matrix, the ``N x min(width, N)`` factor that
 ``compress.hadamard_compress`` sketches (N = n1 + n2; the width is
-L = C(m+s-1, s) for an s-th power of a width-m factorization and the
-Kronecker width prod_s m_s for distinct factors), and in ``tensors``
-the largest matrix of a power's Gram-based TT-SVD (the L x L Gram, the
-(r n_k) x L frame or the last unfolding; a power above it is built
-incrementally) and the (n_1 n_2) x r_2 contraction that
+L = C(m+s-1, s) for an s-th power of a width-m factorization), and in
+``tensors`` the largest matrix of a power's Gram-based TT-SVD (the L x L
+Gram, the (r n_k) x L frame or the last unfolding; a power above it is
+built incrementally) and the (n_1 n_2) x r_2 contraction that
 ``TTTensor.entries`` gathers rows from.  The CP caps below still bound
 the exact Khatri-Rao powers and CP -> TT cores.
 """

@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 
 from . import bounds as bounds_mod
-from . import kernels, matio
+from . import caps, kernels, matio
 from .altproj import AltProjConfig, _dense_target, binary_search_eps, run_trials
 from .experiments import (
     COVERS,
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, caps.DenseCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

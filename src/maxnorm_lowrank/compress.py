@@ -8,19 +8,18 @@ so the compressor here is a Las-Vegas loop: it redraws the sketch until
 the measured error certifies the bound, and reports honestly when the
 attempt budget runs out.
 
-A Hadamard product of factorizations is one factorization whose rows are
-Kronecker products of the factor rows, ``prod_s m_s`` columns wide.  The
-Gaussian sketch sees those rows only through their Gram matrix, so
-``hadamard_compress`` sketches whichever exact factorization with that
-Gram matrix is narrowest to build, which gives the sketched product the
-same law: the ``C(m+s-1, s)``-wide symmetric-power factor for an s-th
-power of one width-m factorization, the Kronecker rows for distinct
-factors no wider than the ``N = n1 + n2`` rows they have, and an exact
-N-wide square root of the Gram matrix otherwise.  ``hadamard_widths`` is
-the one width rule: the Taylor constructions use it to decide whether
-their sketches can narrow the sum at all, and reach ``hadamard_compress``
-with a power that needs a Gram root or a sketch only when they can (see
-``taylor._assemble``).
+The entrywise s-th power of a factorization is one factorization whose
+rows are s-fold Kronecker powers of the factor rows, ``m**s`` columns
+wide.  The Gaussian sketch sees those rows only through their Gram
+matrix, so ``hadamard_compress(F, s, ...)`` sketches whichever exact
+factorization with that Gram matrix is narrowest to build, which gives
+the sketched product the same law: F's own rows for s = 1, the
+``C(m+s-1, s)``-wide symmetric-power factor when it is no wider than the
+``N = n1 + n2`` rows it has, and an exact N-wide square root of the Gram
+matrix otherwise.  ``hadamard_widths`` is the one width rule: the Taylor
+constructions use it to decide whether their sketches can narrow the sum
+at all, and reach ``hadamard_compress`` with a power that needs a Gram
+root or a sketch only when they can (see ``taylor._assemble``).
 """
 
 from __future__ import annotations
@@ -152,121 +151,96 @@ def symmetric_power_blocks(
     return out, weights
 
 
-def gram_root_rows(factors: Sequence[Factorization]) -> Factorization:
-    """Exact ``(n1 + n2)``-wide factorization of a Hadamard product of factorizations.
+def gram_root_rows(F: Factorization, s: int) -> Factorization:
+    """Exact ``(n1 + n2)``-wide factorization of the entrywise s-th power of ``F``.
 
-    With ``S_s = [A_s; B_s]``, the Kronecker rows of the product have the
-    Gram matrix ``K = S_1 S_1' * ... * S_t S_t'`` (entrywise product).
-    Its symmetric square root ``C = Q diag(sqrt(max(lam, 0))) Q'`` has
-    ``C C' = K`` up to rounding, so ``C[:n1] @ C[n1:].T`` is the product
-    and the rows of ``C`` have the Kronecker rows' norms.  The square root
-    is unique, unlike ``Q diag(sqrt(lam))``, whose columns depend on the
-    eigenvector signs and on rotations within repeated eigenvalues.
+    With ``S = [A; B]``, the Kronecker rows of the power have the Gram
+    matrix ``K = (S S')**s`` (entrywise power).  Its symmetric square root
+    ``C = Q diag(sqrt(max(lam, 0))) Q'`` has ``C C' = K`` up to rounding,
+    so ``C[:n1] @ C[n1:].T`` is the power and the rows of ``C`` have the
+    Kronecker rows' norms.  The square root is unique, unlike ``Q
+    diag(sqrt(lam))``, whose columns depend on the eigenvector signs and on
+    rotations within repeated eigenvalues.
     """
-    n1 = factors[0].shape[0]
-    K = None
-    for f in factors:
-        S = np.vstack([f.left, f.right])
-        K = S @ S.T if K is None else K * (S @ S.T)
+    S = np.vstack([F.left, F.right])
+    G = S @ S.T
+    K = G.copy()
+    for _ in range(s - 1):
+        K *= G
     lam, Q = np.linalg.eigh(K)
     C = (Q * np.sqrt(np.maximum(lam, 0.0))) @ Q.T
-    return Factorization(C[:n1], C[n1:])
+    return Factorization(C[:F.shape[0]], C[F.shape[0]:])
 
 
-def _is_power(factors: Sequence[Factorization]) -> bool:
-    return len(factors) > 1 and all(f is factors[0] for f in factors)
+def hadamard_widths(F: Factorization, s: int, eps: float) -> tuple[int, int]:
+    """Widths ``(L, w)`` of the entrywise s-th power of ``F`` in ``hadamard_compress``.
 
-
-def hadamard_widths(factors: Sequence[Factorization], eps: float) -> tuple[int, int]:
-    """Widths ``(L, w)`` of the Hadamard product of ``factors`` in ``hadamard_compress``.
-
-    L is the width of its narrowest exact factor other than a Gram root:
-    ``C(m+s-1, s)`` for an s-th power of one width-m factorization (the
-    same object s times), ``prod_s m_s`` otherwise.  ``w = min(L, n1 + n2, r)``
-    with ``r = rank_formula(eps, n1, n2)`` is the width of the result: a
-    Gram root caps it at ``n1 + n2`` and the sketch at r.  The product
-    passes through exactly when ``w == L``, and is sketched when
+    ``L = C(m+s-1, s)`` is the width of its symmetric-power factor (m for
+    s = 1, where F's own rows are kept).  ``w = min(L, n1 + n2, r)`` with
+    ``r = rank_formula(eps, n1, n2)`` is the width of the result: a Gram
+    root caps it at ``n1 + n2`` and the sketch at r.  The power passes
+    through exactly when ``w == L``, and is sketched when
     ``r < min(L, n1 + n2)``.
     """
-    n1, n2 = factors[0].shape
-    s = len(factors)
-    if _is_power(factors):
-        width = math.comb(factors[0].width + s - 1, s)
-    else:
-        width = math.prod(f.width for f in factors)
+    n1, n2 = F.shape
+    width = math.comb(F.width + s - 1, s)
     return width, min(width, n1 + n2, rank_formula(eps, n1, n2))
 
 
 def hadamard_compress(
-    factors: Sequence[Factorization],
+    F: Factorization,
+    s: int,
     eps: float,
     seed: SeedLike,
     max_attempts: int = 50,
 ) -> tuple[Factorization, CompressionReport]:
-    """Compress the Hadamard product of factorized matrices.
+    """Compress the entrywise s-th power of the factorized matrix ``F = A B'``.
 
-    The product ``(A_1 B_1') * ... * (A_t B_t')`` equals ``X_A @ X_B.T``
-    where the rows of ``X_A``/``X_B`` are Kronecker products of the
-    corresponding factor rows (``W = prod_s m_s`` columns), so the row
-    norms multiply and the sketch guarantee carries over with target
-    ``eps * prod_s ||A_s||_{2,inf} ||B_s||_{2,inf}``.
+    The power ``(A B')**s`` equals ``X_A @ X_B.T`` where the rows of
+    ``X_A``/``X_B`` are s-fold Kronecker powers of the rows of A/B
+    (``m**s`` columns), so the row norms are raised to the s-th power and
+    the sketch guarantee carries over with target
+    ``eps * (||A||_{2,inf} ||B||_{2,inf})**s``.
 
     The sketch ``X R`` of the stacked rows ``X = [X_A; X_B]`` with i.i.d.
     N(0, 1/r) entries in R is Gaussian with covariance ``(X X') kron I / r``:
     it depends on X only through its Gram matrix.  So any exact
     factorization with the Gram matrix of the Kronecker rows can be
     sketched instead; the sketched product, its certification target and
-    its certification rate keep their law.  With ``N = n1 + n2``, three
-    routes build one:
+    its certification rate keep their law.  With ``N = n1 + n2``:
 
-    * an s-th power of a width-m factorization (every factor is the same
-      object, as in ``[F] * s``) takes its symmetric-power factor from
+    * s = 1 keeps F's own rows (``khatri_rao_rows`` of one block);
+    * s >= 2 takes the symmetric-power factor from
       ``symmetric_power_blocks``, ``L = C(m+s-1, s)`` wide with
-      ``sqrt(s!/alpha!)`` on both sides, when ``L <= N``;
-    * distinct factors with ``W <= N``, and a single factor, take the
-      Kronecker rows of ``khatri_rao_rows``;
-    * anything wider takes the N-wide root of ``gram_root_rows``.
+      ``sqrt(s!/alpha!)`` on both sides, when ``L <= N``, and the N-wide
+      root of ``gram_root_rows`` otherwise.
 
-    A power is never sketched through its Kronecker rows, since ``L <= m**s``.
     The Taylor constructions call this only when every power passes
     through, when the sketches narrow their sum below ``min(n1, n2)``, or
     when ``n1 * n2`` is above the matrix cap; otherwise they sum the series
     exactly (``taylor._assemble``).
 
     Refuses (rather than silently approximating) when the one factor it
-    builds, ``N * min(width, N)`` entries for the route's width L or W,
-    exceeds ``caps.matrix_dense_cap()``; callers fall back to dense
-    truncated SVD in that case.
+    builds, ``N * min(L, N)`` entries, exceeds ``caps.matrix_dense_cap()``;
+    callers fall back to dense truncated SVD in that case.
     """
-    if not factors:
-        raise ValueError("need at least one factorization")
-    shape = factors[0].shape
-    for f in factors:
-        if f.shape != shape:
-            raise ValueError(f"shape mismatch: {f.shape} vs {shape}")
-    rows = shape[0] + shape[1]
-    s = len(factors)
-    power = _is_power(factors)
-    width, _ = hadamard_widths(factors, eps)
-    use_gram = s > 1 and width > rows
+    rows = F.shape[0] + F.shape[1]
+    width, _ = hadamard_widths(F, s, eps)
     entries = rows * min(width, rows)
     cap = caps.matrix_dense_cap()
     if entries > cap:
         raise caps.DenseCapExceeded(
-            f"exact factor of the Hadamard product needs {entries} entries, above cap {cap}; "
-            "compress via dense truncated SVD of the exact Hadamard product instead"
+            f"exact factor of the Hadamard power needs {entries} entries, above cap {cap}; "
+            "compress via dense truncated SVD of the exact power instead"
         )
-    if use_gram:
-        combined = gram_root_rows(factors)
-    elif power:
-        (left, right), weights = symmetric_power_blocks([factors[0].left, factors[0].right], s)
+    if s == 1:
+        combined = Factorization(khatri_rao_rows([F.left]), khatri_rao_rows([F.right]))
+    elif width > rows:
+        combined = gram_root_rows(F, s)
+    else:
+        (left, right), weights = symmetric_power_blocks([F.left, F.right], s)
         root = np.sqrt(weights)
         combined = Factorization(left * root, right * root)
-    else:
-        combined = Factorization(
-            khatri_rao_rows([f.left for f in factors]),
-            khatri_rao_rows([f.right for f in factors]),
-        )
     return jl_compress(combined, eps, seed, max_attempts)
 
 

@@ -212,7 +212,7 @@ def _assemble(
     r = rank_formula(eps, n1, n2)
     c0 = plan.coefficients[0]
     widths = {
-        s: hadamard_widths([base] * s, eps)
+        s: hadamard_widths(base, s, eps)
         for s in range(1, plan.order)
         if plan.coefficients[s] != 0.0
     }
@@ -237,7 +237,7 @@ def _assemble(
     base_dense: Optional[np.ndarray] = None
     for s, (exact, w) in widths.items():
         try:
-            G, rep = hadamard_compress([base] * s, eps, streams[s - 1])
+            G, rep = hadamard_compress(base, s, eps, streams[s - 1])
         except caps.DenseCapExceeded:
             # the power's exact factor is above the dense cap: fall back to a
             # dense exact power compressed by truncated SVD (measured, not certified)
@@ -420,9 +420,17 @@ def approx_sq_distance_local(
     Works for profiles that are smooth only away from zero, as long as
     the realized squared distances stay inside the smoothness region.
     The entrywise shift ``D - xi`` enters as one more rank-one term.
+    The realized range is read off the dense distance matrix, so this
+    raises ``caps.DenseCapExceeded`` when ``n1 * n2`` is above the matrix cap.
     """
     if t is None:
         t = default_order(eps)
+    cap = caps.matrix_dense_cap()
+    if X.n * Y.n > cap:
+        raise caps.DenseCapExceeded(
+            f"the realized distance range needs the {X.n}x{Y.n} distance matrix, "
+            f"above the matrix cap {cap}"
+        )
     D, dmin, dmax = distance_matrix(X, W, Y)
     n1, n2 = D.shape
     spread = dmax - dmin

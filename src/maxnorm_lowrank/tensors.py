@@ -216,16 +216,15 @@ def cp_from_points(pointsets: Sequence[PointSet]) -> CPTensor:
     return CPTensor(tuple(P.points for P in pointsets))
 
 
-def cp_hadamard_power(T: CPTensor, s: int, width_cap: Optional[int] = None) -> CPTensor:
+def cp_hadamard_power(T: CPTensor, s: int) -> CPTensor:
     """Entrywise s-th power: factors become s-fold row-wise Kronecker powers."""
     if s < 1:
         raise ValueError(f"power must be >= 1, got {s}")
     if s == 1:
         return T
-    cap = width_cap if width_cap is not None else caps.CP_WIDTH_CAP
-    if T.width**s > cap:
+    if T.width**s > caps.CP_WIDTH_CAP:
         raise caps.DenseCapExceeded(
-            f"CP width {T.width}**{s} exceeds cap {cap}"
+            f"CP width {T.width}**{s} exceeds cap {caps.CP_WIDTH_CAP}"
         )
     return CPTensor(tuple(khatri_rao_rows([f] * s) for f in T.factors))
 

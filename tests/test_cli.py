@@ -193,6 +193,22 @@ def test_generate_golden(tmp_path, capsys):
                                rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "--out", "unwritten.bin"],
+    ["approx", "--algorithm", "rff"],
+    ["altproj", "--r", "2"],
+], ids=lambda c: c[0])
+def test_cap_refusal_is_an_error_line(command, tmp_path, monkeypatch, capsys):
+    # 30 x 30 targets are above a cap of 100 entries: one line on stderr, exit 1
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MAXNORM_DENSE_CAP", "100")
+    assert cli.main([*command, "--function", "gauss", *POINTS]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dense 30 x 30 matrix exceeds cap 100\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_rejects_tensor(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["generate", "--function", "f3", *POINTS, "--out", str(tmp_path / "t")])

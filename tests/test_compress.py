@@ -142,14 +142,14 @@ class TestHadamardCompress:
     def test_single_factor_matches_jl(self):
         rng = np.random.default_rng(8)
         F = Factorization(rng.normal(size=(10, 250)), rng.normal(size=(10, 250)))
-        G1, rep1 = hadamard_compress([F], 0.9, seed=3)
+        G1, rep1 = hadamard_compress(F, 1, 0.9, seed=3)
         G2, rep2 = jl_compress(F, 0.9, seed=3)
         np.testing.assert_array_equal(G1.left, G2.left)
         assert rep1.attempts == rep2.attempts
 
     def test_hand_kronecker_example(self):
         f = Factorization(np.array([[1.0], [2.0]]), np.array([[1.0], [2.0]]))
-        G, rep = hadamard_compress([f, f], 0.5, seed=0)
+        G, rep = hadamard_compress(f, 2, 0.5, seed=0)
         np.testing.assert_allclose(G.matrix(), [[1.0, 4.0], [4.0, 16.0]], atol=1e-12)
         assert rep.certified
 
@@ -159,16 +159,11 @@ class TestHadamardCompress:
         f = Factorization(rng.normal(size=(4, 40)), rng.normal(size=(4, 40)))
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "63")
         with pytest.raises(DenseCapExceeded):
-            hadamard_compress([f, f, f, f], 0.5, seed=0)
+            hadamard_compress(f, 4, 0.5, seed=0)
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "64")
-        G, _ = hadamard_compress([f, f, f, f], 0.5, seed=0)
+        G, _ = hadamard_compress(f, 4, 0.5, seed=0)
         assert G.width == 8
 
-    def test_shape_mismatch(self):
-        f1 = Factorization(np.ones((3, 1)), np.ones((4, 1)))
-        f2 = Factorization(np.ones((3, 1)), np.ones((5, 1)))
-        with pytest.raises(ValueError):
-            hadamard_compress([f1, f2], 0.5, seed=0)
 
 
 def _unit_rows(rng, n, k):
@@ -176,13 +171,9 @@ def _unit_rows(rng, n, k):
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
 
-def _kronecker_sketch(factors, eps, seed, max_attempts):
-    """Reference: sketch the explicit Khatri-Rao rows, as for widths up to n1 + n2."""
-    wide = Factorization(
-        khatri_rao_rows([f.left for f in factors]),
-        khatri_rao_rows([f.right for f in factors]),
-    )
-    return jl_compress(wide, eps, seed, max_attempts)
+def _kronecker_rows(f, s):
+    """The explicit s-fold Khatri-Rao rows of ``f``, ``m**s`` wide."""
+    return Factorization(khatri_rao_rows([f.left] * s), khatri_rao_rows([f.right] * s))
 
 
 def _refuse_wide_kronecker(monkeypatch, rows):
@@ -200,15 +191,15 @@ def _count_gram_roots(monkeypatch):
     calls = []
     original = compress.gram_root_rows
 
-    def counted(factors):
-        calls.append(len(factors))
-        return original(factors)
+    def counted(f, s):
+        calls.append(s)
+        return original(f, s)
 
     monkeypatch.setattr(compress, "gram_root_rows", counted)
     return calls
 
 
-def _assert_same_law_as_khatri_rao_sketch(monkeypatch, factors, eps):
+def _assert_same_law_as_khatri_rao_sketch(monkeypatch, f, s, eps):
     """``hadamard_compress`` and a sketch of the explicit Kronecker rows agree in law.
 
     Over seeds 0-299 with one draw each (max_attempts=1, so no draw is
@@ -216,19 +207,19 @@ def _assert_same_law_as_khatri_rao_sketch(monkeypatch, factors, eps):
     y_j>^2) / r``, the distribution of the error/target ratio and the
     certification rate.
     """
-    n1, n2 = factors[0].shape
+    n1, n2 = f.shape
     r = rank_formula(eps, n1, n2)
-    left = khatri_rao_rows([f.left for f in factors])
-    right = khatri_rao_rows([f.right for f in factors])
+    wide = _kronecker_rows(f, s)
+    left, right = wide.left, wide.right
     exact = left @ right.T
     variance = (
         np.outer((left**2).sum(axis=1), (right**2).sum(axis=1)) + exact**2
     ) / r
 
     seeds = range(300)
-    ref = [_kronecker_sketch(factors, eps, q, 1) for q in seeds]
+    ref = [jl_compress(wide, eps, q, 1) for q in seeds]
     _refuse_wide_kronecker(monkeypatch, n1 + n2)
-    sketched = [hadamard_compress(factors, eps, seed=q, max_attempts=1) for q in seeds]
+    sketched = [hadamard_compress(f, s, eps, seed=q, max_attempts=1) for q in seeds]
     assert sketched[0][0].width == r
 
     def moments(results):
@@ -257,32 +248,23 @@ def _assert_same_law_as_khatri_rao_sketch(monkeypatch, factors, eps):
 
 
 class TestGramPath:
-    @pytest.mark.parametrize("widths", [(3, 4, 5), (4, 4, 4, 4)])
+    @pytest.mark.parametrize("widths", [(3, 3, 3, 3, 3), (4, 4, 4, 4)])
     def test_exact_product_and_row_norms(self, widths):
+        # the s-th power of a width-k factorization, s = len(widths): C(7, 5) = 21
+        # and C(7, 4) = 35 are both above N = 16
         rng = np.random.default_rng(21)
-        if len(set(widths)) == 1:
-            f = Factorization(rng.normal(size=(9, widths[0])), rng.normal(size=(7, widths[0])))
-            facts = [f] * len(widths)
-        else:
-            facts = [
-                Factorization(rng.normal(size=(9, k)), rng.normal(size=(7, k))) for k in widths
-            ]
-        C = gram_root_rows(facts)
+        k, s = widths[0], len(widths)
+        f = Factorization(rng.normal(size=(9, k)), rng.normal(size=(7, k)))
+        C = gram_root_rows(f, s)
         assert C.width == 16
-        exact = np.ones((9, 7))
-        scale = 1.0
-        for f in facts:
-            exact = exact * f.matrix()
-            na, nb = f.row_norms()
-            scale *= na * nb
-        assert np.abs(C.matrix() - exact).max() <= 1e-12 * scale
-        left = khatri_rao_rows([f.left for f in facts])
-        right = khatri_rao_rows([f.right for f in facts])
+        na, nb = f.row_norms()
+        assert np.abs(C.matrix() - f.matrix() ** s).max() <= 1e-12 * (na * nb) ** s
+        wide = _kronecker_rows(f, s)
         np.testing.assert_allclose(
-            np.linalg.norm(C.left, axis=1), np.linalg.norm(left, axis=1), rtol=1e-9
+            np.linalg.norm(C.left, axis=1), np.linalg.norm(wide.left, axis=1), rtol=1e-9
         )
         np.testing.assert_allclose(
-            np.linalg.norm(C.right, axis=1), np.linalg.norm(right, axis=1), rtol=1e-9
+            np.linalg.norm(C.right, axis=1), np.linalg.norm(wide.right, axis=1), rtol=1e-9
         )
 
     def test_same_law_as_khatri_rao_sketch(self, monkeypatch):
@@ -294,15 +276,15 @@ class TestGramPath:
         r = rank_formula(eps, n, n)
         assert math.comb(k + s - 1, s) > 2 * n > r, "the Gram path must run and really sketch"
         roots = _count_gram_roots(monkeypatch)
-        _assert_same_law_as_khatri_rao_sketch(monkeypatch, [f] * s, eps)
+        _assert_same_law_as_khatri_rao_sketch(monkeypatch, f, s, eps)
         assert len(roots) == 300
 
     def test_deterministic(self):
         # width 9: L = 165 > N = 120, so the Gram route runs
         rng = np.random.default_rng(23)
         f = Factorization(_unit_rows(rng, 60, 9), _unit_rows(rng, 60, 9))
-        G1, rep1 = hadamard_compress([f] * 3, 0.9, seed=4)
-        G2, rep2 = hadamard_compress([f] * 3, 0.9, seed=4)
+        G1, rep1 = hadamard_compress(f, 3, 0.9, seed=4)
+        G2, rep2 = hadamard_compress(f, 3, 0.9, seed=4)
         np.testing.assert_array_equal(G1.left, G2.left)
         np.testing.assert_array_equal(G1.right, G2.right)
         assert rep1 == rep2
@@ -312,7 +294,7 @@ class TestGramPath:
         rng = np.random.default_rng(24)
         f = Factorization(_unit_rows(rng, 60, 40), _unit_rows(rng, 60, 40))
         _refuse_wide_kronecker(monkeypatch, 120)
-        G, rep = hadamard_compress([f] * 4, 0.9, seed=5)
+        G, rep = hadamard_compress(f, 4, 0.9, seed=5)
         assert rep.certified
         assert G.width == rep.requested_rank < 120
         exact = f.matrix() ** 4
@@ -329,14 +311,14 @@ class TestSymmetricPowerPath:
         f = Factorization(rng.normal(size=(30, k)), rng.normal(size=(25, k)))
         roots = _count_gram_roots(monkeypatch)
         _refuse_wide_kronecker(monkeypatch, 1)
-        C, rep = hadamard_compress([f] * s, 0.5, seed=0)
+        C, rep = hadamard_compress(f, s, 0.5, seed=0)
         assert roots == []
         assert C.width == math.comb(k + s - 1, s)
         assert rep.achieved_max_error == 0.0
         na, nb = f.row_norms()
         assert np.abs(C.matrix() - f.matrix() ** s).max() <= 1e-12 * (na * nb) ** s
-        left = khatri_rao_rows([f.left] * s)
-        right = khatri_rao_rows([f.right] * s)
+        wide = _kronecker_rows(f, s)
+        left, right = wide.left, wide.right
         np.testing.assert_allclose(
             np.linalg.norm(C.left, axis=1), np.linalg.norm(left, axis=1), rtol=1e-9
         )
@@ -353,24 +335,17 @@ class TestSymmetricPowerPath:
         f = Factorization(_unit_rows(rng, n, k), _unit_rows(rng, n, k))
         assert 2 * n > math.comb(k + s - 1, s) > rank_formula(eps, n, n)
         roots = _count_gram_roots(monkeypatch)
-        _assert_same_law_as_khatri_rao_sketch(monkeypatch, [f] * s, eps)
+        _assert_same_law_as_khatri_rao_sketch(monkeypatch, f, s, eps)
         assert roots == []
 
     def test_routing(self, monkeypatch):
         rng = np.random.default_rng(27)
         f = Factorization(_unit_rows(rng, 30, 6), _unit_rows(rng, 30, 6))
-        g = Factorization(f.left.copy(), f.right.copy())
         roots = _count_gram_roots(monkeypatch)
-        hadamard_compress([f] * 3, 0.9, seed=0)  # L = 56 < N = 60
+        hadamard_compress(f, 3, 0.9, seed=0)  # L = 56 < N = 60
         assert roots == []
-        hadamard_compress([f] * 4, 0.9, seed=0)  # L = 126 > N
+        hadamard_compress(f, 4, 0.9, seed=0)  # L = 126 > N
         assert roots == [4]
-        # equal but distinct objects are not recognised as a power: W = 36 <= N
-        # takes the Kronecker rows, W = 216 > N the Gram root
-        G, _ = hadamard_compress([f, g], 0.5, seed=0)
-        assert G.width == 36
-        hadamard_compress([f, g, f], 0.9, seed=0)
-        assert roots == [4, 3]
 
     def test_cap_counts_the_symmetric_width(self, monkeypatch):
         # N * L = 60 * 56 entries for the cube of a width-6 factorization
@@ -378,9 +353,9 @@ class TestSymmetricPowerPath:
         f = Factorization(_unit_rows(rng, 30, 6), _unit_rows(rng, 30, 6))
         monkeypatch.setenv("MAXNORM_DENSE_CAP", str(60 * 56 - 1))
         with pytest.raises(DenseCapExceeded):
-            hadamard_compress([f] * 3, 0.9, seed=0)
+            hadamard_compress(f, 3, 0.9, seed=0)
         monkeypatch.setenv("MAXNORM_DENSE_CAP", str(60 * 56))
-        hadamard_compress([f] * 3, 0.9, seed=0)
+        hadamard_compress(f, 3, 0.9, seed=0)
 
     def test_weights_are_multinomial(self):
         x = np.array([[0.3, -1.2, 2.0]])
@@ -391,6 +366,52 @@ class TestSymmetricPowerPath:
             assert (cols * weights).sum() == pytest.approx(x.sum() ** s, rel=1e-12)
         with pytest.raises(ValueError):
             symmetric_power_blocks([x], 0)
+
+
+# (n1, n2, width m, power s) per route at eps = 0.9 (r = 50, 110 and 104), and
+# the pinned result: its width, the norms of its left, right and product
+# matrices, then the report's requested rank, achieved error, attempts, target
+# and certificate; a change to any route's arithmetic moves them
+_ROUTE_PINS = {
+    "s1-passed": ((6, 5, 3, 1), (
+        3, 2.449489742783178, 2.2360679774997894, 3.325301823891471,
+        50, 0.0, 1, 0.9, True)),
+    "s1-sketched": ((6, 5, 80, 1), (
+        50, 2.5377545612854115, 2.2911307644656604, 0.8877060126130876,
+        50, 0.4490125754190022, 1, 0.9000000000000005, True)),
+    "m1": ((6, 5, 1, 3), (
+        1, 2.449489742783178, 2.23606797749979, 5.477225575051661,
+        50, 0.0, 1, 0.9, True)),
+    "symmetric-passed": ((6, 5, 3, 2), (
+        6, 2.449489742783178, 2.2360679774997894, 2.638653735133305,
+        50, 0.0, 1, 0.9000000000000002, True)),
+    "symmetric-sketched": ((90, 70, 8, 3), (
+        110, 9.605673766041036, 8.339970178136612, 12.519266641893768,
+        110, 0.3802144977981502, 1, 0.9000000000000009, True)),
+    "gram-passed": ((6, 5, 3, 4), (
+        11, 2.449489742783178, 2.2360679774997902, 1.8126078547920956,
+        50, 0.0, 1, 0.9000000000000008, True)),
+    "gram-sketched": ((64, 56, 9, 3), (
+        104, 7.9832789818980725, 7.469322206959787, 8.595552212920838,
+        104, 0.36670361936161455, 1, 0.9000000000000014, True)),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROUTE_PINS))
+def test_route_results_are_pinned(case):
+    # one case per route: the power passes through or is sketched, from F's
+    # own rows (s = 1), its symmetric-power factor (m = 1 included) or a Gram root
+    (n1, n2, k, s), expected = _ROUTE_PINS[case]
+    index = list(_ROUTE_PINS).index(case)
+    rng = np.random.default_rng(30 + index)
+    f = Factorization(_unit_rows(rng, n1, k), _unit_rows(rng, n2, k))
+    G, rep = hadamard_compress(f, s, 0.9, seed=index)
+    got = (
+        G.width, np.linalg.norm(G.left), np.linalg.norm(G.right), np.linalg.norm(G.matrix()),
+        rep.requested_rank, rep.achieved_max_error, rep.attempts, rep.target_bound,
+        rep.certified,
+    )
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestAugmentRankOne:

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from maxnorm_lowrank import compress, taylor
+from maxnorm_lowrank import caps, compress, taylor
 from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.kernels import (
     ARG_SQDIST,
@@ -179,6 +179,25 @@ class TestApproxSqDistanceLocal:
         assert rep.analytic_term == math.inf
         assert rep.measured_max_error is not None
 
+    def test_refuses_above_the_matrix_cap(self, monkeypatch):
+        # the realized range needs the 60 x 60 = 3600-entry distance matrix: above a
+        # cap of 3000 the route refuses before building it, at 3600 it measures
+        X, Y = sample_ball(16, 60, 3, 1.0), sample_ball(17, 60, 3, 1.0)
+        spec = exp_dist((0.0, 4.0))
+        original = taylor.distance_matrix
+
+        def guarded(*args):
+            assert caps.matrix_dense_cap() >= 3600, "built a distance matrix above the cap"
+            return original(*args)
+
+        monkeypatch.setattr(taylor, "distance_matrix", guarded)
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "3000")
+        with pytest.raises(DenseCapExceeded, match=r"60x60 .* cap 3000"):
+            approx_sq_distance_local(spec, X, None, Y, t=3, eps=0.3, seed=3)
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "3600")
+        _, rep = approx_sq_distance_local(spec, X, None, Y, t=3, eps=0.3, seed=3)
+        assert rep.measured_max_error is not None
+
 
 ROUTES = [
     (approx_inner_product, gaussian_on_sphere(), sample_sphere, 5),
@@ -322,11 +341,11 @@ class TestExactSum:
         F, _ = truncated_series(route, spec, X, Y, 4)
         assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), rel=1e-12)
 
+    # the local route refuses above the cap (TestApproxSqDistanceLocal)
     @pytest.mark.parametrize("route, spec, sample, m", [
         (approx_inner_product, gaussian_on_sphere(), sample_sphere, 4),
         (approx_sq_distance, gauss_sq_dist((-4, 4)), sample_ball, 2),
-        (approx_sq_distance_local, gauss_sq_dist((-4, 4)), sample_ball, 1),
-    ], ids=WIDE_IDS)
+    ], ids=WIDE_IDS[:2])
     def test_above_the_matrix_cap_the_powers_are_compressed(
         self, monkeypatch, route, spec, sample, m
     ):

@@ -105,10 +105,11 @@ class TestHadamardPower:
             )
 
     def test_width_cap(self):
+        # 64**4 columns, above caps.CP_WIDTH_CAP = 2**16
         rng = np.random.default_rng(4)
         P = random_cp(rng, (3, 3), 64)
         with pytest.raises(DenseCapExceeded):
-            cp_hadamard_power(P, 4, width_cap=10**6)
+            cp_hadamard_power(P, 4)
 
 
 class TestTTSvd:
