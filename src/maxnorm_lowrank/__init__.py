@@ -12,7 +12,6 @@ from .altproj import (
 )
 from .bounds import (
     analytical_rank_bound,
-    compare_bounds,
     stage_two_onset,
     three_stage_profile,
     ut_bound,
@@ -32,7 +31,6 @@ from .kernels import (
     cauchy,
     custom_series,
     distance_matrix,
-    estimate_growth_constants,
     eval_kernel_matrix,
     eval_kernel_tensor,
     exp_affine,

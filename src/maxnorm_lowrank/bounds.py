@@ -1,4 +1,4 @@
-"""Closed-form rank bounds and their comparisons.
+"""Closed-form rank bounds.
 
 Three families of bounds on the rank needed for an entrywise error of
 order eps:
@@ -95,45 +95,6 @@ def ut_tighter_bound(
         ctx.prec = 40
         value = decimal.Decimal(base) * decimal.Decimal(exponent).exp()
         return int(value.to_integral_value(decimal.ROUND_CEILING)), True
-
-
-@dataclass(frozen=True)
-class BoundComparison:
-    ut_always_looser: bool
-    ut_tighter_always_looser: bool
-
-
-def compare_bounds(m: int, M: float) -> BoundComparison:
-    """Sufficient conditions under which each LVM bound is looser than the
-    analytical bound for every matrix size.
-
-    * plain LVM bound: m >= 2 and M < (m^2 - e) / e^3
-    * sharpened bound: e^(M^2) > 1 + e^2 M  (holds for all M > 1.597)
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if M <= 0:
-        raise ValueError(f"M must be positive, got {M}")
-    ut = m >= 2 and M < (m**2 - math.e) / math.e**3
-    tighter = math.exp(M**2) > 1.0 + math.e**2 * M
-    return BoundComparison(ut, tighter)
-
-
-def ut_tighter_crossing(lo: float = 1.0, hi: float = 2.0, tol: float = 1e-9) -> float:
-    """Bisection root of e^(M^2) = 1 + e^2 M inside (lo, hi)."""
-
-    def g(M: float) -> float:
-        return math.exp(M**2) - 1.0 - math.e**2 * M
-
-    if g(lo) >= 0 or g(hi) <= 0:
-        raise ValueError("bracket does not straddle the crossing")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 STAGE_LINEAR = "linear"

@@ -10,8 +10,9 @@ bounds a dense n1 x n2 matrix, the ``N x min(width, N)`` factor that
 L = C(m+s-1, s) for an s-th power of a width-m factorization), and in
 ``tensors`` the largest matrix of a power's Gram-based TT-SVD (the L x L
 Gram, the (r n_k) x L frame or the last unfolding; a power above it is
-built incrementally) and the (n_1 n_2) x r_2 contraction that
-``TTTensor.entries`` gathers rows from.  The CP caps below still bound
+built incrementally) and the (k n_2) x r_2 contraction, over the k
+leading indices a batch spans, that ``TTTensor.entries`` gathers rows
+from.  The CP caps below still bound
 the exact Khatri-Rao powers and CP -> TT cores.
 """
 

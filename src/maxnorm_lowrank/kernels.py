@@ -22,6 +22,7 @@ import numpy as np
 from numpy.polynomial import hermite as _herm
 
 from . import caps
+from .lowrank import row_blocks
 from .sampling import PointSet
 
 ARG_INNER = "inner_product"
@@ -164,8 +165,7 @@ def exp_dist(domain: tuple[float, float] = (0.0, 4.0)) -> KernelSpec:
 def quartic_dist(domain: tuple[float, float] = (-4.0, 4.0)) -> KernelSpec:
     """f(x, y) = exp(-||x - y||_2^4); profile h(u) = exp(-u^2) on the squared distance.
 
-    No closed-form growth constants are carried; estimate them with
-    :func:`estimate_growth_constants` if needed.  No spectral law either:
+    No closed-form growth constants are carried.  No spectral law either:
     the profile violates Schoenberg's criterion, so the kernel is not
     positive-definite.
     """
@@ -211,30 +211,6 @@ def custom_series(
 ) -> KernelSpec:
     """User-supplied profile function with its derivative rule; its arguments are domain-checked."""
     return KernelSpec("custom_series", arg_kind, domain, h, deriv, C=C, M=M)
-
-
-def estimate_growth_constants(
-    spec: KernelSpec,
-    interval: Optional[tuple[float, float]] = None,
-    max_order: int = 12,
-    grid: int = 257,
-) -> tuple[float, float]:
-    """Empirical (C, M) with sup|h^(s)| <= C * M**s on the sampled orders.
-
-    This is a measurement, not a certificate: the sup is taken over a
-    finite grid and orders 0..max_order.
-    """
-    lo, hi = interval if interval is not None else spec.domain
-    us = np.linspace(lo, hi, grid)
-    sups = []
-    for s in range(max_order + 1):
-        sups.append(max(abs(spec.derivative(s, float(u))) for u in us))
-    sups = np.asarray(sups)
-    base = max(sups[0], np.finfo(float).tiny)
-    M = max((sups[s] / base) ** (1.0 / s) for s in range(1, max_order + 1))
-    M = float(max(M, np.finfo(float).tiny))
-    C = float(max(sups[s] / M**s for s in range(max_order + 1)))
-    return C, M
 
 
 # ----------------------------------------------------------------------
@@ -322,9 +298,15 @@ def distance_matrix(
         rx = (WX * X.points).sum(axis=1)
         ry = ((Y.points @ entries) * Y.points).sum(axis=1)
         cross = WX @ Y.points.T
+    D = _clamped_sq_dist(rx, ry, cross)
+    return D, float(D.min()), float(D.max())
+
+
+def _clamped_sq_dist(rx: np.ndarray, ry: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """``rx[i] + ry[j] - 2 cross[i, j]`` with negative floating dust clamped to zero."""
     D = rx[:, None] + ry[None, :] - 2.0 * cross
     np.maximum(D, 0.0, out=D)
-    return D, float(D.min()), float(D.max())
+    return D
 
 
 def _profile(spec: KernelSpec, args: np.ndarray) -> np.ndarray:
@@ -335,7 +317,11 @@ def _profile(spec: KernelSpec, args: np.ndarray) -> np.ndarray:
 
 
 def eval_kernel_matrix(spec: KernelSpec, X: PointSet, Y: PointSet) -> np.ndarray:
-    """Exact dense matrix F(i,j) = f(x_i, y_j); under the symmetric scheme Y is X."""
+    """Exact dense matrix F(i,j) = f(x_i, y_j); under the symmetric scheme Y is X.
+
+    Arguments and profile are evaluated one ``ROW_BLOCK`` of rows at a
+    time into the result, so the scratch beside it is O(ROW_BLOCK * n2).
+    """
     if X.n * Y.n > caps.matrix_dense_cap():
         raise caps.DenseCapExceeded(
             f"dense {X.n} x {Y.n} matrix exceeds cap {caps.matrix_dense_cap()}"
@@ -343,17 +329,24 @@ def eval_kernel_matrix(spec: KernelSpec, X: PointSet, Y: PointSet) -> np.ndarray
     if spec.arg_kind == ARG_COORDS:
         if X.m != Y.m:
             raise ValueError(f"point sets disagree on dimension: {X.m} and {Y.m}")
-        out = np.ones((X.n, Y.n))
-        for k in range(X.m):
-            out *= _profile(spec, np.subtract.outer(X.points[:, k], Y.points[:, k]) ** 2)
-        return out
-    if spec.arg_kind in (ARG_INNER, ARG_HOIP):
-        args = gram(X, None, Y)
     elif spec.arg_kind == ARG_SQDIST:
-        args, _, _ = distance_matrix(X, None, Y)
-    else:
+        rx = (X.points**2).sum(axis=1)
+        ry = (Y.points**2).sum(axis=1)
+    elif spec.arg_kind not in (ARG_INNER, ARG_HOIP):
         raise ValueError(f"unknown argument kind {spec.arg_kind!r}")
-    return _profile(spec, args)
+    out = np.empty((X.n, Y.n))
+    for rows in row_blocks(X.n):
+        if spec.arg_kind == ARG_COORDS:
+            block = out[rows]
+            block.fill(1.0)
+            for k in range(X.m):
+                block *= _profile(spec, np.subtract.outer(X.points[rows, k], Y.points[:, k]) ** 2)
+        else:
+            args = X.points[rows] @ Y.points.T
+            if spec.arg_kind == ARG_SQDIST:
+                args = _clamped_sq_dist(rx[rows], ry, args)
+            out[rows] = _profile(spec, args)
+    return out
 
 
 def hoip_subscripts(d: int) -> str:

@@ -97,17 +97,25 @@ def rff_factorization(freqs: FrequencySet, X: PointSet, Y: PointSet) -> Factoriz
     """Width-2*rho feature factorization with interleaved cos/sin columns.
 
     Every row of both factors has Euclidean norm exactly 1, and
-    (A B')(i, j) = mean_k cos(w_k' (x_i - y_j)).
+    (A B')(i, j) = mean_k cos(w_k' (x_i - y_j)).  A factor's phases are
+    computed into its own buffer, so building one holds the factor and
+    one row block of scratch.
     """
     if X.m != freqs.omegas.shape[1] or Y.m != freqs.omegas.shape[1]:
         raise ValueError("frequency dimension does not match the points")
     scale = 1.0 / math.sqrt(freqs.rho)
 
     def features(P: PointSet) -> np.ndarray:
-        phases = P.points @ freqs.omegas.T  # (n, rho)
         out = np.empty((P.n, 2 * freqs.rho))
-        np.cos(phases, out=out[:, 0::2])
-        np.sin(phases, out=out[:, 1::2])
+        # the (n, rho) phases fill the second half of out's buffer; rows
+        # [0, b) of out end before phase row b, so each row block's phases
+        # are copied out before its features overwrite them
+        phases = out.reshape(-1)[P.n * freqs.rho :].reshape(P.n, freqs.rho)
+        np.matmul(P.points, freqs.omegas.T, out=phases)
+        for rows in row_blocks(P.n):
+            block = phases[rows].copy()
+            np.cos(block, out=out[rows, 0::2])
+            np.sin(block, out=out[rows, 1::2])
         out *= scale
         return out
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -125,32 +125,41 @@ class TTTensor:
         """Evaluate a batch of entries; ``idx`` has shape (batch, d).
 
         When it fits under the matrix cap, the first two cores are first
-        contracted into an (n_1 n_2, r_2) matrix ``first``, indexed by
-        ``i_1 n_2 + i_2``.  Then one of two routes runs.
+        contracted over the range of leading indices the batch spans,
+        ``lo <= i_1 < hi``, into a ((hi - lo) n_2, r_2) matrix ``first``,
+        indexed by ``(i_1 - lo) n_2 + i_2``.  Then one of two routes runs.
 
         * Per sample, ``ENTRY_BLOCK`` samples at a time in O(block * r)
           memory: the block's rows of ``first`` are gathered, each further
           middle core is applied by one matmul per distinct index in the
           block, and the last core by a row-wise dot product.
         * By slabs, for an order-3 train with ``first`` formed and at least
-          one sample per ``SLAB_COST_RATIO`` entries of the tensor: the
-          samples are grouped by slab with a stable sort, each slab of at
-          most ``SLAB_ENTRIES`` entries is formed by one matmul ``first[rows]
-          @ last.T``, and its samples are gathered from it.  A gathered
-          sample costs about 100 times a slab entry (300 ns against 3 ns
-          at r = 36 on one OpenBLAS thread of an x86 core), so this is
-          the cheaper route above that density.
+          one sample per ``SLAB_COST_RATIO`` entries of that range of the
+          tensor: the samples are grouped by slab with a stable sort, each
+          slab of at most ``SLAB_ENTRIES`` entries is formed by one matmul
+          ``first[rows] @ last.T``, and its samples are gathered from it.
+          A gathered sample costs about 100 times a slab entry (300 ns
+          against 3 ns at r = 36 on one OpenBLAS thread of an x86 core),
+          so this is the cheaper route above that density.
+
+        Besides arrays of batch size, a batch confined to leading indices
+        whose slice of the tensor holds at most ``SLAB_ENTRIES`` entries
+        thus costs one slab and its part of ``first``; the sampled error
+        check of ``taylor_tt_approx`` passes such batches.
         """
         idx = np.asarray(idx, dtype=np.intp)
         if self.order == 1:
             return self.cores[0][0, idx[:, 0], 0]
+        if idx.shape[0] == 0:
+            return np.empty(0)
         first = self.cores[0][0]  # (n_1, r_1)
         rows = idx[:, 0]
         start = 1
-        n1, n2, r2 = first.shape[0], *self.cores[1].shape[1:]
-        if self.order > 2 and n1 * n2 * r2 <= caps.matrix_dense_cap():
-            first = np.tensordot(first, self.cores[1], axes=1).reshape(n1 * n2, r2)
-            rows = idx[:, 0] * n2 + idx[:, 1]
+        i_lo, i_hi = rows.min(), rows.max() + 1
+        n2, r2 = self.cores[1].shape[1:]
+        if self.order > 2 and (i_hi - i_lo) * n2 * r2 <= caps.matrix_dense_cap():
+            first = np.tensordot(first[i_lo:i_hi], self.cores[1], axes=1).reshape(-1, r2)
+            rows = (rows - i_lo) * n2 + idx[:, 1]
             start = 2
         last = self.cores[-1][:, :, 0].T  # (n_d, r_{d-1})
         if (
@@ -181,18 +190,27 @@ def _entries_by_slabs(
     """Entries ``first[rows[b]] @ last[col[b]]``, gathered from slabs ``first[lo:hi] @ last.T``."""
     n = last.shape[0]
     step = SLAB_ENTRIES // n
-    count = -(-first.shape[0] // step)
-    slab = (rows // step).astype(np.min_scalar_type(count - 1))
+    flat = rows * n + col
+    out = np.empty(rows.shape[0])
+    for k, sel in _slab_groups(rows, first.shape[0], step):
+        lo = k * step
+        out[sel] = np.take(first[lo : lo + step] @ last.T, flat[sel] - lo * n)
+    return out
+
+
+def _slab_groups(keys: np.ndarray, n: int, step: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(k, positions of the keys in [k step, (k + 1) step))`` for each nonempty slab k.
+
+    ``keys`` lie in ``range(n)``; each slab's positions come in increasing
+    order, from one stable sort of the slab numbers.
+    """
+    count = -(-n // step)
+    slab = (keys // step).astype(np.min_scalar_type(count - 1))
     order = np.argsort(slab, kind="stable")  # a radix sort for up to 2**16 slabs
     counts = np.bincount(slab, minlength=count)
     ends = np.cumsum(counts)
-    flat = rows * n + col
-    out = np.empty(rows.shape[0])
     for k in np.flatnonzero(counts):
-        lo = k * step
-        sel = order[ends[k] - counts[k] : ends[k]]
-        out[sel] = np.take(first[lo : lo + step] @ last.T, flat[sel] - lo * n)
-    return out
+        yield int(k), order[ends[k] - counts[k] : ends[k]]
 
 
 def _apply_core(left: np.ndarray, core: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -529,7 +547,13 @@ def taylor_tt_approx(
     The error is measured against the dense tensor, in mode-1 slabs of
     at most ``SLAB_ENTRIES`` entries, when it fits under the dense-check
     cap, otherwise estimated on ``sample_size`` random entries (the only
-    use of ``seed``) in blocks of ``ENTRY_BLOCK``.
+    use of ``seed``).  The sampled check draws one index column per mode,
+    groups the samples by the same mode-1 slabs with one stable sort, and
+    takes each group's TT values from one ``TTTensor.entries`` call and
+    its h values ``ENTRY_BLOCK`` samples at a time, keeping only the two
+    maxima.  Beside the result it holds the index columns and their sort
+    order (8 (d + 1) bytes per sample), one slab with the samples in
+    it, and one ``ENTRY_BLOCK`` of h arguments.
     """
     if t < 1:
         raise ValueError(f"order t must be >= 1, got {t}")
@@ -557,21 +581,25 @@ def taylor_tt_approx(
 
     # measured error: dense when affordable, sampled otherwise
     sampled = P.size() > min(caps.dense_check_cap(), caps.tensor_dense_cap())
+    measured = denom = 0.0
+    step = max(1, SLAB_ENTRIES // math.prod(shape[1:]))
     if sampled:
         rng = generator(seed)
-        idx = np.column_stack([rng.integers(0, n, size=sample_size) for n in shape])
-        f_vals = np.empty(sample_size)
-        for lo in range(0, sample_size, ENTRY_BLOCK):
-            block = idx[lo : lo + ENTRY_BLOCK]
-            args = np.ones((block.shape[0], P.width))
-            for j, f in enumerate(P.factors):
-                args *= np.take(f, block[:, j], axis=0)
-            f_vals[lo : lo + ENTRY_BLOCK] = spec.h(args.sum(axis=1))
-        measured = float(np.abs(f_vals - total.entries(idx)).max())
-        denom = float(np.abs(f_vals).max())
+        cols = [rng.integers(0, n, size=sample_size) for n in shape]
+        for _, sel in _slab_groups(cols[0], shape[0], step):
+            idx = np.column_stack([c[sel] for c in cols])
+            g_vals = total.entries(idx)
+            for lo in range(0, sel.shape[0], ENTRY_BLOCK):
+                block = idx[lo : lo + ENTRY_BLOCK]
+                args = np.ones((block.shape[0], P.width))
+                for j, f in enumerate(P.factors):
+                    args *= np.take(f, block[:, j], axis=0)
+                f_vals = spec.h(args.sum(axis=1))
+                err = np.abs(f_vals - g_vals[lo : lo + ENTRY_BLOCK]).max()
+                measured = np.maximum(measured, err)  # unlike max, keeps a NaN error
+                denom = np.maximum(denom, np.abs(f_vals).max())
+        measured, denom = float(measured), float(denom)
     else:
-        measured = denom = 0.0
-        step = max(1, SLAB_ENTRIES // math.prod(shape[1:]))
         for lo in range(0, shape[0], step):
             rows = slice(lo, lo + step)
             F = spec.h(CPTensor((P.factors[0][rows], *P.factors[1:])).dense())

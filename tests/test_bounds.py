@@ -6,12 +6,10 @@ import pytest
 
 from maxnorm_lowrank.bounds import (
     analytical_rank_bound,
-    compare_bounds,
     stage_two_onset,
     three_stage_profile,
     ut_bound,
     ut_tighter_bound,
-    ut_tighter_crossing,
 )
 from maxnorm_lowrank.compress import rank_formula
 
@@ -115,27 +113,6 @@ class TestUtTighterBound:
         # leading digits: 10**frac(log10 value), good to ~1e-13 in float
         lead = 10 ** (log10_value - math.floor(log10_value))
         assert abs(int(str(value)[:10]) - lead * 1e9) <= 1
-
-
-class TestCompareBounds:
-    def test_ut_condition_example(self):
-        assert compare_bounds(2, 0.05).ut_always_looser  # 0.05 < (4-e)/e^3 ~ 0.0638
-        assert not compare_bounds(2, 0.07).ut_always_looser
-        assert not compare_bounds(1, 0.01).ut_always_looser  # needs m >= 2
-
-    def test_tighter_condition_at_crossing(self):
-        assert not compare_bounds(2, 1.5).ut_tighter_always_looser
-        assert compare_bounds(2, 1.6).ut_tighter_always_looser
-
-    def test_tighter_condition_uniform_in_m(self):
-        for m in range(1, 65):
-            assert compare_bounds(m, 1.6).ut_tighter_always_looser
-
-    def test_crossing_location(self):
-        root = ut_tighter_crossing(1.59, 1.60, tol=1e-6)
-        assert 1.59 < root < 1.60
-        g = math.exp(root**2) - 1.0 - math.e**2 * root
-        assert abs(g) < 1e-4
 
 
 class TestThreeStageProfile:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.kernels import (
     DomainViolation,
     KernelSpec,
@@ -10,7 +12,6 @@ from maxnorm_lowrank.kernels import (
     cauchy,
     custom_series,
     distance_matrix,
-    estimate_growth_constants,
     eval_kernel_matrix,
     eval_kernel_tensor,
     exp_affine,
@@ -150,6 +151,49 @@ class TestEvalKernelMatrix:
         with pytest.raises(DomainViolation):
             eval_kernel_matrix(spec, X, X)
 
+    @pytest.mark.parametrize("spec", [exp_dist(), exp_affine(1.0, 0.5), sinh_hoip(), cauchy()])
+    def test_row_blocks_match_whole_matrix(self, spec):
+        # 300 rows: two full row blocks and a partial one
+        X, Y = sample_ball(12, 300, 5, 1.0), sample_ball(13, 70, 5, 1.0)
+        if spec.arg_kind == "sq_distance":
+            args = distance_matrix(X, None, Y)[0]
+        elif spec.arg_kind == "coordinates":
+            args = None
+        else:
+            args = X.points @ Y.points.T
+        if args is None:
+            expected = np.prod(
+                [spec.h((X.points[:, k][:, None] - Y.points[:, k][None, :]) ** 2) for k in range(5)],
+                axis=0,
+            )
+        else:
+            expected = spec.h(args)
+        np.testing.assert_allclose(eval_kernel_matrix(spec, X, Y), expected, rtol=1e-13, atol=1e-15)
+
+    def test_memory_is_the_result_and_one_row_block(self):
+        n = 1500
+        X = sample_ball(14, n, 20, 1.0)
+        tracemalloc.start()
+        try:
+            F = eval_kernel_matrix(gauss_sq_dist(), X, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # whole-matrix distances would take about three result-sized arrays
+        assert peak <= 1.5 * F.nbytes
+
+    def test_cap_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "100")
+        X = sample_ball(15, 1000, 3, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseCapExceeded):
+                eval_kernel_matrix(exp_dist(), X, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # the refused matrix is 8 MB, one row block 1 MB
+
 
 class TestEvalKernelTensor:
     def test_basis_vector_entry(self):
@@ -219,19 +263,3 @@ class TestDerivativeRules:
         spec = sinh_hoip()
         assert spec.derivative(2, 0.0) == 0.0
         assert spec.derivative(3, 0.0) == 1.0
-
-
-class TestGrowthConstants:
-    def test_estimate_dominates_sampled_orders(self):
-        spec = quartic_dist((-2.0, 2.0))
-        C, M = estimate_growth_constants(spec, max_order=8)
-        for s in range(9):
-            sup = max(abs(spec.derivative(s, u)) for u in np.linspace(-2, 2, 101))
-            assert sup <= C * M**s * (1 + 1e-9)
-
-    def test_gauss_constants_close_to_exact(self):
-        spec = gauss_sq_dist((-1.0, 1.0))
-        C, M = estimate_growth_constants(spec, interval=(-1.0, 1.0), max_order=6)
-        # exact values on [-1, 1]: C = e, M = 1
-        assert C == pytest.approx(math.e, rel=1e-6)
-        assert M == pytest.approx(1.0, rel=1e-6)

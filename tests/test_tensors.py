@@ -12,6 +12,7 @@ from maxnorm_lowrank.kernels import custom_series, eval_kernel_tensor, sinh_hoip
 from maxnorm_lowrank.rng import generator
 from maxnorm_lowrank.sampling import PointSet, sample_ball
 from maxnorm_lowrank.tensors import (
+    ENTRY_BLOCK,
     CPTensor,
     TTTensor,
     cp_from_points,
@@ -485,3 +486,83 @@ class TestBlockedEntries:
         g = G.dense()[tuple(idx.T)]
         expected = np.abs(f - g).max() / np.abs(f).max()
         assert rep.measured_relative_error == pytest.approx(expected, rel=1e-12)
+
+    def test_sampled_error_keeps_a_nan(self, monkeypatch):
+        sets = [sample_ball(s, 40, 3, 1.0) for s in (7, 8, 9)]
+        sinh = sinh_hoip()
+        spec = custom_series(
+            lambda u: np.where(u > 0.05, np.nan, np.sinh(u)), sinh.deriv, sinh.domain, arg_kind="hoip"
+        )
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "20000")
+        _, rep = taylor_tt_approx(spec, cp_from_points(sets), t=4, r=4, seed=11)
+        assert rep.error_sampled and math.isnan(rep.measured_max_error)
+
+    @pytest.mark.parametrize("lead", [(3, 4), (0, 12), (5, 9)])
+    def test_batches_confined_to_leading_rows_match_dense(self, monkeypatch, lead):
+        rng = np.random.default_rng(64)
+        shape = (12, 9, 8)
+        T = random_tt(rng, shape, (3, 4))
+        dense = T.dense()
+        # 6 merged (i_1, i_2) rows per slab, so a batch over several leading
+        # indices spans slab edges both inside and across them
+        monkeypatch.setattr(tensors, "SLAB_ENTRIES", 50)
+        calls = self._spy_slabs(monkeypatch)
+        lo, hi = lead
+        slabbed = []
+        for batch in (200, 3):  # above and, for a wide range, below the slab density
+            idx = np.column_stack(
+                [np.r_[lo, hi - 1, rng.integers(lo, hi, batch - 2)]]
+                + [rng.integers(0, n, batch) for n in shape[1:]]
+            )
+            np.testing.assert_allclose(T.entries(idx), dense[tuple(idx.T)], rtol=1e-12, atol=1e-12)
+            # the density rule counts the entries of the leading range only
+            if batch * tensors.SLAB_COST_RATIO >= (hi - lo) * shape[1] * shape[2]:
+                slabbed.append(batch)
+        assert calls == slabbed == ([200, 3] if hi - lo == 1 else [200])
+
+    def test_first_two_cores_contracted_over_the_batch_range_only(self):
+        rng = np.random.default_rng(65)
+        n, r = 300, 36
+        T = random_tt(rng, (n, n, n), (r, r))
+        # leading indices 22..32: one slab of the sampled error check, 11 n^2 entries
+        idx = np.column_stack(
+            [rng.integers(22, 33, ENTRY_BLOCK)] + [rng.integers(0, n, ENTRY_BLOCK) for _ in range(2)]
+        )
+        tracemalloc.start()
+        try:
+            values = T.entries(idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # contracting all n leading indices alone would take n * n * r * 8 = 26 MB
+        assert peak < 16 * 2**20
+        first = np.tensordot(T.cores[0][0], T.cores[1], axes=1)
+        expected = np.einsum("br,br->b", first[idx[:, 0], idx[:, 1]], T.cores[2][:, idx[:, 2], 0].T)
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestSampledCheckAtBenchmarkScale:
+    """The profile, shape, order and rank of the tt_taylor benchmark's sampled call."""
+
+    @staticmethod
+    def _call():
+        P = cp_from_points([sample_ball(s, 300, 6) for s in (1601, 1602, 1603)])
+        return taylor_tt_approx(sinh_hoip(), P, 8, 10, seed=1604)
+
+    def test_sampled_errors_unchanged(self):
+        # equal to the maxima over all 10**6 samples evaluated in one batch
+        _, rep = self._call()
+        assert rep.error_sampled
+        assert rep.measured_max_error == pytest.approx(0.016006486935337683, rel=1e-12)
+        assert rep.measured_relative_error == pytest.approx(0.022878531056326472, rel=1e-12)
+
+    def test_traced_peak(self):
+        tracemalloc.start()
+        try:
+            self._call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # construction 56 MB; the check's index columns 24 MB and sort order
+        # 8 MB, then one slab at a time; one batch of all samples peaks at 101 MB
+        assert peak <= 75 * 2**20
