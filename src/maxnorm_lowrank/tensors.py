@@ -201,10 +201,14 @@ def _entries_by_slabs(
 def _slab_groups(keys: np.ndarray, n: int, step: int) -> Iterator[tuple[int, np.ndarray]]:
     """``(k, positions of the keys in [k step, (k + 1) step))`` for each nonempty slab k.
 
-    ``keys`` lie in ``range(n)``; each slab's positions come in increasing
-    order, from one stable sort of the slab numbers.
+    ``keys`` lie in ``range(n)`` and may be of any integer dtype that holds
+    ``n - 1``; each slab's positions come in increasing order, from one
+    stable sort of the slab numbers.
     """
     count = -(-n // step)
+    if count == 1:  # one slab; a step >= n may not fit the keys' dtype
+        yield 0, np.arange(keys.shape[0])
+        return
     slab = (keys // step).astype(np.min_scalar_type(count - 1))
     order = np.argsort(slab, kind="stable")  # a radix sort for up to 2**16 slabs
     counts = np.bincount(slab, minlength=count)
@@ -294,22 +298,26 @@ def cp_tt_svd(T: CPTensor, max_rank: int) -> TTTensor:
     Gram matrix ``A^T A = F_d G F_d^T``, where ``G = M^T M = (Z^T Z) *
     (F_{d-1}^T F_{d-1})``: the top eigenvectors V and eigenvalues
     ``sigma**2`` give ``U = M (F_d^T V) / sigma`` and the last core
-    ``sigma V^T``, so neither A nor a QR of M is formed.  When that Gram
-    matrix is ill-conditioned at the kept rank (``lowrank.GRAM_RTOL``), and
-    when A is not tall, A is decomposed by an SVD instead, after reducing
-    a tall M to the R of its QR when L < n_d.
+    ``sigma V^T``.  This route forms neither A, nor a QR of M, nor M
+    itself: U is built one block of n_{d-1} rows at a time, block a as
+    ``(Z[a] * F_{d-1}) (F_d^T V)``, so beside the factors it holds L x L
+    matrices, the n_d x n_d Gram and U.  When that Gram matrix is
+    ill-conditioned at the kept rank (``lowrank.GRAM_RTOL``), and when A
+    is not tall, the (r_{d-2} n_{d-1}) x L matrix M is formed and A is
+    decomposed by an SVD, after reducing a tall M to the R of its QR when
+    L < n_d.
     """
     F = T.factors
     d, L = T.order, T.width
     pen = F[-2].T @ F[-2]  # Gram of mode d-1, a factor of every product below
-    suffix: list[np.ndarray] = []  # suffix[k] = Hadamard product of F_j^T F_j, j > k
+    # suffix[-1 - k] = Hadamard product of F_j^T F_j, j > k; step k pops it
+    suffix: list[np.ndarray] = []
     if d > 2:
-        H = pen * (F[-1].T @ F[-1])
-        suffix.append(H)
+        suffix.append(F[-1].T @ F[-1])
+        suffix[0] *= pen
         for j in range(d - 3, 0, -1):
-            H = (F[j].T @ F[j]) * H
-            suffix.append(H)
-        suffix.reverse()
+            suffix.append(F[j].T @ F[j])
+            suffix[-1] *= suffix[-2]
     Z = np.ones((1, L))
     cores = []
     for k in range(d - 2):
@@ -317,7 +325,7 @@ def cp_tt_svd(T: CPTensor, max_rank: int) -> TTTensor:
         M = (Z[:, None, :] * F[k][None, :, :]).reshape(-1, L)
         rank = max(1, min(max_rank, *M.shape, math.prod(T.shape[k + 1 :])))
         Q, R = np.linalg.qr(M) if M.shape[0] > L else (None, M)
-        _, V = np.linalg.eigh(R @ suffix[k] @ R.T)
+        _, V = np.linalg.eigh(R @ suffix.pop() @ R.T)
         U = V[:, ::-1][:, :rank]
         if Q is not None:
             U = Q @ U
@@ -325,16 +333,24 @@ def cp_tt_svd(T: CPTensor, max_rank: int) -> TTTensor:
         Z = U.T @ M
 
     n, Fd = F[-2].shape[0], F[-1]
-    M = (Z[:, None, :] * F[-2][None, :, :]).reshape(-1, L)
-    rank = max(1, min(max_rank, *M.shape, Fd.shape[0]))
+    rows = Z.shape[0] * n
+    rank = max(1, min(max_rank, rows, L, Fd.shape[0]))
     lam = None
-    if M.shape[0] > Fd.shape[0]:
-        lam, V = np.linalg.eigh(Fd @ ((Z.T @ Z) * pen) @ Fd.T)  # eigenvalues ascend
+    if rows > Fd.shape[0]:
+        G = Z.T @ Z
+        G *= pen
+        lam, V = np.linalg.eigh(Fd @ G @ Fd.T)  # eigenvalues ascend
     if lam is not None and lam[-rank] > GRAM_RTOL * lam[-1]:
         sig = np.sqrt(lam[::-1][:rank])
         V = V[:, ::-1][:, :rank]
-        U, last = (M @ (Fd.T @ V)) / sig, sig[:, None] * V.T
+        W = Fd.T @ V
+        U = np.empty((rows, rank))
+        for a in range(Z.shape[0]):
+            np.matmul(Z[a] * F[-2], W, out=U[a * n : (a + 1) * n])
+        U /= sig
+        last = sig[:, None] * V.T
     else:
+        M = (Z[:, None, :] * F[-2][None, :, :]).reshape(-1, L)
         tall = M.shape[0] > L and L < Fd.shape[0]
         Q, R = np.linalg.qr(M) if tall else (None, M)
         U, sig, Vt = np.linalg.svd(R @ Fd.T, full_matrices=False)
@@ -348,9 +364,10 @@ def cp_tt_svd(T: CPTensor, max_rank: int) -> TTTensor:
 def _cp_tt_svd_entries(shape: Sequence[int], width: int, max_rank: int) -> int:
     """Entries of the largest matrix ``cp_tt_svd`` forms: a Gram, a frame or the last unfolding.
 
-    The last unfolding A (rows x n_d) bounds both routes of the last step:
-    the Gram route forms n_d x L and n_d x n_d matrices only when rows >
-    n_d, and the SVD route forms A itself.
+    The bound covers the SVD fallback of the last step, which forms the
+    frame product M (rows x L) and the unfolding A (rows x n_d) itself.
+    The Gram route forms neither, and its n_d x L and n_d x n_d matrices
+    and U (rows x rank) arise only when rows > n_d, so they lie within it.
     """
     d = len(shape)
     rows = [min(max_rank, math.prod(shape[:k])) * shape[k] for k in range(d - 1)]
@@ -551,14 +568,19 @@ def taylor_tt_approx(
     groups the samples by the same mode-1 slabs with one stable sort, and
     takes each group's TT values from one ``TTTensor.entries`` call and
     its h values ``ENTRY_BLOCK`` samples at a time, keeping only the two
-    maxima.  Beside the result it holds the index columns and their sort
-    order (8 (d + 1) bytes per sample), one slab with the samples in
-    it, and one ``ENTRY_BLOCK`` of h arguments.
+    maxima.  Each index column is kept in the narrowest unsigned dtype
+    that holds its mode's indices (1 byte per sample up to n = 256, 2 up
+    to 65536), so beside the result the check holds those columns, their
+    8-byte sort order, one slab with the samples in it, and one
+    ``ENTRY_BLOCK`` of h arguments.  The dense check holds one slab of h
+    and one of the TT, and takes the error in place in the latter.
     """
     if t < 1:
         raise ValueError(f"order t must be >= 1, got {t}")
     if r < 1:
         raise ValueError(f"target rank must be >= 1, got {r}")
+    if sample_size < 1:
+        raise ValueError(f"sample size must be >= 1, got {sample_size}")
     coeffs = [spec.derivative(s, 0.0) / math.factorial(s) for s in range(t)]
     shape = P.shape
     budget = 1 + (t - 1) * r
@@ -585,7 +607,10 @@ def taylor_tt_approx(
     step = max(1, SLAB_ENTRIES // math.prod(shape[1:]))
     if sampled:
         rng = generator(seed)
-        cols = [rng.integers(0, n, size=sample_size) for n in shape]
+        cols = [
+            rng.integers(0, n, size=sample_size).astype(np.min_scalar_type(n - 1))
+            for n in shape
+        ]
         for _, sel in _slab_groups(cols[0], shape[0], step):
             idx = np.column_stack([c[sel] for c in cols])
             g_vals = total.entries(idx)
@@ -604,8 +629,10 @@ def taylor_tt_approx(
             rows = slice(lo, lo + step)
             F = spec.h(CPTensor((P.factors[0][rows], *P.factors[1:])).dense())
             G = TTTensor((total.cores[0][:, rows], *total.cores[1:])).dense()
-            measured = max(measured, float(np.abs(F - G).max()))
             denom = max(denom, max_norm(F))
+            np.subtract(F, G, out=G)
+            measured = max(measured, float(np.abs(G, out=G).max()))
+            del F, G  # before the next slab's are formed
     relative = measured / denom if denom else math.inf
 
     R_eff = max(

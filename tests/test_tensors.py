@@ -283,6 +283,15 @@ class TestTaylorTTApprox:
         G, rep = taylor_tt_approx(sinh_hoip(), P, t=5, r=4, seed=3)
         assert all(r <= 1 + 4 * 4 for r in rep.ranks)
 
+    def test_rejects_an_empty_sample(self, monkeypatch):
+        # 20**3 entries above the cap take the sampled check, which needs a sample
+        P = cp_from_points([sample_ball(s, 20, 3, 1.0) for s in (7, 8, 9)])
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "1000")
+        with pytest.raises(ValueError, match="sample size"):
+            taylor_tt_approx(sinh_hoip(), P, t=4, r=4, seed=0, sample_size=0)
+        _, rep = taylor_tt_approx(sinh_hoip(), P, t=4, r=4, seed=0, sample_size=1)
+        assert rep.error_sampled and math.isfinite(rep.measured_relative_error)
+
     def test_mode_permutation_symmetry(self):
         # permuting the point sets permutes the tensor modes identically
         sets = [sample_ball(s, 4, 3, 1.0) for s in (1, 2, 3)]
@@ -328,6 +337,20 @@ class TestCpTTSvd:
         tt = cp_tt_svd(P, P.width)
         expected = P.dense()
         assert np.linalg.norm(tt.dense() - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_traced_peak_at_benchmark_scale(self):
+        # power 7 of width-6 points at n = 300, as in the tt_taylor benchmark: L = 792
+        P = cp_symmetric_power(cp_from_points([sample_ball(s, 300, 6) for s in (1601, 1602, 1603)]), 7)
+        assert P.width == 792
+        tracemalloc.start()
+        try:
+            cp_tt_svd(P, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # L x L Grams (5 MB each) and the last mode's n x n Gram; the last
+        # step forms no (r n) x L frame product (19 MB)
+        assert peak <= 24 * 2**20
 
 
     def test_tall_last_unfolding_takes_the_gram_step(self, monkeypatch):
@@ -497,6 +520,19 @@ class TestBlockedEntries:
         _, rep = taylor_tt_approx(spec, cp_from_points(sets), t=4, r=4, seed=11)
         assert rep.error_sampled and math.isnan(rep.measured_max_error)
 
+    @pytest.mark.parametrize("n, step", [(256, 300), (200, 1000), (1000, 300), (60000, 700)])
+    def test_slab_groups_of_narrow_keys(self, n, step):
+        # a step above 255 is out of range for uint8 keys, and for uint16 keys above 65535
+        rng = np.random.default_rng(66)
+        keys = np.r_[0, n - 1, rng.integers(0, n, 5000)]
+        narrow = keys.astype(np.min_scalar_type(n - 1))
+        assert narrow.itemsize < keys.itemsize
+        groups = [(k, sel.tolist()) for k, sel in tensors._slab_groups(keys, n, step)]
+        assert [(k, sel.tolist()) for k, sel in tensors._slab_groups(narrow, n, step)] == groups
+        assert sorted(i for _, sel in groups for i in sel) == list(range(keys.shape[0]))
+        for k, sel in groups:
+            assert (keys[sel] // step == k).all() and sel == sorted(sel)
+
     @pytest.mark.parametrize("lead", [(3, 4), (0, 12), (5, 9)])
     def test_batches_confined_to_leading_rows_match_dense(self, monkeypatch, lead):
         rng = np.random.default_rng(64)
@@ -563,6 +599,24 @@ class TestSampledCheckAtBenchmarkScale:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # construction 56 MB; the check's index columns 24 MB and sort order
-        # 8 MB, then one slab at a time; one batch of all samples peaks at 101 MB
-        assert peak <= 75 * 2**20
+        # the construction's cp_tt_svd of power 7 takes about 15 MB over what
+        # it is given; the check holds its uint16 index columns (2 MB each)
+        # and their sort order (8 MB), then one slab at a time
+        assert peak <= 40 * 2**20
+
+
+class TestDenseCheckAtBenchmarkScale:
+    """The profile, shape, order and rank of the tt_taylor benchmark's densely checked call."""
+
+    def test_traced_peak(self):
+        P = cp_from_points([sample_ball(s, 200, 6) for s in (1701, 1702, 1703)])
+        tracemalloc.start()
+        try:
+            _, rep = taylor_tt_approx(sinh_hoip(), P, 8, 10, seed=1704)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not rep.error_sampled
+        # one slab of 26 * 200**2 entries (8 MB) of h and one of TT values
+        # at a time, with the error taken in place
+        assert peak <= 34 * 2**20
