@@ -43,6 +43,12 @@ def matrix_dense_cap() -> int:
     return _env_cap() or MATRIX_DENSE_CAP
 
 
+def require_dense_matrix(n1: int, n2: int):
+    """Raise ``DenseCapExceeded`` if an n1 x n2 matrix is above ``matrix_dense_cap()``."""
+    if n1 * n2 > matrix_dense_cap():
+        raise DenseCapExceeded(f"dense {n1} x {n2} matrix exceeds cap {matrix_dense_cap()}")
+
+
 def tensor_dense_cap() -> int:
     return _env_cap() or TENSOR_DENSE_CAP
 

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import hermite as _herm
 
 from . import caps
-from .lowrank import row_blocks
+from .lowrank import RowEvaluator, row_blocks
 from .sampling import PointSet
 
 ARG_INNER = "inner_product"
@@ -303,10 +303,15 @@ def distance_matrix(
 
 
 def _clamped_sq_dist(rx: np.ndarray, ry: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """``rx[i] + ry[j] - 2 cross[i, j]`` with negative floating dust clamped to zero."""
-    D = rx[:, None] + ry[None, :] - 2.0 * cross
-    np.maximum(D, 0.0, out=D)
-    return D
+    """``rx[i] + ry[j] - 2 cross[i, j]`` with negative floating dust clamped to zero.
+
+    The result is written over ``cross`` and returned.
+    """
+    sums = np.add.outer(rx, ry)
+    cross *= 2.0
+    np.subtract(sums, cross, out=cross)
+    np.maximum(cross, 0.0, out=cross)
+    return cross
 
 
 def _profile(spec: KernelSpec, args: np.ndarray) -> np.ndarray:
@@ -316,16 +321,15 @@ def _profile(spec: KernelSpec, args: np.ndarray) -> np.ndarray:
     return spec.h(args)
 
 
-def eval_kernel_matrix(spec: KernelSpec, X: PointSet, Y: PointSet) -> np.ndarray:
-    """Exact dense matrix F(i,j) = f(x_i, y_j); under the symmetric scheme Y is X.
+def kernel_rows(spec: KernelSpec, X: PointSet, Y: PointSet) -> RowEvaluator:
+    """Row evaluator of F(i,j) = f(x_i, y_j): ``rows(block, out=None)`` -> ``F[block]``.
 
-    Arguments and profile are evaluated one ``ROW_BLOCK`` of rows at a
-    time into the result, so the scratch beside it is O(ROW_BLOCK * n2).
+    ``block`` is a ``row_blocks`` block, and ``F[block]`` is written into
+    ``out`` when it is given, else into a new array.  The argument kind
+    and the point dimensions are checked here, once.  Each call forms
+    the block's arguments in ``out`` and applies the profile to them, so
+    its scratch is a few temporaries of the block's size.
     """
-    if X.n * Y.n > caps.matrix_dense_cap():
-        raise caps.DenseCapExceeded(
-            f"dense {X.n} x {Y.n} matrix exceeds cap {caps.matrix_dense_cap()}"
-        )
     if spec.arg_kind == ARG_COORDS:
         if X.m != Y.m:
             raise ValueError(f"point sets disagree on dimension: {X.m} and {Y.m}")
@@ -334,18 +338,35 @@ def eval_kernel_matrix(spec: KernelSpec, X: PointSet, Y: PointSet) -> np.ndarray
         ry = (Y.points**2).sum(axis=1)
     elif spec.arg_kind not in (ARG_INNER, ARG_HOIP):
         raise ValueError(f"unknown argument kind {spec.arg_kind!r}")
+
+    def rows_of(rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            out = np.empty((rows.stop - rows.start, Y.n))
+        if spec.arg_kind == ARG_COORDS:
+            out.fill(1.0)
+            for k in range(X.m):
+                out *= _profile(spec, np.subtract.outer(X.points[rows, k], Y.points[:, k]) ** 2)
+            return out
+        np.matmul(X.points[rows], Y.points.T, out=out)
+        if spec.arg_kind == ARG_SQDIST:
+            _clamped_sq_dist(rx[rows], ry, out)
+        out[...] = _profile(spec, out)
+        return out
+
+    return RowEvaluator((X.n, Y.n), rows_of)
+
+
+def eval_kernel_matrix(spec: KernelSpec, X: PointSet, Y: PointSet) -> np.ndarray:
+    """Exact dense matrix F(i,j) = f(x_i, y_j); under the symmetric scheme Y is X.
+
+    Filled one ``ROW_BLOCK`` of rows at a time from ``kernel_rows``, so
+    the scratch beside the result is O(ROW_BLOCK * n2).
+    """
+    caps.require_dense_matrix(X.n, Y.n)
+    kernel = kernel_rows(spec, X, Y)
     out = np.empty((X.n, Y.n))
     for rows in row_blocks(X.n):
-        if spec.arg_kind == ARG_COORDS:
-            block = out[rows]
-            block.fill(1.0)
-            for k in range(X.m):
-                block *= _profile(spec, np.subtract.outer(X.points[rows, k], Y.points[:, k]) ** 2)
-        else:
-            args = X.points[rows] @ Y.points.T
-            if spec.arg_kind == ARG_SQDIST:
-                args = _clamped_sq_dist(rx[rows], ry, args)
-            out[rows] = _profile(spec, args)
+        kernel.rows(rows, out[rows])
     return out
 
 

@@ -10,7 +10,7 @@ is tracked with the 2->inf norm (largest Euclidean row norm).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -124,7 +124,20 @@ class RankOne:
         return float(np.abs(self.u).max() * np.abs(self.v).max())
 
 
-DenseOrFactorization = Union[np.ndarray, Factorization]
+@dataclass(frozen=True)
+class RowEvaluator:
+    """An n1 x n2 matrix that is never held: ``rows(block, out=None)`` gives ``M[block]``.
+
+    ``block`` is a slice from ``row_blocks``.  The rows are written into
+    ``out`` when it is given and into a new array otherwise, so a pass
+    over the matrix holds one row block of it.
+    """
+
+    shape: tuple[int, int]
+    rows: Callable[..., np.ndarray]
+
+
+DenseOrFactorization = Union[np.ndarray, Factorization, RowEvaluator]
 
 
 def max_norm(F: np.ndarray) -> float:
@@ -143,20 +156,23 @@ def max_norm(F: np.ndarray) -> float:
 def _rows_of(M: DenseOrFactorization, rows: slice) -> np.ndarray:
     if isinstance(M, Factorization):
         return M.left[rows] @ M.right.T
+    if isinstance(M, RowEvaluator):
+        return M.rows(rows)
     return M[rows]
 
 
 def max_norm_error(F: DenseOrFactorization, G: DenseOrFactorization) -> float:
     """Exact maximum absolute entrywise deviation between ``F`` and ``G``.
 
-    Either side may be a dense array or a ``Factorization``.  The deviation
-    is taken one ``row_blocks`` block at a time, so a factorization is
-    multiplied out a row block at a time and no n1 x n2 array is formed
+    Either side may be a dense array, a ``Factorization`` or a
+    ``RowEvaluator``.  The deviation is taken one ``row_blocks`` block at
+    a time, so a factorization is multiplied out, and an evaluator
+    evaluated, a row block at a time, and no n1 x n2 array is formed
     beyond what the caller holds.
     """
-    if not isinstance(F, Factorization):
+    if not isinstance(F, (Factorization, RowEvaluator)):
         F = np.asarray(F, dtype=np.float64)
-    if not isinstance(G, Factorization):
+    if not isinstance(G, (Factorization, RowEvaluator)):
         G = np.asarray(G, dtype=np.float64)
     if F.shape != G.shape:
         raise ValueError(f"shape mismatch: {F.shape} vs {G.shape}")

@@ -623,16 +623,16 @@ def taylor_tt_approx(
                 err = np.abs(f_vals - g_vals[lo : lo + ENTRY_BLOCK]).max()
                 measured = np.maximum(measured, err)  # unlike max, keeps a NaN error
                 denom = np.maximum(denom, np.abs(f_vals).max())
-        measured, denom = float(measured), float(denom)
     else:
         for lo in range(0, shape[0], step):
             rows = slice(lo, lo + step)
             F = spec.h(CPTensor((P.factors[0][rows], *P.factors[1:])).dense())
             G = TTTensor((total.cores[0][:, rows], *total.cores[1:])).dense()
-            denom = max(denom, max_norm(F))
+            denom = np.maximum(denom, max_norm(F))
             np.subtract(F, G, out=G)
-            measured = max(measured, float(np.abs(G, out=G).max()))
+            measured = np.maximum(measured, np.abs(G, out=G).max())
             del F, G  # before the next slab's are formed
+    measured, denom = float(measured), float(denom)
     relative = measured / denom if denom else math.inf
 
     R_eff = max(

@@ -19,9 +19,11 @@ from maxnorm_lowrank.kernels import (
     gauss_sq_dist,
     gaussian_on_sphere,
     gram,
+    kernel_rows,
     quartic_dist,
     sinh_hoip,
 )
+from maxnorm_lowrank.lowrank import ROW_BLOCK, row_blocks
 from maxnorm_lowrank.sampling import PointSet, sample_ball, sample_sphere
 
 
@@ -169,6 +171,21 @@ class TestEvalKernelMatrix:
         else:
             expected = spec.h(args)
         np.testing.assert_allclose(eval_kernel_matrix(spec, X, Y), expected, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "spec", [gauss_sq_dist(), exp_dist(), exp_affine(1.0, 0.5), sinh_hoip(), cauchy()]
+    )
+    def test_row_evaluator_gives_the_matrix_rows(self, spec):
+        X, Y = sample_ball(12, 300, 5, 1.0), sample_ball(13, 70, 5, 1.0)
+        F = eval_kernel_matrix(spec, X, Y)
+        kernel = kernel_rows(spec, X, Y)
+        assert kernel.shape == (300, 70)
+        scratch = np.empty((ROW_BLOCK, 70))
+        for rows in row_blocks(300):
+            np.testing.assert_array_equal(kernel.rows(rows), F[rows])
+            out = scratch[: rows.stop - rows.start]
+            assert kernel.rows(rows, out) is out
+            np.testing.assert_array_equal(out, F[rows])
 
     def test_memory_is_the_result_and_one_row_block(self):
         n = 1500

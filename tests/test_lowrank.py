@@ -7,6 +7,7 @@ from maxnorm_lowrank.lowrank import (
     ROW_BLOCK,
     Factorization,
     RankOne,
+    RowEvaluator,
     max_norm,
     max_norm_error,
     reduce_width,
@@ -227,6 +228,22 @@ class TestBlockedNorms:
         assert _same(max_norm_error(F, G), _old_max_norm(F - G))
         G[2 * ROW_BLOCK, 1] = np.nan
         assert math.isnan(max_norm_error(F, G))
+
+    def test_max_norm_error_row_evaluator(self):
+        rng = np.random.default_rng(18)
+        F, G = rng.normal(size=(2, 2 * ROW_BLOCK + 9, 40))
+        calls = []
+
+        def rows_of(rows, out=None):
+            calls.append(rows)
+            return F[rows].copy()
+
+        evaluator = RowEvaluator(F.shape, rows_of)
+        for a, b in ((evaluator, G), (G, evaluator)):
+            assert _same(max_norm_error(a, b), _old_max_norm(F - G))
+        assert calls == 2 * list(row_blocks(F.shape[0]))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            max_norm_error(evaluator, G[:, 1:])
 
     @pytest.mark.parametrize("n1", [ROW_BLOCK, 2 * ROW_BLOCK + 9])
     def test_max_norm_error_factorizations(self, n1):

@@ -1,20 +1,23 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from maxnorm_lowrank import rff
+from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.compress import rank_formula
 from maxnorm_lowrank.kernels import (
     cauchy,
     exp_affine,
     exp_dist,
     gauss_sq_dist,
+    kernel_rows,
     quartic_dist,
     sinh_hoip,
 )
-from maxnorm_lowrank.lowrank import ROW_BLOCK, max_norm_error
+from maxnorm_lowrank.lowrank import ROW_BLOCK, RowEvaluator, max_norm_error
 from maxnorm_lowrank.rff import (
     FrequencySet,
     kernel_values,
@@ -185,14 +188,14 @@ class TestRffThenCompress:
 
 
 def _record_blocks(monkeypatch) -> list[FrequencySet]:
-    """Record the frequency set of every feature block rff_then_compress builds."""
+    """Record the frequency set of every feature block rff_then_compress draws."""
     blocks = []
 
-    def spy(freqs, X, Y):
-        blocks.append(freqs)
-        return rff_factorization(freqs, X, Y)
+    def spy(spec, rho, seed, m):
+        blocks.append(sample_frequencies(spec, rho, seed, m))
+        return blocks[-1]
 
-    monkeypatch.setattr(rff, "rff_factorization", spy)
+    monkeypatch.setattr(rff, "sample_frequencies", spy)
     return blocks
 
 
@@ -306,6 +309,48 @@ class TestRowBlocks:
             max_norm_error(kernel_values(spec, X, Y), G), rel=1e-12
         )
 
+    def test_failing_checks_stop_early_without_changing_the_result(self, monkeypatch):
+        # the b-wide case above: three doublings, each check's error above
+        # the target until the last
+        X, Y = sample_ball(32, 300, 5, 1.0), sample_ball(33, 260, 5, 1.0)
+        fold = rff._fold
+
+        def run(complete: bool):
+            evaluated = []
+
+            def counting(spec, X, Y):
+                kernel = kernel_rows(spec, X, Y)
+
+                def rows(block, out=None):
+                    evaluated.append(block)
+                    return kernel.rows(block, out)
+
+                return RowEvaluator(kernel.shape, rows)
+
+            monkeypatch.setattr(rff, "kernel_rows", counting)
+            if complete:
+                monkeypatch.setattr(
+                    rff, "_fold", lambda *args, **kw: fold(*args, **{**kw, "stop_above": math.inf})
+                )
+            G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4, theta=0.5)
+            monkeypatch.undo()
+            return G, rep, len(evaluated)
+
+        G, rep, early = run(complete=False)
+        G_full, rep_full, full = run(complete=True)
+        assert rep.rho == 512 and full == 4 * 3  # the first check and three doublings
+        assert early < full
+        assert rep == rep_full
+        np.testing.assert_array_equal(G.left, G_full.left)
+        np.testing.assert_array_equal(G.right, G_full.right)
+
+    def test_last_allowed_check_is_complete(self, monkeypatch):
+        X, Y = sample_ball(32, 300, 5, 1.0), sample_ball(33, 260, 5, 1.0)
+        monkeypatch.setattr(rff, "RHO_CAP", 256)
+        G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4, theta=0.5)
+        assert rep.rho == 256 and not rep.feature_certified
+        assert rep.feature_error == max_norm_error(kernel_values(EXPONENTIAL, X, Y), G.matrix())
+
     def test_traced_peak_at_benchmark_shape(self):
         # the gauss operation of the rff_verify benchmark: five doublings to form (b)
         n = 1500
@@ -317,9 +362,72 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert (rep.rho, _form(G, rep, n, n)) == (2048, "b")
-        # kernel, product and one feature block: about 4.9 arrays; a phase
-        # temporary beside the block would make 5.4
-        assert peak <= 5 * n * n * 8
+        # the product and the last block's right factor, 2048 wide: about
+        # 2.7 arrays; holding the kernel as well would make 3.7
+        assert peak <= 3.25 * n * n * 8
+
+    def test_form_a_result_owns_exactly_its_columns(self):
+        # the buffers are 256 wide (the widest form-(a) result for n2 = 260),
+        # and the growth stops at 64
+        n1, n2 = 300, 260
+        X, Y = sample_ball(30, n1, 8, 1.0), sample_ball(31, n2, 8, 1.0)
+        tracemalloc.start()
+        try:
+            G, rep = rff_then_compress(GAUSS, X, Y, rho=2, eps=0.8, seed=3, theta=0.25)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _form(G, rep, n1, n2) == "a" and G.width == 2 * rep.rho == 64
+        for side in (G.left, G.right):
+            assert side.flags.c_contiguous and side.base is None
+        # a view into the 256-wide buffers would keep 1.1 MB alive
+        assert held <= G.left.nbytes + G.right.nbytes + 2**16
+
+    def test_no_doubling_allocates_no_wide_buffers(self):
+        # the first check passes, so the 256-wide buffers of the first
+        # doubling are never needed
+        n1, n2 = 300, 260
+        X, Y = sample_ball(30, n1, 8, 1.0), sample_ball(31, n2, 8, 1.0)
+        tracemalloc.start()
+        try:
+            G, rep = rff_then_compress(GAUSS, X, Y, rho=16, eps=0.95, seed=3, theta=0.25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.rho == 16 and rep.feature_certified and G.width == 32
+        # the product, the first block and a few row blocks of scratch;
+        # the wide buffers would add 1.1 MB
+        assert peak <= 8 * (n1 * n2 + (n1 + n2) * 32 + 4 * ROW_BLOCK * n2) + 2**16
+
+    def test_cap_raises_before_allocating(self, monkeypatch):
+        n1, n2 = 200, 150
+        X, Y = sample_ball(32, n1, 4, 1.0), sample_ball(33, n2, 4, 1.0)
+        blocks = _record_blocks(monkeypatch)
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", str(n1 * n2 - 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseCapExceeded):
+                rff_then_compress(GAUSS, X, Y, rho=8, eps=0.5, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not blocks
+        assert peak < 2**14  # the held product would be 240 kB
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", str(n1 * n2))
+        rff_then_compress(GAUSS, X, Y, rho=8, eps=0.5, seed=1)
+
+    def test_nan_kernel_entry_gives_nan_errors(self):
+        # one far point puts NaN entries in its row only, in the last row block
+        n1 = 2 * ROW_BLOCK + 44
+        points = sample_ball(34, n1, 6, 1.0).points
+        points[-1] *= 5.0 / np.linalg.norm(points[-1])
+        X, Y = PointSet(points, 5.0), sample_ball(35, 90, 6, 1.0)
+        spec = replace(GAUSS, h=lambda u: np.where(u > 10.0, np.nan, np.exp(-u)))
+        nan_rows = np.isnan(kernel_values(spec, X, Y)).any(axis=1)
+        assert nan_rows[-1] and not nan_rows[:-1].any()
+        _, rep = rff_then_compress(spec, X, Y, rho=8, eps=0.5, seed=1)
+        assert math.isnan(rep.feature_error) and not rep.feature_certified
+        assert math.isnan(rep.measured_max_error) and math.isnan(rep.measured_relative_error)
 
 
 class TestKernelValues:

@@ -511,14 +511,24 @@ class TestBlockedEntries:
         assert rep.measured_relative_error == pytest.approx(expected, rel=1e-12)
 
     def test_sampled_error_keeps_a_nan(self, monkeypatch):
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "20000")
+        rep = self._nan_profile_report()
+        assert rep.error_sampled and math.isnan(rep.measured_max_error)
+
+    def test_dense_error_keeps_a_nan(self):
+        # 40**3 entries fit the dense check, which must not drop the NaN either
+        rep = self._nan_profile_report()
+        assert not rep.error_sampled
+        assert math.isnan(rep.measured_max_error) and math.isnan(rep.measured_relative_error)
+
+    @staticmethod
+    def _nan_profile_report():
         sets = [sample_ball(s, 40, 3, 1.0) for s in (7, 8, 9)]
         sinh = sinh_hoip()
         spec = custom_series(
             lambda u: np.where(u > 0.05, np.nan, np.sinh(u)), sinh.deriv, sinh.domain, arg_kind="hoip"
         )
-        monkeypatch.setenv("MAXNORM_DENSE_CAP", "20000")
-        _, rep = taylor_tt_approx(spec, cp_from_points(sets), t=4, r=4, seed=11)
-        assert rep.error_sampled and math.isnan(rep.measured_max_error)
+        return taylor_tt_approx(spec, cp_from_points(sets), t=4, r=4, seed=11)[1]
 
     @pytest.mark.parametrize("n, step", [(256, 300), (200, 1000), (1000, 300), (60000, 700)])
     def test_slab_groups_of_narrow_keys(self, n, step):
