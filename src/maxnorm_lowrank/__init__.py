@@ -29,7 +29,6 @@ from .kernels import (
     KernelSpec,
     WeightMatrix,
     cauchy,
-    custom_series,
     distance_matrix,
     eval_kernel_matrix,
     eval_kernel_tensor,

@@ -13,7 +13,10 @@ Gram, the (r n_k) x L frame or the last unfolding; a power above it is
 built incrementally) and the (k n_2) x r_2 contraction, over the k
 leading indices a batch spans, that ``TTTensor.entries`` gathers rows
 from.  The CP caps below still bound
-the exact Khatri-Rao powers and CP -> TT cores.
+the exact Khatri-Rao powers and CP -> TT cores.  ``rff.rff_then_compress``
+holds an n1 x n2 array, its feature product, only when its result is
+that product (its form (b)), so only that form is refused above the
+matrix cap; its features and their sketch run at any size.
 """
 
 from __future__ import annotations

@@ -201,18 +201,6 @@ def sinh_hoip(domain: tuple[float, float] = (-1.0, 1.0)) -> KernelSpec:
     )
 
 
-def custom_series(
-    h: Callable[[np.ndarray], np.ndarray],
-    deriv: Callable[[int, float], float],
-    domain: tuple[float, float],
-    C: Optional[float] = None,
-    M: Optional[float] = None,
-    arg_kind: str = ARG_INNER,
-) -> KernelSpec:
-    """User-supplied profile function with its derivative rule; its arguments are domain-checked."""
-    return KernelSpec("custom_series", arg_kind, domain, h, deriv, C=C, M=M)
-
-
 # ----------------------------------------------------------------------
 # weight matrices and structured building blocks
 # ----------------------------------------------------------------------
@@ -314,13 +302,6 @@ def _clamped_sq_dist(rx: np.ndarray, ry: np.ndarray, cross: np.ndarray) -> np.nd
     return cross
 
 
-def _profile(spec: KernelSpec, args: np.ndarray) -> np.ndarray:
-    """h(args); a user-supplied profile first has its arguments checked against its domain."""
-    if spec.family == "custom_series":
-        spec.check_domain(float(args.min()), float(args.max()))
-    return spec.h(args)
-
-
 def kernel_rows(spec: KernelSpec, X: PointSet, Y: PointSet) -> RowEvaluator:
     """Row evaluator of F(i,j) = f(x_i, y_j): ``rows(block, out=None)`` -> ``F[block]``.
 
@@ -345,12 +326,12 @@ def kernel_rows(spec: KernelSpec, X: PointSet, Y: PointSet) -> RowEvaluator:
         if spec.arg_kind == ARG_COORDS:
             out.fill(1.0)
             for k in range(X.m):
-                out *= _profile(spec, np.subtract.outer(X.points[rows, k], Y.points[:, k]) ** 2)
+                out *= spec.h(np.subtract.outer(X.points[rows, k], Y.points[:, k]) ** 2)
             return out
         np.matmul(X.points[rows], Y.points.T, out=out)
         if spec.arg_kind == ARG_SQDIST:
             _clamped_sq_dist(rx[rows], ry, out)
-        out[...] = _profile(spec, out)
+        out[...] = spec.h(out)
         return out
 
     return RowEvaluator((X.n, Y.n), rows_of)
@@ -395,4 +376,4 @@ def eval_kernel_tensor(spec: KernelSpec, pointsets: Sequence[PointSet]) -> np.nd
             f"{caps.tensor_dense_cap()}; use the CP/TT pipeline instead"
         )
     args = np.einsum(hoip_subscripts(d), *[P.points for P in pointsets])
-    return _profile(spec, args)
+    return spec.h(args)

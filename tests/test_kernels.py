@@ -6,11 +6,9 @@ import pytest
 
 from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.kernels import (
-    DomainViolation,
     KernelSpec,
     WeightMatrix,
     cauchy,
-    custom_series,
     distance_matrix,
     eval_kernel_matrix,
     eval_kernel_tensor,
@@ -146,12 +144,6 @@ class TestEvalKernelMatrix:
         for A, B in ((X, Y), (Y, X)):
             with pytest.raises(ValueError, match="dimension"):
                 eval_kernel_matrix(cauchy(), A, B)
-
-    def test_custom_domain_violation(self):
-        spec = custom_series(lambda u: u, lambda s, xi: 0.0, domain=(-0.1, 0.1))
-        X = pts([[1.0]])
-        with pytest.raises(DomainViolation):
-            eval_kernel_matrix(spec, X, X)
 
     @pytest.mark.parametrize("spec", [exp_dist(), exp_affine(1.0, 0.5), sinh_hoip(), cauchy()])
     def test_row_blocks_match_whole_matrix(self, spec):

@@ -313,7 +313,7 @@ class TestRowBlocks:
         # the b-wide case above: three doublings, each check's error above
         # the target until the last
         X, Y = sample_ball(32, 300, 5, 1.0), sample_ball(33, 260, 5, 1.0)
-        fold = rff._fold
+        check = rff._check
 
         def run(complete: bool):
             evaluated = []
@@ -328,9 +328,9 @@ class TestRowBlocks:
                 return RowEvaluator(kernel.shape, rows)
 
             monkeypatch.setattr(rff, "kernel_rows", counting)
-            if complete:
+            if complete:  # every check compares all row blocks
                 monkeypatch.setattr(
-                    rff, "_fold", lambda *args, **kw: fold(*args, **{**kw, "stop_above": math.inf})
+                    rff, "_check", lambda kernel, product, _: check(kernel, product)
                 )
             G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4, theta=0.5)
             monkeypatch.undo()
@@ -400,21 +400,40 @@ class TestRowBlocks:
         assert peak <= 8 * (n1 * n2 + (n1 + n2) * 32 + 4 * ROW_BLOCK * n2) + 2**16
 
     def test_cap_raises_before_allocating(self, monkeypatch):
-        n1, n2 = 200, 150
+        # only form (b) holds an n1 x n2 array: the growth draws frequencies
+        # until the doubling that reaches it, 2 rho = 104 > n2, and refuses there
+        n1, n2 = 2000, 100
         X, Y = sample_ball(32, n1, 4, 1.0), sample_ball(33, n2, 4, 1.0)
         blocks = _record_blocks(monkeypatch)
         monkeypatch.setenv("MAXNORM_DENSE_CAP", str(n1 * n2 - 1))
         tracemalloc.start()
         try:
             with pytest.raises(DenseCapExceeded):
-                rff_then_compress(GAUSS, X, Y, rho=8, eps=0.5, seed=1)
+                rff_then_compress(GAUSS, X, Y, rho=26, eps=0.5, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert not blocks
-        assert peak < 2**14  # the held product would be 240 kB
+        drawn = [b.rho for b in blocks]
+        assert 2 * sum(drawn[:-1]) <= n2 < 2 * sum(drawn)
+        assert peak < 8 * n1 * n2  # the held product would be 1.6 MB
         monkeypatch.setenv("MAXNORM_DENSE_CAP", str(n1 * n2))
-        rff_then_compress(GAUSS, X, Y, rho=8, eps=0.5, seed=1)
+        G, rep = rff_then_compress(GAUSS, X, Y, rho=26, eps=0.5, seed=1)
+        assert 2 * rep.rho > n2 and G.width == n2
+
+    @pytest.mark.parametrize(
+        "spec, points, kwargs, expected", [p for p in ABOVE_ONE_ROW_BLOCK if p.id in ("a", "c")]
+    )
+    def test_forms_a_and_c_run_above_the_cap(self, spec, points, kwargs, expected, monkeypatch):
+        # only form (b) holds an n1 x n2 array, so the cap refuses no other form
+        s1, n1, s2, n2, m = points
+        X, Y = sample_ball(s1, n1, m, 1.0), sample_ball(s2, n2, m, 1.0)
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", str(n1 * n2 - 1))
+        G, rep = rff_then_compress(spec, X, Y, **kwargs)
+        assert (rep.rho, rep.rank, _form(G, rep, n1, n2)) == expected[:3]
+        assert G.width < min(n1, n2)
+        monkeypatch.delenv("MAXNORM_DENSE_CAP")
+        dense = kernel_values(spec, X, Y)
+        assert rep.measured_max_error == pytest.approx(max_norm_error(dense, G), rel=1e-12)
 
     def test_nan_kernel_entry_gives_nan_errors(self):
         # one far point puts NaN entries in its row only, in the last row block

@@ -8,8 +8,8 @@ from maxnorm_lowrank import caps, compress, taylor
 from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.kernels import (
     ARG_SQDIST,
+    KernelSpec,
     WeightMatrix,
-    custom_series,
     distance_matrix,
     exp_dist,
     gauss_sq_dist,
@@ -27,11 +27,9 @@ from maxnorm_lowrank.taylor import (
 
 
 def identity_profile(domain, arg_kind="inner_product"):
-    return custom_series(
-        lambda u: u,
+    return KernelSpec(
+        "identity", arg_kind, domain, lambda u: u,
         lambda s, xi: xi if s == 0 else (1.0 if s == 1 else 0.0),
-        domain=domain,
-        arg_kind=arg_kind,
     )
 
 
@@ -105,7 +103,7 @@ class TestApproxInnerProduct:
         assert rep.rank <= 1 + (t - 1) * rank_formula(eps, 30, 30)
 
     def test_domain_precondition(self):
-        spec = custom_series(lambda u: u, lambda s, xi: 0.0, domain=(-0.1, 0.1))
+        spec = identity_profile((-0.1, 0.1))
         X = sample_ball(5, 8, 3, 1.0)
         with pytest.raises(ValueError):
             approx_inner_product(spec, X, None, X, t=2, eps=0.3, seed=0)

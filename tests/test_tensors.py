@@ -8,7 +8,7 @@ import pytest
 from maxnorm_lowrank import tensors
 from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.compress import khatri_rao_rows
-from maxnorm_lowrank.kernels import custom_series, eval_kernel_tensor, sinh_hoip
+from maxnorm_lowrank.kernels import ARG_HOIP, KernelSpec, eval_kernel_tensor, sinh_hoip
 from maxnorm_lowrank.rng import generator
 from maxnorm_lowrank.sampling import PointSet, sample_ball
 from maxnorm_lowrank.tensors import (
@@ -60,9 +60,7 @@ class TestCPTensor:
         sets = [
             PointSet(rng.uniform(-0.5, 0.5, size=(4, 2)), 1.0) for _ in range(3)
         ]
-        identity = custom_series(
-            lambda u: u, lambda s, xi: 0.0, domain=(-10, 10), arg_kind="hoip"
-        )
+        identity = KernelSpec("identity", ARG_HOIP, (-10, 10), lambda u: u, lambda s, xi: 0.0)
         np.testing.assert_allclose(
             cp_from_points(sets).dense(),
             eval_kernel_tensor(identity, sets),
@@ -253,11 +251,9 @@ class TestTaylorTTApprox:
     def test_identity_profile_exact(self):
         rng = np.random.default_rng(18)
         P = random_cp(rng, (4, 4, 4), 3)
-        identity = custom_series(
-            lambda u: u,
+        identity = KernelSpec(
+            "identity", ARG_HOIP, (-100, 100), lambda u: u,
             lambda s, xi: xi if s == 0 else (1.0 if s == 1 else 0.0),
-            domain=(-100, 100),
-            arg_kind="hoip",
         )
         G, rep = taylor_tt_approx(identity, P, t=2, r=5, seed=0)
         np.testing.assert_allclose(G.dense(), P.dense(), atol=1e-10)
@@ -525,8 +521,9 @@ class TestBlockedEntries:
     def _nan_profile_report():
         sets = [sample_ball(s, 40, 3, 1.0) for s in (7, 8, 9)]
         sinh = sinh_hoip()
-        spec = custom_series(
-            lambda u: np.where(u > 0.05, np.nan, np.sinh(u)), sinh.deriv, sinh.domain, arg_kind="hoip"
+        spec = KernelSpec(
+            "nan_sinh", ARG_HOIP, sinh.domain,
+            lambda u: np.where(u > 0.05, np.nan, np.sinh(u)), sinh.deriv,
         )
         return taylor_tt_approx(spec, cp_from_points(sets), t=4, r=4, seed=11)[1]
 
