@@ -5,15 +5,13 @@ are guarded by caps so a mistyped experiment cannot silently allocate
 hundreds of gigabytes.  The entry-count caps can be overridden at runtime
 with the environment variable ``MAXNORM_DENSE_CAP`` (a single integer,
 applied to matrix, tensor, and verification caps alike).  The matrix cap
-bounds a dense n1 x n2 matrix, the ``N x min(width, N)`` factor that
-``compress.hadamard_compress`` sketches (N = n1 + n2; the width is
-L = C(m+s-1, s) for an s-th power of a width-m factorization), and in
-``tensors`` the largest matrix of a power's Gram-based TT-SVD (the L x L
-Gram, the (r n_k) x L frame or the last unfolding; a power above it is
-built incrementally) and the (k n_2) x r_2 contraction, over the k
-leading indices a batch spans, that ``TTTensor.entries`` gathers rows
-from.  The CP caps below still bound
-the exact Khatri-Rao powers and CP -> TT cores.  ``rff.rff_then_compress``
+bounds a dense n1 x n2 matrix, each exact factor (N = n1 + n2 rows) that
+``compress.hadamard_compress`` builds, and in ``tensors`` the largest
+matrix of a power's Gram-based TT-SVD (the L x L Gram, the (r n_k) x L
+frame or the last unfolding; a power above it is built incrementally)
+and the (k n_2) x r_2 contraction, over the k leading indices a batch
+spans, that ``TTTensor.entries`` gathers rows from.  The CP caps below
+still bound the exact Khatri-Rao powers and CP -> TT cores.  ``rff.rff_then_compress``
 holds an n1 x n2 array, its feature product, only when its result is
 that product (its form (b)), so only that form is refused above the
 matrix cap; its features and their sketch run at any size.

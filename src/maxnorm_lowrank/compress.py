@@ -8,18 +8,13 @@ so the compressor here is a Las-Vegas loop: it redraws the sketch until
 the measured error certifies the bound, and reports honestly when the
 attempt budget runs out.
 
-The entrywise s-th power of a factorization is one factorization whose
-rows are s-fold Kronecker powers of the factor rows, ``m**s`` columns
-wide.  The Gaussian sketch sees those rows only through their Gram
-matrix, so ``hadamard_compress(F, s, ...)`` sketches whichever exact
-factorization with that Gram matrix is narrowest to build, which gives
-the sketched product the same law: F's own rows for s = 1, the
-``C(m+s-1, s)``-wide symmetric-power factor when it is no wider than the
-``N = n1 + n2`` rows it has, and an exact N-wide square root of the Gram
-matrix otherwise.  ``hadamard_widths`` is the one width rule: the Taylor
-constructions use it to decide whether their sketches can narrow the sum
-at all, and reach ``hadamard_compress`` with a power that needs a Gram
-root or a sketch only when they can (see ``taylor._assemble``).
+The entrywise s-th power of a factorization has s-fold Kronecker rows,
+``m**s`` wide, and a weighted sum of powers has them side by side.
+``hadamard_compress`` keeps each power no wider than the sketch rank
+exact and sketches all the others, the tail, once, through
+``tail_factor``: an exact factorization with the Gram matrix of the
+tail's rows, which is all that a Gaussian sketch sees of them.
+``hadamard_widths`` is the one width rule (see ``taylor._assemble``).
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -151,97 +146,117 @@ def symmetric_power_blocks(
     return out, weights
 
 
-def gram_root_rows(F: Factorization, s: int) -> Factorization:
-    """Exact ``(n1 + n2)``-wide factorization of the entrywise s-th power of ``F``.
-
-    With ``S = [A; B]``, the Kronecker rows of the power have the Gram
-    matrix ``K = (S S')**s`` (entrywise power).  Its symmetric square root
-    ``C = Q diag(sqrt(max(lam, 0))) Q'`` has ``C C' = K`` up to rounding,
-    so ``C[:n1] @ C[n1:].T`` is the power and the rows of ``C`` have the
-    Kronecker rows' norms.  The square root is unique, unlike ``Q
-    diag(sqrt(lam))``, whose columns depend on the eigenvector signs and on
-    rotations within repeated eigenvalues.
-    """
-    S = np.vstack([F.left, F.right])
-    G = S @ S.T
-    K = G.copy()
-    for _ in range(s - 1):
-        K *= G
-    lam, Q = np.linalg.eigh(K)
-    C = (Q * np.sqrt(np.maximum(lam, 0.0))) @ Q.T
-    return Factorization(C[:F.shape[0]], C[F.shape[0]:])
+def _power_rows(F: Factorization, s: int) -> Factorization:
+    """Exact ``C(m+s-1, s)``-wide factorization of ``(A B')**s`` whose stacked rows
+    have the Gram matrix of the s-fold Kronecker rows: F's own rows for s = 1,
+    else the symmetric-power factor with ``sqrt(s!/alpha!)`` on both sides."""
+    if s == 1:
+        return Factorization(khatri_rao_rows([F.left]), khatri_rao_rows([F.right]))
+    (left, right), weights = symmetric_power_blocks([F.left, F.right], s)
+    root = np.sqrt(weights)
+    return Factorization(left * root, right * root)
 
 
-def hadamard_widths(F: Factorization, s: int, eps: float) -> tuple[int, int]:
-    """Widths ``(L, w)`` of the entrywise s-th power of ``F`` in ``hadamard_compress``.
+def _tail_width(F: Factorization, tail: Sequence[int]) -> int:
+    """Width of ``tail_factor``: N = n1 + n2 if a tail power is wider, else their sum."""
+    widths = [math.comb(F.width + s - 1, s) for s in tail]
+    return sum(F.shape) if max(widths, default=0) > sum(F.shape) else sum(widths)
 
-    ``L = C(m+s-1, s)`` is the width of its symmetric-power factor (m for
-    s = 1, where F's own rows are kept).  ``w = min(L, n1 + n2, r)`` with
-    ``r = rank_formula(eps, n1, n2)`` is the width of the result: a Gram
-    root caps it at ``n1 + n2`` and the sketch at r.  The power passes
-    through exactly when ``w == L``, and is sketched when
-    ``r < min(L, n1 + n2)``.
+
+def hadamard_widths(
+    F: Factorization, coefficients: Sequence[float], eps: float
+) -> tuple[list[int], list[int], int, int]:
+    """``(exact, tail, L, T)``: how ``hadamard_compress`` builds ``sum_s c_s (A B')**s``.
+
+    A power s >= 1 with ``c_s != 0`` is exact when its ``C(m+s-1, s)``-wide
+    factor is at most ``min(n1 + n2, rank_formula(eps, n1, n2))`` wide and
+    within the matrix cap; the others are the tail.  The result is
+    ``L + min(T, r)`` wide, L and T the widths of the exact powers and the
+    tail factor: the tail is sketched when ``T > r``.
     """
     n1, n2 = F.shape
-    width = math.comb(F.width + s - 1, s)
-    return width, min(width, n1 + n2, rank_formula(eps, n1, n2))
+    rows, r, cap = n1 + n2, rank_formula(eps, n1, n2), caps.matrix_dense_cap()
+    widths = {s: math.comb(F.width + s - 1, s)
+              for s in range(1, len(coefficients)) if coefficients[s] != 0.0}
+    exact = [s for s, L in widths.items() if L <= min(rows, r) and rows * L <= cap]
+    tail = [s for s in widths if s not in exact]
+    return exact, tail, sum(widths[s] for s in exact), _tail_width(F, tail)
+
+
+def tail_factor(
+    F: Factorization, coefficients: Sequence[float], tail: Sequence[int]
+) -> Factorization:
+    """Exact factorization of ``sum_{s in tail} c_s (A B')**s`` with
+    ``||L||_{2,inf} ||R||_{2,inf} <= sum_s |c_s| (a b)**s``, ``(a, b) = F.row_norms()``.
+
+    A and B are rescaled to row-norm bounds ``sqrt(a b)``, and power s gives
+    its ``_power_rows`` factor times ``sign(c_s) sqrt(|c_s|)`` on the left
+    and ``sqrt(|c_s|)`` on the right.  When one is wider than N = n1 + n2,
+    the result is instead the symmetric square root ``Q diag(sqrt(max(lam,
+    0))) Q'`` of their N x N Gram matrix (one ``eigh``), which has the same
+    products and row norms and does not depend on eigenvector signs.
+    Refuses when the factor exceeds ``caps.matrix_dense_cap()`` entries.
+    """
+    n1, rows = F.shape[0], sum(F.shape)
+    width, cap = _tail_width(F, tail), caps.matrix_dense_cap()
+    if rows * width > cap:
+        raise caps.DenseCapExceeded(f"the tail factor needs {rows}x{width} entries, above {cap}")
+    a, b = F.row_norms()
+    if a > 0.0 and b > 0.0:
+        F = Factorization(F.left * math.sqrt(b / a), F.right * math.sqrt(a / b))
+    if width < sum(math.comb(F.width + s - 1, s) for s in tail):  # a power is wider than N
+        # the Gram matrix is sum |c_s| G**s, with sum c_s (A B')**s off the diagonal
+        # blocks; G and K are dropped once used, so at most 3 N x N arrays are held
+        c = np.array([coefficients[s] if s in tail else 0.0 for s in range(max(tail) + 1)])
+        S = np.vstack([F.left, F.right])
+        G = S @ S.T
+        K = power_series(G, np.abs(c))
+        K[:n1, n1:] = power_series(G[:n1, n1:], c)
+        K[n1:, :n1] = K[:n1, n1:].T
+        del G
+        lam, Q = np.linalg.eigh(K)
+        del K
+        C = (Q * np.sqrt(np.maximum(lam, 0.0))) @ Q.T
+        return Factorization(C[:n1], C[n1:])
+    factors = [(_power_rows(F, s), float(coefficients[s])) for s in tail]
+    return Factorization(
+        np.hstack([P.left * math.copysign(math.sqrt(abs(c)), c) for P, c in factors]),
+        np.hstack([P.right * math.sqrt(abs(c)) for P, c in factors]),
+    )
+
+
+def power_series(D: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """``sum_s c_s D**s`` (entrywise powers) by Horner's rule, in one new buffer."""
+    P = D * coefficients[-1]
+    for c in coefficients[-2:0:-1]:
+        P += c
+        P *= D
+    P += coefficients[0]
+    return P
 
 
 def hadamard_compress(
     F: Factorization,
-    s: int,
+    coefficients: Sequence[float],
     eps: float,
     seed: SeedLike,
     max_attempts: int = 50,
-) -> tuple[Factorization, CompressionReport]:
-    """Compress the entrywise s-th power of the factorized matrix ``F = A B'``.
+) -> tuple[Factorization, Optional[CompressionReport]]:
+    """Compress ``sum_{s >= 1} c_s (A B')**s``, entrywise powers of ``F = A B'``.
 
-    The power ``(A B')**s`` equals ``X_A @ X_B.T`` where the rows of
-    ``X_A``/``X_B`` are s-fold Kronecker powers of the rows of A/B
-    (``m**s`` columns), so the row norms are raised to the s-th power and
-    the sketch guarantee carries over with target
-    ``eps * (||A||_{2,inf} ||B||_{2,inf})**s``.
-
-    The sketch ``X R`` of the stacked rows ``X = [X_A; X_B]`` with i.i.d.
-    N(0, 1/r) entries in R is Gaussian with covariance ``(X X') kron I / r``:
-    it depends on X only through its Gram matrix.  So any exact
-    factorization with the Gram matrix of the Kronecker rows can be
-    sketched instead; the sketched product, its certification target and
-    its certification rate keep their law.  With ``N = n1 + n2``:
-
-    * s = 1 keeps F's own rows (``khatri_rao_rows`` of one block);
-    * s >= 2 takes the symmetric-power factor from
-      ``symmetric_power_blocks``, ``L = C(m+s-1, s)`` wide with
-      ``sqrt(s!/alpha!)`` on both sides, when ``L <= N``, and the N-wide
-      root of ``gram_root_rows`` otherwise.
-
-    The Taylor constructions call this only when every power passes
-    through, when the sketches narrow their sum below ``min(n1, n2)``, or
-    when ``n1 * n2`` is above the matrix cap; otherwise they sum the series
-    exactly (``taylor._assemble``).
-
-    Refuses (rather than silently approximating) when the one factor it
-    builds, ``N * min(L, N)`` entries, exceeds ``caps.matrix_dense_cap()``;
-    callers fall back to dense truncated SVD in that case.
+    Each exact power (``hadamard_widths``) is its ``_power_rows`` factor
+    times ``c_s``; the tail is one ``jl_compress`` of ``tail_factor``, whose
+    report is returned (None without a tail).  A Gaussian sketch sees its
+    input rows only through their Gram matrix, so this has the law of
+    sketching the tail's explicit weighted Kronecker rows.  Raises
+    ``caps.DenseCapExceeded`` when the tail factor is above the matrix cap.
     """
-    rows = F.shape[0] + F.shape[1]
-    width, _ = hadamard_widths(F, s, eps)
-    entries = rows * min(width, rows)
-    cap = caps.matrix_dense_cap()
-    if entries > cap:
-        raise caps.DenseCapExceeded(
-            f"exact factor of the Hadamard power needs {entries} entries, above cap {cap}; "
-            "compress via dense truncated SVD of the exact power instead"
-        )
-    if s == 1:
-        combined = Factorization(khatri_rao_rows([F.left]), khatri_rao_rows([F.right]))
-    elif width > rows:
-        combined = gram_root_rows(F, s)
-    else:
-        (left, right), weights = symmetric_power_blocks([F.left, F.right], s)
-        root = np.sqrt(weights)
-        combined = Factorization(left * root, right * root)
-    return jl_compress(combined, eps, seed, max_attempts)
+    exact, tail, _, _ = hadamard_widths(F, coefficients, eps)
+    G = sketch = None
+    if tail:  # first, so that a refused tail factor costs no work
+        G, sketch = jl_compress(tail_factor(F, coefficients, tail), eps, seed, max_attempts)
+    pieces = [_power_rows(F, s).scaled(float(coefficients[s])) for s in exact]
+    return Factorization.concat(pieces + ([G] if tail else [])), sketch
 
 
 def augment_rank_one(F: Factorization, terms: Sequence[RankOne]) -> Factorization:

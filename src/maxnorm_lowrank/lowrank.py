@@ -9,6 +9,7 @@ is tracked with the 2->inf norm (largest Euclidean row norm).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
@@ -178,6 +179,30 @@ def max_norm_error(F: DenseOrFactorization, G: DenseOrFactorization) -> float:
         raise ValueError(f"shape mismatch: {F.shape} vs {G.shape}")
     blocks = [max_norm(_rows_of(F, rows) - _rows_of(G, rows)) for rows in row_blocks(F.shape[0])]
     return float(np.max(blocks)) if blocks else 0.0
+
+
+def error_and_peak(
+    target: RowEvaluator, product: Callable[[slice], np.ndarray], stop_above: float = math.inf
+) -> tuple[float, float]:
+    """``max|K - P|`` and ``max|K|``, for K's rows from ``target`` and ``product(rows) = P[rows]``.
+
+    Works one ``row_blocks`` block at a time, with one ``ROW_BLOCK x n2``
+    scratch array for K's rows.  Once the error exceeds ``stop_above``
+    the remaining blocks are skipped, and both maxima are over the rows
+    compared.  The maxima are bitwise those of the whole matrices, and a
+    NaN entry gives NaN, as in ``max_norm_error``.
+    """
+    n1, n2 = target.shape
+    scratch = np.empty((min(ROW_BLOCK, n1), n2))
+    err = peak = 0.0
+    for rows in row_blocks(n1):
+        if err > stop_above:
+            break
+        work = target.rows(rows, scratch[: rows.stop - rows.start])
+        peak = np.maximum(peak, max_norm(work))
+        np.subtract(work, product(rows), out=work)
+        err = np.maximum(err, max_norm(work))
+    return float(err), float(peak)
 
 
 def truncated_svd(M: np.ndarray, r: int) -> Factorization:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -39,9 +39,8 @@ from .kernels import KernelSpec, eval_kernel_matrix, kernel_rows
 from .lowrank import (
     ROW_BLOCK,
     Factorization,
-    RowEvaluator,
+    error_and_peak,
     identity_factorization,
-    max_norm,
     max_norm_error,
     row_blocks,
 )
@@ -195,7 +194,7 @@ def rff_then_compress(
     are built a row block at a time.  So above ``caps.matrix_dense_cap()``
     only form (b) is refused.
 
-    Every check (``_check``) compares K's rows (``kernels.kernel_rows``)
+    Every check (``lowrank.error_and_peak``) compares K's rows (``kernels.kernel_rows``)
     with P's one ``lowrank.ROW_BLOCK`` block at a time.  The first check
     is complete and also takes ``max|K|``, the denominator of the
     relative error, so a NaN in K stops the growth at once.  A later
@@ -243,7 +242,7 @@ def rff_then_compress(
                     held[rows] += part
                     held[rows] *= 0.5
             product = held.__getitem__
-        feat_err, peak = _check(kernel, product, stop)
+        feat_err, peak = error_and_peak(kernel, product, stop)
         if denom is None:
             denom = peak
         feature_certified = theta == 1.0 or feat_err <= feature_target
@@ -288,27 +287,3 @@ def _product_rows(
         yield rows, np.matmul(
             _write_features(omegas, X.points[rows], left[:k]), right.T, out=part[:k]
         )
-
-
-def _check(
-    kernel: RowEvaluator, product: Callable[[slice], np.ndarray], stop_above: float = math.inf
-) -> tuple[float, float]:
-    """``max|K - P|`` and ``max|K|``, where ``product(rows)`` gives ``P[rows]``.
-
-    Works one ``row_blocks`` block at a time, with one ``ROW_BLOCK x n2``
-    scratch array for K's rows.  Once the error exceeds ``stop_above``
-    the remaining blocks are skipped, and both maxima are over the rows
-    compared.  The maxima are bitwise those of the whole matrices, and a
-    NaN entry gives NaN, as in ``max_norm_error``.
-    """
-    n1, n2 = kernel.shape
-    scratch = np.empty((min(ROW_BLOCK, n1), n2))
-    err = peak = 0.0
-    for rows in row_blocks(n1):
-        if err > stop_above:
-            break
-        work = kernel.rows(rows, scratch[: rows.stop - rows.start])
-        peak = np.maximum(peak, max_norm(work))
-        np.subtract(work, product(rows), out=work)
-        err = np.maximum(err, max_norm(work))
-    return float(err), float(peak)

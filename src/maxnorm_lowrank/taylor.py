@@ -2,26 +2,22 @@
 
 Matrices generated by a smooth profile of a bilinear form, ``h(x' W y)``,
 or of a weighted squared distance, ``h(||x - y||_W^2)``, admit explicit
-low-rank approximants: truncate the Taylor series of h, write each
-monomial term as a Hadamard power of an exact factorization, and sketch
-each power down to the universal rank ``rank_formula(eps, n1, n2)``.
-The s-th power of a width-m base is sketched through its exact
-``C(m+s-1, s)``-wide symmetric-power factor, or, when that is wider
-than its ``n1 + n2`` rows, through an exact ``n1 + n2``-wide factor with
-the same Gram matrix (see ``compress.hadamard_compress``), so no
-``m**s``-wide factor is built; a power no wider than r passes through
-exactly.  The sum has width at most ``W = 1 + sum_s min(C(m+s-1, s), n1 + n2, r)``
-and is then reduced exactly to width at most ``min(n1, n2)`` by one QR
-(``lowrank.reduce_width``).  When some power needs a Gram root or a
-sketch but ``W >= min(n1, n2)``, no sketch can narrow the result below
-the ``min(n1, n2)`` columns the exact matrix has anyway; then, if
-``n1 * n2`` is within the matrix cap, the truncated series
-``P = sum_s c_s D**s`` of the base matrix D is summed exactly by Horner's
-rule and returned as ``lowrank.identity_factorization(P)``, whose
-non-identity factor has rows of norm at most ``sqrt(min(n1, n2)) * max|P|``.
+low-rank approximants: truncate the Taylor series of h and write each
+monomial term as a Hadamard power of an exact factorization.  Powers
+whose ``C(m+s-1, s)``-wide symmetric-power factor is no wider than the
+universal rank ``r = rank_formula(eps, n1, n2)`` (nor than the
+``n1 + n2`` rows) are kept exactly, and all the others, the tail, are
+sketched once, as one weighted sum, down to rank r
+(``compress.hadamard_compress``); no ``m**s``-wide factor is built.  The
+sum is then reduced exactly to width at most ``min(n1, n2)`` by one QR
+(``lowrank.reduce_width``), or, where the sketch could not narrow it
+below that, the truncated series ``P = sum_s c_s D**s`` of the base
+matrix D is summed exactly by Horner's rule instead (``_assemble``).
 The error bound has two parts: an analytical remainder from the
-truncation plus an algebraic term from the sketched (and dense-fallback)
-powers, zero when nothing was approximated.
+truncation plus an algebraic term ``eps * sum_tail |c_s| * (a b)**s``
+from the sketched (or dense-fallback) tail, zero when nothing was
+approximated.  The error is measured one row block at a time
+(``lowrank.error_and_peak``), and not at all above the matrix cap.
 
 The squared-distance variants ride on the same machinery after the
 rank-one distance identity ``D = Z1 + Z2 - 2 X W Y'``; the localized
@@ -33,7 +29,7 @@ at zero) tractable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,19 +40,21 @@ from .compress import (
     augment_rank_one,
     hadamard_compress,
     hadamard_widths,
+    power_series,
     rank_formula,
 )
-from .kernels import KernelSpec, WeightMatrix, distance_matrix
+from .kernels import ARG_INNER, KernelSpec, WeightMatrix, distance_matrix, kernel_rows
 from .lowrank import (
     Factorization,
     RankOne,
+    RowEvaluator,
+    error_and_peak,
     identity_factorization,
-    max_norm,
     max_norm_error,
     reduce_width,
     truncated_svd,
 )
-from .rng import SeedLike, split
+from .rng import SeedLike
 from .sampling import PointSet
 
 
@@ -111,18 +109,20 @@ class TaylorReport:
     """Outcome of one Taylor construction.
 
     ``certified_bound`` is the two-term bound (analytic remainder plus
-    sketch budget) that the measured error must not exceed when every
-    per-power compression certified.  ``corollary_bound`` is the closed
-    form ``C * (e**-t + eps * (e**exponent_arg - 1))``, meaningful in the
+    sketch budget) that the measured error must not exceed when the
+    tail's sketch certified.  ``corollary_bound`` is the closed form
+    ``C * (e**-t + eps * (e**exponent_arg - 1))``, meaningful in the
     regime ``t >= regime_threshold``.
 
-    ``sketched_powers`` lists the powers s whose Hadamard power was
-    Gaussian-sketched, ``fallback_powers`` those compressed by a dense
-    truncated SVD; only these enter ``algebraic_term``.  Both are empty,
-    as is ``compressions``, when every power passed through exactly or
-    when the series was summed exactly (see ``_assemble``); in the latter
-    case the result is ``min(n1, n2)`` wide and its non-identity factor's
-    rows have norm at most ``sqrt(min(n1, n2)) * max|P|``.
+    ``sketch`` reports the tail's one compression: a Gaussian sketch, or
+    above the matrix cap a dense truncated SVD, never certified.  The tail
+    powers are listed in ``sketched_powers`` when the sketch narrowed the
+    tail, in ``fallback_powers`` for the SVD; only these enter
+    ``algebraic_term``.  ``sketch`` is None and both lists are empty when
+    every power passed through exactly or when the series was summed
+    exactly (see ``_assemble``); in the latter case the result is
+    ``min(n1, n2)`` wide and its non-identity factor's rows have norm at
+    most ``sqrt(min(n1, n2)) * max|P|``.
     """
 
     rank: int
@@ -138,7 +138,7 @@ class TaylorReport:
     regime_threshold: float
     regime_ok: bool
     certified: bool
-    compressions: list[CompressionReport] = field(default_factory=list)
+    sketch: Optional[CompressionReport] = None
     fallback_powers: list[int] = field(default_factory=list)
     sketched_powers: list[int] = field(default_factory=list)
 
@@ -169,19 +169,9 @@ class _Assembly:
 
     result: Factorization
     held: Optional[np.ndarray] = None
-    compressions: list[CompressionReport] = field(default_factory=list)
+    sketch: Optional[CompressionReport] = None
     fallback_powers: list[int] = field(default_factory=list)
     sketched_powers: list[int] = field(default_factory=list)
-
-
-def _horner(D: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """``sum_s c_s D**s`` (entrywise powers) by Horner's rule, in one new buffer."""
-    P = D * coefficients[-1]
-    for c in coefficients[-2:0:-1]:
-        P += c
-        P *= D
-    P += coefficients[0]
-    return P
 
 
 def _assemble(
@@ -190,85 +180,72 @@ def _assemble(
     eps: float,
     seed: SeedLike,
 ) -> _Assembly:
-    """Sum the compressed Hadamard powers of ``base`` with the plan's weights.
+    """Sum the Hadamard powers of ``base`` with the plan's weights.
 
-    Power s of ``base`` comes out ``w_s = min(C(m+s-1, s), n1 + n2, r)``
-    wide (``compress.hadamard_widths``), so the sum is
-    ``W = [c_0 != 0] + sum_s w_s`` wide before ``reduce_width``.  When some
-    power needs a Gram root or a sketch (``C(m+s-1, s) > w_s``) and yet
-    ``W >= min(n1, n2)``, the sketches cannot narrow the result, so if
-    ``n1 * n2`` is within ``caps.matrix_dense_cap()`` the truncated series
-    ``P = sum_s c_s D**s`` of ``D = base.matrix()`` is summed exactly
-    instead and returned as ``identity_factorization(P)``, with P held
-    and no compression or sketch.
-
-    Otherwise returns the sum reduced exactly to width at most
-    ``min(n1, n2)``, the per-power compression reports, the powers that
-    were sketched and those where the dense cap forced a dense truncated
-    SVD fallback.  Raises ``caps.DenseCapExceeded`` when a power needs
-    that fallback and its dense n1 x n2 matrix is above the cap.
+    With the split of ``compress.hadamard_widths`` the sum is
+    ``W = [c_0 != 0] + L + min(T, r)`` wide.  When there is a tail and yet
+    ``W >= min(n1, n2)``, the sketch cannot narrow the result, so if
+    ``n1 * n2`` is within the matrix cap the series ``P = sum_s c_s D**s``
+    of ``D = base.matrix()`` is summed exactly and held, as
+    ``identity_factorization(P)``.  Otherwise ``compress.hadamard_compress``
+    gives the sum, reduced exactly to width at most ``min(n1, n2)``; a tail
+    factor above the cap is replaced by one dense truncated SVD of
+    ``sum_tail c_s D**s`` at rank ``min(r, n1, n2)``, which
+    ``caps.require_dense_matrix`` refuses when ``n1 * n2`` is above the cap too.
     """
     n1, n2 = base.shape
     r = rank_formula(eps, n1, n2)
-    c0 = plan.coefficients[0]
-    widths = {
-        s: hadamard_widths(base, s, eps)
-        for s in range(1, plan.order)
-        if plan.coefficients[s] != 0.0
-    }
-    series_width = int(c0 != 0.0) + sum(w for _, w in widths.values())
-    if (
-        any(exact > w for exact, w in widths.values())
-        and series_width >= min(n1, n2)
-        and n1 * n2 <= caps.matrix_dense_cap()
-    ):
-        P = _horner(base.matrix(), plan.coefficients)
+    coefficients = plan.coefficients
+    c0 = coefficients[0]
+    exact, tail, exact_width, tail_width = hadamard_widths(base, coefficients, eps)
+    series_width = int(c0 != 0.0) + exact_width + min(tail_width, r)
+    if tail and series_width >= min(n1, n2) and n1 * n2 <= caps.matrix_dense_cap():
+        P = power_series(base.matrix(), coefficients)
         return _Assembly(identity_factorization(P), held=P)
 
-    norm_a, norm_b = base.row_norms()
-    pieces: list[Factorization] = []
-    reports: list[CompressionReport] = []
-    fallbacks: list[int] = []
-    sketched: list[int] = []
-    if c0 != 0.0:
-        pieces.append(Factorization(np.full((n1, 1), c0), np.ones((n2, 1))))
-
-    streams = split(seed, max(plan.order - 1, 1))
-    base_dense: Optional[np.ndarray] = None
-    for s, (exact, w) in widths.items():
+    pieces = [Factorization(np.full((n1, 1), c0), np.ones((n2, 1)))] if c0 != 0.0 else []
+    sketch, sketched, fallback = None, [], []
+    if exact or tail:
         try:
-            G, rep = hadamard_compress(base, s, eps, streams[s - 1])
+            G, sketch = hadamard_compress(base, coefficients, eps, seed)
         except caps.DenseCapExceeded:
-            # the power's exact factor is above the dense cap: fall back to a
-            # dense exact power compressed by truncated SVD (measured, not certified)
-            if n1 * n2 > caps.matrix_dense_cap():
-                raise caps.DenseCapExceeded(
-                    f"power {s}: the dense fallback needs {n1}x{n2} = {n1 * n2} "
-                    "entries, above the matrix cap"
-                ) from None
-            if base_dense is None:
-                base_dense = base.matrix()
-            power = base_dense**s
-            r_eff = min(r, n1, n2)
-            G = truncated_svd(power, r_eff)
-            err = max_norm_error(power, G)
-            rep = CompressionReport(r, err, 1, eps * (norm_a * norm_b) ** s, False)
-            fallbacks.append(s)
+            # the tail factor is above the cap: the exact powers stay, and the tail
+            # is one dense truncated SVD (measured, not certified)
+            caps.require_dense_matrix(n1, n2)
+            tail_only = np.where(np.isin(np.arange(plan.order), tail), coefficients, 0.0)
+            if exact:
+                pieces.append(hadamard_compress(base, coefficients - tail_only, eps, seed)[0])
+            P = power_series(base.matrix(), tail_only)
+            G = truncated_svd(P, min(r, n1, n2))
+            ab = math.prod(base.row_norms())
+            target = eps * np.polynomial.polynomial.polyval(ab, abs(tail_only))
+            sketch = CompressionReport(r, max_norm_error(P, G), 1, target, False)
+            fallback = tail
         else:
-            if w < min(exact, n1 + n2):  # the sketch narrowed this power
-                sketched.append(s)
-        pieces.append(G.scaled(float(plan.coefficients[s])))
-        reports.append(rep)
+            sketched = tail if tail_width > r else []
+        pieces.append(G)
 
     if not pieces:
         G = Factorization(np.zeros((n1, 1)), np.zeros((n2, 1)))
     else:
         G = reduce_width(Factorization.concat(pieces))
-    return _Assembly(G, None, reports, fallbacks, sketched)
+    return _Assembly(G, None, sketch, fallback, sketched)
+
+
+def _profile_rows(spec: KernelSpec, D: np.ndarray) -> RowEvaluator:
+    """Row evaluator of ``h(D)`` for a held argument matrix ``D``."""
+
+    def rows(block: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            return spec.h(D[block])
+        out[...] = spec.h(D[block])
+        return out
+
+    return RowEvaluator(D.shape, rows)
 
 
 def _finish_report(
-    F: Optional[np.ndarray],
+    target: Optional[RowEvaluator],
     asm: _Assembly,
     plan: TaylorPlan,
     eps: float,
@@ -277,21 +254,22 @@ def _finish_report(
     regime_threshold: float,
     scale: float,
 ) -> TaylorReport:
-    """Report on ``asm`` against the target ``F`` (None above the matrix cap).
+    """Report on ``asm`` against the target's rows (None above the matrix cap).
 
     The algebraic term is ``eps * sum_s |c_s| * scale**s`` over the sketched
-    and dense-fallback powers; a power that passed through is exact.
+    or dense-fallback tail; a power that passed through is exact.
     """
     measured = relative = None
-    if F is not None:
-        measured = max_norm_error(F, asm.result if asm.held is None else asm.held)
-        denom = max_norm(F)
-        relative = measured / denom if denom > 0 else math.inf
+    if target is not None:
+        G, held = asm.result, asm.held
+        product = held.__getitem__ if held is not None else lambda rows: G.left[rows] @ G.right.T
+        measured, peak = error_and_peak(target, product)
+        relative = measured / peak if peak > 0 else math.inf
     if spec.has_constants:
         corollary = spec.C * (math.exp(-plan.order) + eps * math.expm1(exponent_arg))
     else:
         corollary = math.inf
-    approximated = sorted(asm.sketched_powers + asm.fallback_powers)
+    approximated = asm.sketched_powers + asm.fallback_powers
     algebraic = eps * sum(abs(float(plan.coefficients[s])) * scale**s for s in approximated)
     return TaylorReport(
         rank=asm.result.width,
@@ -306,8 +284,8 @@ def _finish_report(
         exponent_arg=exponent_arg,
         regime_threshold=regime_threshold,
         regime_ok=plan.order >= regime_threshold,
-        certified=all(rep.certified for rep in asm.compressions),
-        compressions=asm.compressions,
+        certified=asm.sketch is None or asm.sketch.certified,
+        sketch=asm.sketch,
         fallback_powers=asm.fallback_powers,
         sketched_powers=asm.sketched_powers,
     )
@@ -322,7 +300,8 @@ def approx_inner_product(
     eps: float = 0.1,
     seed: SeedLike = 0,
 ) -> tuple[Factorization, TaylorReport]:
-    """Low-rank approximation of ``h(x_i' W y_j)`` with rank <= 1 + (t-1) r."""
+    """Low-rank approximation of ``h(x_i' W y_j)`` with rank <= 1 + L + r, L the
+    summed width of the exact powers (``compress.hadamard_widths``)."""
     if t is None:
         t = default_order(eps)
     A, B, sigma = _bilinear_factors(X, W, Y)
@@ -331,15 +310,19 @@ def approx_inner_product(
     plan = taylor_coeffs(spec, 0.0, t, radius=radius_arg)
     base = Factorization(A, B)
     asm = _assemble(base, plan, eps, seed)
-    F = None
-    n1, n2 = base.shape
-    if n1 * n2 <= caps.matrix_dense_cap():
-        F = spec.h(A @ B.T)
+    target = None
+    if X.n * Y.n <= caps.matrix_dense_cap():
+        target = kernel_rows(replace(spec, arg_kind=ARG_INNER), _points(A), _points(B))
     threshold = math.e**2 * spec.M * radius_arg if spec.has_constants else math.inf
     M_exp = spec.M if spec.has_constants else math.nan
     return asm.result, _finish_report(
-        F, asm, plan, eps, spec, M_exp * radius_arg, threshold, math.prod(base.row_norms())
+        target, asm, plan, eps, spec, M_exp * radius_arg, threshold, math.prod(base.row_norms())
     )
+
+
+def _points(P: np.ndarray) -> PointSet:
+    """The rows of ``P`` as a point set, with their largest norm as the radius."""
+    return PointSet(P, float(np.linalg.norm(P, axis=1).max()))
 
 
 def _distance_base(
@@ -379,14 +362,13 @@ def approx_sq_distance(
     spec.check_domain(-radius_arg, radius_arg)
     plan = taylor_coeffs(spec, 0.0, t, radius=radius_arg)
     asm = _assemble(base, plan, eps, seed)
-    F = None
+    target = None
     if X.n * Y.n <= caps.matrix_dense_cap():
-        D, _, _ = distance_matrix(X, W, Y)
-        F = spec.h(D)
+        target = _profile_rows(spec, distance_matrix(X, W, Y)[0])
     threshold = 4.0 * math.e**2 * spec.M * sigma * R**2 if spec.has_constants else math.inf
     M_exp = spec.M if spec.has_constants else math.nan
     return asm.result, _finish_report(
-        F, asm, plan, eps, spec, M_exp * radius_arg, threshold, math.prod(base.row_norms())
+        target, asm, plan, eps, spec, M_exp * radius_arg, threshold, math.prod(base.row_norms())
     )
 
 
@@ -433,6 +415,7 @@ def approx_sq_distance_local(
         )
     D, dmin, dmax = distance_matrix(X, W, Y)
     n1, n2 = D.shape
+    target = _profile_rows(spec, D)
     spread = dmax - dmin
     xi = 0.5 * (dmin + dmax)
     if spread <= 1e-15 * max(1.0, abs(dmax)):
@@ -440,7 +423,7 @@ def approx_sq_distance_local(
         value = float(spec.h(np.array(xi)))
         G = Factorization(np.full((n1, 1), value), np.ones((n2, 1)))
         plan = TaylorPlan(xi, 1, np.array([value]), 0.0)
-        return G, _finish_report(spec.h(D), _Assembly(G), plan, eps, spec, 0.0, 0.0, 0.0)
+        return G, _finish_report(target, _Assembly(G), plan, eps, spec, 0.0, 0.0, 0.0)
 
     base, sigma = _distance_base(
         X, W, Y, extra=[RankOne(np.full(n1, -xi), np.ones(n2))]
@@ -461,5 +444,5 @@ def approx_sq_distance_local(
     )
     M_exp = spec.M if spec.has_constants else math.nan
     return asm.result, _finish_report(
-        spec.h(D), asm, plan, eps, spec, M_exp * shift_scale, threshold, shift_scale
+        target, asm, plan, eps, spec, M_exp * shift_scale, threshold, shift_scale
     )

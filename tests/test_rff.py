@@ -313,7 +313,7 @@ class TestRowBlocks:
         # the b-wide case above: three doublings, each check's error above
         # the target until the last
         X, Y = sample_ball(32, 300, 5, 1.0), sample_ball(33, 260, 5, 1.0)
-        check = rff._check
+        check = rff.error_and_peak
 
         def run(complete: bool):
             evaluated = []
@@ -330,7 +330,7 @@ class TestRowBlocks:
             monkeypatch.setattr(rff, "kernel_rows", counting)
             if complete:  # every check compares all row blocks
                 monkeypatch.setattr(
-                    rff, "_check", lambda kernel, product, _: check(kernel, product)
+                    rff, "error_and_peak", lambda kernel, product, _: check(kernel, product)
                 )
             G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4, theta=0.5)
             monkeypatch.undo()

@@ -219,7 +219,7 @@ class TestAssemble:
 
     def test_powers_wider_than_rows_never_build_khatri_rao_factors(self, monkeypatch):
         # r = 146: the square (136 wide) passes through, the cube (816 > 800 rows)
-        # takes the Gram root and is sketched to 146, so the sum is 299 < 400 wide
+        # is the tail, a Gram root sketched to 146, so the sum is 299 < 400 wide
         original = compress.khatri_rao_rows
 
         def guarded(blocks):
@@ -234,35 +234,70 @@ class TestAssemble:
         assert rep.certified and rep.fallback_powers == []
         assert rep.measured_max_error <= rep.certified_bound
         assert G.width <= 400
-        assert counts["gram_root_rows"] == 1 and rep.sketched_powers == [3]
+        assert counts["eigh"] == 1 and rep.sketched_powers == [3]
         assert G.width == 1 + 16 + 136 + 146
 
     def test_dense_fallback_above_the_cap(self, monkeypatch):
-        # n1 * n2 = 400 <= cap: the cube's exact factor (40 x 35 = 1400 entries) is
-        # above the cap, the square's (40 x 15) is not; no power needs a sketch
+        # n1 * n2 = 160000 <= cap < 800 x 800: the tail's Gram-root factor is above
+        # the cap, the exact powers' (800 x 16 and 800 x 136 entries) are not
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "200000")
+        X, Y = sample_sphere(23, 400, 16), sample_sphere(24, 400, 16)
+        spec = gaussian_on_sphere()
+        F = spec.h(X.points @ Y.points.T)
+        counts = count_calls(monkeypatch)
+        for t, tail in ((4, [3]), (5, [3, 4])):
+            counts.clear()
+            G, rep = approx_inner_product(spec, X, None, Y, t=t, eps=0.9, seed=4)
+            assert rep.fallback_powers == tail and rep.sketched_powers == []
+            assert counts["truncated_svd"] == 1 and counts["jl_compress"] == 0
+            assert counts["eigh"] == 0
+            assert rep.certified is False and rep.sketch.certified is False
+            assert G.width == 1 + 16 + 136 + 146
+            assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), abs=1e-12)
+            assert rep.algebraic_term > 0.0
+
+    def test_exact_power_above_the_cap_is_summed_exactly(self, monkeypatch):
+        # n1 * n2 = 400 <= cap: the cube's factor (40 x 35 = 1400 entries) is above
+        # the cap, so the cube joins the tail, and the sum, 56 >= 20 wide, is exact
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "1000")
         X, Y = sample_ball(25, 20, 3, 1.0), sample_ball(26, 20, 3, 1.0)
         spec = gauss_sq_dist((-4, 4))
+        counts = count_calls(monkeypatch)
         G, rep = approx_sq_distance(spec, X, None, Y, t=4, eps=0.5, seed=5)
-        assert rep.fallback_powers == [3]
-        assert rep.certified is False
-        assert G.width <= 20
-        F = spec.h(distance_matrix(X, None, Y)[0])
+        assert counts == {}
+        assert rep.fallback_powers == [] and rep.certified
+        assert G.width == 20
+        F, P = truncated_series(approx_sq_distance, spec, X, Y, 4)
+        assert max_norm_error(P, G) <= 1e-12 * np.abs(P).max()
         assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), abs=1e-12)
 
     def test_dense_fallback_refused_above_the_cap(self, monkeypatch):
-        # cap < n1 * n2 = 400: the fallback's dense power does not fit either
+        # cap < n1 * n2 = 400: every power's factor is above the cap, so all are the
+        # tail, and the fallback's dense tail does not fit either
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "100")
         X, Y = sample_ball(25, 20, 3, 1.0), sample_ball(26, 20, 3, 1.0)
-        with pytest.raises(DenseCapExceeded, match=r"power 1: .* 400 entries"):
+        with pytest.raises(DenseCapExceeded, match=r"dense 20 x 20 matrix exceeds cap 100"):
             approx_sq_distance(gauss_sq_dist((-4, 4)), X, None, Y, t=4, eps=0.5, seed=5)
+
+    @pytest.mark.parametrize("t", [4, 6])
+    def test_one_sketch_and_one_eigh_per_call(self, monkeypatch, t):
+        # r = 146 < N = 800: every power from the cube on is wider than 800 rows,
+        # and all of them are one tail, sketched once from one Gram root
+        counts = count_calls(monkeypatch)
+        X, Y = sample_sphere(23, 400, 16), sample_sphere(24, 400, 16)
+        G, rep = approx_inner_product(gaussian_on_sphere(), X, None, Y, t=t, eps=0.9, seed=4)
+        assert counts["hadamard_compress"] == counts["jl_compress"] == counts["eigh"] == 1
+        assert rep.sketched_powers == list(range(3, t)) and rep.certified
+        assert G.width == 1 + 16 + 136 + 146
+        assert rep.measured_max_error <= rep.certified_bound
 
 
 def count_calls(monkeypatch):
     """Count the calls of every step a Taylor sum may take besides the exact sum."""
     counts = Counter()
     for module, name in ((taylor, "hadamard_compress"), (compress, "jl_compress"),
-                         (compress, "gram_root_rows"), (taylor, "reduce_width")):
+                         (np.linalg, "eigh"), (taylor, "reduce_width"),
+                         (taylor, "truncated_svd")):
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
@@ -272,8 +307,17 @@ def count_calls(monkeypatch):
 
 
 def series_width(base_width, t, n1, n2, r):
-    """Width of the compressed sum before reduce_width: c_0 plus min(L_s, n1 + n2, r) per power."""
-    return 1 + sum(min(math.comb(base_width + s - 1, s), n1 + n2, r) for s in range(1, t))
+    """Width of the compressed sum before reduce_width: c_0, the exact powers and the tail.
+
+    A power is exact when its width L_s is at most min(n1 + n2, r); the
+    tail factor is n1 + n2 wide when one of its powers is wider, else as
+    wide as its powers together, and is sketched to at most r.
+    """
+    widths = [math.comb(base_width + s - 1, s) for s in range(1, t)]
+    exact = [L for L in widths if L <= min(n1 + n2, r)]
+    tail = [L for L in widths if L > min(n1 + n2, r)]
+    tail_width = n1 + n2 if any(L > n1 + n2 for L in tail) else sum(tail)
+    return 1 + sum(exact) + min(tail_width, r)
 
 
 def truncated_series(route, spec, X, Y, t):
@@ -300,8 +344,8 @@ class TestExactSum:
     @pytest.mark.parametrize("n1, n2", [(50, 70), (70, 50)])
     @pytest.mark.parametrize("route, spec, sample, m", WIDE_ROUTES, ids=WIDE_IDS)
     def test_series_summed_exactly(self, monkeypatch, route, spec, sample, m, n1, n2):
-        # r = 103 < n1 + n2 = 120: the square and cube need a Gram root or a sketch,
-        # yet the sum would be 1 + 16 + 103 + 103 = 223 >= min(n1, n2) wide
+        # r = 103 < n1 + n2 = 120: the square and cube are a tail with a Gram root,
+        # yet the sum would be 1 + 16 + 103 = 120 >= min(n1, n2) wide
         assert compress.rank_formula(0.9, n1, n2) == 103
         counts = count_calls(monkeypatch)
         X, Y = sample(31, n1, m), sample(32, n2, m)
@@ -311,11 +355,11 @@ class TestExactSum:
         assert G.width == rep.rank == min(n1, n2)
         assert max_norm_error(P, G) <= 1e-12 * np.abs(P).max()
         assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), rel=1e-14)
-        assert rep.compressions == [] and rep.fallback_powers == [] and rep.sketched_powers == []
+        assert rep.sketch is None and rep.fallback_powers == [] and rep.sketched_powers == []
         assert rep.algebraic_term == 0.0 and rep.certified_bound == rep.analytic_term
         assert rep.certified
 
-    @pytest.mark.parametrize("n1, exact", [(247, True), (248, False)])
+    @pytest.mark.parametrize("n1, exact", [(132, True), (133, False)])
     @pytest.mark.parametrize("route, spec, sample, m", WIDE_ROUTES, ids=WIDE_IDS)
     def test_sketched_only_when_it_narrows_the_sum(
         self, monkeypatch, route, spec, sample, m, n1, exact
@@ -332,8 +376,9 @@ class TestExactSum:
             assert counts == {} and rep.sketched_powers == []
             assert G.width == n1
         else:
-            assert counts["hadamard_compress"] == 3 and counts["reduce_width"] == 1
-            assert counts["gram_root_rows"] == 1 and rep.sketched_powers == [2, 3]
+            assert counts["hadamard_compress"] == 1 and counts["reduce_width"] == 1
+            assert counts["jl_compress"] == counts["eigh"] == 1
+            assert rep.sketched_powers == [2, 3]
             assert G.width == W == n1 - 1
             assert rep.algebraic_term > 0.0
         F, _ = truncated_series(route, spec, X, Y, 4)
@@ -347,8 +392,8 @@ class TestExactSum:
     def test_above_the_matrix_cap_the_powers_are_compressed(
         self, monkeypatch, route, spec, sample, m
     ):
-        # base width 4, t = 8, r = 113: only the 7th power (120 wide) is sketched, and
-        # the sum is 1 + 209 + 113 = 323 >= 260 wide; every exact power factor
+        # base width 4, t = 8, r = 113: only the 7th power (120 wide) is the tail,
+        # sketched, and the sum is 1 + 209 + 113 = 323 >= 260 wide; every factor
         # (<= 520 x 120 entries) fits under the cap, the 260 x 260 sum does not
         n, t, eps, cap = 260, 8, 0.99, 65000
         assert compress.rank_formula(eps, n, n) == 113
@@ -360,8 +405,8 @@ class TestExactSum:
         assert counts == {}
         monkeypatch.setenv("MAXNORM_DENSE_CAP", str(cap))
         G, rep = route(spec, X, None, Y, t=t, eps=eps, seed=9)
-        assert counts["hadamard_compress"] == t - 1 and counts["reduce_width"] == 1
-        assert counts["gram_root_rows"] == 0
+        assert counts["hadamard_compress"] == counts["jl_compress"] == 1
+        assert counts["reduce_width"] == 1 and counts["eigh"] == 0
         assert rep.sketched_powers == [7] and rep.fallback_powers == []
         assert G.width == n
 
