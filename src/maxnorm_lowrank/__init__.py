@@ -36,7 +36,6 @@ from .kernels import (
     exp_dist,
     gauss_sq_dist,
     gaussian_on_sphere,
-    gram,
     quartic_dist,
     sinh_hoip,
 )
@@ -49,7 +48,6 @@ from .lowrank import (
     truncated_svd,
 )
 from .rff import (
-    FrequencySet,
     rff_factorization,
     rff_then_compress,
     sample_frequencies,

@@ -41,7 +41,7 @@ from .lowrank import GRAM_RTOL, max_norm, truncated_svd
 from .records import ExperimentRecord
 from .rng import SeedLike, generator, seed_sequence, split
 from .sampling import SamplingScheme, sample_ball, sample_pair
-from .tensors import TTTensor, tt_svd
+from .tensors import TTTensor, tt_ranks, tt_svd
 
 RankSpec = Union[int, tuple[int, ...]]
 
@@ -57,6 +57,10 @@ class AltProjConfig:
     ``altproj`` and ``experiment`` subcommands, and ``ExperimentConfig``
     inherits the fields as config-file keys.
 
+    ``restarts`` is the number of seeded Gaussian starts that each
+    bisection probe falls back to, in order, when the run from the last
+    feasible iterate fails.
+
     ``stall_patience``/``stall_rtol`` stop an eps-run early when the
     feasibility gap has not improved by a relative ``stall_rtol`` for
     ``stall_patience`` consecutive iterations, which keeps hopeless
@@ -67,15 +71,12 @@ class AltProjConfig:
     tol: float = 1e-6
     bisect_iters: int = 20
     restarts: int = 1
-    init: str = "gaussian"  # or "zero"
     stall_patience: int = 50
     stall_rtol: float = 1e-3
 
     def __post_init__(self):
         if self.max_iters < 1 or self.bisect_iters < 1 or self.restarts < 1:
             raise ValueError("iteration counts must be >= 1")
-        if self.init not in ("gaussian", "zero"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass
@@ -111,10 +112,7 @@ def _rank_projection(E: np.ndarray, r: RankSpec) -> np.ndarray:
         if not isinstance(r, (int, np.integer)):
             raise ValueError("matrix projection needs an integer rank")
         return truncated_svd(E, min(int(r), *E.shape)).matrix()
-    ranks = (r,) * (E.ndim - 1) if isinstance(r, (int, np.integer)) else tuple(r)
-    if len(ranks) != E.ndim - 1:
-        raise ValueError(f"need {E.ndim - 1} TT ranks, got {ranks}")
-    return tt_svd(E, max_ranks=ranks).dense()
+    return tt_svd(E, max_ranks=r).dense()
 
 
 def _subspace_projection(
@@ -142,18 +140,15 @@ def _subspace_projection(
     return (Q @ W) @ (W.T @ B), Q
 
 
-def initial_guess(F: np.ndarray, r: RankSpec, seed: SeedLike, kind: str = "gaussian") -> np.ndarray:
-    """Random low-rank starting point, rescaled to the magnitude of F."""
-    if kind == "zero":
-        return np.zeros_like(F)
+def initial_guess(F: np.ndarray, r: RankSpec, seed: SeedLike) -> np.ndarray:
+    """Gaussian low-rank starting point, rescaled to the magnitude of F."""
     rng = generator(seed)
+    ranks = tt_ranks(r, F.ndim)
     if F.ndim == 2:
-        k = int(r) if isinstance(r, (int, np.integer)) else int(r[0])
-        k = min(k, *F.shape)
+        k = min(ranks[0], *F.shape)
         T = rng.standard_normal((F.shape[0], k)) @ rng.standard_normal((k, F.shape[1]))
     else:
-        ranks = (r,) * (F.ndim - 1) if isinstance(r, (int, np.integer)) else tuple(r)
-        full = (1,) + tuple(int(x) for x in ranks) + (1,)
+        full = (1,) + ranks + (1,)
         cores = [
             rng.standard_normal((full[k], F.shape[k], full[k + 1]))
             for k in range(F.ndim)
@@ -185,7 +180,7 @@ def alternating_projections(
     if eps >= limit:
         # the zero (rank-0) matrix is already feasible
         return AltProjResult(np.zeros_like(F), True, 0, limit, "converged")
-    T = init_dense if init_dense is not None else initial_guess(F, r, seed, cfg.init)
+    T = init_dense if init_dense is not None else initial_guess(F, r, seed)
     warm = (
         F.ndim == 2
         and isinstance(r, (int, np.integer))
@@ -231,7 +226,7 @@ def binary_search_eps(
     matrix) when that is smaller; both are feasible for free, so the
     result is a valid upper bound on the optimal entrywise error of
     rank-r approximation and never worse than that baseline.  Each probe
-    first runs from the last feasible iterate; the seeded ``cfg.init``
+    first runs from the last feasible iterate; the seeded Gaussian
     starts, one per restart, are fallbacks tried in order only when the
     warm start fails.  The whole search is deterministic for a seed.
     """
@@ -243,9 +238,7 @@ def binary_search_eps(
     hi = max_norm(F - best_T)
     if hi > limit:
         best_T, hi = np.zeros_like(F), limit
-    inits = [
-        initial_guess(F, r, s, cfg.init) for s in split(seed, cfg.restarts)
-    ]
+    inits = [initial_guess(F, r, s) for s in split(seed, cfg.restarts)]
     lo = 0.0
     evaluations = 0
     for _ in range(cfg.bisect_iters):

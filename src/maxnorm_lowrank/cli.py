@@ -61,10 +61,8 @@ def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--bisect-iters", dest="bisect_iters", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None,
-                   help="number of seeded fallback starts per bisection probe")
-    p.add_argument("--init", choices=["gaussian", "zero"], default=None,
-                   help="fallback start of a bisection probe, tried only when the run "
-                        "from the last feasible iterate fails")
+                   help="seeded Gaussian starts a bisection probe falls back to when the "
+                        "run from the last feasible iterate fails")
     p.add_argument("--stall-patience", dest="stall_patience", type=int, default=None)
     p.add_argument("--stall-rtol", dest="stall_rtol", type=float, default=None)
 
@@ -103,7 +101,7 @@ _REPORT_FIELDS = {
 # route options left unset on the command line take the experiment grid's defaults
 _APPROX_DEFAULTS = {
     "t": ExperimentConfig.t, "r": ExperimentConfig.r_grid[0], "rho": ExperimentConfig.rho,
-    "theta": ExperimentConfig.theta, "radius": ExperimentConfig.radius,
+    "radius": ExperimentConfig.radius,
 }
 
 
@@ -133,7 +131,7 @@ def cmd_approx(args) -> int:
     else:
         points, seed = _point_pair(args), args.seed
     G, rep = approximate(alg, args.function, args.radius, points, seed,
-                         args.eps, args.t, args.r, args.rho, args.theta)
+                         args.eps, args.t, args.r, args.rho)
     payload = {k: getattr(rep, k) for k in _REPORT_FIELDS.get(alg, _REPORT_FIELDS["taylor"])}
     if alg == "jl":
         payload["rank"] = G.width
@@ -238,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--r", type=int, default=None, help="TT target rank (tt-taylor)")
     p.add_argument("--rho", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_approx)
 
@@ -276,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
     p.add_argument("--rho", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
                    help="threads running grid points (default 1); altproj trials "

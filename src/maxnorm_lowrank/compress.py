@@ -31,6 +31,9 @@ from . import caps
 from .lowrank import Factorization, RankOne, max_norm_error
 from .rng import SeedLike, generator, split
 
+# sketches jl_compress draws before it returns its best one uncertified
+SKETCH_ATTEMPTS = 50
+
 
 def rank_formula(eps: float, n1: int, n2: int) -> int:
     """Sketch rank ``ceil(9 * ln(3 * n1 * n2) / eps**2)`` (natural log)."""
@@ -54,15 +57,14 @@ def jl_compress(
     F: Factorization,
     eps: float,
     seed: SeedLike,
-    max_attempts: int = 50,
 ) -> tuple[Factorization, CompressionReport]:
     """Compress ``F`` to rank <= rank_formula(eps, n1, n2) with a Gaussian sketch.
 
     Sketch entries are i.i.d. N(0, 1/r) so the compressed product is an
     unbiased estimate of the original.  Fresh sketches are drawn (from
     independent substreams of ``seed``) until the measured max-norm error
-    falls below ``eps * ||A||_{2,inf} * ||B||_{2,inf}``; if the budget is
-    exhausted the best attempt is returned with ``certified=False``.
+    falls below ``eps * ||A||_{2,inf} * ||B||_{2,inf}``; after
+    ``SKETCH_ATTEMPTS`` draws the best one is returned with ``certified=False``.
 
     Each sketch ``G`` is certified by the exact ``max|A B' - G_A G_B'|``,
     which ``max_norm_error`` takes one row block at a time: neither
@@ -73,8 +75,6 @@ def jl_compress(
     A factorization that is already narrower than the target rank is
     passed through unchanged.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
     n1, n2 = F.shape
     r = rank_formula(eps, n1, n2)
     norm_a, norm_b = F.row_norms()
@@ -84,7 +84,7 @@ def jl_compress(
 
     scale = 1.0 / math.sqrt(r)
     best: tuple[float, Factorization] | None = None
-    streams = split(seed, max_attempts)
+    streams = split(seed, SKETCH_ATTEMPTS)
     for attempt, stream in enumerate(streams, start=1):
         R = generator(stream).standard_normal((F.width, r)) * scale
         G = Factorization(F.left @ R, F.right @ R)
@@ -94,7 +94,7 @@ def jl_compress(
         if err <= target:
             return G, CompressionReport(r, err, attempt, target, True)
     err, G = best
-    return G, CompressionReport(r, err, max_attempts, target, False)
+    return G, CompressionReport(r, err, len(streams), target, False)
 
 
 def khatri_rao_rows(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -240,7 +240,6 @@ def hadamard_compress(
     coefficients: Sequence[float],
     eps: float,
     seed: SeedLike,
-    max_attempts: int = 50,
 ) -> tuple[Factorization, Optional[CompressionReport]]:
     """Compress ``sum_{s >= 1} c_s (A B')**s``, entrywise powers of ``F = A B'``.
 
@@ -254,7 +253,7 @@ def hadamard_compress(
     exact, tail, _, _ = hadamard_widths(F, coefficients, eps)
     G = sketch = None
     if tail:  # first, so that a refused tail factor costs no work
-        G, sketch = jl_compress(tail_factor(F, coefficients, tail), eps, seed, max_attempts)
+        G, sketch = jl_compress(tail_factor(F, coefficients, tail), eps, seed)
     pieces = [_power_rows(F, s).scaled(float(coefficients[s])) for s in exact]
     return Factorization.concat(pieces + ([G] if tail else [])), sketch
 

@@ -70,7 +70,7 @@ READS = {
     "taylor-ip": ("t",),
     "taylor-dist": ("t", "radius"),
     "taylor-dist-local": ("t", "radius"),
-    "rff": ("rho", "theta", "radius"),
+    "rff": ("rho", "radius"),
     "jl": ("radius",),
     "tt-taylor": ("t", "r", "radius"),
 }
@@ -107,7 +107,6 @@ class ExperimentConfig(AltProjConfig):
     radius: float = 1.0
     eps: float = 0.1
     t: Optional[int] = None
-    theta: float = 0.5
     rho: int = 64
     algorithms: tuple[str, ...] = ("altproj",)
     jobs: int = 1
@@ -235,7 +234,7 @@ def _grid_points(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
 
 def approximate(
     route: str, function: str, radius: float, points, seed, eps: float,
-    t: Optional[int], r: int, rho: int, theta: float,
+    t: Optional[int], r: int, rho: int,
 ):
     """Run one route on ``points`` (three sets for tt-taylor, else (X, Y)).
 
@@ -250,7 +249,7 @@ def approximate(
         return jl_compress(Factorization(X.points, Y.points), eps, seed)
     if route == "rff":
         spec = kernel_for(function, radius)
-        return rff.rff_then_compress(spec, X, Y, rho=rho, eps=eps, seed=seed, theta=theta)
+        return rff.rff_then_compress(spec, X, Y, rho=rho, eps=eps, seed=seed)
     if route == "taylor-ip":
         spec, builder = kernels.gaussian_on_sphere(), taylor.approx_inner_product
     elif route == "taylor-dist":
@@ -280,7 +279,7 @@ def _constructive_records(
                 points = sample_pair(scheme, streams, lambda s: sample_ball(s, n, m, cfg.radius))
             _, rep = approximate(
                 route, cfg.function, cfg.radius, points, streams[3],
-                cfg.eps, cfg.t, r, cfg.rho, cfg.theta,
+                cfg.eps, cfg.t, r, cfg.rho,
             )
             out.append(
                 ExperimentRecord(

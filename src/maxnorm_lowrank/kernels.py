@@ -207,14 +207,14 @@ def sinh_hoip(domain: tuple[float, float] = (-1.0, 1.0)) -> KernelSpec:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric positive-definite weight with a spectral norm bound.
+    """Symmetric positive-definite weight; ``spectral_norm_bound`` is ||W||_2.
 
     The eigendecomposition is computed once at construction and reused
     by the factor builders.
     """
 
     entries: np.ndarray
-    spectral_norm_bound: float = field(default=0.0)
+    spectral_norm_bound: float = field(init=False)
     eigenvalues: np.ndarray = field(init=False, repr=False)
     eigenvectors: np.ndarray = field(init=False, repr=False)
 
@@ -228,14 +228,8 @@ class WeightMatrix:
         lam, U = np.linalg.eigh(W)
         if lam.min() <= 0:
             raise ValueError(f"weight matrix not positive-definite (min eig {lam.min():.3e})")
-        norm = float(np.abs(lam).max())
-        bound = self.spectral_norm_bound
-        if bound == 0.0:
-            bound = norm
-        elif bound < norm * (1 - 1e-12):
-            raise ValueError(f"spectral_norm_bound {bound} below ||W||_2 = {norm}")
         object.__setattr__(self, "entries", W)
-        object.__setattr__(self, "spectral_norm_bound", float(bound))
+        object.__setattr__(self, "spectral_norm_bound", float(np.abs(lam).max()))
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", U)
 
@@ -253,18 +247,6 @@ def _weight_entries(W: Optional[WeightMatrix], m_left: int, m_right: int) -> Opt
     if W.m != m_left or W.m != m_right:
         raise ValueError(f"weight dimension {W.m} incompatible with points ({m_left}, {m_right})")
     return W.entries
-
-
-def gram(X: PointSet, W: Optional[WeightMatrix], Y: PointSet) -> np.ndarray:
-    """Dense bilinear-form matrix with entries x_i' W y_j.
-
-    The weight is the identity (None) or a ``WeightMatrix``; there is no
-    other weight type.
-    """
-    entries = _weight_entries(W, X.m, Y.m)
-    if entries is None:
-        return X.points @ Y.points.T
-    return X.points @ entries @ Y.points.T
 
 
 def distance_matrix(

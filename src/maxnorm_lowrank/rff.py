@@ -9,14 +9,18 @@ Because the factor row norms equal one, compressing the feature
 factorization with a Gaussian sketch gives an approximation whose rank
 does not depend on the point dimension.
 
-``rff_then_compress`` doubles the frequency set until the feature
-product P is close enough to the kernel K, and is always in one of two
-states.  While the result can still be the features or their sketch, it
-holds only the feature pair of all frequencies drawn so far and checks
-its product against K one row block at a time, so no n1 x n2 array is
-formed.  Once the features are wider than ``min(n1, n2)`` and the sketch
-budget allows that width, the result is P itself: from then on it holds
-only P, and averages each new block of features into it.
+``rff_then_compress`` splits its error budget in two fixed halves, one
+for the feature average and one for the sketch, and doubles the
+frequency set until the feature product P is within its half of the
+kernel K.  It is always in one of two states.  While the result can
+still be the features or their sketch, it holds only the feature pair
+of all frequencies drawn so far and checks its product against K one
+row block at a time, so no n1 x n2 array is formed.  Once the features
+are wider than ``min(n1, n2)`` and the sketch rank allows that width,
+the result is P itself: from then on it holds only P, and averages each
+new block of features into it.  With equal halves the features have in
+practice met their half before they are as wide as the sketch rank, so
+the sketch narrows them only when ``rho`` starts above half that rank.
 
 Every spec with a ``spectral_law`` qualifies, and a spec without one is
 refused.  Each Bochner pair lives on its constructor in ``kernels``
@@ -66,47 +70,32 @@ def kernel_values(spec: KernelSpec, X: PointSet, Y: PointSet) -> np.ndarray:
     return eval_kernel_matrix(spec, X, Y)
 
 
-@dataclass(frozen=True)
-class FrequencySet:
-    """rho frequency vectors drawn from the spectral law of a kernel."""
-
-    omegas: np.ndarray  # (rho, m)
-
-    def __post_init__(self):
-        om = np.asarray(self.omegas, dtype=np.float64)
-        if om.ndim != 2 or om.shape[0] < 1:
-            raise ValueError(f"need a (rho, m) frequency matrix, got {om.shape}")
-        object.__setattr__(self, "omegas", om)
-
-    @property
-    def rho(self) -> int:
-        return self.omegas.shape[0]
-
-
-def sample_frequencies(spec: KernelSpec, rho: int, seed: SeedLike, m: int) -> FrequencySet:
-    """Draw ``rho`` i.i.d. frequencies in R^m from the spectral law of the kernel."""
+def sample_frequencies(spec: KernelSpec, rho: int, seed: SeedLike, m: int) -> np.ndarray:
+    """Draw ``rho`` i.i.d. frequencies in R^m, as a (rho, m) array, from the spectral law of the kernel."""
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
     if m < 1:
         raise ValueError(f"dimension m must be >= 1, got {m}")
     _require_law(spec)
-    return FrequencySet(spec.spectral_law(generator(seed), rho, m))
+    return spec.spectral_law(generator(seed), rho, m)
 
 
-def rff_factorization(freqs: FrequencySet, X: PointSet, Y: PointSet) -> Factorization:
-    """Width-2*rho feature factorization with interleaved cos/sin columns.
+def rff_factorization(omegas: np.ndarray, X: PointSet, Y: PointSet) -> Factorization:
+    """Width-2*rho feature factorization with interleaved cos/sin columns, for (rho, m) ``omegas``.
 
     Every row of both factors has Euclidean norm exactly 1, and
     (A B')(i, j) = mean_k cos(w_k' (x_i - y_j)).  Each factor is written
     by ``_write_features``, so building one holds the factor and one row
     block of phases.
     """
-    if X.m != freqs.omegas.shape[1] or Y.m != freqs.omegas.shape[1]:
+    if omegas.ndim != 2 or omegas.shape[0] < 1:
+        raise ValueError(f"need a (rho, m) frequency matrix, got shape {omegas.shape}")
+    if X.m != omegas.shape[1] or Y.m != omegas.shape[1]:
         raise ValueError("frequency dimension does not match the points")
-    width = 2 * freqs.rho
+    width = 2 * omegas.shape[0]
     return Factorization(
-        _write_features(freqs.omegas, X.points, np.empty((X.n, width))),
-        _write_features(freqs.omegas, Y.points, np.empty((Y.n, width))),
+        _write_features(omegas, X.points, np.empty((X.n, width))),
+        _write_features(omegas, Y.points, np.empty((Y.n, width))),
     )
 
 
@@ -139,7 +128,6 @@ class RffReport:
     measured_max_error: Optional[float]
     measured_relative_error: Optional[float]
     rank: int
-    theta: float
 
 
 def rff_then_compress(
@@ -149,18 +137,15 @@ def rff_then_compress(
     rho: int = 64,
     eps: float = 0.25,
     seed: SeedLike = 0,
-    theta: float = 0.5,
 ) -> tuple[Factorization, RffReport]:
-    """Feature map plus Gaussian sketch: rank <= rank_formula(theta * eps, n1, n2).
+    """Feature map plus Gaussian sketch: rank <= rank_formula(eps / 2, n1, n2).
 
-    The error budget is split as ``(1 - theta) * eps`` for the feature
-    average and ``theta * eps`` for the sketch.  Starting from ``rho``
+    The error budget is split in halves: ``eps / 2`` for the feature
+    average and ``eps / 2`` for the sketch.  Starting from ``rho``
     frequencies, the feature count doubles until the feature error
-    ``max|K - P|`` of the feature product P meets its share of the budget
+    ``max|K - P|`` of the feature product P meets its half of the budget
     (or ``RHO_CAP`` is hit, which is reported as
-    ``feature_certified=False``, not hidden).  With ``theta = 1`` no
-    feature growth happens and the call reduces to a plain sketch of the
-    feature factorization.
+    ``feature_certified=False``, not hidden).
 
     Doubling is nested: the first ``rho`` frequencies come from the first
     substream of the frequency stream, and each doubling keeps every
@@ -170,7 +155,7 @@ def rff_then_compress(
     sees nested prefixes of one sequence rather than fresh draws.
 
     With ``w = 2 * rho_total``, ``n = min(n1, n2)`` and
-    ``r = rank_formula(theta * eps, n1, n2)`` the result takes one of
+    ``r = rank_formula(eps / 2, n1, n2)`` the result takes one of
     three forms:
 
     (a) ``w <= n`` and ``w <= r``: ``rff_factorization`` of all the
@@ -182,6 +167,8 @@ def rff_then_compress(
         entry of P lies in [-1, 1].
     (c) otherwise (``r < min(w, n)``): a ``jl_compress`` sketch of the
         feature factorization to rank r, verified against the kernel.
+        A starting ``rho`` above ``r / 2`` reaches it; from below, the
+        growth has in practice stopped before the features are r wide.
 
     The loop holds either the features or P, never both, and never the
     kernel K.  Toward (a) and (c) it holds the feature pair of every
@@ -209,26 +196,23 @@ def rff_then_compress(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
     _require_law(spec)
     kernel = kernel_rows(spec, X, Y)
-    feature_target = (1.0 - theta) * eps
-    eps_sketch = theta * eps
+    half = 0.5 * eps  # the feature target and the sketch budget
     n_min = min(X.n, Y.n)
-    r = rank_formula(eps_sketch, X.n, Y.n)
+    r = rank_formula(half, X.n, Y.n)
 
     freq_stream, sketch_stream = split(seed, 2)
     grow_streams = iter(freq_stream.spawn(64))
-    new = omegas = sample_frequencies(spec, rho, next(grow_streams), m=X.m).omegas
+    new = omegas = sample_frequencies(spec, rho, next(grow_streams), m=X.m)
     features = held = denom = None
     stop = math.inf  # the first check is complete
     while True:
         if 2 * omegas.shape[0] <= n_min or n_min > r:  # toward (a) or (c): hold the features
             features = None  # the narrower pair is freed before the wider one is built
-            features = rff_factorization(FrequencySet(omegas), X, Y)
+            features = rff_factorization(omegas, X, Y)
             product = lambda rows: features.left[rows] @ features.right.T
         else:  # form (b): hold P only
             if held is None:
@@ -245,27 +229,25 @@ def rff_then_compress(
         feat_err, peak = error_and_peak(kernel, product, stop)
         if denom is None:
             denom = peak
-        feature_certified = theta == 1.0 or feat_err <= feature_target
-        if not (theta < 1.0 and feat_err > feature_target and 2 * omegas.shape[0] <= RHO_CAP):
+        if not (feat_err > half and 2 * omegas.shape[0] <= RHO_CAP):  # a NaN error stops too
             break
-        new = sample_frequencies(spec, omegas.shape[0], next(grow_streams), m=X.m).omegas
+        new = sample_frequencies(spec, omegas.shape[0], next(grow_streams), m=X.m)
         omegas = np.vstack([omegas, new])
         # a check after which the growth may go on can stop once it fails
-        stop = feature_target if 2 * omegas.shape[0] <= RHO_CAP else math.inf
+        stop = half if 2 * omegas.shape[0] <= RHO_CAP else math.inf
 
     result = features if held is None else identity_factorization(held)
-    G, sketch_rep = jl_compress(result, eps_sketch, sketch_stream)
+    G, sketch_rep = jl_compress(result, half, sketch_stream)
     measured = feat_err if G is result else max_norm_error(kernel, G)
     report = RffReport(
         rho=omegas.shape[0],
         feature_error=feat_err,
-        feature_target=feature_target,
-        feature_certified=feature_certified,
+        feature_target=half,
+        feature_certified=feat_err <= half,
         sketch=sketch_rep,
         measured_max_error=measured,
         measured_relative_error=measured / denom if denom else math.inf,
         rank=G.width,
-        theta=theta,
     )
     return G, report
 

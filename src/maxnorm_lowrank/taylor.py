@@ -17,7 +17,8 @@ The error bound has two parts: an analytical remainder from the
 truncation plus an algebraic term ``eps * sum_tail |c_s| * (a b)**s``
 from the sketched (or dense-fallback) tail, zero when nothing was
 approximated.  The error is measured one row block at a time
-(``lowrank.error_and_peak``), and not at all above the matrix cap.
+(``lowrank.error_and_peak``); ``approx_sq_distance`` measures it on the
+dense distance matrix, so not at all above the matrix cap.
 
 The squared-distance variants ride on the same machinery after the
 rank-one distance identity ``D = Z1 + Z2 - 2 X W Y'``; the localized
@@ -254,7 +255,7 @@ def _finish_report(
     regime_threshold: float,
     scale: float,
 ) -> TaylorReport:
-    """Report on ``asm`` against the target's rows (None above the matrix cap).
+    """Report on ``asm`` against the target's rows (None: the error is not measured).
 
     The algebraic term is ``eps * sum_s |c_s| * scale**s`` over the sketched
     or dense-fallback tail; a power that passed through is exact.
@@ -301,7 +302,10 @@ def approx_inner_product(
     seed: SeedLike = 0,
 ) -> tuple[Factorization, TaylorReport]:
     """Low-rank approximation of ``h(x_i' W y_j)`` with rank <= 1 + L + r, L the
-    summed width of the exact powers (``compress.hadamard_widths``)."""
+    summed width of the exact powers (``compress.hadamard_widths``).
+
+    The error is measured at every size, one row block of the target at a time.
+    """
     if t is None:
         t = default_order(eps)
     A, B, sigma = _bilinear_factors(X, W, Y)
@@ -310,9 +314,7 @@ def approx_inner_product(
     plan = taylor_coeffs(spec, 0.0, t, radius=radius_arg)
     base = Factorization(A, B)
     asm = _assemble(base, plan, eps, seed)
-    target = None
-    if X.n * Y.n <= caps.matrix_dense_cap():
-        target = kernel_rows(replace(spec, arg_kind=ARG_INNER), _points(A), _points(B))
+    target = kernel_rows(replace(spec, arg_kind=ARG_INNER), _points(A), _points(B))
     threshold = math.e**2 * spec.M * radius_arg if spec.has_constants else math.inf
     M_exp = spec.M if spec.has_constants else math.nan
     return asm.result, _finish_report(

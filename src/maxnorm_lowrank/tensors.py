@@ -12,8 +12,9 @@ Khatri-Rao factors nor an exact TT with ``L x n x L`` cores is formed.
 When that route's largest matrix is above ``caps.matrix_dense_cap()``
 the power is built incrementally instead, as the Hadamard product of
 the previous power and P, rounded after each step.  Sums add TT ranks
-blockwise, and a final rounding sweep enforces the target rank budget
-``1 + (t - 1) * r``.
+blockwise, so at most t - 1 powers of rank <= r and the constant already
+fit the rank budget ``1 + (t - 1) * r``; the final rounding sweep only
+caps the ranks at the sizes of the unfoldings.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ SLAB_ENTRIES = 2**20
 # ``TTTensor.entries`` forms slabs when it has at least one sample per this
 # many entries of the tensor
 SLAB_COST_RATIO = 64
+# entries the sampled error check of ``taylor_tt_approx`` draws
+CHECK_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -415,47 +418,31 @@ def tt_hadamard(Ta: TTTensor, Tb: TTTensor) -> TTTensor:
     return TTTensor(tuple(cores))
 
 
-def _truncation_rank(s: np.ndarray, max_rank: Optional[int], threshold: float) -> int:
-    r = s.size
-    if threshold > 0.0:
-        tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[j] = ||s[j:]||
-        keep = np.nonzero(tail > threshold)[0]
-        r = int(keep[-1] + 1) if keep.size else 1
-    if max_rank is not None:
-        r = min(r, max_rank)
-    return max(r, 1)
+def tt_ranks(ranks: Sequence[int] | int, d: int) -> tuple[int, ...]:
+    """The d - 1 internal ranks of an order-d train: one int for all, or exactly d - 1."""
+    if isinstance(ranks, (int, np.integer)):
+        return (int(ranks),) * (d - 1)
+    ranks = tuple(int(k) for k in ranks)
+    if len(ranks) != d - 1:
+        raise ValueError(f"need {d - 1} TT ranks, got {ranks}")
+    return ranks
 
 
-def tt_svd(
-    T: np.ndarray,
-    max_ranks: Optional[Sequence[int] | int] = None,
-    tol: Optional[float] = None,
-) -> TTTensor:
-    """Sequential-unfolding SVD compression of a dense tensor.
-
-    With ``tol`` the Frobenius error is at most ``tol * ||T||_F`` (the
-    budget is spread evenly over the d-1 unfoldings); ``max_ranks`` caps
-    the rank tuple componentwise.  At least one of the two must be given.
-    """
+def tt_svd(T: np.ndarray, max_ranks: Sequence[int] | int) -> TTTensor:
+    """Sequential-unfolding SVD compression of a dense tensor to ranks <= ``max_ranks``."""
     T = np.asarray(T, dtype=np.float64)
     if T.ndim < 2:
         raise ValueError("need a tensor with at least 2 modes")
-    if max_ranks is None and tol is None:
-        raise ValueError("pass max_ranks, tol, or both")
     d = T.ndim
     shape = T.shape
-    if isinstance(max_ranks, (int, np.integer)):
-        max_ranks = [int(max_ranks)] * (d - 1)
-    threshold = 0.0
-    if tol is not None:
-        threshold = tol * float(np.linalg.norm(T.ravel())) / math.sqrt(d - 1)
+    max_ranks = tt_ranks(max_ranks, d)
     cores = []
     C = T.reshape(1, *shape)
     r_prev = 1
     for k in range(d - 1):
         mat = C.reshape(r_prev * shape[k], -1)
         U, s, Vt = np.linalg.svd(mat, full_matrices=False)
-        r = _truncation_rank(s, None if max_ranks is None else int(max_ranks[k]), threshold)
+        r = max(1, min(s.size, max_ranks[k]))
         cores.append(U[:, :r].reshape(r_prev, shape[k], r))
         C = (s[:r, None] * Vt[:r]).reshape(r, *shape[k + 1 :])
         r_prev = r
@@ -463,17 +450,11 @@ def tt_svd(
     return TTTensor(tuple(cores))
 
 
-def tt_round(
-    T: TTTensor,
-    max_ranks: Optional[Sequence[int] | int] = None,
-    tol: Optional[float] = None,
-) -> TTTensor:
-    """Quasi-optimal TT recompression: orthogonalize right-to-left, truncate left-to-right."""
-    if max_ranks is None and tol is None:
-        raise ValueError("pass max_ranks, tol, or both")
+def tt_round(T: TTTensor, max_ranks: Sequence[int] | int) -> TTTensor:
+    """Quasi-optimal TT recompression to ranks <= ``max_ranks``: orthogonalize
+    right-to-left, truncate left-to-right."""
     d = T.order
-    if isinstance(max_ranks, (int, np.integer)):
-        max_ranks = [int(max_ranks)] * (d - 1)
+    max_ranks = tt_ranks(max_ranks, d)
     cores = [c.copy() for c in T.cores]
     if d == 1:
         return TTTensor(tuple(cores))
@@ -487,17 +468,12 @@ def tt_round(
         cores[k] = Q.T.reshape(rank, n, r1)
         cores[k - 1] = np.tensordot(cores[k - 1], R.T, axes=([2], [0]))
 
-    norm_sq = float((cores[0] ** 2).sum())
-    threshold = 0.0
-    if tol is not None:
-        threshold = tol * math.sqrt(norm_sq) / math.sqrt(d - 1)
-
     # left-to-right truncation sweep
     for k in range(d - 1):
         r0, n, r1 = cores[k].shape
         mat = cores[k].reshape(r0 * n, r1)
         U, s, Vt = np.linalg.svd(mat, full_matrices=False)
-        r = _truncation_rank(s, None if max_ranks is None else int(max_ranks[k]), threshold)
+        r = max(1, min(s.size, max_ranks[k]))
         cores[k] = U[:, :r].reshape(r0, n, r)
         carry = s[:r, None] * Vt[:r]
         cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=([1], [0]))
@@ -550,7 +526,6 @@ def taylor_tt_approx(
     t: int,
     r: int,
     seed: SeedLike = 0,
-    sample_size: int = 10**6,
 ) -> tuple[TTTensor, TTApproxReport]:
     """TT approximation of h(P) via the truncated Taylor series of h at zero.
 
@@ -558,12 +533,13 @@ def taylor_tt_approx(
     TT format and rounded to ranks <= ``r`` (a deterministic TT-SVD
     surrogate for the randomized compression step, whose constant is not
     known explicitly; the achieved error is therefore measured, never
-    asserted from theory).  Powers are summed with the Taylor weights
-    and the result rounded to ranks <= ``1 + (t - 1) * r``.
+    asserted from theory).  Powers are summed with the Taylor weights,
+    which gives ranks <= ``1 + (t - 1) * r`` already, and the sum is
+    rounded once more, which caps its ranks at the unfolding sizes.
 
     The error is measured against the dense tensor, in mode-1 slabs of
     at most ``SLAB_ENTRIES`` entries, when it fits under the dense-check
-    cap, otherwise estimated on ``sample_size`` random entries (the only
+    cap, otherwise estimated on ``CHECK_SAMPLES`` random entries (the only
     use of ``seed``).  The sampled check draws one index column per mode,
     groups the samples by the same mode-1 slabs with one stable sort, and
     takes each group's TT values from one ``TTTensor.entries`` call and
@@ -579,8 +555,6 @@ def taylor_tt_approx(
         raise ValueError(f"order t must be >= 1, got {t}")
     if r < 1:
         raise ValueError(f"target rank must be >= 1, got {r}")
-    if sample_size < 1:
-        raise ValueError(f"sample size must be >= 1, got {sample_size}")
     coeffs = [spec.derivative(s, 0.0) / math.factorial(s) for s in range(t)]
     shape = P.shape
     budget = 1 + (t - 1) * r
@@ -608,7 +582,7 @@ def taylor_tt_approx(
     if sampled:
         rng = generator(seed)
         cols = [
-            rng.integers(0, n, size=sample_size).astype(np.min_scalar_type(n - 1))
+            rng.integers(0, n, size=CHECK_SAMPLES).astype(np.min_scalar_type(n - 1))
             for n in shape
         ]
         for _, sel in _slab_groups(cols[0], shape[0], step):

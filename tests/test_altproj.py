@@ -124,13 +124,12 @@ class TestBinarySearch:
 
     def test_fallback_starts(self):
         F = _target("f1", 36, 4, 23)
-        for cfg in (
-            AltProjConfig(max_iters=100, bisect_iters=4, restarts=2),
-            AltProjConfig(max_iters=100, bisect_iters=4, init="zero"),
-        ):
-            res = binary_search_eps(F, 3, cfg, 23)
-            assert res.eps_star <= _tsvd_error(F, 3)
-            assert max_norm(F - res.approximant) <= res.eps_star * (1.0 + cfg.tol)
+        cfg = AltProjConfig(max_iters=100, bisect_iters=4, restarts=2)
+        res = binary_search_eps(F, 3, cfg, 23)
+        assert res.eps_star <= _tsvd_error(F, 3)
+        assert max_norm(F - res.approximant) <= res.eps_star * (1.0 + cfg.tol)
+        with pytest.raises(TypeError):
+            AltProjConfig(init="zero")
 
     def test_zero_target(self):
         res = binary_search_eps(np.zeros((6, 5)), 2, CFG, 0)
@@ -145,7 +144,9 @@ class TestBinarySearch:
         baseline = max_norm(F - tt_svd(F, max_ranks=ranks).dense())
         assert res.eps_star <= baseline
         assert max_norm(F - res.approximant) <= res.eps_star * (1.0 + cfg.tol)
-        assert all(k <= 2 for k in tt_svd(res.approximant, tol=1e-10).ranks)
+        n = F.shape[0]
+        for unfolding in (res.approximant.reshape(n, -1), res.approximant.reshape(-1, n)):
+            assert np.linalg.matrix_rank(unfolding) <= 2
 
 
 class TestAlternatingProjections:
@@ -205,8 +206,12 @@ class TestInitialGuess:
         assert max_norm(T) == pytest.approx(3.0)
         assert np.linalg.matrix_rank(T) <= 2
 
-    def test_zero_start(self):
-        assert not initial_guess(np.ones((3, 3)), 1, 0, "zero").any()
+    def test_one_rank_per_inner_connection(self):
+        for shape, ranks in (((4, 5, 6), (2,)), ((4, 5, 6), (2, 2, 2)), ((5, 4), (2, 3))):
+            with pytest.raises(ValueError, match="TT ranks"):
+                initial_guess(np.ones(shape), ranks, 0)
+        np.testing.assert_array_equal(initial_guess(np.ones((5, 4)), (2,), 8),
+                                      initial_guess(np.ones((5, 4)), 2, 8))
 
 
 def _svd_ritz(E, r, Q):

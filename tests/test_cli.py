@@ -87,6 +87,17 @@ def test_altproj_rejects_sampling():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--seed", "1", "--theta", "0.6"],
+    ["altproj", *SMALL, "--n", "8", "--m", "2", "--r", "1", "--init", "zero"],
+    ["experiment", "--seed", "1", "--init", "zero"],
+], ids=["experiment-theta", "altproj-init", "experiment-init"])
+def test_fixed_settings_have_no_flag(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 ALTPROJ_ARGS = ["altproj", "--n", "15", "--m", "3", "--r", "2", "--seed", "1",
                 "--max-iters", "40", "--bisect-iters", "3"]
 
@@ -323,10 +334,11 @@ READS = {
     "taylor-ip": {"t"},
     "taylor-dist": {"t", "radius"},
     "taylor-dist-local": {"t", "radius"},
-    "rff": {"rho", "theta", "radius"},
+    "rff": {"rho", "radius"},
     "jl": {"radius"},
     "tt-taylor": {"t", "r", "radius"},
 }
+# theta, the RFF error split, is fixed at 1/2: no route reads it and approx has no flag
 OPTION_VALUES = {"t": "2", "r": "2", "rho": "8", "theta": "0.6", "radius": "0.9"}
 
 
@@ -335,8 +347,14 @@ OPTION_VALUES = {"t": "2", "r": "2", "rho": "8", "theta": "0.6", "radius": "0.9"
 def test_approx_refuses_options_its_route_does_not_read(algorithm, option, capsys):
     sampling = ["--sampling", "sphere"] if algorithm == "taylor-ip" else []
     function = sorted(COVERED[algorithm])[0]
-    code = cli.main(["approx", "--algorithm", algorithm, "--function", function, *sampling,
-                     "--" + option, OPTION_VALUES[option], *TINY])
+    argv = ["approx", "--algorithm", algorithm, "--function", function, *sampling,
+            "--" + option, OPTION_VALUES[option], *TINY]
+    if option == "theta":
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        return
+    code = cli.main(argv)
     assert code == (0 if option in READS[algorithm] else 2)
     if code == 2:  # the refusal names the option
         assert capsys.readouterr().err.strip().endswith("not --" + option)

@@ -56,8 +56,9 @@ class TestJlCompress:
         assert rep.achieved_max_error == 0.0
         assert rep.certified
 
-    def test_monte_carlo_certification_rate(self):
+    def test_monte_carlo_certification_rate(self, monkeypatch):
         # the certification loop succeeds within 20 attempts for nearly all seeds
+        monkeypatch.setattr(compress, "SKETCH_ATTEMPTS", 20)
         rng = np.random.default_rng(3)
         n, k, eps = 24, 256, 0.9
         A = rng.normal(size=(n, k)) / math.sqrt(k)
@@ -67,14 +68,14 @@ class TestJlCompress:
         hits = 0
         total = 200
         for seed in range(total):
-            _, rep = jl_compress(F, eps, seed=seed, max_attempts=20)
+            _, rep = jl_compress(F, eps, seed=seed)
             hits += rep.certified
         assert hits >= 0.95 * total
 
     def test_certified_error_within_target(self):
         rng = np.random.default_rng(4)
         F = Factorization(rng.normal(size=(16, 400)), rng.normal(size=(16, 400)))
-        G, rep = jl_compress(F, 0.9, seed=7, max_attempts=50)
+        G, rep = jl_compress(F, 0.9, seed=7)
         if rep.certified:
             assert rep.achieved_max_error <= rep.target_bound
             assert max_norm_error(F.matrix(), G) == pytest.approx(
@@ -102,10 +103,12 @@ class TestJlCompress:
         exact = np.abs(F.matrix() - G.matrix()).max()
         assert rep.achieved_max_error == pytest.approx(exact, rel=1e-12)
 
-    def test_zero_attempts_rejected(self):
+    def test_attempt_budget_is_not_a_parameter(self):
         F = Factorization(np.ones((2, 2)), np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            jl_compress(F, 0.5, seed=0, max_attempts=0)
+        with pytest.raises(TypeError):
+            jl_compress(F, 0.5, seed=0, max_attempts=1)
+        with pytest.raises(TypeError):
+            hadamard_compress(F, [0.0, 1.0], 0.5, seed=0, max_attempts=1)
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
@@ -256,7 +259,7 @@ def _assert_same_law_as_khatri_rao_sketch(monkeypatch, f, coefficients, eps):
     """``hadamard_compress`` of a tail and a sketch of its explicit weighted rows agree in law.
 
     Every nonzero power must be in the tail.  Over seeds 0-299 with one
-    draw each (max_attempts=1, so no draw is selected): per-entry mean and
+    draw each (``SKETCH_ATTEMPTS = 1``, so no draw is selected): per-entry mean and
     variance ``(||x_i||^2 ||y_j||^2 + <x_i, y_j>^2) / r``, the distribution
     of the error/target ratio and the certification rate.
     """
@@ -272,9 +275,10 @@ def _assert_same_law_as_khatri_rao_sketch(monkeypatch, f, coefficients, eps):
     ) / r
 
     seeds = range(300)
-    ref = [jl_compress(wide, eps, q, 1) for q in seeds]
+    monkeypatch.setattr(compress, "SKETCH_ATTEMPTS", 1)
+    ref = [jl_compress(wide, eps, q) for q in seeds]
     _refuse_wide_kronecker(monkeypatch, n1 + n2)
-    sketched = [hadamard_compress(f, coefficients, eps, seed=q, max_attempts=1) for q in seeds]
+    sketched = [hadamard_compress(f, coefficients, eps, seed=q) for q in seeds]
     assert sketched[0][0].width == r
 
     def moments(results):

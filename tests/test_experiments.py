@@ -106,7 +106,6 @@ trials = 4
 stall_patience = 9
 eps = 0.25
 tol = 1e-5
-init = zero
 output = out dir/x.csv
 """
 
@@ -115,7 +114,7 @@ def test_parse_config_text_every_field_kind():
     assert parse_config_text(CONFIG_TEXT) == {
         "experiment": "varr", "n_grid": (40, 50), "r_grid": (2,),
         "algorithms": ("altproj", "taylor"), "seed": None, "beta2": 3, "t": None,
-        "trials": 4, "stall_patience": 9, "eps": 0.25, "tol": 1e-5, "init": "zero",
+        "trials": 4, "stall_patience": 9, "eps": 0.25, "tol": 1e-5,
         "output": "out dir/x.csv",
     }
     assert parse_config_text("seed = NONE\nseed = 7")["seed"] == 7
@@ -126,13 +125,15 @@ def test_load_config_applies_overrides(tmp_path):
     path.write_text(CONFIG_TEXT, encoding="utf-8")
     cfg = load_config(path, {"seed": 3, "m_grid": (4,)})
     assert (cfg.seed, cfg.m_grid, cfg.n_grid, cfg.tol) == (3, (4,), (40, 50), 1e-5)
-    assert cfg.solver() == AltProjConfig(tol=1e-5, stall_patience=9, init="zero")
+    assert cfg.solver() == AltProjConfig(tol=1e-5, stall_patience=9)
     with pytest.raises(ValueError, match="seed is mandatory"):
         load_config(path)
 
 
 @pytest.mark.parametrize("text, message", [
     ("trials = 2\nepsilon = 0.1\n", "line 2: unknown key 'epsilon'"),
+    ("seed = 1\ntheta = 0.6\n", "line 2: unknown key 'theta'"),
+    ("# solver\n\ninit = zero\n", "line 3: unknown key 'init'"),
     ("# header\nseed 4\n", "line 2: expected 'key = value'"),
     ("trials = two\n", "invalid literal"),
 ])

@@ -7,7 +7,7 @@ import pytest
 
 from maxnorm_lowrank import rff
 from maxnorm_lowrank.caps import DenseCapExceeded
-from maxnorm_lowrank.compress import rank_formula
+from maxnorm_lowrank.compress import jl_compress, rank_formula
 from maxnorm_lowrank.kernels import (
     cauchy,
     exp_affine,
@@ -19,7 +19,6 @@ from maxnorm_lowrank.kernels import (
 )
 from maxnorm_lowrank.lowrank import ROW_BLOCK, RowEvaluator, max_norm_error
 from maxnorm_lowrank.rff import (
-    FrequencySet,
     kernel_values,
     rff_factorization,
     rff_then_compress,
@@ -40,17 +39,17 @@ class TestSampleFrequencies:
     def test_shapes_and_determinism(self):
         a = sample_frequencies(GAUSS, 5, 3, m=4)
         b = sample_frequencies(GAUSS, 5, 3, m=4)
-        assert a.omegas.shape == (5, 4)
-        np.testing.assert_array_equal(a.omegas, b.omegas)
+        assert a.shape == (5, 4)
+        np.testing.assert_array_equal(a, b)
 
     def test_single_frequency(self):
         fs = sample_frequencies(CAUCHY, 1, 0, m=7)
-        assert fs.omegas.shape == (1, 7)
+        assert fs.shape == (1, 7)
 
     def test_gaussian_spectral_covariance(self):
         # Fourier transform of exp(-||d||^2) is N(0, 2I); Monte-Carlo check
         fs = sample_frequencies(GAUSS, 10**4, 0, m=3)
-        cov = np.cov(fs.omegas.T)
+        cov = np.cov(fs.T)
         assert np.allclose(np.diag(cov), 2.0, rtol=0.1)
         off = cov - np.diag(np.diag(cov))
         assert np.abs(off).max() <= 0.2
@@ -71,7 +70,7 @@ class TestSampleFrequencies:
         x = np.array([0.3, -0.2, 0.5])
         y = np.array([-0.1, 0.4, 0.2])
         fs = sample_frequencies(spec, 10**4, 1, m=3)
-        samples = np.cos(fs.omegas @ (x - y))
+        samples = np.cos(fs @ (x - y))
         mean = samples.mean()
         se = samples.std(ddof=1) / math.sqrt(samples.size)
         X = PointSet(x[None, :], 1.0)
@@ -108,23 +107,24 @@ class TestRffFactorization:
         brute = np.empty((8, 9))
         for i in range(8):
             for j in range(9):
-                brute[i, j] = np.cos(fs.omegas @ (X.points[i] - Y.points[j])).mean()
+                brute[i, j] = np.cos(fs @ (X.points[i] - Y.points[j])).mean()
         assert np.abs(F - brute).max() <= 1e-12
 
     def test_dimension_mismatch(self):
         X = sample_ball(1, 4, 3, 1.0)
         fs = sample_frequencies(GAUSS, 4, 0, m=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="frequency dimension"):
             rff_factorization(fs, X, X)
+        for bad in (fs[0, :3], fs[:0, :3]):
+            with pytest.raises(ValueError, match="frequency matrix"):
+                rff_factorization(bad, X, X)
 
 
 class TestRffThenCompress:
     def test_gaussian_end_to_end(self):
         X = sample_ball(8, 60, 40, 1.0)
         Y = sample_ball(9, 60, 40, 1.0)
-        G, rep = rff_then_compress(
-            GAUSS, X, Y, rho=64, eps=0.3, seed=4, theta=0.5
-        )
+        G, rep = rff_then_compress(GAUSS, X, Y, rho=64, eps=0.3, seed=4)
         assert G.width <= rank_formula(0.15, 60, 60)
         dense = kernel_values(GAUSS, X, Y)
         assert max_norm_error(dense, G) == pytest.approx(rep.measured_max_error)
@@ -133,33 +133,41 @@ class TestRffThenCompress:
         X = sample_ball(8, 40, 10, 1.0)
         Y = sample_ball(9, 40, 10, 1.0)
         ss = np.random.SeedSequence(7)
-        first, rep1 = rff_then_compress(GAUSS, X, Y, rho=8, eps=0.3, seed=ss, theta=0.5)
-        second, rep2 = rff_then_compress(GAUSS, X, Y, rho=8, eps=0.3, seed=ss, theta=0.5)
+        first, rep1 = rff_then_compress(GAUSS, X, Y, rho=8, eps=0.3, seed=ss)
+        second, rep2 = rff_then_compress(GAUSS, X, Y, rho=8, eps=0.3, seed=ss)
         assert ss.n_children_spawned == 0
         np.testing.assert_array_equal(first.left, second.left)
         np.testing.assert_array_equal(first.right, second.right)
         assert rep1 == rep2
         # the same draws as the integer seed
-        G, _ = rff_then_compress(GAUSS, X, Y, rho=8, eps=0.3, seed=7, theta=0.5)
+        G, _ = rff_then_compress(GAUSS, X, Y, rho=8, eps=0.3, seed=7)
         np.testing.assert_array_equal(G.left, first.left)
 
-    def test_theta_one_degenerates_to_plain_sketch(self):
-        X = sample_ball(10, 40, 20, 1.0)
-        Y = sample_ball(11, 40, 20, 1.0)
-        G, rep = rff_then_compress(
-            GAUSS, X, Y, rho=32, eps=0.4, seed=5, theta=1.0
-        )
-        assert rep.rho == 32  # no feature growth
-        assert rep.feature_target == 0.0
+    def test_first_check_passes_then_one_sketch(self, monkeypatch):
+        # rho = 300 starts above r / 2 = 255.5, so the first features are wider than r
+        X = sample_ball(10, 600, 5, 1.0)
+        Y = sample_ball(11, 600, 5, 1.0)
+        widths = []
+
+        def spy(F, eps, seed):
+            widths.append(F.width)
+            return jl_compress(F, eps, seed)
+
+        monkeypatch.setattr(rff, "jl_compress", spy)
+        G, rep = rff_then_compress(GAUSS, X, Y, rho=300, eps=0.99, seed=5)
+        assert rep.rho == 300  # no feature growth
+        assert rep.feature_target == 0.495
         assert rep.feature_certified
-        assert G.width <= rank_formula(0.4, 40, 40)
+        assert widths == [600]  # one sketch, of the features
+        assert G.width == rep.sketch.requested_rank == rank_formula(0.495, 600, 600) == 511
+        assert rep.sketch.certified and rep.sketch.attempts == 1
+        with pytest.raises(TypeError):
+            rff_then_compress(GAUSS, X, Y, rho=300, eps=0.99, seed=5, theta=0.5)
 
     def test_feature_growth(self):
         X = sample_ball(12, 50, 30, 1.0)
         Y = sample_ball(13, 50, 30, 1.0)
-        _, rep = rff_then_compress(
-            GAUSS, X, Y, rho=8, eps=0.4, seed=6, theta=0.5
-        )
+        _, rep = rff_then_compress(GAUSS, X, Y, rho=8, eps=0.4, seed=6)
         if rep.feature_certified:
             assert rep.feature_error <= rep.feature_target
 
@@ -187,8 +195,8 @@ class TestRffThenCompress:
         np.testing.assert_allclose(np.diag(dense), 1.0, atol=1e-12)
 
 
-def _record_blocks(monkeypatch) -> list[FrequencySet]:
-    """Record the frequency set of every feature block rff_then_compress draws."""
+def _record_blocks(monkeypatch) -> list[np.ndarray]:
+    """Record the frequencies of every feature block rff_then_compress draws."""
     blocks = []
 
     def spy(spec, rho, seed, m):
@@ -202,7 +210,7 @@ def _record_blocks(monkeypatch) -> list[FrequencySet]:
 def _assert_exact_average(spec, X, Y, G, rep, blocks):
     """G is the feature average over every drawn frequency, and its error was measured on G."""
     assert rep.measured_max_error == max_norm_error(kernel_values(spec, X, Y), G) == rep.feature_error
-    union = FrequencySet(np.vstack([b.omegas for b in blocks]))
+    union = np.vstack(blocks)
     assert np.abs(G.matrix() - rff_factorization(union, X, Y).matrix()).max() <= 1e-12
 
 
@@ -216,28 +224,28 @@ class TestNestedDoubling:
     def test_frequencies_are_nested_prefixes(self, monkeypatch):
         X, Y = sample_ball(20, 40, 6, 1.0), sample_ball(21, 35, 6, 1.0)
         blocks = _record_blocks(monkeypatch)
-        _, rep = rff_then_compress(GAUSS, X, Y, rho=4, eps=0.3, seed=7, theta=0.5)
+        _, rep = rff_then_compress(GAUSS, X, Y, rho=4, eps=0.3, seed=7)
         assert rep.rho > 4
         grow_streams = split(7, 2)[0].spawn(64)
         first = sample_frequencies(GAUSS, 4, grow_streams[0], m=6)
-        np.testing.assert_array_equal(blocks[0].omegas, first.omegas)
+        np.testing.assert_array_equal(blocks[0], first)
         # each doubling keeps every frequency and adds as many from the next stream
         sizes = [4] + [4 * 2**k for k in range(len(blocks) - 1)]
-        assert [b.rho for b in blocks] == sizes
+        assert [b.shape[0] for b in blocks] == sizes
         assert sum(sizes) == rep.rho
         for block, stream in zip(blocks[1:], grow_streams[1:]):
-            expected = sample_frequencies(GAUSS, block.rho, stream, m=6)
-            np.testing.assert_array_equal(block.omegas, expected.omegas)
+            expected = sample_frequencies(GAUSS, block.shape[0], stream, m=6)
+            np.testing.assert_array_equal(block, expected)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_form_a_feature_blocks(self, seed, monkeypatch):
         X, Y = sample_ball(22, 200, 8, 1.0), sample_ball(23, 150, 8, 1.0)
         blocks = _record_blocks(monkeypatch)
-        G, rep = rff_then_compress(GAUSS, X, Y, rho=2, eps=0.8, seed=seed, theta=0.25)
+        G, rep = rff_then_compress(GAUSS, X, Y, rho=2, eps=0.8, seed=seed)
         assert len(blocks) > 1  # grown, so the blocks were concatenated
         assert rep.feature_certified
         assert G.width == rep.rank == 2 * rep.rho
-        assert G.width <= min(150, rank_formula(0.2, 200, 150))
+        assert G.width <= min(150, rank_formula(0.4, 200, 150))
         np.testing.assert_allclose(np.linalg.norm(G.left, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(G.right, axis=1), 1.0, atol=1e-12)
         _assert_exact_average(GAUSS, X, Y, G, rep, blocks)
@@ -246,7 +254,7 @@ class TestNestedDoubling:
     def test_form_b_held_product(self, n1, n2, monkeypatch):
         X, Y = sample_ball(24, n1, 5, 1.0), sample_ball(25, n2, 5, 1.0)
         blocks = _record_blocks(monkeypatch)
-        G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4, theta=0.5)
+        G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4)
         assert len(blocks) > 1
         n = min(n1, n2)
         assert 2 * rep.rho > n and G.width == rep.rank == n
@@ -255,13 +263,14 @@ class TestNestedDoubling:
         assert np.linalg.norm(held, axis=1).max() <= math.sqrt(n)  # entries of P lie in [-1, 1]
         _assert_exact_average(EXPONENTIAL, X, Y, G, rep, blocks)
 
-    @pytest.mark.parametrize("rho", [100, 256])
+    @pytest.mark.parametrize("rho", [256, 400])
     def test_form_c_sketch(self, rho):
-        # r = 146 < min(n1, n2) = 400, and 2 rho lies on either side of 400
-        X, Y = sample_ball(26, 400, 10, 1.0), sample_ball(27, 400, 10, 1.0)
-        r = rank_formula(0.9, 400, 400)
-        assert r < min(2 * rho, 400)
-        G, rep = rff_then_compress(CAUCHY, X, Y, rho=rho, eps=0.9, seed=5, theta=1.0)
+        # r = 511 < min(n1, n2) = 600, and 2 rho lies on either side of 600; rho > r / 2,
+        # so the first features are wider than r and their check passes
+        X, Y = sample_ball(26, 600, 10, 1.0), sample_ball(27, 600, 10, 1.0)
+        r = rank_formula(0.495, 600, 600)
+        assert r < min(2 * rho, 600)
+        G, rep = rff_then_compress(CAUCHY, X, Y, rho=rho, eps=0.99, seed=5)
         assert rep.rho == rho
         assert G.width == rep.rank == r
         assert rep.sketch.requested_rank == r
@@ -283,14 +292,15 @@ def _form(G, rep, n1, n2) -> str:
 # rho, rank, form, feature error and measured error of the implementation
 # that formed each doubling's whole n1 x n2 product before folding it in
 ABOVE_ONE_ROW_BLOCK = [
-    pytest.param(GAUSS, (30, 300, 31, 260, 8), dict(rho=2, eps=0.8, seed=3, theta=0.25),
-                 (32, 64, "a", 0.4592765572761549, 0.4592765572761549), id="a"),
-    pytest.param(EXPONENTIAL, (32, 300, 33, 260, 5), dict(rho=64, eps=0.3, seed=4, theta=0.5),
+    pytest.param(GAUSS, (30, 300, 31, 260, 8), dict(rho=2, eps=0.8, seed=3),
+                 (64, 128, "a", 0.342949594001256, 0.342949594001256), id="a"),
+    pytest.param(EXPONENTIAL, (32, 300, 33, 260, 5), dict(rho=64, eps=0.3, seed=4),
                  (512, 260, "b", 0.0976315955334866, 0.0976315955334866), id="b-wide"),
-    pytest.param(EXPONENTIAL, (33, 260, 32, 300, 5), dict(rho=64, eps=0.3, seed=4, theta=0.5),
+    pytest.param(EXPONENTIAL, (33, 260, 32, 300, 5), dict(rho=64, eps=0.3, seed=4),
                  (512, 260, "b", 0.0976315955334866, 0.0976315955334866), id="b-tall"),
-    pytest.param(CAUCHY, (34, 400, 35, 330, 10), dict(rho=16, eps=0.99, seed=5, theta=0.8),
-                 (256, 185, "c", 0.1759304412077153, 0.3942847310405594), id="c"),
+    # rho starts above r / 2 = 254, since growth does not reach form (c)
+    pytest.param(CAUCHY, (34, 600, 35, 560, 10), dict(rho=256, eps=0.99, seed=5),
+                 (256, 508, "c", 0.19818043290190718, 0.32207439598251564), id="c"),
 ]
 
 
@@ -332,7 +342,7 @@ class TestRowBlocks:
                 monkeypatch.setattr(
                     rff, "error_and_peak", lambda kernel, product, _: check(kernel, product)
                 )
-            G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4, theta=0.5)
+            G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4)
             monkeypatch.undo()
             return G, rep, len(evaluated)
 
@@ -347,7 +357,7 @@ class TestRowBlocks:
     def test_last_allowed_check_is_complete(self, monkeypatch):
         X, Y = sample_ball(32, 300, 5, 1.0), sample_ball(33, 260, 5, 1.0)
         monkeypatch.setattr(rff, "RHO_CAP", 256)
-        G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4, theta=0.5)
+        G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4)
         assert rep.rho == 256 and not rep.feature_certified
         assert rep.feature_error == max_norm_error(kernel_values(EXPONENTIAL, X, Y), G.matrix())
 
@@ -367,37 +377,36 @@ class TestRowBlocks:
         assert peak <= 3.25 * n * n * 8
 
     def test_form_a_result_owns_exactly_its_columns(self):
-        # the buffers are 256 wide (the widest form-(a) result for n2 = 260),
-        # and the growth stops at 64
+        # the growth stops at rho = 64, below the widest form-(a) result for n2 = 260
         n1, n2 = 300, 260
         X, Y = sample_ball(30, n1, 8, 1.0), sample_ball(31, n2, 8, 1.0)
         tracemalloc.start()
         try:
-            G, rep = rff_then_compress(GAUSS, X, Y, rho=2, eps=0.8, seed=3, theta=0.25)
+            G, rep = rff_then_compress(GAUSS, X, Y, rho=2, eps=0.8, seed=3)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert _form(G, rep, n1, n2) == "a" and G.width == 2 * rep.rho == 64
+        assert _form(G, rep, n1, n2) == "a" and G.width == 2 * rep.rho == 128
         for side in (G.left, G.right):
             assert side.flags.c_contiguous and side.base is None
-        # a view into the 256-wide buffers would keep 1.1 MB alive
+        # a view into a 256-wide array would keep 1.1 MB alive
         assert held <= G.left.nbytes + G.right.nbytes + 2**16
 
     def test_no_doubling_allocates_no_wide_buffers(self):
-        # the first check passes, so the 256-wide buffers of the first
-        # doubling are never needed
+        # the first check passes, so the 256-wide features of a first
+        # doubling are never built
         n1, n2 = 300, 260
         X, Y = sample_ball(30, n1, 8, 1.0), sample_ball(31, n2, 8, 1.0)
         tracemalloc.start()
         try:
-            G, rep = rff_then_compress(GAUSS, X, Y, rho=16, eps=0.95, seed=3, theta=0.25)
+            G, rep = rff_then_compress(GAUSS, X, Y, rho=64, eps=0.95, seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rep.rho == 16 and rep.feature_certified and G.width == 32
-        # the product, the first block and a few row blocks of scratch;
-        # the wide buffers would add 1.1 MB
-        assert peak <= 8 * (n1 * n2 + (n1 + n2) * 32 + 4 * ROW_BLOCK * n2) + 2**16
+        assert rep.rho == 64 and rep.feature_certified and G.width == 128
+        # the first features and a few row blocks of scratch; the doubled
+        # features would add 1.1 MB
+        assert peak <= 8 * ((n1 + n2) * 128 + 4 * ROW_BLOCK * n2) + 2**16
 
     def test_cap_raises_before_allocating(self, monkeypatch):
         # only form (b) holds an n1 x n2 array: the growth draws frequencies
@@ -413,7 +422,7 @@ class TestRowBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        drawn = [b.rho for b in blocks]
+        drawn = [b.shape[0] for b in blocks]
         assert 2 * sum(drawn[:-1]) <= n2 < 2 * sum(drawn)
         assert peak < 8 * n1 * n2  # the held product would be 1.6 MB
         monkeypatch.setenv("MAXNORM_DENSE_CAP", str(n1 * n2))

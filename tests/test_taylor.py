@@ -102,6 +102,19 @@ class TestApproxInnerProduct:
         G, rep = approx_inner_product(gaussian_on_sphere(), X, None, Y, t=t, eps=eps, seed=2)
         assert rep.rank <= 1 + (t - 1) * rank_formula(eps, 30, 30)
 
+    def test_error_measured_above_the_matrix_cap(self, monkeypatch):
+        # the target is read one row block at a time, so the cap does not skip the check
+        X, Y = sample_sphere(7, 300, 3), sample_sphere(8, 300, 3)
+        spec = gaussian_on_sphere()
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", str(300 * 300 - 1))
+        G, rep = approx_inner_product(spec, X, None, Y, t=3, eps=0.9, seed=1)
+        monkeypatch.delenv("MAXNORM_DENSE_CAP")
+        F = spec.h(X.points @ Y.points.T)
+        assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), rel=1e-12)
+        assert rep.measured_relative_error == pytest.approx(
+            max_norm_error(F, G) / np.abs(F).max(), rel=1e-12
+        )
+
     def test_domain_precondition(self):
         spec = identity_profile((-0.1, 0.1))
         X = sample_ball(5, 8, 3, 1.0)

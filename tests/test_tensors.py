@@ -115,7 +115,7 @@ class TestTTSvd:
     def test_outer_product_exact(self):
         u, v, w = np.array([1.0, 2.0]), np.array([0.5, -1.0, 2.0]), np.array([3.0, 1.0])
         T = np.einsum("i,j,k->ijk", u, v, w)
-        tt = tt_svd(T, tol=1e-12)
+        tt = tt_svd(T, max_ranks=1)
         assert tt.ranks == (1, 1)
         np.testing.assert_allclose(tt.dense(), T, atol=1e-10)
 
@@ -128,19 +128,28 @@ class TestTTSvd:
     def test_cp_width_bounds_tt_ranks(self):
         sets = [sample_ball(s, 5, 2, 1.0) for s in (1, 2, 3)]
         P = cp_from_points(sets)
-        tt = tt_svd(P.dense(), tol=1e-12)
+        tt = tt_svd(P.dense(), max_ranks=2)  # lossless: the CP width bounds the TT ranks
         assert all(r <= 2 for r in tt.ranks)
+        np.testing.assert_allclose(tt.dense(), P.dense(), atol=1e-10)
 
-    def test_requires_rank_or_tol(self):
-        with pytest.raises(ValueError):
+    def test_requires_max_ranks(self):
+        with pytest.raises(TypeError):
             tt_svd(np.zeros((2, 2, 2)))
+        with pytest.raises(TypeError):
+            tt_svd(np.zeros((2, 2, 2)), tol=0.1)
+        with pytest.raises(TypeError):
+            tt_round(tt_ones((2, 2, 2)), tol=0.1)
 
-    def test_tolerance_respected(self):
-        rng = np.random.default_rng(6)
-        T = rng.normal(size=(6, 6, 6))
-        for tol in (0.5, 0.1, 0.01):
-            tt = tt_svd(T, tol=tol)
-            assert np.linalg.norm(tt.dense() - T) <= tol * np.linalg.norm(T) + 1e-12
+    @pytest.mark.parametrize("method", ["tt_svd", "tt_round"])
+    def test_one_rank_per_inner_connection(self, method):
+        T = np.random.default_rng(6).normal(size=(4, 5, 6))
+        run = {"tt_svd": lambda ranks: tt_svd(T, max_ranks=ranks),
+               "tt_round": lambda ranks: tt_round(tt_svd(T, max_ranks=6), max_ranks=ranks)}[method]
+        for ranks in ([2], [2, 2, 2], ()):
+            with pytest.raises(ValueError, match="need 2 TT ranks"):
+                run(ranks)
+        assert run(2).ranks == run([2, 2]).ranks == (2, 2)
+        assert run(np.array([3, 2])).ranks == (3, 2)
 
 
 class TestCpToTT:
@@ -279,14 +288,15 @@ class TestTaylorTTApprox:
         G, rep = taylor_tt_approx(sinh_hoip(), P, t=5, r=4, seed=3)
         assert all(r <= 1 + 4 * 4 for r in rep.ranks)
 
-    def test_rejects_an_empty_sample(self, monkeypatch):
-        # 20**3 entries above the cap take the sampled check, which needs a sample
+    def test_single_sample_check(self, monkeypatch):
+        # 20**3 entries above the cap take the sampled check
         P = cp_from_points([sample_ball(s, 20, 3, 1.0) for s in (7, 8, 9)])
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "1000")
-        with pytest.raises(ValueError, match="sample size"):
-            taylor_tt_approx(sinh_hoip(), P, t=4, r=4, seed=0, sample_size=0)
-        _, rep = taylor_tt_approx(sinh_hoip(), P, t=4, r=4, seed=0, sample_size=1)
+        monkeypatch.setattr(tensors, "CHECK_SAMPLES", 1)
+        _, rep = taylor_tt_approx(sinh_hoip(), P, t=4, r=4, seed=0)
         assert rep.error_sampled and math.isfinite(rep.measured_relative_error)
+        with pytest.raises(TypeError):
+            taylor_tt_approx(sinh_hoip(), P, t=4, r=4, seed=0, sample_size=1)
 
     def test_mode_permutation_symmetry(self):
         # permuting the point sets permutes the tensor modes identically
@@ -496,7 +506,8 @@ class TestBlockedEntries:
         spec = sinh_hoip()
         size = tensors.ENTRY_BLOCK + 1000
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "20000")
-        G, rep = taylor_tt_approx(spec, P, t=4, r=4, seed=11, sample_size=size)
+        monkeypatch.setattr(tensors, "CHECK_SAMPLES", size)
+        G, rep = taylor_tt_approx(spec, P, t=4, r=4, seed=11)
         monkeypatch.delenv("MAXNORM_DENSE_CAP")
         assert rep.error_sampled
         rng = generator(11)
