@@ -145,6 +145,10 @@ def cmd_approx(args) -> int:
 
 
 def cmd_altproj(args) -> int:
+    if args.out and args.trials < 2:
+        print("--out writes the per-trial CSV of --trials >= 2; a single run writes nothing",
+              file=sys.stderr)
+        return 2
     spec = kernel_for(args.function, args.radius)
     cfg = AltProjConfig(**_given(args, AltProjConfig))
     if args.trials > 1:

@@ -170,12 +170,12 @@ def hadamard_widths(
 
     A power s >= 1 with ``c_s != 0`` is exact when its ``C(m+s-1, s)``-wide
     factor is at most ``min(n1 + n2, rank_formula(eps, n1, n2))`` wide and
-    within the matrix cap; the others are the tail.  The result is
+    within ``caps.dense_cap()``; the others are the tail.  The result is
     ``L + min(T, r)`` wide, L and T the widths of the exact powers and the
     tail factor: the tail is sketched when ``T > r``.
     """
     n1, n2 = F.shape
-    rows, r, cap = n1 + n2, rank_formula(eps, n1, n2), caps.matrix_dense_cap()
+    rows, r, cap = n1 + n2, rank_formula(eps, n1, n2), caps.dense_cap()
     widths = {s: math.comb(F.width + s - 1, s)
               for s in range(1, len(coefficients)) if coefficients[s] != 0.0}
     exact = [s for s, L in widths.items() if L <= min(rows, r) and rows * L <= cap]
@@ -195,10 +195,10 @@ def tail_factor(
     the result is instead the symmetric square root ``Q diag(sqrt(max(lam,
     0))) Q'`` of their N x N Gram matrix (one ``eigh``), which has the same
     products and row norms and does not depend on eigenvector signs.
-    Refuses when the factor exceeds ``caps.matrix_dense_cap()`` entries.
+    Refuses when the factor exceeds ``caps.dense_cap()`` entries.
     """
     n1, rows = F.shape[0], sum(F.shape)
-    width, cap = _tail_width(F, tail), caps.matrix_dense_cap()
+    width, cap = _tail_width(F, tail), caps.dense_cap()
     if rows * width > cap:
         raise caps.DenseCapExceeded(f"the tail factor needs {rows}x{width} entries, above {cap}")
     a, b = F.row_norms()
@@ -248,7 +248,7 @@ def hadamard_compress(
     report is returned (None without a tail).  A Gaussian sketch sees its
     input rows only through their Gram matrix, so this has the law of
     sketching the tail's explicit weighted Kronecker rows.  Raises
-    ``caps.DenseCapExceeded`` when the tail factor is above the matrix cap.
+    ``caps.DenseCapExceeded`` when the tail factor is above the dense cap.
     """
     exact, tail, _, _ = hadamard_widths(F, coefficients, eps)
     G = sketch = None

@@ -238,15 +238,24 @@ class WeightMatrix:
         return self.entries.shape[0]
 
 
-def _weight_entries(W: Optional[WeightMatrix], m_left: int, m_right: int) -> Optional[np.ndarray]:
-    """Validated dense weight, or None for the identity."""
+def weighted_points(
+    X: PointSet, W: Optional[WeightMatrix], Y: PointSet
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Split x' W y into A B' with controlled row norms; returns (A, B, ||W||_2).
+
+    The weight is the identity (None), which gives the points themselves,
+    or a symmetric positive-definite ``WeightMatrix``, whose cached
+    eigendecomposition ``U diag(lam) U'`` gives both sides the same half
+    ``U diag(sqrt(lam))``.
+    """
     if W is None:
-        if m_left != m_right:
-            raise ValueError(f"identity weight needs equal dimensions, got {m_left} and {m_right}")
-        return None
-    if W.m != m_left or W.m != m_right:
-        raise ValueError(f"weight dimension {W.m} incompatible with points ({m_left}, {m_right})")
-    return W.entries
+        if X.m != Y.m:
+            raise ValueError(f"identity weight needs equal dimensions, got {X.m} and {Y.m}")
+        return X.points, Y.points, 1.0
+    if X.m != W.m or Y.m != W.m:
+        raise ValueError(f"weight dimension {W.m} incompatible with points ({X.m}, {Y.m})")
+    half = W.eigenvectors * np.sqrt(W.eigenvalues)
+    return X.points @ half, Y.points @ half, float(W.spectral_norm_bound)
 
 
 def distance_matrix(
@@ -254,21 +263,13 @@ def distance_matrix(
 ) -> tuple[np.ndarray, float, float]:
     """Weighted squared distances D(i,j) = (x_i - y_j)' W (x_i - y_j).
 
-    Returns ``(D, min{D}, max{D})``.  The weight is the identity (None) or
-    a positive-definite ``WeightMatrix``, so D >= 0 and negative floating
-    dust is clamped to zero.
+    Returns ``(D, min{D}, max{D})``, computed as ``|a_i|^2 + |b_j|^2 - 2 a_i' b_j``
+    from the split ``weighted_points``.  The weight is the identity (None)
+    or a positive-definite ``WeightMatrix``, so D >= 0 and negative
+    floating dust is clamped to zero.
     """
-    entries = _weight_entries(W, X.m, Y.m)
-    if entries is None:
-        rx = (X.points**2).sum(axis=1)
-        ry = (Y.points**2).sum(axis=1)
-        cross = X.points @ Y.points.T
-    else:
-        WX = X.points @ entries
-        rx = (WX * X.points).sum(axis=1)
-        ry = ((Y.points @ entries) * Y.points).sum(axis=1)
-        cross = WX @ Y.points.T
-    D = _clamped_sq_dist(rx, ry, cross)
+    A, B, _ = weighted_points(X, W, Y)
+    D = _clamped_sq_dist((A**2).sum(axis=1), (B**2).sum(axis=1), A @ B.T)
     return D, float(D.min()), float(D.max())
 
 
@@ -352,10 +353,10 @@ def eval_kernel_tensor(spec: KernelSpec, pointsets: Sequence[PointSet]) -> np.nd
     if spec.arg_kind not in (ARG_HOIP, ARG_INNER):
         raise ValueError(f"tensor evaluation needs an inner-product profile, got {spec.arg_kind!r}")
     total = int(np.prod([P.n for P in pointsets], dtype=np.int64))
-    if total > caps.tensor_dense_cap():
+    if total > caps.dense_cap():
         raise caps.DenseCapExceeded(
             f"dense tensor with {total} entries exceeds cap "
-            f"{caps.tensor_dense_cap()}; use the CP/TT pipeline instead"
+            f"{caps.dense_cap()}; use the CP/TT pipeline instead"
         )
     args = np.einsum(hoip_subscripts(d), *[P.points for P in pointsets])
     return spec.h(args)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -154,22 +154,37 @@ def max_norm(F: np.ndarray) -> float:
     return float(np.maximum(F.max(), -F.min())) + 0.0
 
 
-def _rows_of(M: DenseOrFactorization, rows: slice) -> np.ndarray:
-    if isinstance(M, Factorization):
-        return M.left[rows] @ M.right.T
+def _rows_of(M: DenseOrFactorization, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``M[rows]``, written into ``out`` when it is given (else a dense M gives a view)."""
     if isinstance(M, RowEvaluator):
-        return M.rows(rows)
-    return M[rows]
+        return M.rows(rows, out)
+    if isinstance(M, Factorization):
+        return np.matmul(M.left[rows], M.right.T, out=out)
+    if out is None:
+        return M[rows]
+    out[...] = M[rows]
+    return out
 
 
 def max_norm_error(F: DenseOrFactorization, G: DenseOrFactorization) -> float:
-    """Exact maximum absolute entrywise deviation between ``F`` and ``G``.
+    """Exact maximum absolute entrywise deviation, ``error_and_peak(F, G)[0]``."""
+    return error_and_peak(F, G)[0]
+
+
+def error_and_peak(
+    F: DenseOrFactorization, G: DenseOrFactorization, stop_above: float = math.inf
+) -> tuple[float, float]:
+    """``max|F - G|`` and ``max|F|``, one ``row_blocks`` block at a time.
 
     Either side may be a dense array, a ``Factorization`` or a
-    ``RowEvaluator``.  The deviation is taken one ``row_blocks`` block at
-    a time, so a factorization is multiplied out, and an evaluator
-    evaluated, a row block at a time, and no n1 x n2 array is formed
-    beyond what the caller holds.
+    ``RowEvaluator``.  F's rows are formed in one ``ROW_BLOCK x n2``
+    scratch array and G's rows are subtracted from them in place, so a
+    factorization is multiplied out, and an evaluator evaluated, a row
+    block at a time, and no n1 x n2 array is formed beyond what the
+    caller holds.  Once the error exceeds ``stop_above`` the remaining
+    blocks are skipped, and both maxima are over the rows compared.  The
+    maxima are bitwise those of the whole matrices, and a NaN entry
+    gives NaN.
     """
     if not isinstance(F, (Factorization, RowEvaluator)):
         F = np.asarray(F, dtype=np.float64)
@@ -177,30 +192,15 @@ def max_norm_error(F: DenseOrFactorization, G: DenseOrFactorization) -> float:
         G = np.asarray(G, dtype=np.float64)
     if F.shape != G.shape:
         raise ValueError(f"shape mismatch: {F.shape} vs {G.shape}")
-    blocks = [max_norm(_rows_of(F, rows) - _rows_of(G, rows)) for rows in row_blocks(F.shape[0])]
-    return float(np.max(blocks)) if blocks else 0.0
-
-
-def error_and_peak(
-    target: RowEvaluator, product: Callable[[slice], np.ndarray], stop_above: float = math.inf
-) -> tuple[float, float]:
-    """``max|K - P|`` and ``max|K|``, for K's rows from ``target`` and ``product(rows) = P[rows]``.
-
-    Works one ``row_blocks`` block at a time, with one ``ROW_BLOCK x n2``
-    scratch array for K's rows.  Once the error exceeds ``stop_above``
-    the remaining blocks are skipped, and both maxima are over the rows
-    compared.  The maxima are bitwise those of the whole matrices, and a
-    NaN entry gives NaN, as in ``max_norm_error``.
-    """
-    n1, n2 = target.shape
+    n1, n2 = F.shape
     scratch = np.empty((min(ROW_BLOCK, n1), n2))
     err = peak = 0.0
     for rows in row_blocks(n1):
         if err > stop_above:
             break
-        work = target.rows(rows, scratch[: rows.stop - rows.start])
+        work = _rows_of(F, rows, scratch[: rows.stop - rows.start])
         peak = np.maximum(peak, max_norm(work))
-        np.subtract(work, product(rows), out=work)
+        np.subtract(work, _rows_of(G, rows), out=work)
         err = np.maximum(err, max_norm(work))
     return float(err), float(peak)
 

@@ -178,8 +178,8 @@ def rff_then_compress(
     features are dropped, and P is written a row block at a time from
     the features of all frequencies; each later doubling averages in
     only the new block, ``P <- (P + A_new B_new') / 2``, whose left rows
-    are built a row block at a time.  So above ``caps.matrix_dense_cap()``
-    only form (b) is refused.
+    are built a row block at a time.  So above ``caps.dense_cap()`` only
+    form (b) is refused.
 
     Every check (``lowrank.error_and_peak``) compares K's rows (``kernels.kernel_rows``)
     with P's one ``lowrank.ROW_BLOCK`` block at a time.  The first check
@@ -213,7 +213,6 @@ def rff_then_compress(
         if 2 * omegas.shape[0] <= n_min or n_min > r:  # toward (a) or (c): hold the features
             features = None  # the narrower pair is freed before the wider one is built
             features = rff_factorization(omegas, X, Y)
-            product = lambda rows: features.left[rows] @ features.right.T
         else:  # form (b): hold P only
             if held is None:
                 features = None
@@ -225,8 +224,7 @@ def rff_then_compress(
                 for rows, part in _product_rows(new, X, Y):
                     held[rows] += part
                     held[rows] *= 0.5
-            product = held.__getitem__
-        feat_err, peak = error_and_peak(kernel, product, stop)
+        feat_err, peak = error_and_peak(kernel, features if held is None else held, stop)
         if denom is None:
             denom = peak
         if not (feat_err > half and 2 * omegas.shape[0] <= RHO_CAP):  # a NaN error stops too

@@ -18,7 +18,9 @@ truncation plus an algebraic term ``eps * sum_tail |c_s| * (a b)**s``
 from the sketched (or dense-fallback) tail, zero when nothing was
 approximated.  The error is measured one row block at a time
 (``lowrank.error_and_peak``); ``approx_sq_distance`` measures it on the
-dense distance matrix, so not at all above the matrix cap.
+dense distance matrix, so not at all above ``caps.dense_cap()``.  The
+weight enters through ``kernels.weighted_points`` and the series through
+``taylor_coeffs``, in every route.
 
 The squared-distance variants ride on the same machinery after the
 rank-one distance identity ``D = Z1 + Z2 - 2 X W Y'``; the localized
@@ -44,7 +46,14 @@ from .compress import (
     power_series,
     rank_formula,
 )
-from .kernels import ARG_INNER, KernelSpec, WeightMatrix, distance_matrix, kernel_rows
+from .kernels import (
+    ARG_INNER,
+    KernelSpec,
+    WeightMatrix,
+    distance_matrix,
+    kernel_rows,
+    weighted_points,
+)
 from .lowrank import (
     Factorization,
     RankOne,
@@ -115,13 +124,13 @@ class TaylorReport:
     ``C * (e**-t + eps * (e**exponent_arg - 1))``, meaningful in the
     regime ``t >= regime_threshold``.
 
-    ``sketch`` reports the tail's one compression: a Gaussian sketch, or
-    above the matrix cap a dense truncated SVD, never certified.  The tail
-    powers are listed in ``sketched_powers`` when the sketch narrowed the
-    tail, in ``fallback_powers`` for the SVD; only these enter
-    ``algebraic_term``.  ``sketch`` is None and both lists are empty when
-    every power passed through exactly or when the series was summed
-    exactly (see ``_assemble``); in the latter case the result is
+    ``sketch`` reports the tail's one compression: a Gaussian sketch, or,
+    for a tail factor above the dense cap, a dense truncated SVD, never
+    certified.  The tail powers are listed in ``sketched_powers`` when the
+    sketch narrowed the tail, in ``fallback_powers`` for the SVD; only
+    these enter ``algebraic_term``.  ``sketch`` is None and both lists are
+    empty when every power passed through exactly or when the series was
+    summed exactly (see ``_assemble``); in the latter case the result is
     ``min(n1, n2)`` wide and its non-identity factor's rows have norm at
     most ``sqrt(min(n1, n2)) * max|P|``.
     """
@@ -142,25 +151,6 @@ class TaylorReport:
     sketch: Optional[CompressionReport] = None
     fallback_powers: list[int] = field(default_factory=list)
     sketched_powers: list[int] = field(default_factory=list)
-
-
-def _bilinear_factors(
-    X: PointSet, W: Optional[WeightMatrix], Y: PointSet
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Split x' W y into A B' with controlled row norms; returns (A, B, ||W||_2).
-
-    The weight is the identity (None) or a symmetric positive-definite
-    ``WeightMatrix``, whose cached eigendecomposition ``U diag(lam) U'``
-    gives both factors the same half ``U diag(sqrt(lam))``.
-    """
-    if W is None:
-        if X.m != Y.m:
-            raise ValueError("identity weight needs equal point dimensions")
-        return X.points, Y.points, 1.0
-    if X.m != W.m or Y.m != W.m:
-        raise ValueError("weight dimension mismatch")
-    half = W.eigenvectors * np.sqrt(W.eigenvalues)
-    return X.points @ half, Y.points @ half, float(W.spectral_norm_bound)
 
 
 @dataclass
@@ -186,7 +176,7 @@ def _assemble(
     With the split of ``compress.hadamard_widths`` the sum is
     ``W = [c_0 != 0] + L + min(T, r)`` wide.  When there is a tail and yet
     ``W >= min(n1, n2)``, the sketch cannot narrow the result, so if
-    ``n1 * n2`` is within the matrix cap the series ``P = sum_s c_s D**s``
+    ``n1 * n2`` is within the dense cap the series ``P = sum_s c_s D**s``
     of ``D = base.matrix()`` is summed exactly and held, as
     ``identity_factorization(P)``.  Otherwise ``compress.hadamard_compress``
     gives the sum, reduced exactly to width at most ``min(n1, n2)``; a tail
@@ -200,7 +190,7 @@ def _assemble(
     c0 = coefficients[0]
     exact, tail, exact_width, tail_width = hadamard_widths(base, coefficients, eps)
     series_width = int(c0 != 0.0) + exact_width + min(tail_width, r)
-    if tail and series_width >= min(n1, n2) and n1 * n2 <= caps.matrix_dense_cap():
+    if tail and series_width >= min(n1, n2) and n1 * n2 <= caps.dense_cap():
         P = power_series(base.matrix(), coefficients)
         return _Assembly(identity_factorization(P), held=P)
 
@@ -262,9 +252,7 @@ def _finish_report(
     """
     measured = relative = None
     if target is not None:
-        G, held = asm.result, asm.held
-        product = held.__getitem__ if held is not None else lambda rows: G.left[rows] @ G.right.T
-        measured, peak = error_and_peak(target, product)
+        measured, peak = error_and_peak(target, asm.result if asm.held is None else asm.held)
         relative = measured / peak if peak > 0 else math.inf
     if spec.has_constants:
         corollary = spec.C * (math.exp(-plan.order) + eps * math.expm1(exponent_arg))
@@ -308,7 +296,7 @@ def approx_inner_product(
     """
     if t is None:
         t = default_order(eps)
-    A, B, sigma = _bilinear_factors(X, W, Y)
+    A, B, sigma = weighted_points(X, W, Y)
     radius_arg = sigma * X.radius_bound * Y.radius_bound
     spec.check_domain(-radius_arg, radius_arg)
     plan = taylor_coeffs(spec, 0.0, t, radius=radius_arg)
@@ -331,7 +319,7 @@ def _distance_base(
     X: PointSet, W: Optional[WeightMatrix], Y: PointSet, extra: Sequence[RankOne] = ()
 ) -> tuple[Factorization, float]:
     """Factorization of ``Z1 + Z2 - 2 X W Y' (+ extra)``, i.e. of the distance matrix."""
-    A, B, sigma = _bilinear_factors(X, W, Y)
+    A, B, sigma = weighted_points(X, W, Y)
     rx = (A**2).sum(axis=1)  # x' W x = ||x' U diag(sqrt(lam))||^2
     ry = (B**2).sum(axis=1)
     n1, n2 = X.n, Y.n
@@ -365,7 +353,7 @@ def approx_sq_distance(
     plan = taylor_coeffs(spec, 0.0, t, radius=radius_arg)
     asm = _assemble(base, plan, eps, seed)
     target = None
-    if X.n * Y.n <= caps.matrix_dense_cap():
+    if X.n * Y.n <= caps.dense_cap():
         target = _profile_rows(spec, distance_matrix(X, W, Y)[0])
     threshold = 4.0 * math.e**2 * spec.M * sigma * R**2 if spec.has_constants else math.inf
     M_exp = spec.M if spec.has_constants else math.nan
@@ -405,15 +393,15 @@ def approx_sq_distance_local(
     the realized squared distances stay inside the smoothness region.
     The entrywise shift ``D - xi`` enters as one more rank-one term.
     The realized range is read off the dense distance matrix, so this
-    raises ``caps.DenseCapExceeded`` when ``n1 * n2`` is above the matrix cap.
+    raises ``caps.DenseCapExceeded`` when ``n1 * n2`` is above the dense cap.
     """
     if t is None:
         t = default_order(eps)
-    cap = caps.matrix_dense_cap()
+    cap = caps.dense_cap()
     if X.n * Y.n > cap:
         raise caps.DenseCapExceeded(
             f"the realized distance range needs the {X.n}x{Y.n} distance matrix, "
-            f"above the matrix cap {cap}"
+            f"above the dense cap {cap}"
         )
     D, dmin, dmax = distance_matrix(X, W, Y)
     n1, n2 = D.shape
@@ -431,13 +419,10 @@ def approx_sq_distance_local(
         X, W, Y, extra=[RankOne(np.full(n1, -xi), np.ones(n2))]
     )
     R = max(X.radius_bound, Y.radius_bound)
-    coeffs = np.array(
-        [spec.derivative(s, xi) / math.factorial(s) for s in range(t)]
-    )
     half_width = 0.5 * spread
     sup_t = _sup_derivative(spec, t, dmin, dmax)
     remainder = half_width**t / math.factorial(t) * sup_t
-    plan = TaylorPlan(xi, t, coeffs, remainder)
+    plan = replace(taylor_coeffs(spec, xi, t), remainder_bound=remainder)
 
     asm = _assemble(base, plan, eps, seed)
     shift_scale = 8.0 * sigma * R**2

@@ -9,7 +9,7 @@ by multisets of columns (``cp_symmetric_power``), and each power is
 rounded straight to a TT by a TT-SVD computed from the CP factors'
 Gram matrices (``cp_tt_svd``), so neither the ``m**s``-wide
 Khatri-Rao factors nor an exact TT with ``L x n x L`` cores is formed.
-When that route's largest matrix is above ``caps.matrix_dense_cap()``
+When that route's largest matrix is above ``caps.dense_cap()`` entries
 the power is built incrementally instead, as the Hadamard product of
 the previous power and P, rounded after each step.  Sums add TT ranks
 blockwise, so at most t - 1 powers of rank <= r and the constant already
@@ -31,6 +31,7 @@ from .kernels import KernelSpec, hoip_subscripts
 from .lowrank import GRAM_RTOL, max_norm
 from .rng import SeedLike, generator
 from .sampling import PointSet
+from .taylor import taylor_coeffs
 
 # samples per block in ``TTTensor.entries`` and in the sampled error check
 ENTRY_BLOCK = 2**15
@@ -74,7 +75,7 @@ class CPTensor:
         return int(np.prod(self.shape, dtype=np.int64))
 
     def dense(self) -> np.ndarray:
-        if self.size() > caps.tensor_dense_cap():
+        if self.size() > caps.dense_cap():
             raise caps.DenseCapExceeded(
                 f"dense CP tensor with {self.size()} entries exceeds cap"
             )
@@ -115,7 +116,7 @@ class TTTensor:
         return int(np.prod(self.shape, dtype=np.int64))
 
     def dense(self) -> np.ndarray:
-        if self.size() > caps.tensor_dense_cap():
+        if self.size() > caps.dense_cap():
             raise caps.DenseCapExceeded(
                 f"dense TT tensor with {self.size()} entries exceeds cap"
             )
@@ -127,7 +128,7 @@ class TTTensor:
     def entries(self, idx: np.ndarray) -> np.ndarray:
         """Evaluate a batch of entries; ``idx`` has shape (batch, d).
 
-        When it fits under the matrix cap, the first two cores are first
+        When it fits under the dense cap, the first two cores are first
         contracted over the range of leading indices the batch spans,
         ``lo <= i_1 < hi``, into a ((hi - lo) n_2, r_2) matrix ``first``,
         indexed by ``(i_1 - lo) n_2 + i_2``.  Then one of two routes runs.
@@ -160,7 +161,7 @@ class TTTensor:
         start = 1
         i_lo, i_hi = rows.min(), rows.max() + 1
         n2, r2 = self.cores[1].shape[1:]
-        if self.order > 2 and (i_hi - i_lo) * n2 * r2 <= caps.matrix_dense_cap():
+        if self.order > 2 and (i_hi - i_lo) * n2 * r2 <= caps.dense_cap():
             first = np.tensordot(first[i_lo:i_hi], self.cores[1], axes=1).reshape(-1, r2)
             rows = (rows - i_lo) * n2 + idx[:, 1]
             start = 2
@@ -242,27 +243,33 @@ def cp_from_points(pointsets: Sequence[PointSet]) -> CPTensor:
 
 
 def cp_hadamard_power(T: CPTensor, s: int) -> CPTensor:
-    """Entrywise s-th power: factors become s-fold row-wise Kronecker powers."""
+    """Entrywise s-th power: factors become s-fold row-wise Kronecker powers.
+
+    Refuses when the widest factor, n * L**s entries for the largest mode
+    size n, is above ``caps.dense_cap()``.
+    """
     if s < 1:
         raise ValueError(f"power must be >= 1, got {s}")
     if s == 1:
         return T
-    if T.width**s > caps.CP_WIDTH_CAP:
-        raise caps.DenseCapExceeded(
-            f"CP width {T.width}**{s} exceeds cap {caps.CP_WIDTH_CAP}"
-        )
+    n, cap = max(T.shape), caps.dense_cap()
+    if n * T.width**s > cap:
+        raise caps.DenseCapExceeded(f"a {n} x {T.width}**{s} CP power factor exceeds cap {cap}")
     return CPTensor(tuple(khatri_rao_rows([f] * s) for f in T.factors))
 
 
 def cp_to_tt(T: CPTensor) -> TTTensor:
-    """Exact CP -> TT conversion; all internal ranks equal the CP width."""
+    """Exact CP -> TT conversion; all internal ranks equal the CP width.
+
+    Refuses when a middle core, L x n x L entries, is above ``caps.dense_cap()``.
+    """
     L = T.width
-    d = T.order
+    cap = caps.dense_cap()
     for f in T.factors[1:-1]:
-        if L * L * f.shape[0] > caps.CP_TO_TT_CORE_CAP:
+        if L * L * f.shape[0] > cap:
             raise caps.DenseCapExceeded(
-                f"middle TT core of size {L}x{f.shape[0]}x{L} exceeds the "
-                "materialization cap; build the power incrementally instead"
+                f"middle TT core of size {L}x{f.shape[0]}x{L} exceeds cap {cap}; "
+                "build the power incrementally instead"
             )
     cores = [T.factors[0][None, :, :]]  # (1, n_1, L)
     eye = np.eye(L)
@@ -504,12 +511,12 @@ def _power_in_tt(
     """s-th entrywise power of P as a TT with ranks <= ``round_ranks``.
 
     A TT-SVD of the symmetric-power CP tensor when its largest matrix
-    fits under the matrix cap; otherwise the rounded Hadamard product of
+    fits under the dense cap; otherwise the rounded Hadamard product of
     the previous power and P.
     """
     if s not in cache:
         width = math.comb(P.width + s - 1, s)
-        if _cp_tt_svd_entries(P.shape, width, round_ranks) <= caps.matrix_dense_cap():
+        if _cp_tt_svd_entries(P.shape, width, round_ranks) <= caps.dense_cap():
             cache[s] = cp_tt_svd(cp_symmetric_power(P, s), round_ranks)
         elif s == 1:
             cache[s] = tt_round(cp_to_tt(P), max_ranks=round_ranks)
@@ -538,8 +545,8 @@ def taylor_tt_approx(
     rounded once more, which caps its ranks at the unfolding sizes.
 
     The error is measured against the dense tensor, in mode-1 slabs of
-    at most ``SLAB_ENTRIES`` entries, when it fits under the dense-check
-    cap, otherwise estimated on ``CHECK_SAMPLES`` random entries (the only
+    at most ``SLAB_ENTRIES`` entries, when it fits under ``caps.dense_cap()``,
+    otherwise estimated on ``CHECK_SAMPLES`` random entries (the only
     use of ``seed``).  The sampled check draws one index column per mode,
     groups the samples by the same mode-1 slabs with one stable sort, and
     takes each group's TT values from one ``TTTensor.entries`` call and
@@ -551,11 +558,9 @@ def taylor_tt_approx(
     ``ENTRY_BLOCK`` of h arguments.  The dense check holds one slab of h
     and one of the TT, and takes the error in place in the latter.
     """
-    if t < 1:
-        raise ValueError(f"order t must be >= 1, got {t}")
+    coeffs = taylor_coeffs(spec, 0.0, t).coefficients
     if r < 1:
         raise ValueError(f"target rank must be >= 1, got {r}")
-    coeffs = [spec.derivative(s, 0.0) / math.factorial(s) for s in range(t)]
     shape = P.shape
     budget = 1 + (t - 1) * r
 
@@ -576,7 +581,7 @@ def taylor_tt_approx(
     total = tt_round(total, max_ranks=budget)
 
     # measured error: dense when affordable, sampled otherwise
-    sampled = P.size() > min(caps.dense_check_cap(), caps.tensor_dense_cap())
+    sampled = P.size() > caps.dense_cap()
     measured = denom = 0.0
     step = max(1, SLAB_ENTRIES // math.prod(shape[1:]))
     if sampled:

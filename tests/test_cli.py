@@ -133,6 +133,21 @@ def test_altproj_trials_to_csv(tmp_path, capsys):
     assert [rec.algorithm for rec in records] == ["altproj", "tsvd_baseline"] * 2
 
 
+@pytest.mark.parametrize("trials", [[], ["--trials", "1"]], ids=["default", "one"])
+def test_altproj_out_needs_trials(trials, tmp_path, capsys):
+    # only the --trials >= 2 path has rows to write
+    out = tmp_path / "x.csv"
+    code = cli.main([
+        "altproj", "--function", "gauss", "--n", "15", "--m", "3", "--r", "2", "--seed", "1",
+        "--max-iters", "40", "--bisect-iters", "3", *trials, "--out", str(out),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--trials >= 2" in captured.err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # golden outputs: every subcommand at fixed seeds
 # ----------------------------------------------------------------------
@@ -369,7 +384,7 @@ def test_approx_tt_taylor_refuses_symmetric_scheme():
 def test_altproj_tensor_refuses_symmetric_scheme(trials, tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = cli.main([*ALTPROJ_ARGS, "--function", "f3", "--n", "8", "--scheme", "symmetric",
-                     "--trials", str(trials), "--out", str(out)])
+                     "--trials", str(trials), *(["--out", str(out)] if trials > 1 else [])])
     assert code == 1
     assert "tensors use independent sampling only" in capsys.readouterr().err
     assert not out.exists()

@@ -178,9 +178,9 @@ def test_config_is_frozen():
     assert cfg.solver() == AltProjConfig()
 
 
-@pytest.mark.parametrize("algorithm, function", [("taylor", "f1"), ("rff", "gauss")])
+@pytest.mark.parametrize("algorithm, function", [("taylor", "f1"), ("taylor", "gauss")])
 def test_validate_refuses_dense_targets_above_the_cap(algorithm, function, monkeypatch, tmp_path):
-    # the error of a taylor or rff row is measured on the dense n x n target
+    # the error of a taylor row is measured on the dense n x n target
     monkeypatch.setenv("MAXNORM_DENSE_CAP", "100")
     cfg = ExperimentConfig(function=function, algorithms=(algorithm,), seed=1,
                            n_grid=(8, 11), m_grid=(2,), r_grid=(1,), trials=1,
@@ -190,6 +190,18 @@ def test_validate_refuses_dense_targets_above_the_cap(algorithm, function, monke
         run_experiment(cfg)
     assert not (tmp_path / "x.csv").exists()
     ExperimentConfig(function=function, algorithms=(algorithm,), seed=1, n_grid=(10,)).validate()
+
+
+def test_rff_grid_runs_above_the_cap(monkeypatch, tmp_path):
+    # rff checks its error by row blocks; at n = 600, eps = 0.99 its sketch rank
+    # is below n, so it never holds the n x n feature product (its form (b))
+    monkeypatch.setenv("MAXNORM_DENSE_CAP", str(600 * 600 - 1))
+    cfg = ExperimentConfig(function="gauss", algorithms=("rff",), seed=1, n_grid=(600,),
+                           m_grid=(20,), trials=1, eps=0.99, output=str(tmp_path / "x.csv"))
+    [row] = run_experiment(cfg)
+    assert (row.algorithm, row.n) == ("rff", 600)
+    assert 0.0 < row.rel_error < 1.0
+    assert len((tmp_path / "x.csv").read_text(encoding="utf-8").splitlines()) == 3
 
 
 def test_validate_lets_tt_sample_above_the_cap(monkeypatch):

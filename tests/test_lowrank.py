@@ -8,6 +8,7 @@ from maxnorm_lowrank.lowrank import (
     Factorization,
     RankOne,
     RowEvaluator,
+    error_and_peak,
     max_norm,
     max_norm_error,
     reduce_width,
@@ -204,6 +205,15 @@ def _norm_inputs():
 
 NORM_INPUTS = _norm_inputs()
 
+# the three operand kinds of ``max_norm_error`` and ``error_and_peak``, built from a factorization
+OPERANDS = {
+    "dense": lambda M: M.matrix(),
+    "factorization": lambda M: M,
+    "evaluator": lambda M: RowEvaluator(
+        M.shape, lambda rows, out=None: np.matmul(M.left[rows], M.right.T, out=out)
+    ),
+}
+
 
 class TestBlockedNorms:
     """The row-block and two-reduction forms keep the old expressions' values bitwise."""
@@ -245,19 +255,33 @@ class TestBlockedNorms:
         with pytest.raises(ValueError, match="shape mismatch"):
             max_norm_error(evaluator, G[:, 1:])
 
-    @pytest.mark.parametrize("n1", [ROW_BLOCK, 2 * ROW_BLOCK + 9])
-    def test_max_norm_error_factorizations(self, n1):
+    @pytest.mark.parametrize("n1, left, right", [
+        (n1, left, right)
+        for n1 in (ROW_BLOCK, 2 * ROW_BLOCK + 9) for left in OPERANDS for right in OPERANDS
+    ])
+    def test_max_norm_error_factorizations(self, n1, left, right):
         rng = np.random.default_rng(17)
         F = Factorization(rng.normal(size=(n1, 30)), rng.normal(size=(90, 30)))
         G = Factorization(rng.normal(size=(n1, 8)), rng.normal(size=(90, 8)))
-        old = _old_max_norm(F.matrix() - G.matrix())
-        for a, b in ((F, G), (F.matrix(), G), (F, G.matrix())):
-            if n1 <= ROW_BLOCK:  # one block: the same products as a whole
-                assert _same(max_norm_error(a, b), old)
-            else:
-                assert max_norm_error(a, b) == pytest.approx(old, rel=1e-14)
+        a, b = OPERANDS[left](F), OPERANDS[right](G)
+        first = slice(0, ROW_BLOCK)
+        expected = [  # (max|F - G|, max|F|), over all rows and over the first block
+            (_old_max_norm(F.matrix()[rows] - G.matrix()[rows]), _old_max_norm(F.matrix()[rows]))
+            for rows in (slice(None), first)
+        ]
+        got = [error_and_peak(a, b), error_and_peak(a, b, stop_above=0.0)]
+        assert _same(max_norm_error(a, b), got[0][0])
+        if n1 <= ROW_BLOCK:  # one block: the same products as a whole
+            assert all(_same(x, y) for pair in zip(got, expected) for x, y in zip(*pair))
+        else:
+            assert got == [pytest.approx(e, rel=1e-14) for e in expected]
+        G.left[-1, 0] = np.nan  # a NaN entry in the last row block
+        a, b = OPERANDS[left](F), OPERANDS[right](G)
+        assert math.isnan(max_norm_error(a, b)) and math.isnan(error_and_peak(b, a)[1])
+        if n1 > ROW_BLOCK:  # a check stopped after the first block never reaches it
+            assert _same(error_and_peak(a, b, stop_above=0.0)[0], got[1][0])
         with pytest.raises(ValueError, match="shape mismatch"):
-            max_norm_error(F, np.zeros((n1, 91)))
+            max_norm_error(a, np.zeros((n1, 91)))
 
     def test_row_blocks_cover_in_order(self):
         for n in (0, 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK - 1):

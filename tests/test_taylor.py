@@ -198,7 +198,7 @@ class TestApproxSqDistanceLocal:
         original = taylor.distance_matrix
 
         def guarded(*args):
-            assert caps.matrix_dense_cap() >= 3600, "built a distance matrix above the cap"
+            assert caps.dense_cap() >= 3600, "built a distance matrix above the cap"
             return original(*args)
 
         monkeypatch.setattr(taylor, "distance_matrix", guarded)

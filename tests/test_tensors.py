@@ -104,11 +104,20 @@ class TestHadamardPower:
             )
 
     def test_width_cap(self):
-        # 64**4 columns, above caps.CP_WIDTH_CAP = 2**16
+        # 3 x 64**4 entries in each factor, above caps.DENSE_CAP = 2**24
         rng = np.random.default_rng(4)
         P = random_cp(rng, (3, 3), 64)
         with pytest.raises(DenseCapExceeded):
             cp_hadamard_power(P, 4)
+
+    def test_cap_counts_factor_entries(self, monkeypatch):
+        # 4**2 = 16 columns, far below 2**16, but 10 x 16 = 160 entries in the widest factor
+        P = random_cp(np.random.default_rng(4), (10, 3), 4)
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "159")
+        with pytest.raises(DenseCapExceeded, match=r"10 x 4\*\*2"):
+            cp_hadamard_power(P, 2)
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "160")
+        assert cp_hadamard_power(P, 2).shape == (10, 3)
 
 
 class TestTTSvd:
@@ -172,6 +181,15 @@ class TestCpToTT:
         tt = cp_to_tt(P)
         assert all(r == 3 for r in tt.ranks)
         assert np.abs(tt.dense() - P.dense()).max() <= 1e-10
+
+    def test_core_cap_follows_the_environment(self, monkeypatch):
+        # the middle core holds L x n_2 x L = 3 x 5 x 3 = 45 entries
+        P = random_cp(np.random.default_rng(9), (4, 5, 6), 3)
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "44")
+        with pytest.raises(DenseCapExceeded, match="3x5x3 exceeds cap 44"):
+            cp_to_tt(P)
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "45")
+        assert cp_to_tt(P).ranks == (3, 3)
 
 
 class TestTTAdd:
