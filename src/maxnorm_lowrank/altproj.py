@@ -47,35 +47,31 @@ RankSpec = Union[int, tuple[int, ...]]
 
 # extra columns of the warm subspace basis beyond the target rank
 OVERSAMPLE = 4
+# An eps-run stops early once the feasibility gap has not improved by a
+# relative STALL_RTOL for STALL_PATIENCE consecutive iterations, which keeps
+# hopeless binary-search probes from burning the full iteration budget.
+STALL_PATIENCE = 50
+STALL_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
 class AltProjConfig:
     """Hyperparameters of the solver.
 
-    ``cli._add_solver_flags`` builds one flag per field for the
-    ``altproj`` and ``experiment`` subcommands, and ``ExperimentConfig``
-    inherits the fields as config-file keys.
-
-    ``restarts`` is the number of seeded Gaussian starts that each
-    bisection probe falls back to, in order, when the run from the last
-    feasible iterate fails.
-
-    ``stall_patience``/``stall_rtol`` stop an eps-run early when the
-    feasibility gap has not improved by a relative ``stall_rtol`` for
-    ``stall_patience`` consecutive iterations, which keeps hopeless
-    binary-search probes from burning the full iteration budget.
+    ``max_iters`` caps the iterations of one eps-run, ``tol`` is the
+    relative slack of its feasibility test and ``bisect_iters`` the number
+    of bisection probes.  ``cli._add_solver_flags`` builds one flag per
+    field for the ``altproj`` and ``experiment`` subcommands, and
+    ``ExperimentConfig`` inherits the fields as config-file keys.  The
+    stall rule is fixed (``STALL_PATIENCE``, ``STALL_RTOL``).
     """
 
     max_iters: int = 500
     tol: float = 1e-6
     bisect_iters: int = 20
-    restarts: int = 1
-    stall_patience: int = 50
-    stall_rtol: float = 1e-3
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.bisect_iters < 1 or self.restarts < 1:
+        if self.max_iters < 1 or self.bisect_iters < 1:
             raise ValueError("iteration counts must be >= 1")
 
 
@@ -85,7 +81,7 @@ class AltProjResult:
     converged: bool
     iters: int
     max_error: float
-    stop: str  # "converged", "stalled" (no progress for stall_patience iterations) or "budget"
+    stop: str  # "converged", "stalled" (no progress for STALL_PATIENCE iterations) or "budget"
 
 
 @dataclass
@@ -164,23 +160,23 @@ def alternating_projections(
     r: RankSpec,
     eps: float,
     cfg: AltProjConfig = AltProjConfig(),
-    seed: SeedLike = 0,
-    init_dense: Optional[np.ndarray] = None,
+    *,
+    init_dense: np.ndarray,
 ) -> AltProjResult:
-    """Iterate rank-projection(clip(T)) until T is eps-feasible or the budget runs out.
+    """Iterate T <- rank-projection(clip(T)) from ``init_dense`` until T is eps-feasible.
 
-    Non-convergence is reported in the ``converged`` flag and the
-    ``stop`` reason, never as an exception.  A precomputed ``init_dense``
-    overrides the seeded start (the binary search passes its last
-    feasible iterate).  Feasibility is always tested on the returned
-    rank-<=r iterate itself.
+    The binary search passes its last feasible iterate or its seeded
+    Gaussian start (``initial_guess``).  Non-convergence -- a stall or the
+    ``max_iters`` budget -- is reported in the ``converged`` flag and the
+    ``stop`` reason, never as an exception.  Feasibility is always tested
+    on the returned rank-<=r iterate itself.
     """
     F = np.asarray(F, dtype=np.float64)
     limit = max_norm(F)
     if eps >= limit:
         # the zero (rank-0) matrix is already feasible
         return AltProjResult(np.zeros_like(F), True, 0, limit, "converged")
-    T = init_dense if init_dense is not None else initial_guess(F, r, seed)
+    T = init_dense
     warm = (
         F.ndim == 2
         and isinstance(r, (int, np.integer))
@@ -202,13 +198,13 @@ def alternating_projections(
         # track the feasibility gap, not the raw error: near the boundary the
         # error flattens at eps while the gap still contracts geometrically
         gap = err - eps
-        if gap < best_gap * (1.0 - cfg.stall_rtol):
+        if gap < best_gap * (1.0 - STALL_RTOL):
             best_gap = gap
             stalled = 0
         else:
             best_gap = min(best_gap, gap)
             stalled += 1
-            if stalled >= cfg.stall_patience:
+            if stalled >= STALL_PATIENCE:
                 return AltProjResult(T, False, it, err, "stalled")
     return AltProjResult(T, False, cfg.max_iters, err, "budget")
 
@@ -226,9 +222,9 @@ def binary_search_eps(
     matrix) when that is smaller; both are feasible for free, so the
     result is a valid upper bound on the optimal entrywise error of
     rank-r approximation and never worse than that baseline.  Each probe
-    first runs from the last feasible iterate; the seeded Gaussian
-    starts, one per restart, are fallbacks tried in order only when the
-    warm start fails.  The whole search is deterministic for a seed.
+    first runs from the last feasible iterate; one seeded Gaussian start
+    is the fallback, tried only when the warm start fails.  The whole
+    search is deterministic for a seed.
     """
     F = np.asarray(F, dtype=np.float64)
     limit = max_norm(F)
@@ -238,13 +234,13 @@ def binary_search_eps(
     hi = max_norm(F - best_T)
     if hi > limit:
         best_T, hi = np.zeros_like(F), limit
-    inits = [initial_guess(F, r, s) for s in split(seed, cfg.restarts)]
+    fallback = initial_guess(F, r, split(seed, 1)[0])
     lo = 0.0
     evaluations = 0
     for _ in range(cfg.bisect_iters):
         mid = 0.5 * (lo + hi)
         hit = None
-        for T0 in [best_T] + inits:
+        for T0 in (best_T, fallback):
             res = alternating_projections(F, r, mid, cfg, init_dense=T0.copy())
             evaluations += 1
             if res.converged:
@@ -278,7 +274,6 @@ def _dense_target(
 @dataclass
 class TrialSummary:
     median_relative: float
-    baseline_median: Optional[float]
     records: list[ExperimentRecord]
 
 
@@ -306,7 +301,6 @@ def run_trials(
     scheme = SamplingScheme.coerce(scheme)
     records: list[ExperimentRecord] = []
     rel_errors: list[float] = []
-    baseline_errors: list[float] = []
     for trial, child in enumerate(split(seed_sequence(seed), trials)):
         streams = child.spawn(4)
         F = _dense_target(spec, scheme, n, m, radius, streams[:3])
@@ -325,15 +319,10 @@ def run_trials(
             G = truncated_svd(F, min(r, *F.shape))
             base_rel = float(np.abs(F - G.matrix()).max()) / max_norm(F)
             elapsed = time.perf_counter() - start
-            baseline_errors.append(base_rel)
             records.append(
                 ExperimentRecord(
                     experiment, function, scheme.value, n, m, r, trial, int(seed),
                     "tsvd_baseline", base_rel, elapsed,
                 )
             )
-    return TrialSummary(
-        median_relative=float(median(rel_errors)),
-        baseline_median=float(median(baseline_errors)) if baseline_errors else None,
-        records=records,
-    )
+    return TrialSummary(float(median(rel_errors)), records)

@@ -12,6 +12,9 @@ order eps:
   hide a dimension dependence of order m^m;
 * its sharpened form ``ceil(9 ln(3 n1 n2) C^2 / eps^2 * e^(m(1+M^2)))``.
 
+``table_text`` sets them beside the sketch formula over a grid of n
+(the ``cli bounds`` table).
+
 All logarithms are natural.  Binomials use exact integer arithmetic;
 quantities that exceed the float64 range are flagged, never silently
 saturated.
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .compress import rank_formula
+from .records import CSV_VERSION_LINE
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -156,3 +160,21 @@ def three_stage_profile(
     """Rank-bound evolution ``r_n = min(n, sketch formula, beta2)`` with stage labels."""
     points = tuple(_stage_bound(eps, int(n), beta2) for n in n_grid)
     return StageProfile(points, stage_two_onset(eps))
+
+
+def table_text(
+    eps: float, n_grid: Iterable[int], m: int, C: float, M: float, Cu: float, Cv: float,
+    beta2: Optional[int] = None,
+) -> str:
+    """CSV table of the closed-form bounds for n x n matrices over ``n_grid``."""
+    profile = three_stage_profile(eps, n_grid, beta2)
+    analytical = analytical_rank_bound(m, C, M, eps)
+    lines = [CSV_VERSION_LINE, "n,r_formula,r_analytical,r_ut,r_ut_tighter,stage"]
+    for point in profile.points:
+        n = point.n
+        r_ut_tighter, _ = ut_tighter_bound(n, n, eps, C, M, m)
+        lines.append(
+            f"{n},{rank_formula(eps, n, n)},{analytical.rank},{ut_bound(n, n, eps, Cu, Cv)},"
+            f"{r_ut_tighter},{point.stage}"
+        )
+    return "\n".join(lines) + "\n"

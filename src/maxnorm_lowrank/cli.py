@@ -13,10 +13,11 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import caps, kernels, matio
-from .altproj import AltProjConfig, _dense_target, binary_search_eps, run_trials
+from .altproj import AltProjConfig, _dense_target, binary_search_eps
 from .experiments import (
     COVERS,
     EXPERIMENTS,
@@ -24,14 +25,11 @@ from .experiments import (
     READS,
     ExperimentConfig,
     approximate,
-    bounds_table_text,
     emit_plot_data,
     kernel_for,
     load_config,
     run_experiment,
-    write_bounds_table,
 )
-from .records import write_csv
 from .rng import split
 from .sampling import sample_ball, sample_pair, sample_sphere
 
@@ -60,11 +58,6 @@ def _add_solver_flags(p):
     p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--bisect-iters", dest="bisect_iters", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None,
-                   help="seeded Gaussian starts a bisection probe falls back to when the "
-                        "run from the last feasible iterate fails")
-    p.add_argument("--stall-patience", dest="stall_patience", type=int, default=None)
-    p.add_argument("--stall-rtol", dest="stall_rtol", type=float, default=None)
 
 
 def _given(args, cls) -> dict:
@@ -145,27 +138,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_altproj(args) -> int:
-    if args.out and args.trials < 2:
-        print("--out writes the per-trial CSV of --trials >= 2; a single run writes nothing",
-              file=sys.stderr)
-        return 2
     spec = kernel_for(args.function, args.radius)
     cfg = AltProjConfig(**_given(args, AltProjConfig))
-    if args.trials > 1:
-        summary = run_trials(
-            spec, args.scheme, args.n, args.m, args.r, cfg=cfg,
-            trials=args.trials, seed=args.seed, radius=args.radius,
-            function=args.function,
-        )
-        print(f"median relative eps* over {args.trials} trials: "
-              f"{summary.median_relative:.6g}")
-        if summary.baseline_median is not None:
-            print(f"truncated-SVD baseline median: {summary.baseline_median:.6g}")
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                write_csv(summary.records, fh)
-            print(f"wrote {len(summary.records)} rows to {args.out}")
-        return 0
     streams = split(args.seed, 4)
     F = _dense_target(spec, args.scheme, args.n, args.m, args.radius, streams[:3])
     result = binary_search_eps(F, args.r, cfg, streams[3])
@@ -175,16 +149,13 @@ def cmd_altproj(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = ExperimentConfig(
-        experiment="bounds", n_grid=tuple(args.n_grid), m_grid=(args.m,),
-        eps=args.eps, C=args.C, M=args.M, Cu=args.Cu, Cv=args.Cv,
-        beta2=args.beta2, output=args.out or "-",
-    )
+    text = bounds_mod.table_text(args.eps, args.n_grid, args.m, args.C, args.M,
+                                 args.Cu, args.Cv, args.beta2)
     if args.out:
-        write_bounds_table(cfg, args.out)
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote bounds table to {args.out}")
     else:
-        sys.stdout.write(bounds_table_text(cfg))
+        sys.stdout.write(text)
     onset = bounds_mod.stage_two_onset(args.eps)
     print(f"# stage-2 onset for eps={args.eps}: n = {onset}", file=sys.stderr)
     return 0
@@ -243,12 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("altproj", help="alternating projections with binary search")
+    p = sub.add_parser(
+        "altproj",
+        help="alternating projections with binary search on one sampled target; "
+             "repeated trials run through 'experiment --algorithms altproj'",
+    )
     p.add_argument("--function", choices=FUNCTIONS, required=True)
     _add_common_points(p)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_altproj)
 

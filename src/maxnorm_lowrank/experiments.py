@@ -27,6 +27,7 @@ default of every route option.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import threading
 import time
@@ -37,10 +38,9 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 
 import numpy as np
 
-from . import bounds as bounds_mod
 from . import caps, kernels, rff, taylor, tensors
 from .altproj import AltProjConfig, run_trials
-from .compress import jl_compress, rank_formula
+from .compress import jl_compress
 from .lowrank import Factorization
 from .records import (
     CSV_VERSION_LINE,
@@ -53,7 +53,9 @@ from .records import (
 from .rng import split
 from .sampling import SamplingScheme, sample_ball, sample_pair
 
-EXPERIMENTS = ("varm", "varr", "varn", "bounds", "single")
+# the grid axis each experiment varies; every other axis takes one value
+VARIED_AXIS = {"varm": "m_grid", "varr": "r_grid", "varn": "n_grid", "single": None}
+EXPERIMENTS = tuple(VARIED_AXIS)
 FUNCTIONS = ("f1", "f2", "f3", "gauss")
 # rff needs a positive-definite shift-invariant kernel, the distance routes
 # a distance kernel (f1 has no Taylor series at zero, so only the local one)
@@ -110,21 +112,14 @@ class ExperimentConfig(AltProjConfig):
     rho: int = 64
     algorithms: tuple[str, ...] = ("altproj",)
     jobs: int = 1
-    # bounds-table constants
-    C: float = 1.0
-    M: float = 1.0
-    Cu: float = 0.0
-    Cv: float = 0.0
-    beta2: Optional[int] = None
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.experiment != "bounds":
-            if self.function not in FUNCTIONS:
-                raise ValueError(f"unknown function {self.function!r}")
-            if self.seed is None:
-                raise ValueError("a seed is mandatory for stochastic experiments")
+        if self.function not in FUNCTIONS:
+            raise ValueError(f"unknown function {self.function!r}")
+        if self.seed is None:
+            raise ValueError("a seed is mandatory for stochastic experiments")
         SamplingScheme.coerce(self.scheme)
         for name in ("n_grid", "m_grid", "r_grid"):
             grid = getattr(self, name)
@@ -132,12 +127,15 @@ class ExperimentConfig(AltProjConfig):
                 raise ValueError(f"{name} must be nonempty")
             if any(v < 1 for v in grid):
                 raise ValueError(f"{name} entries must be >= 1")
+            if len(grid) > 1 and name != VARIED_AXIS[self.experiment]:
+                raise ValueError(
+                    f"the {self.experiment} experiment does not vary {name[0]}: "
+                    f"{name} takes one value, got {len(grid)}"
+                )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if "rff" in self.algorithms and self.rho < 1:
-            raise ValueError(f"rho must be >= 1, got {self.rho}")
         for alg in self.algorithms:
             if alg not in APPLICABLE:
                 raise ValueError(f"unknown algorithm {alg!r}")
@@ -146,11 +144,20 @@ class ExperimentConfig(AltProjConfig):
                     f"the {alg} algorithm applies to {', '.join(APPLICABLE[alg])}, "
                     f"not {self.function}"
                 )
+        # the options a route reads, refused before any trial runs
+        if self.radius <= 0:
+            raise ValueError(f"radius must be > 0, got {self.radius}")
+        if self.t is not None and self.t < 1:
+            raise ValueError(f"t must be >= 1, got {self.t}")
+        if set(self.algorithms) - {"altproj"} and not 0.0 < self.eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
+        if "rff" in self.algorithms and self.rho < 1:
+            raise ValueError(f"rho must be >= 1, got {self.rho}")
         # a taylor row's error is measured on the dense n x n target (the
         # distance routes need the distance matrix); rff checks by row blocks
         # and refuses only its form (b), and tt samples entries above the cap
         n, cap = max(self.n_grid), caps.dense_cap()
-        if self.experiment != "bounds" and "taylor" in self.algorithms and n * n > cap:
+        if "taylor" in self.algorithms and n * n > cap:
             raise ValueError(
                 "the taylor algorithm measures its error on the dense n x n target: "
                 f"n={n} needs {n * n} entries, above the matrix cap {cap}"
@@ -219,17 +226,6 @@ def kernel_for(function: str, radius: float) -> kernels.KernelSpec:
     if function == "cauchy":
         return kernels.cauchy((0.0, 4.0 * R2))
     raise ValueError(f"unknown function {function!r}")
-
-
-def _grid_points(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
-    n0, m0, r0 = cfg.n_grid[0], cfg.m_grid[0], cfg.r_grid[0]
-    if cfg.experiment == "varm":
-        return [(n0, m, r0) for m in cfg.m_grid]
-    if cfg.experiment == "varr":
-        return [(n0, m0, r) for r in cfg.r_grid]
-    if cfg.experiment == "varn":
-        return [(n, m0, r0) for n in cfg.n_grid]
-    return [(n0, m0, r0)]
 
 
 def approximate(
@@ -320,10 +316,8 @@ def _run_grid_point(
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the configured grid and write the CSV; returns the records."""
     cfg.validate()
-    if cfg.experiment == "bounds":
-        write_bounds_table(cfg, cfg.output)
-        return []
-    grid = _grid_points(cfg)
+    # validate leaves more than one value on the varied axis only
+    grid = list(itertools.product(cfg.n_grid, cfg.m_grid, cfg.r_grid))
     root = np.random.SeedSequence(cfg.seed)
     words = root.generate_state(len(grid) * (1 + cfg.trials), dtype=np.uint64)
     jobs = min(cfg.jobs, len(grid))
@@ -344,27 +338,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
         write_csv(records, fh)
     return records
-
-
-def bounds_table_text(cfg: ExperimentConfig) -> str:
-    """CSV table of the closed-form bounds over the configured n grid."""
-    m = cfg.m_grid[0]
-    profile = bounds_mod.three_stage_profile(cfg.eps, cfg.n_grid, cfg.beta2)
-    analytical = bounds_mod.analytical_rank_bound(m, cfg.C, cfg.M, cfg.eps)
-    lines = [CSV_VERSION_LINE, "n,r_formula,r_analytical,r_ut,r_ut_tighter,stage"]
-    for point in profile.points:
-        n = point.n
-        r_formula = rank_formula(cfg.eps, n, n)
-        r_ut = bounds_mod.ut_bound(n, n, cfg.eps, cfg.Cu, cfg.Cv)
-        r_ut_tighter, _ = bounds_mod.ut_tighter_bound(n, n, cfg.eps, cfg.C, cfg.M, m)
-        lines.append(
-            f"{n},{r_formula},{analytical.rank},{r_ut},{r_ut_tighter},{point.stage}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_bounds_table(cfg: ExperimentConfig, path: str | Path):
-    Path(path).write_text(bounds_table_text(cfg), encoding="utf-8")
 
 
 # ----------------------------------------------------------------------

@@ -122,14 +122,35 @@ class TestBinarySearch:
             ref = binary_search_eps(F, r, CFG, seed)
             assert abs(ref.eps_star - res.eps_star) <= step * _upper_bracket(F, r)
 
-    def test_fallback_starts(self):
+    def test_fallback_starts(self, monkeypatch):
+        # a probe whose warm run fails falls back to one Gaussian start from split(seed, 1)[0]
         F = _target("f1", 36, 4, 23)
-        cfg = AltProjConfig(max_iters=100, bisect_iters=4, restarts=2)
+        cfg = AltProjConfig(max_iters=100, bisect_iters=4)
+        runs = []
+        solve = altproj.alternating_projections
+
+        def logged(F_, r_, eps, cfg_, *, init_dense):
+            res = solve(F_, r_, eps, cfg_, init_dense=init_dense.copy())
+            runs.append((init_dense, res.converged))
+            return res
+
+        monkeypatch.setattr(altproj, "alternating_projections", logged)
         res = binary_search_eps(F, 3, cfg, 23)
         assert res.eps_star <= _tsvd_error(F, 3)
         assert max_norm(F - res.approximant) <= res.eps_star * (1.0 + cfg.tol)
-        with pytest.raises(TypeError):
-            AltProjConfig(init="zero")
+        fallback = initial_guess(F, 3, split(23, 1)[0])
+        # each probe runs from the warm start, then from the fallback if that failed
+        fallbacks, i = 0, 0
+        while i < len(runs):
+            if not runs[i][1] and i + 1 < len(runs):
+                np.testing.assert_array_equal(runs[i + 1][0], fallback)
+                fallbacks += 1
+                i += 1
+            i += 1
+        assert fallbacks and len(runs) == res.evaluations == cfg.bisect_iters + fallbacks
+        for name in ("init", "restarts", "stall_patience", "stall_rtol"):
+            with pytest.raises(TypeError):
+                AltProjConfig(**{name: 2})
 
     def test_zero_target(self):
         res = binary_search_eps(np.zeros((6, 5)), 2, CFG, 0)
@@ -161,22 +182,25 @@ class TestAlternatingProjections:
 
     def test_stop_trivial(self):
         F = _target("gauss", 20, 3, 42)
-        res = alternating_projections(F, 3, max_norm(F), CFG)
+        res = alternating_projections(F, 3, max_norm(F), CFG, init_dense=initial_guess(F, 3, 42))
         assert (res.converged, res.stop, res.iters) == (True, "converged", 0)
         assert not res.approximant.any()
 
-    def test_stop_stalled(self):
+    def test_stop_stalled(self, monkeypatch):
+        monkeypatch.setattr(altproj, "STALL_PATIENCE", 3)
         F = _target("gauss", 40, 10, 43)
-        cfg = AltProjConfig(max_iters=500, stall_patience=3)
+        cfg = AltProjConfig(max_iters=500)
         # eps = 0 clips every iterate back to F, so the gap never moves
-        res = alternating_projections(F, 3, 0.0, cfg, seed=43)
+        res = alternating_projections(F, 3, 0.0, cfg, init_dense=initial_guess(F, 3, 43))
         assert (res.converged, res.stop) == (False, "stalled")
-        assert res.iters < cfg.max_iters
+        assert res.iters == 1 + 3
 
     def test_stop_budget(self):
         F = _target("gauss", 40, 10, 44)
-        cfg = AltProjConfig(max_iters=2, stall_patience=50)
-        res = alternating_projections(F, 3, 1e-3 * max_norm(F), cfg, seed=44)
+        cfg = AltProjConfig(max_iters=2)
+        assert cfg.max_iters < altproj.STALL_PATIENCE
+        res = alternating_projections(F, 3, 1e-3 * max_norm(F), cfg,
+                                      init_dense=initial_guess(F, 3, 44))
         assert (res.converged, res.stop, res.iters) == (False, "budget", 2)
 
     def test_narrow_matrix_uses_exact_projection(self, monkeypatch):
@@ -185,7 +209,8 @@ class TestAlternatingProjections:
 
         monkeypatch.setattr(altproj, "_subspace_projection", fail)
         F = _target("gauss", 6, 3, 45)
-        res = alternating_projections(F, 3, 0.5 * _tsvd_error(F, 3), CFG, seed=45)
+        res = alternating_projections(F, 3, 0.5 * _tsvd_error(F, 3), CFG,
+                                      init_dense=initial_guess(F, 3, 45))
         assert np.linalg.matrix_rank(res.approximant) <= 3
 
 
@@ -237,12 +262,12 @@ def _reference_run(F, r, eps, cfg, T):
         if err <= threshold:
             return it, "converged", err
         gap = err - eps
-        if gap < best_gap * (1.0 - cfg.stall_rtol):
+        if gap < best_gap * (1.0 - altproj.STALL_RTOL):
             best_gap, stalled = gap, 0
         else:
             best_gap = min(best_gap, gap)
             stalled += 1
-            if stalled >= cfg.stall_patience:
+            if stalled >= altproj.STALL_PATIENCE:
                 return it, "stalled", err
     return cfg.max_iters, "budget", err
 

@@ -87,15 +87,31 @@ def test_altproj_rejects_sampling():
     assert exc.value.code == 2
 
 
+ALTPROJ_SMALL = ["altproj", *SMALL, "--n", "8", "--m", "2", "--r", "1"]
+
+
 @pytest.mark.parametrize("argv", [
     ["experiment", "--seed", "1", "--theta", "0.6"],
-    ["altproj", *SMALL, "--n", "8", "--m", "2", "--r", "1", "--init", "zero"],
+    [*ALTPROJ_SMALL, "--init", "zero"],
     ["experiment", "--seed", "1", "--init", "zero"],
-], ids=["experiment-theta", "altproj-init", "experiment-init"])
-def test_fixed_settings_have_no_flag(argv):
+    # repeated trials run through experiment, which writes the CSV
+    [*ALTPROJ_SMALL, "--trials", "2"],
+    [*ALTPROJ_SMALL, "--out", "x.csv"],
+    [*ALTPROJ_SMALL, "--restarts", "2"],
+    [*ALTPROJ_SMALL, "--stall-patience", "9"],
+    [*ALTPROJ_SMALL, "--stall-rtol", "0.01"],
+    ["experiment", "--seed", "1", "--restarts", "2"],
+    # the bounds table is the bounds subcommand
+    ["experiment", "--seed", "1", "--experiment", "bounds"],
+], ids=["experiment-theta", "altproj-init", "experiment-init", "altproj-trials", "altproj-out",
+        "altproj-restarts", "altproj-stall-patience", "altproj-stall-rtol",
+        "experiment-restarts", "experiment-bounds"])
+def test_fixed_settings_have_no_flag(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 ALTPROJ_ARGS = ["altproj", "--n", "15", "--m", "3", "--r", "2", "--seed", "1",
@@ -115,37 +131,6 @@ def test_altproj_single_run(capsys):
 def test_altproj_single_run_targets(flags, expected, capsys):
     assert cli.main([*ALTPROJ_ARGS, *flags]) == 0
     assert capsys.readouterr().out == expected + "\n"
-
-
-def test_altproj_trials_to_csv(tmp_path, capsys):
-    out = tmp_path / "trials.csv"
-    code = cli.main([
-        "altproj", "--function", "f1", "--n", "12", "--m", "2", "--r", "2",
-        "--seed", "2", "--trials", "2", "--max-iters", "30", "--bisect-iters", "3",
-        "--out", str(out),
-    ])
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "median relative eps* over 2 trials" in text
-    assert "truncated-SVD baseline median" in text
-    with open(out, encoding="utf-8") as fh:
-        records = read_csv(fh)
-    assert [rec.algorithm for rec in records] == ["altproj", "tsvd_baseline"] * 2
-
-
-@pytest.mark.parametrize("trials", [[], ["--trials", "1"]], ids=["default", "one"])
-def test_altproj_out_needs_trials(trials, tmp_path, capsys):
-    # only the --trials >= 2 path has rows to write
-    out = tmp_path / "x.csv"
-    code = cli.main([
-        "altproj", "--function", "gauss", "--n", "15", "--m", "3", "--r", "2", "--seed", "1",
-        "--max-iters", "40", "--bisect-iters", "3", *trials, "--out", str(out),
-    ])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "--trials >= 2" in captured.err
-    assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -380,11 +365,7 @@ def test_approx_tt_taylor_refuses_symmetric_scheme():
                      "--scheme", "symmetric", *TINY]) == 2
 
 
-@pytest.mark.parametrize("trials", [1, 2])
-def test_altproj_tensor_refuses_symmetric_scheme(trials, tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    code = cli.main([*ALTPROJ_ARGS, "--function", "f3", "--n", "8", "--scheme", "symmetric",
-                     "--trials", str(trials), *(["--out", str(out)] if trials > 1 else [])])
+def test_altproj_tensor_refuses_symmetric_scheme(capsys):
+    code = cli.main([*ALTPROJ_ARGS, "--function", "f3", "--n", "8", "--scheme", "symmetric"])
     assert code == 1
     assert "tensors use independent sampling only" in capsys.readouterr().err
-    assert not out.exists()

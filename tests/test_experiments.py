@@ -96,14 +96,13 @@ def test_other_altproj_trials_overlap(monkeypatch, tmp_path, target):
 CONFIG_TEXT = """
 # every kind of field
 experiment = varr
-n_grid = 40, 50,
-r_grid = 2
+n_grid = 40,
+r_grid = 2, 3
 algorithms = altproj , taylor
 seed = none
-beta2 = 3
 t =
 trials = 4
-stall_patience = 9
+max_iters = 9
 eps = 0.25
 tol = 1e-5
 output = out dir/x.csv
@@ -112,9 +111,9 @@ output = out dir/x.csv
 
 def test_parse_config_text_every_field_kind():
     assert parse_config_text(CONFIG_TEXT) == {
-        "experiment": "varr", "n_grid": (40, 50), "r_grid": (2,),
-        "algorithms": ("altproj", "taylor"), "seed": None, "beta2": 3, "t": None,
-        "trials": 4, "stall_patience": 9, "eps": 0.25, "tol": 1e-5,
+        "experiment": "varr", "n_grid": (40,), "r_grid": (2, 3),
+        "algorithms": ("altproj", "taylor"), "seed": None, "t": None,
+        "trials": 4, "max_iters": 9, "eps": 0.25, "tol": 1e-5,
         "output": "out dir/x.csv",
     }
     assert parse_config_text("seed = NONE\nseed = 7")["seed"] == 7
@@ -124,8 +123,8 @@ def test_load_config_applies_overrides(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(CONFIG_TEXT, encoding="utf-8")
     cfg = load_config(path, {"seed": 3, "m_grid": (4,)})
-    assert (cfg.seed, cfg.m_grid, cfg.n_grid, cfg.tol) == (3, (4,), (40, 50), 1e-5)
-    assert cfg.solver() == AltProjConfig(tol=1e-5, stall_patience=9)
+    assert (cfg.seed, cfg.m_grid, cfg.r_grid, cfg.tol) == (3, (4,), (2, 3), 1e-5)
+    assert cfg.solver() == AltProjConfig(tol=1e-5, max_iters=9)
     with pytest.raises(ValueError, match="seed is mandatory"):
         load_config(path)
 
@@ -134,6 +133,9 @@ def test_load_config_applies_overrides(tmp_path):
     ("trials = 2\nepsilon = 0.1\n", "line 2: unknown key 'epsilon'"),
     ("seed = 1\ntheta = 0.6\n", "line 2: unknown key 'theta'"),
     ("# solver\n\ninit = zero\n", "line 3: unknown key 'init'"),
+    ("restarts = 2\n", "line 1: unknown key 'restarts'"),
+    ("C = 2\n", "line 1: unknown key 'C'"),
+    ("beta2 = 3\n", "line 1: unknown key 'beta2'"),
     ("# header\nseed 4\n", "line 2: expected 'key = value'"),
     ("trials = two\n", "invalid literal"),
 ])
@@ -182,8 +184,8 @@ def test_config_is_frozen():
 def test_validate_refuses_dense_targets_above_the_cap(algorithm, function, monkeypatch, tmp_path):
     # the error of a taylor row is measured on the dense n x n target
     monkeypatch.setenv("MAXNORM_DENSE_CAP", "100")
-    cfg = ExperimentConfig(function=function, algorithms=(algorithm,), seed=1,
-                           n_grid=(8, 11), m_grid=(2,), r_grid=(1,), trials=1,
+    cfg = ExperimentConfig(experiment="varn", function=function, algorithms=(algorithm,),
+                           seed=1, n_grid=(8, 11), m_grid=(2,), r_grid=(1,), trials=1,
                            output=str(tmp_path / "x.csv"))
     with pytest.raises(ValueError, match=f"the {algorithm} algorithm .* n=11 needs 121 entries, "
                                          "above the matrix cap 100"):
@@ -207,7 +209,63 @@ def test_rff_grid_runs_above_the_cap(monkeypatch, tmp_path):
 def test_validate_lets_tt_sample_above_the_cap(monkeypatch):
     monkeypatch.setenv("MAXNORM_DENSE_CAP", "100")
     ExperimentConfig(function="f3", algorithms=("tt",), seed=1, n_grid=(11,)).validate()
-    ExperimentConfig(experiment="bounds", algorithms=("taylor",), n_grid=(10**6,)).validate()
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"algorithms": ("altproj", "rff"), "eps": 1.5}, r"eps must lie in \(0, 1\), got 1.5"),
+    ({"algorithms": ("taylor",), "eps": 0.0}, r"eps must lie in \(0, 1\), got 0.0"),
+    ({"function": "f3", "algorithms": ("tt",), "t": 0}, "t must be >= 1, got 0"),
+    ({"radius": -1.0}, "radius must be > 0, got -1.0"),
+    ({"radius": 0.0, "algorithms": ("rff",)}, "radius must be > 0, got 0.0"),
+], ids=["eps-above", "eps-zero", "t-zero", "radius-negative", "radius-zero"])
+def test_validate_refuses_route_settings_before_any_trial(settings, message, monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_trials", fail)
+    monkeypatch.setattr(experiments, "approximate", fail)
+    cfg = ExperimentConfig(**{"function": "gauss", "n_grid": (8,), "m_grid": (2,), "r_grid": (1,),
+                              "trials": 1, "seed": 1, "output": str(tmp_path / "x.csv"),
+                              **settings})
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_validate_lets_altproj_alone_take_any_eps():
+    # eps is a route option; altproj finds its own level by bisection
+    ExperimentConfig(function="gauss", algorithms=("altproj",), eps=1.5, seed=1).validate()
+
+
+@pytest.mark.parametrize("experiment, axis", [
+    ("single", "n_grid"), ("single", "m_grid"), ("single", "r_grid"),
+    ("varm", "n_grid"), ("varm", "r_grid"), ("varr", "m_grid"), ("varn", "r_grid"),
+])
+def test_validate_refuses_values_on_axes_not_varied(experiment, axis, tmp_path):
+    grid = {"n_grid": (8,), "m_grid": (2,), "r_grid": (1,), axis: (1, 2)}
+    cfg = ExperimentConfig(experiment=experiment, function="gauss", trials=1, seed=1,
+                           output=str(tmp_path / "x.csv"), **grid)
+    with pytest.raises(ValueError, match=f"the {experiment} experiment does not vary "
+                                         f"{axis[0]}: {axis} takes one value, got 2"):
+        run_experiment(cfg)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, axis", [("varm", "m_grid"), ("varr", "r_grid"),
+                                              ("varn", "n_grid")])
+def test_grid_runs_every_value_of_its_axis(experiment, axis, monkeypatch, tmp_path):
+    seen = []
+
+    def spy(spec, scheme, n, m, r, **kwargs):
+        seen.append((n, m, r))
+        return SimpleNamespace(records=[], median_relative=0.0)
+
+    monkeypatch.setattr(experiments, "run_trials", spy)
+    grid = {"n_grid": (8,), "m_grid": (2,), "r_grid": (1,), axis: (9, 3, 5)}
+    run_experiment(ExperimentConfig(experiment=experiment, function="gauss", trials=1, seed=1,
+                                    output=str(tmp_path / "x.csv"), **grid))
+    assert seen == [tuple(v if name == axis else grid[name][0]
+                          for name in ("n_grid", "m_grid", "r_grid")) for v in (9, 3, 5)]
 
 
 # constructive rows of a small varm grid, pinned before their dispatch moved
