@@ -138,6 +138,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_altproj(args) -> int:
+    if args.r > args.n:
+        raise ValueError(f"--r {args.r} is above --n {args.n}: no rank exceeds the smaller side")
     spec = kernel_for(args.function, args.radius)
     cfg = AltProjConfig(**_given(args, AltProjConfig))
     streams = split(args.seed, 4)

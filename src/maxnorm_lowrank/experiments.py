@@ -18,10 +18,12 @@ n = 400) and tensors spend most of each iteration outside the
 interpreter, and their altproj trials run side by side.
 
 One route table serves ``cli approx`` and the grid: ``COVERS`` maps each
-route to the functions it covers, ``READS`` to the options it reads,
-``GRID_ROUTES`` each experiment algorithm to candidate routes (a grid point
-runs the first that covers its function).  ``ExperimentConfig`` holds the
-default of every route option.
+route to the functions it covers, ``READS`` to the options it reads, and
+``GRID_ROUTES`` each experiment algorithm to the one route it runs.  One
+Taylor door serves each class: ``taylor-ip`` functions of x'y, and
+``taylor-dist`` functions of ``||x - y||**2``, with the series' center
+picked from the function's domain.  ``ExperimentConfig`` holds the default
+of every route option.
 """
 
 from __future__ import annotations
@@ -57,12 +59,11 @@ from .sampling import SamplingScheme, sample_ball, sample_pair
 VARIED_AXIS = {"varm": "m_grid", "varr": "r_grid", "varn": "n_grid", "single": None}
 EXPERIMENTS = tuple(VARIED_AXIS)
 FUNCTIONS = ("f1", "f2", "f3", "gauss")
-# rff needs a positive-definite shift-invariant kernel, the distance routes
-# a distance kernel (f1 has no Taylor series at zero, so only the local one)
+# rff needs a positive-definite shift-invariant kernel, taylor-dist a distance
+# kernel (f1 has no Taylor series at zero, so it takes one at a positive distance)
 COVERS = {
     "taylor-ip": ("gauss",),
-    "taylor-dist": ("f2", "gauss"),
-    "taylor-dist-local": ("f1", "f2", "gauss"),
+    "taylor-dist": ("f1", "f2", "gauss"),
     "rff": ("f1", "gauss", "cauchy"),
     "jl": ("linear",),
     "tt-taylor": ("f3",),
@@ -71,17 +72,13 @@ COVERS = {
 READS = {
     "taylor-ip": ("t",),
     "taylor-dist": ("t", "radius"),
-    "taylor-dist-local": ("t", "radius"),
     "rff": ("rho", "radius"),
     "jl": ("radius",),
     "tt-taylor": ("t", "r", "radius"),
 }
-GRID_ROUTES = {
-    "taylor": ("taylor-dist", "taylor-dist-local"), "rff": ("rff",), "tt": ("tt-taylor",),
-}
+GRID_ROUTES = {"taylor": "taylor-dist", "rff": "rff", "tt": "tt-taylor"}
 APPLICABLE = {"altproj": FUNCTIONS} | {
-    alg: tuple(f for f in FUNCTIONS if any(f in COVERS[rt] for rt in routes))
-    for alg, routes in GRID_ROUTES.items()
+    alg: tuple(f for f in FUNCTIONS if f in COVERS[route]) for alg, route in GRID_ROUTES.items()
 }
 
 # Altproj trials on n x n matrix targets up to this n run one at a time.
@@ -132,6 +129,11 @@ class ExperimentConfig(AltProjConfig):
                     f"the {self.experiment} experiment does not vary {name[0]}: "
                     f"{name} takes one value, got {len(grid)}"
                 )
+        if max(self.r_grid) > min(self.n_grid):
+            raise ValueError(
+                f"r={max(self.r_grid)} is above n={min(self.n_grid)}: "
+                "no rank exceeds the smaller side"
+            )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
@@ -237,9 +239,8 @@ def approximate(
     Returns the approximant and its report; ``r`` is the TT rank.
     """
     if route == "tt-taylor":
-        t = t if t is not None else taylor.default_order(eps)
         P = tensors.cp_from_points(points)
-        return tensors.taylor_tt_approx(kernel_for(function, radius), P, t, r, seed)
+        return tensors.taylor_tt_approx(kernel_for(function, radius), P, t, r, seed, eps)
     X, Y = points
     if route == "jl":
         return jl_compress(Factorization(X.points, Y.points), eps, seed)
@@ -248,10 +249,8 @@ def approximate(
         return rff.rff_then_compress(spec, X, Y, rho=rho, eps=eps, seed=seed)
     if route == "taylor-ip":
         spec, builder = kernels.gaussian_on_sphere(), taylor.approx_inner_product
-    elif route == "taylor-dist":
-        spec, builder = kernel_for(function, radius), taylor.approx_sq_distance
     else:
-        spec, builder = kernel_for(function, radius), taylor.approx_sq_distance_local
+        spec, builder = kernel_for(function, radius), taylor.approx_sq_distance
     return builder(spec, X, None, Y, t=t, eps=eps, seed=seed)
 
 
@@ -264,7 +263,7 @@ def _constructive_records(
     for alg in cfg.algorithms:
         if alg == "altproj":
             continue
-        route = next(rt for rt in GRID_ROUTES[alg] if cfg.function in COVERS[rt])
+        route = GRID_ROUTES[alg]
         for trial in range(cfg.trials):
             seed_word = int(point_seed_words[trial])
             streams = split(seed_word, 4)

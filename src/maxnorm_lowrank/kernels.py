@@ -63,9 +63,14 @@ class KernelSpec:
             raise ValueError("derivative order must be >= 0")
         return float(self.deriv(s, xi))
 
-    def check_domain(self, lo: float, hi: float):
+    def covers(self, lo: float, hi: float) -> bool:
+        """Whether the domain holds [lo, hi], up to ``_SYMMETRY_TOL``."""
         dlo, dhi = self.domain
-        if lo < dlo - _SYMMETRY_TOL or hi > dhi + _SYMMETRY_TOL:
+        return not (lo < dlo - _SYMMETRY_TOL or hi > dhi + _SYMMETRY_TOL)
+
+    def check_domain(self, lo: float, hi: float):
+        if not self.covers(lo, hi):
+            dlo, dhi = self.domain
             raise DomainViolation(
                 f"realized argument range [{lo}, {hi}] outside declared "
                 f"domain [{dlo}, {dhi}] for family {self.family!r}"

@@ -2,10 +2,15 @@
 
 Matrices generated by a smooth profile of a bilinear form, ``h(x' W y)``,
 or of a weighted squared distance, ``h(||x - y||_W^2)``, admit explicit
-low-rank approximants: truncate the Taylor series of h and write each
-monomial term as a Hadamard power of an exact factorization.  Powers
-whose ``C(m+s-1, s)``-wide symmetric-power factor is no wider than the
-universal rank ``r = rank_formula(eps, n1, n2)`` (nor than the
+low-rank approximants: truncate the Taylor series of h on the interval
+its argument can reach and write each monomial term as a Hadamard power
+of an exact factorization of the argument, the base.  ``taylor_coeffs``
+is the one rule for the order, coefficients, remainder and regime (also
+for ``tensors.taylor_tt_approx``), and ``_build`` sums every route's
+series and writes its one ``TaylorReport``.
+
+Powers whose ``C(m+s-1, s)``-wide symmetric-power factor is no wider than
+the universal rank ``r = rank_formula(eps, n1, n2)`` (nor than the
 ``n1 + n2`` rows) are kept exactly, and all the others, the tail, are
 sketched once, as one weighted sum, down to rank r
 (``compress.hadamard_compress``); no ``m**s``-wide factor is built.  The
@@ -13,20 +18,19 @@ sum is then reduced exactly to width at most ``min(n1, n2)`` by one QR
 (``lowrank.reduce_width``), or, where the sketch could not narrow it
 below that, the truncated series ``P = sum_s c_s D**s`` of the base
 matrix D is summed exactly by Horner's rule instead (``_assemble``).
-The error bound has two parts: an analytical remainder from the
-truncation plus an algebraic term ``eps * sum_tail |c_s| * (a b)**s``
-from the sketched (or dense-fallback) tail, zero when nothing was
-approximated.  The error is measured one row block at a time
-(``lowrank.error_and_peak``); ``approx_sq_distance`` measures it on the
+The error bound has two parts: the analytic remainder of the truncation
+plus an algebraic term ``eps * sum_tail |c_s| * (a b)**s``, ``(a, b)`` the
+base's row norms, from the sketched (or dense-fallback) tail, zero when
+nothing was approximated.  The error is measured one row block at a time
+(``lowrank.error_and_peak``); the distance routes measure it on the
 dense distance matrix, so not at all above ``caps.dense_cap()``.  The
-weight enters through ``kernels.weighted_points`` and the series through
-``taylor_coeffs``, in every route.
+weight enters through ``kernels.weighted_points`` in every route.
 
-The squared-distance variants ride on the same machinery after the
-rank-one distance identity ``D = Z1 + Z2 - 2 X W Y'``; the localized
-variant recenters the series at the midpoint of the realized distance
-range, which is what makes profiles like ``exp(-sqrt(u))`` (non-smooth
-at zero) tractable.
+The squared-distance routes share one body (``_sq_distance``) on the
+rank-one distance identity ``D = Z1 + Z2 - 2 X W Y'``, with the series at
+zero when the spec's domain holds ``[-4 sigma R**2, 4 sigma R**2]`` (gauss,
+f2), else at the midpoint of the realized range, which makes profiles
+non-smooth at zero, like f1's ``exp(-sqrt(u))``, tractable.
 """
 
 from __future__ import annotations
@@ -70,12 +74,14 @@ from .sampling import PointSet
 
 @dataclass(frozen=True)
 class TaylorPlan:
-    """Truncated series of h at ``center``: coefficients h^(s)(center)/s!."""
+    """Truncated series of h at ``center``: coefficients h^(s)(center)/s!, the
+    remainder bound, and the order from which the regime holds (``taylor_coeffs``)."""
 
     center: float
     order: int
     coefficients: np.ndarray
     remainder_bound: float
+    regime_threshold: float
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
@@ -84,6 +90,10 @@ class TaylorPlan:
         if not self.remainder_bound >= 0:
             raise ValueError("remainder_bound must be >= 0")
         object.__setattr__(self, "coefficients", coeffs)
+
+    @property
+    def regime_ok(self) -> bool:
+        return self.order >= self.regime_threshold
 
 
 def default_order(eps: float) -> int:
@@ -94,35 +104,69 @@ def default_order(eps: float) -> int:
 
 
 def taylor_coeffs(
-    spec: KernelSpec, center: float, t: int, radius: Optional[float] = None
+    spec: KernelSpec, center: float, t: Optional[int], radius: Optional[float] = None,
+    eps: Optional[float] = None, realized: Optional[tuple[float, float]] = None,
 ) -> TaylorPlan:
-    """Coefficients h^(s)(center)/s! for s < t, plus the analytic remainder bound.
+    """The series of h at ``center`` to order t, for arguments within ``radius`` of it.
 
-    When the spec carries growth constants (C, M) and a ``radius`` for
-    the argument range, the remainder bound is ``C * M**t * radius**t / t!``;
-    otherwise it is reported as infinity.
+    ``t=None`` takes ``default_order(eps)``.  The coefficients are
+    h^(s)(center)/s! for s < t.  The remainder bound is Lagrange's
+    ``radius**t / t! * sup|h^(t)|``, with the sup taken as ``C * M**t`` from
+    the spec's growth constants, or, given the ``realized`` range of the
+    argument, estimated on a grid over it; it is 0 at radius 0, where the
+    series is read only at its center, and infinity without a ``radius`` or
+    a sup.  The regime threshold is ``e**2 * M * radius``: from that order
+    on Stirling's bound puts the constants' remainder below ``C * e**-t``.
+    It is infinity without (C, M) or a ``radius``.
     """
+    if t is None:
+        t = default_order(eps)
     if t < 1:
         raise ValueError(f"order t must be >= 1, got {t}")
     coeffs = np.array(
         [spec.derivative(s, center) / math.factorial(s) for s in range(t)]
     )
-    if spec.has_constants and radius is not None:
+    constants = radius is not None and spec.has_constants
+    if radius is not None and realized is not None:
+        sup = _sup_derivative(spec, t, *realized) if radius > 0 else 0.0
+        remainder = radius**t / math.factorial(t) * sup
+    elif constants:
         remainder = spec.C * spec.M**t * radius**t / math.factorial(t)
     else:
         remainder = math.inf
-    return TaylorPlan(float(center), t, coeffs, float(remainder))
+    threshold = math.e**2 * spec.M * radius if constants else math.inf
+    return TaylorPlan(float(center), t, coeffs, float(remainder), threshold)
+
+
+def _sup_derivative(spec: KernelSpec, t: int, lo: float, hi: float, grid: int = 513) -> float:
+    """Estimated sup of |h^(t)| over [lo, hi] (grid + endpoints).
+
+    Returns inf when the derivative does not exist somewhere on the
+    closed interval (e.g. exp(-sqrt(u)) at u = 0).
+    """
+    us = np.linspace(lo, hi, grid)
+    worst = 0.0
+    for u in us:
+        try:
+            worst = max(worst, abs(spec.derivative(t, float(u))))
+        except ValueError:
+            return math.inf
+    return worst
 
 
 @dataclass
 class TaylorReport:
     """Outcome of one Taylor construction.
 
-    ``certified_bound`` is the two-term bound (analytic remainder plus
-    sketch budget) that the measured error must not exceed when the
-    tail's sketch certified.  ``corollary_bound`` is the closed form
-    ``C * (e**-t + eps * (e**exponent_arg - 1))``, meaningful in the
-    regime ``t >= regime_threshold``.
+    ``certified_bound`` is the two-term bound: the analytic remainder
+    (``analytic_term``) plus the sketch budget (``algebraic_term``).
+    ``corollary_bound`` is the closed form ``C * (e**-t + eps *
+    (e**exponent_arg - 1))``, meaningful in the regime ``t >=
+    regime_threshold``; ``regime_ok`` says whether the order is there.
+
+    ``certified`` speaks only for the sketch: it is the tail sketch's own
+    certificate, true whenever nothing was sketched, even when
+    ``certified_bound`` is infinite or below the measured error.
 
     ``sketch`` reports the tail's one compression: a Gaussian sketch, or,
     for a tail factor above the dense cap, a dense truncated SVD, never
@@ -235,32 +279,33 @@ def _profile_rows(spec: KernelSpec, D: np.ndarray) -> RowEvaluator:
     return RowEvaluator(D.shape, rows)
 
 
-def _finish_report(
-    target: Optional[RowEvaluator],
-    asm: _Assembly,
-    plan: TaylorPlan,
-    eps: float,
-    spec: KernelSpec,
-    exponent_arg: float,
-    regime_threshold: float,
-    scale: float,
-) -> TaylorReport:
-    """Report on ``asm`` against the target's rows (None: the error is not measured).
+def _build(
+    spec: KernelSpec, base: Factorization, plan: TaylorPlan, eps: float, seed: SeedLike,
+    target: Optional[RowEvaluator], arg_bound: float,
+) -> tuple[Factorization, TaylorReport]:
+    """Sum the plan's series of ``base`` and report on it against ``target``'s
+    rows (None: the error is not measured); every route ends here.
 
-    The algebraic term is ``eps * sum_s |c_s| * scale**s`` over the sketched
-    or dense-fallback tail; a power that passed through is exact.
+    The corollary's exponent is ``M * arg_bound``, ``arg_bound`` the route's
+    a priori bound on the series' argument.  The algebraic term is eps times
+    ``sum_s |c_s| (a b)**s``, ``(a, b) = base.row_norms()``, over the
+    sketched or dense-fallback tail: the bound ``compress.tail_factor`` puts
+    on the factor the sketch certifies.  A power that passed through is exact.
     """
+    asm = _assemble(base, plan, eps, seed)
     measured = relative = None
     if target is not None:
         measured, peak = error_and_peak(target, asm.result if asm.held is None else asm.held)
         relative = measured / peak if peak > 0 else math.inf
     if spec.has_constants:
+        exponent_arg = spec.M * arg_bound
         corollary = spec.C * (math.exp(-plan.order) + eps * math.expm1(exponent_arg))
     else:
-        corollary = math.inf
+        exponent_arg, corollary = math.nan, math.inf
+    ab = math.prod(base.row_norms())
     approximated = asm.sketched_powers + asm.fallback_powers
-    algebraic = eps * sum(abs(float(plan.coefficients[s])) * scale**s for s in approximated)
-    return TaylorReport(
+    algebraic = eps * sum(abs(float(plan.coefficients[s])) * ab**s for s in approximated)
+    return asm.result, TaylorReport(
         rank=asm.result.width,
         eps=eps,
         order=plan.order,
@@ -271,8 +316,8 @@ def _finish_report(
         certified_bound=plan.remainder_bound + algebraic,
         corollary_bound=corollary,
         exponent_arg=exponent_arg,
-        regime_threshold=regime_threshold,
-        regime_ok=plan.order >= regime_threshold,
+        regime_threshold=plan.regime_threshold,
+        regime_ok=plan.regime_ok,
         certified=asm.sketch is None or asm.sketch.certified,
         sketch=asm.sketch,
         fallback_powers=asm.fallback_powers,
@@ -292,22 +337,15 @@ def approx_inner_product(
     """Low-rank approximation of ``h(x_i' W y_j)`` with rank <= 1 + L + r, L the
     summed width of the exact powers (``compress.hadamard_widths``).
 
+    The series is taken at zero, for arguments ``|x' W y| <= sigma R_x R_y``.
     The error is measured at every size, one row block of the target at a time.
     """
-    if t is None:
-        t = default_order(eps)
     A, B, sigma = weighted_points(X, W, Y)
-    radius_arg = sigma * X.radius_bound * Y.radius_bound
-    spec.check_domain(-radius_arg, radius_arg)
-    plan = taylor_coeffs(spec, 0.0, t, radius=radius_arg)
-    base = Factorization(A, B)
-    asm = _assemble(base, plan, eps, seed)
+    bound = sigma * X.radius_bound * Y.radius_bound
+    spec.check_domain(-bound, bound)
+    plan = taylor_coeffs(spec, 0.0, t, radius=bound, eps=eps)
     target = kernel_rows(replace(spec, arg_kind=ARG_INNER), _points(A), _points(B))
-    threshold = math.e**2 * spec.M * radius_arg if spec.has_constants else math.inf
-    M_exp = spec.M if spec.has_constants else math.nan
-    return asm.result, _finish_report(
-        target, asm, plan, eps, spec, M_exp * radius_arg, threshold, math.prod(base.row_norms())
-    )
+    return _build(spec, Factorization(A, B), plan, eps, seed, target, bound)
 
 
 def _points(P: np.ndarray) -> PointSet:
@@ -315,23 +353,54 @@ def _points(P: np.ndarray) -> PointSet:
     return PointSet(P, float(np.linalg.norm(P, axis=1).max()))
 
 
-def _distance_base(
-    X: PointSet, W: Optional[WeightMatrix], Y: PointSet, extra: Sequence[RankOne] = ()
-) -> tuple[Factorization, float]:
-    """Factorization of ``Z1 + Z2 - 2 X W Y' (+ extra)``, i.e. of the distance matrix."""
-    A, B, sigma = weighted_points(X, W, Y)
+def _distance_base(A: np.ndarray, B: np.ndarray, extra: Sequence[RankOne] = ()) -> Factorization:
+    """Factorization of ``Z1 + Z2 - 2 A B' (+ extra)``, the distance matrix of
+    the weighted points ``A``, ``B`` (``kernels.weighted_points``)."""
     rx = (A**2).sum(axis=1)  # x' W x = ||x' U diag(sqrt(lam))||^2
     ry = (B**2).sum(axis=1)
-    n1, n2 = X.n, Y.n
-    terms = [
-        RankOne(rx, np.ones(n2)),
-        RankOne(np.ones(n1), ry),
-        *extra,
-    ]
-    base = augment_rank_one(
-        Factorization(-math.sqrt(2.0) * A, math.sqrt(2.0) * B), terms
-    )
-    return base, sigma
+    terms = [RankOne(rx, np.ones(B.shape[0])), RankOne(np.ones(A.shape[0]), ry), *extra]
+    return augment_rank_one(Factorization(-math.sqrt(2.0) * A, math.sqrt(2.0) * B), terms)
+
+
+def _sq_distance(
+    spec: KernelSpec, X: PointSet, W: Optional[WeightMatrix], Y: PointSet,
+    t: Optional[int], eps: float, seed: SeedLike, midpoint: bool,
+) -> tuple[Factorization, TaylorReport]:
+    """The one body of both distance routes.
+
+    The series is at zero, for ``|D| <= 4 sigma R**2``, unless ``midpoint``
+    or the spec's domain does not hold that interval.  Then it is at the
+    midpoint ``xi`` of the realized range, which the domain must hold, for
+    ``|D - xi| <= 8 sigma R**2``, with the remainder's sup estimated on the
+    range; a single realized value gives the exact constant ``h(xi)``.  The
+    range is read off the dense distance matrix, so the midpoint raises
+    ``caps.DenseCapExceeded`` above the dense cap.
+    """
+    A, B, sigma = weighted_points(X, W, Y)
+    bound = 4.0 * sigma * max(X.radius_bound, Y.radius_bound) ** 2
+    midpoint = midpoint or not spec.covers(-bound, bound)
+    n1, n2, cap = X.n, Y.n, caps.dense_cap()
+    if n1 * n2 > cap:
+        if midpoint:
+            raise caps.DenseCapExceeded(
+                f"the realized distance range needs the {n1}x{n2} distance matrix, "
+                f"above the dense cap {cap}"
+            )
+        target = None
+    else:
+        D, dmin, dmax = distance_matrix(X, W, Y)
+        target = _profile_rows(spec, D)
+    if not midpoint:
+        plan = taylor_coeffs(spec, 0.0, t, radius=bound, eps=eps)
+        return _build(spec, _distance_base(A, B), plan, eps, seed, target, bound)
+
+    spec.check_domain(dmin, dmax)
+    xi, half = 0.5 * (dmin + dmax), 0.5 * (dmax - dmin)
+    if dmax - dmin <= 1e-15 * max(1.0, abs(dmax)):
+        t, half = 1, 0.0  # a single realized distance value: h(xi) * ones is exact
+    plan = taylor_coeffs(spec, xi, t, radius=half, eps=eps, realized=(dmin, dmax))
+    base = _distance_base(A, B, extra=[RankOne(np.full(n1, -xi), np.ones(n2))])
+    return _build(spec, base, plan, eps, seed, target, 2.0 * bound)
 
 
 def approx_sq_distance(
@@ -343,39 +412,10 @@ def approx_sq_distance(
     eps: float = 0.1,
     seed: SeedLike = 0,
 ) -> tuple[Factorization, TaylorReport]:
-    """Low-rank approximation of ``h(||x_i - y_j||_W^2)`` via Taylor at zero."""
-    if t is None:
-        t = default_order(eps)
-    base, sigma = _distance_base(X, W, Y)
-    R = max(X.radius_bound, Y.radius_bound)
-    radius_arg = 4.0 * sigma * R**2
-    spec.check_domain(-radius_arg, radius_arg)
-    plan = taylor_coeffs(spec, 0.0, t, radius=radius_arg)
-    asm = _assemble(base, plan, eps, seed)
-    target = None
-    if X.n * Y.n <= caps.dense_cap():
-        target = _profile_rows(spec, distance_matrix(X, W, Y)[0])
-    threshold = 4.0 * math.e**2 * spec.M * sigma * R**2 if spec.has_constants else math.inf
-    M_exp = spec.M if spec.has_constants else math.nan
-    return asm.result, _finish_report(
-        target, asm, plan, eps, spec, M_exp * radius_arg, threshold, math.prod(base.row_norms())
-    )
-
-
-def _sup_derivative(spec: KernelSpec, t: int, lo: float, hi: float, grid: int = 513) -> float:
-    """Estimated sup of |h^(t)| over [lo, hi] (grid + endpoints).
-
-    Returns inf when the derivative does not exist somewhere on the
-    closed interval (e.g. exp(-sqrt(u)) at u = 0).
-    """
-    us = np.linspace(lo, hi, grid)
-    worst = 0.0
-    for u in us:
-        try:
-            worst = max(worst, abs(spec.derivative(t, float(u))))
-        except ValueError:
-            return math.inf
-    return worst
+    """Low-rank approximation of ``h(||x_i - y_j||_W^2)``, with the series at
+    zero where the spec's domain allows it and at the midpoint of the realized
+    range otherwise (``_sq_distance``)."""
+    return _sq_distance(spec, X, W, Y, t, eps, seed, midpoint=False)
 
 
 def approx_sq_distance_local(
@@ -387,49 +427,6 @@ def approx_sq_distance_local(
     eps: float = 0.1,
     seed: SeedLike = 0,
 ) -> tuple[Factorization, TaylorReport]:
-    """Sample-aware variant: Taylor at the midpoint of the realized distance range.
-
-    Works for profiles that are smooth only away from zero, as long as
-    the realized squared distances stay inside the smoothness region.
-    The entrywise shift ``D - xi`` enters as one more rank-one term.
-    The realized range is read off the dense distance matrix, so this
-    raises ``caps.DenseCapExceeded`` when ``n1 * n2`` is above the dense cap.
-    """
-    if t is None:
-        t = default_order(eps)
-    cap = caps.dense_cap()
-    if X.n * Y.n > cap:
-        raise caps.DenseCapExceeded(
-            f"the realized distance range needs the {X.n}x{Y.n} distance matrix, "
-            f"above the dense cap {cap}"
-        )
-    D, dmin, dmax = distance_matrix(X, W, Y)
-    n1, n2 = D.shape
-    target = _profile_rows(spec, D)
-    spread = dmax - dmin
-    xi = 0.5 * (dmin + dmax)
-    if spread <= 1e-15 * max(1.0, abs(dmax)):
-        # single realized distance value: h(xi) * ones is exact
-        value = float(spec.h(np.array(xi)))
-        G = Factorization(np.full((n1, 1), value), np.ones((n2, 1)))
-        plan = TaylorPlan(xi, 1, np.array([value]), 0.0)
-        return G, _finish_report(target, _Assembly(G), plan, eps, spec, 0.0, 0.0, 0.0)
-
-    base, sigma = _distance_base(
-        X, W, Y, extra=[RankOne(np.full(n1, -xi), np.ones(n2))]
-    )
-    R = max(X.radius_bound, Y.radius_bound)
-    half_width = 0.5 * spread
-    sup_t = _sup_derivative(spec, t, dmin, dmax)
-    remainder = half_width**t / math.factorial(t) * sup_t
-    plan = replace(taylor_coeffs(spec, xi, t), remainder_bound=remainder)
-
-    asm = _assemble(base, plan, eps, seed)
-    shift_scale = 8.0 * sigma * R**2
-    threshold = (
-        math.e**2 * spec.M * half_width if spec.has_constants else math.inf
-    )
-    M_exp = spec.M if spec.has_constants else math.nan
-    return asm.result, _finish_report(
-        target, asm, plan, eps, spec, M_exp * shift_scale, threshold, shift_scale
-    )
+    """``approx_sq_distance`` with the series at the midpoint of the realized
+    distance range whatever the domain (``_sq_distance``)."""
+    return _sq_distance(spec, X, W, Y, t, eps, seed, midpoint=True)

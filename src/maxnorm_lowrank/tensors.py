@@ -530,11 +530,16 @@ def _power_in_tt(
 def taylor_tt_approx(
     spec: KernelSpec,
     P: CPTensor,
-    t: int,
+    t: Optional[int],
     r: int,
     seed: SeedLike = 0,
+    eps: float = 0.1,
 ) -> tuple[TTTensor, TTApproxReport]:
     """TT approximation of h(P) via the truncated Taylor series of h at zero.
+
+    The series and its remainder and regime are ``taylor.taylor_coeffs``'s
+    for ``|<x_1, ..., x_d>| <= R_eff**d``, R_eff the largest factor row norm;
+    ``t=None`` takes ``taylor.default_order(eps)``, the only use of ``eps``.
 
     Each nonzero-coefficient entrywise power of ``P`` is carried to the
     TT format and rounded to ranks <= ``r`` (a deterministic TT-SVD
@@ -558,7 +563,11 @@ def taylor_tt_approx(
     ``ENTRY_BLOCK`` of h arguments.  The dense check holds one slab of h
     and one of the TT, and takes the error in place in the latter.
     """
-    coeffs = taylor_coeffs(spec, 0.0, t).coefficients
+    R_eff = max(
+        (float(np.sqrt((f**2).sum(axis=1).max())) for f in P.factors), default=0.0
+    )
+    plan = taylor_coeffs(spec, 0.0, t, radius=R_eff**P.order, eps=eps)
+    coeffs, t = plan.coefficients, plan.order
     if r < 1:
         raise ValueError(f"target rank must be >= 1, got {r}")
     shape = P.shape
@@ -614,15 +623,6 @@ def taylor_tt_approx(
     measured, denom = float(measured), float(denom)
     relative = measured / denom if denom else math.inf
 
-    R_eff = max(
-        (float(np.sqrt((f**2).sum(axis=1).max())) for f in P.factors), default=0.0
-    )
-    if spec.has_constants:
-        regime_ok = t >= math.e**2 * spec.M * R_eff**P.order
-        remainder = spec.C * math.exp(-t) if regime_ok else math.inf
-    else:
-        regime_ok = False
-        remainder = math.inf
     report = TTApproxReport(
         ranks=total.ranks,
         rank_budget=budget,
@@ -630,8 +630,8 @@ def taylor_tt_approx(
         measured_max_error=measured,
         measured_relative_error=relative,
         error_sampled=sampled,
-        analytic_remainder=remainder,
-        regime_ok=regime_ok,
+        analytic_remainder=plan.remainder_bound,
+        regime_ok=plan.regime_ok,
         incremental_powers=sorted(set(incremental)),
         skipped_powers=skipped,
     )

@@ -81,6 +81,17 @@ def test_altproj_forwards_solver_settings(monkeypatch, capsys):
     assert seen == [AltProjConfig(**values)]
 
 
+def test_altproj_refuses_r_above_n(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(cli, "binary_search_eps", fail)
+    assert cli.main(["altproj", *SMALL, "--n", "8", "--m", "2", "--r", "9"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --r 9 is above --n 8: no rank exceeds the smaller side\n"
+    )
+
+
 def test_altproj_rejects_sampling():
     with pytest.raises(SystemExit) as exc:
         cli.main(["altproj", *SMALL, "--n", "8", "--m", "2", "--r", "1", "--sampling", "sphere"])
@@ -150,8 +161,8 @@ APPROX_GOLDEN = [
         "corollary_bound": math.inf, "measured_relative_error": 13.350174745662416,
         "order": 3, "rank": 16, "regime_ok": False, "sketched_powers": [],
     }),
-    (["--algorithm", "taylor-dist-local", "--function", "f1"], {
-        "algorithm": "taylor-dist-local", "certified": True,
+    (["--algorithm", "taylor-dist", "--function", "f1"], {
+        "algorithm": "taylor-dist", "certified": True,
         "certified_bound": 9878.513386765868, "corollary_bound": math.inf,
         "measured_relative_error": 0.3999854235551656, "order": 3, "rank": 28,
         "regime_ok": False, "sketched_powers": [],
@@ -280,8 +291,7 @@ def test_plot_golden(tmp_path, capsys):
 
 COVERED = {
     "taylor-ip": {"gauss"},
-    "taylor-dist": {"f2", "gauss"},
-    "taylor-dist-local": {"f1", "f2", "gauss"},
+    "taylor-dist": {"f1", "f2", "gauss"},
     "rff": {"f1", "gauss", "cauchy"},
     "jl": {"linear"},
     "tt-taylor": {"f3"},
@@ -306,6 +316,13 @@ def test_approx_choices_are_the_routes_and_their_functions():
     actions = _actions("approx")
     assert list(actions["algorithm"].choices) == list(COVERED)
     assert list(actions["function"].choices) == APPROX_FUNCTIONS
+
+
+def test_approx_has_one_distance_door():
+    # f1 takes its series at the midpoint through taylor-dist; the second door is gone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["approx", "--algorithm", "taylor-dist-local", "--function", "f1", *TINY])
+    assert exc.value.code == 2
 
 
 def test_rff_covers_exactly_the_functions_with_a_spectral_law():
@@ -333,7 +350,6 @@ def test_experiment_taylor_runs_the_local_route_on_f1(tmp_path):
 READS = {
     "taylor-ip": {"t"},
     "taylor-dist": {"t", "radius"},
-    "taylor-dist-local": {"t", "radius"},
     "rff": {"rho", "radius"},
     "jl": {"radius"},
     "tt-taylor": {"t", "r", "radius"},

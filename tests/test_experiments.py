@@ -232,6 +232,28 @@ def test_validate_refuses_route_settings_before_any_trial(settings, message, mon
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("settings", [
+    {"function": "gauss", "algorithms": ("altproj",), "r_grid": (9,)},
+    {"function": "f3", "algorithms": ("tt",), "r_grid": (9,)},
+    {"experiment": "varr", "function": "gauss", "r_grid": (2, 9)},
+    {"experiment": "varn", "function": "gauss", "n_grid": (20, 8), "r_grid": (9,)},
+], ids=["altproj", "tt", "varr", "varn"])
+def test_validate_refuses_r_above_n(settings, monkeypatch, tmp_path):
+    # no factorization of an n x n target (or TT unfolding of an n x n x n one) is
+    # wider than n, so such rows would only repeat the exact result
+    def fail(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_trials", fail)
+    monkeypatch.setattr(experiments, "approximate", fail)
+    cfg = ExperimentConfig(**{"n_grid": (8,), "m_grid": (2,), "trials": 1, "seed": 1,
+                              "output": str(tmp_path / "x.csv"), **settings})
+    with pytest.raises(ValueError, match="r=9 is above n=8: no rank exceeds the smaller side"):
+        run_experiment(cfg)
+    assert not (tmp_path / "x.csv").exists()
+    ExperimentConfig(**{**settings, "n_grid": (9,), "seed": 1}).validate()
+
+
 def test_validate_lets_altproj_alone_take_any_eps():
     # eps is a route option; altproj finds its own level by bisection
     ExperimentConfig(function="gauss", algorithms=("altproj",), eps=1.5, seed=1).validate()
@@ -261,7 +283,7 @@ def test_grid_runs_every_value_of_its_axis(experiment, axis, monkeypatch, tmp_pa
         return SimpleNamespace(records=[], median_relative=0.0)
 
     monkeypatch.setattr(experiments, "run_trials", spy)
-    grid = {"n_grid": (8,), "m_grid": (2,), "r_grid": (1,), axis: (9, 3, 5)}
+    grid = {"n_grid": (9,), "m_grid": (2,), "r_grid": (1,), axis: (9, 3, 5)}
     run_experiment(ExperimentConfig(experiment=experiment, function="gauss", trials=1, seed=1,
                                     output=str(tmp_path / "x.csv"), **grid))
     assert seen == [tuple(v if name == axis else grid[name][0]

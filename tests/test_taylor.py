@@ -8,6 +8,7 @@ from maxnorm_lowrank import caps, compress, taylor
 from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.kernels import (
     ARG_SQDIST,
+    DomainViolation,
     KernelSpec,
     WeightMatrix,
     distance_matrix,
@@ -15,7 +16,7 @@ from maxnorm_lowrank.kernels import (
     gauss_sq_dist,
     gaussian_on_sphere,
 )
-from maxnorm_lowrank.lowrank import max_norm_error
+from maxnorm_lowrank.lowrank import Factorization, RankOne, max_norm_error
 from maxnorm_lowrank.sampling import PointSet, sample_ball, sample_sphere
 from maxnorm_lowrank.taylor import (
     approx_inner_product,
@@ -171,6 +172,10 @@ class TestApproxSqDistanceLocal:
         assert rep.rank == 1
         F = np.full((1, 12), math.exp(-1.0))
         assert max_norm_error(F, G) <= 1e-12
+        # the one realized distance is 0, where exp(-sqrt(u)) has no derivative
+        X = PointSet(np.array([[0.5, 0.0, 0.0]]), 0.5)
+        G, rep = approx_sq_distance(spec, X, None, X, t=5, eps=0.3, seed=0)
+        assert G.matrix().tolist() == [[1.0]] and rep.analytic_term == 0.0
 
     def test_local_remainder_never_worse_than_global(self):
         # same analytic profile and order: the sample-aware remainder wins
@@ -189,6 +194,24 @@ class TestApproxSqDistanceLocal:
         G, rep = approx_sq_distance_local(spec, X, None, X, t=3, eps=0.3, seed=2)
         assert rep.analytic_term == math.inf
         assert rep.measured_max_error is not None
+
+    def test_f1_through_the_one_door(self):
+        # exp_dist's domain [0, 4] does not hold [-4, 4]: approx_sq_distance takes
+        # the midpoint series, bit for bit the local route's
+        X, Y = sample_ball(18, 40, 3, 1.0), sample_ball(19, 40, 3, 1.0)
+        spec = exp_dist((0.0, 4.0))
+        G, rep = approx_sq_distance(spec, X, None, Y, t=4, eps=0.3, seed=4)
+        G_l, rep_l = approx_sq_distance_local(spec, X, None, Y, t=4, eps=0.3, seed=4)
+        assert G.left.tobytes() == G_l.left.tobytes()
+        assert G.right.tobytes() == G_l.right.tobytes()
+        assert repr(rep) == repr(rep_l)
+
+    @pytest.mark.parametrize("route", [approx_sq_distance, approx_sq_distance_local])
+    def test_midpoint_checks_the_domain(self, route):
+        # unit-ball distances reach far beyond [-0.1, 0.1]; the midpoint series refuses too
+        X, Y = sample_ball(20, 12, 3, 1.0), sample_ball(21, 12, 3, 1.0)
+        with pytest.raises(DomainViolation, match="outside declared domain"):
+            route(gauss_sq_dist((-0.1, 0.1)), X, None, Y, t=3, eps=0.3, seed=0)
 
     def test_refuses_above_the_matrix_cap(self, monkeypatch):
         # the realized range needs the 60 x 60 = 3600-entry distance matrix: above a
@@ -396,6 +419,30 @@ class TestExactSum:
             assert rep.algebraic_term > 0.0
         F, _ = truncated_series(route, spec, X, Y, 4)
         assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), rel=1e-12)
+
+    def test_local_algebraic_term_is_the_tail_factor_bound(self):
+        # the sketched case above, local route: the algebraic term is eps * sum |c_s| (a b)**s
+        # over the sketched powers, (a, b) the row norms of the shifted distance base
+        n1, n2, r = 133, 260, 115
+        eps = math.sqrt(9.0 * math.log(3 * n1 * n2) / (r - 0.5))
+        X, Y = sample_ball(33, n1, 13), sample_ball(34, n2, 13)
+        spec = gauss_sq_dist((-4, 4))
+        G, rep = approx_sq_distance_local(spec, X, None, Y, t=4, eps=eps, seed=8)
+        assert rep.sketched_powers == [2, 3] and rep.sketch.certified
+        _, dmin, dmax = distance_matrix(X, None, Y)
+        xi = 0.5 * (dmin + dmax)
+        A, B = X.points, Y.points
+        base = compress.augment_rank_one(
+            Factorization(-math.sqrt(2.0) * A, math.sqrt(2.0) * B),
+            [RankOne((A**2).sum(axis=1), np.ones(n2)), RankOne(np.ones(n1), (B**2).sum(axis=1)),
+             RankOne(np.full(n1, -xi), np.ones(n2))],
+        )
+        ab = math.prod(base.row_norms())
+        c = taylor_coeffs(spec, xi, 4).coefficients
+        assert rep.algebraic_term == pytest.approx(
+            eps * sum(abs(c[s]) * ab**s for s in (2, 3)), rel=1e-12
+        )
+        assert rep.measured_max_error <= rep.certified_bound
 
     # the local route refuses above the cap (TestApproxSqDistanceLocal)
     @pytest.mark.parametrize("route, spec, sample, m", [

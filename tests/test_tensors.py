@@ -316,6 +316,22 @@ class TestTaylorTTApprox:
         with pytest.raises(TypeError):
             taylor_tt_approx(sinh_hoip(), P, t=4, r=4, seed=0, sample_size=1)
 
+    def test_remainder_is_the_taylor_rule_out_of_regime_too(self):
+        # rho = R_eff**3 bounds |<x, y, z>|; below t = e**2 * M * rho the remainder
+        # C * M**t * rho**t / t! is finite, and the order defaults from eps
+        sets = [sample_ball(s, 8, 4, 1.0) for s in (1, 2, 3)]
+        P = cp_from_points(sets)
+        spec = sinh_hoip()
+        rho = max(float(np.linalg.norm(S.points, axis=1).max()) for S in sets) ** 3
+        _, rep = taylor_tt_approx(spec, P, 4, 4, seed=0)
+        assert 4 < math.e**2 * spec.M * rho and not rep.regime_ok
+        assert rep.analytic_remainder == pytest.approx(
+            spec.C * spec.M**4 * rho**4 / math.factorial(4), rel=1e-12
+        )
+        assert math.isfinite(rep.analytic_remainder)
+        _, rep = taylor_tt_approx(spec, P, None, 4, seed=0, eps=0.01)
+        assert rep.order == 5
+
     def test_mode_permutation_symmetry(self):
         # permuting the point sets permutes the tensor modes identically
         sets = [sample_ball(s, 4, 3, 1.0) for s in (1, 2, 3)]
