@@ -5,10 +5,11 @@ This module is the only one that knows what each kernel is.  A
 profile's argument from points (``inner_product`` x'y, ``sq_distance``
 ||x - y||^2, ``hoip`` <x_1, ..., x_d>, or ``coordinates``, a product over
 coordinates of h((x_k - y_k)^2)); the ``domain`` interval; the profile
-``h`` and its exact derivative rule ``deriv(s, u)``; growth constants C, M
-with ``|h^(s)(u)| <= C * M**s`` on the domain, when known in closed form;
-and, for a shift-invariant positive-definite kernel, its Bochner
-``spectral_law(rng, rho, m)``, which draws rho frequencies in R^m.
+``h`` and its exact derivative rule ``deriv(s, u)``, both elementwise over
+an array ``u`` (``KernelSpec.derivative`` is the rule at one point); growth
+constants C, M with ``|h^(s)(u)| <= C * M**s`` on the domain, when known in
+closed form; and, for a shift-invariant positive-definite kernel, its
+Bochner ``spectral_law(rng, rho, m)``, which draws rho frequencies in R^m.
 """
 
 from __future__ import annotations
@@ -39,11 +40,19 @@ class DomainViolation(ValueError):
 
 @dataclass(frozen=True)
 class KernelSpec:
+    """One generating function (see the module docstring).
+
+    ``h(u)`` and ``deriv(s, u)``, the exact ``h^(s)(u)``, both act
+    elementwise on an array ``u``, so a whole grid of arguments is one
+    call; a rule raises ``ValueError`` (``DomainViolation``) when any
+    point is outside the set where the derivative exists.
+    """
+
     family: str
     arg_kind: str
     domain: tuple[float, float]
     h: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[int, float], float]
+    deriv: Callable[[int, np.ndarray], np.ndarray]
     C: Optional[float] = None
     M: Optional[float] = None
     spectral_law: Optional[Callable[[np.random.Generator, int, int], np.ndarray]] = None
@@ -58,7 +67,7 @@ class KernelSpec:
         return self.C is not None and self.M is not None
 
     def derivative(self, s: int, xi: float) -> float:
-        """Exact s-th derivative h^(s)(xi)."""
+        """Exact s-th derivative h^(s)(xi) at one point, as a float."""
         if s < 0:
             raise ValueError("derivative order must be >= 0")
         return float(self.deriv(s, xi))
@@ -96,18 +105,16 @@ def _exp_sqrt_poly(s: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _exp_sqrt_derivative(s: int, xi: float) -> float:
+def _exp_sqrt_derivative(s: int, u):
+    """h^(s)(u) for h(u) = exp(-sqrt(u)), elementwise over ``u``."""
     if s == 0:
-        if xi < 0:
+        if np.any(u < 0):
             raise DomainViolation("exp_dist profile needs a nonnegative argument")
-        return float(np.exp(-np.sqrt(xi)))
-    if xi <= 0:
-        raise DomainViolation(
-            "exp_dist profile is not differentiable at 0; need xi > 0"
-        )
-    w = xi**-0.5
+        return np.exp(-np.sqrt(u))
+    if np.any(u <= 0):
+        raise DomainViolation("exp_dist profile is not differentiable at 0; need u > 0")
     poly = np.asarray(_exp_sqrt_poly(s))
-    return float(np.exp(-np.sqrt(xi)) * np.polyval(poly[::-1], w))
+    return np.exp(-np.sqrt(u)) * np.polyval(poly[::-1], u**-0.5)
 
 
 def _spherical_cauchy_law(rng: np.random.Generator, rho: int, m: int) -> np.ndarray:

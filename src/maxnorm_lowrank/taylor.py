@@ -71,6 +71,8 @@ from .lowrank import (
 from .rng import SeedLike
 from .sampling import PointSet
 
+_SUP_GRID = 513  # grid points of the realized range on which sup|h^(t)| is estimated
+
 
 @dataclass(frozen=True)
 class TaylorPlan:
@@ -138,20 +140,21 @@ def taylor_coeffs(
     return TaylorPlan(float(center), t, coeffs, float(remainder), threshold)
 
 
-def _sup_derivative(spec: KernelSpec, t: int, lo: float, hi: float, grid: int = 513) -> float:
-    """Estimated sup of |h^(t)| over [lo, hi] (grid + endpoints).
+def _sup_derivative(spec: KernelSpec, t: int, lo: float, hi: float) -> float:
+    """Estimated sup of |h^(t)| over [lo, hi]: the max over ``_SUP_GRID``
+    evenly spaced points, endpoints included, from one ``spec.deriv`` call.
 
-    Returns inf when the derivative does not exist somewhere on the
-    closed interval (e.g. exp(-sqrt(u)) at u = 0).
+    Returns inf when the rule raises ``ValueError``, as where the derivative
+    does not exist somewhere on the closed interval (e.g. exp(-sqrt(u)) at
+    u = 0), or gives NaN at any grid point: then no sup is known.
     """
-    us = np.linspace(lo, hi, grid)
-    worst = 0.0
-    for u in us:
-        try:
-            worst = max(worst, abs(spec.derivative(t, float(u))))
-        except ValueError:
-            return math.inf
-    return worst
+    try:
+        values = np.abs(spec.deriv(t, np.linspace(lo, hi, _SUP_GRID)))
+    except ValueError:
+        return math.inf
+    if np.isnan(values).any():
+        return math.inf
+    return float(np.max(values))
 
 
 @dataclass
@@ -374,19 +377,22 @@ def _sq_distance(
     ``|D - xi| <= 8 sigma R**2``, with the remainder's sup estimated on the
     range; a single realized value gives the exact constant ``h(xi)``.  The
     range is read off the dense distance matrix, so the midpoint raises
-    ``caps.DenseCapExceeded`` above the dense cap.
+    ``caps.DenseCapExceeded`` above the dense cap.  With every point at the
+    origin (``R = 0``) the one realized value is 0, known at any size, and
+    the result is the exact constant ``h(0)``: the series at zero would need
+    h's derivatives at 0, which f1's profile does not have.
     """
     A, B, sigma = weighted_points(X, W, Y)
     bound = 4.0 * sigma * max(X.radius_bound, Y.radius_bound) ** 2
-    midpoint = midpoint or not spec.covers(-bound, bound)
+    midpoint = midpoint or bound == 0.0 or not spec.covers(-bound, bound)
     n1, n2, cap = X.n, Y.n, caps.dense_cap()
     if n1 * n2 > cap:
-        if midpoint:
+        if midpoint and bound > 0.0:
             raise caps.DenseCapExceeded(
                 f"the realized distance range needs the {n1}x{n2} distance matrix, "
                 f"above the dense cap {cap}"
             )
-        target = None
+        target, dmin, dmax = None, 0.0, 0.0
     else:
         D, dmin, dmax = distance_matrix(X, W, Y)
         target = _profile_rows(spec, D)

@@ -6,6 +6,7 @@ import pytest
 
 from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.kernels import (
+    DomainViolation,
     KernelSpec,
     WeightMatrix,
     cauchy,
@@ -240,6 +241,32 @@ class TestDerivativeRules:
     def test_exp_dist_not_differentiable_at_zero(self):
         with pytest.raises(ValueError):
             exp_dist().derivative(1, 0.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [exp_affine(0.7, 0.2), gaussian_on_sphere(), gauss_sq_dist(), exp_dist(),
+         quartic_dist(), cauchy(), sinh_hoip()],
+        ids=lambda spec: spec.family,
+    )
+    @pytest.mark.parametrize("s", range(9))
+    def test_rule_is_elementwise_on_arrays(self, spec, s):
+        lo, hi = spec.domain
+        us = lo + (hi - lo) * np.linspace(0.01, 1.0, 37)
+        values = spec.deriv(s, us)
+        assert values.shape == us.shape
+        np.testing.assert_allclose(
+            values, [spec.derivative(s, u) for u in us], rtol=1e-13, atol=0.0
+        )
+
+    def test_exp_dist_array_rule_needs_every_point_positive(self):
+        spec = exp_dist()
+        for s in (1, 2, 5):
+            for us in ([0.5, 0.0, 1.0], [0.5, 1.0, -1e-3]):
+                with pytest.raises(DomainViolation):
+                    spec.deriv(s, np.array(us))
+        with pytest.raises(DomainViolation):
+            spec.deriv(0, np.array([0.5, -1e-3]))
+        np.testing.assert_allclose(spec.deriv(0, np.array([0.0, 0.25])), [1.0, math.exp(-0.5)])
 
     def test_gaussian_on_sphere_constants(self):
         spec = gaussian_on_sphere()

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +64,42 @@ class TestTaylorCoeffs:
     def test_default_order(self):
         assert default_order(0.2) == 2
         assert default_order(0.01) == 5
+
+
+def per_point_sup(spec, t, lo, hi):
+    """The sup estimate one grid point at a time: the reference for the one-call form."""
+    return max(abs(spec.derivative(t, float(u))) for u in np.linspace(lo, hi, taylor._SUP_GRID))
+
+
+class TestSupDerivative:
+    def f1_range(self):
+        # the benchmark's f1 shape: two independent 600-point samples of the 8-ball
+        _, dmin, dmax = distance_matrix(sample_ball(31, 600, 8), None, sample_ball(32, 600, 8))
+        assert dmin > 0.0
+        return dmin, dmax
+
+    def test_one_rule_call_per_estimate(self):
+        calls = []
+        f1 = exp_dist()
+
+        def spy(s, u):
+            calls.append(np.shape(u))
+            return f1.deriv(s, u)
+
+        sup = taylor._sup_derivative(replace(f1, deriv=spy), 5, *self.f1_range())
+        assert calls == [(taylor._SUP_GRID,)] and math.isfinite(sup)
+
+    @pytest.mark.parametrize("t", [1, 3, 5, 8])
+    def test_matches_the_per_point_loop(self, t):
+        spec, (lo, hi) = exp_dist(), self.f1_range()
+        sup = taylor._sup_derivative(spec, t, lo, hi)
+        assert sup == pytest.approx(per_point_sup(spec, t, lo, hi), rel=1e-12, abs=0.0)
+
+    def test_a_nan_on_the_grid_gives_infinity(self):
+        # NaN below 0.6 hides the true grid max exp(-0.5) at the left end
+        gauss = gauss_sq_dist()
+        spec = replace(gauss, deriv=lambda s, u: np.where(u < 0.6, np.nan, gauss.deriv(s, u)))
+        assert taylor._sup_derivative(spec, 3, 0.5, 2.0) == math.inf
 
 
 class TestApproxInnerProduct:
@@ -176,6 +213,19 @@ class TestApproxSqDistanceLocal:
         X = PointSet(np.array([[0.5, 0.0, 0.0]]), 0.5)
         G, rep = approx_sq_distance(spec, X, None, X, t=5, eps=0.3, seed=0)
         assert G.matrix().tolist() == [[1.0]] and rep.analytic_term == 0.0
+
+    @pytest.mark.parametrize("spec", [exp_dist(), gauss_sq_dist()], ids=["f1", "gauss"])
+    def test_all_points_at_the_origin_give_the_exact_constant(self, spec, monkeypatch):
+        # R = 0: the one realized distance is 0, where f1's profile has no derivative
+        X = PointSet(np.zeros((1, 3)), 0.0)
+        G, rep = approx_sq_distance(spec, X, None, X, t=5, eps=0.5, seed=0)
+        assert G.matrix().tolist() == [[1.0]]
+        assert rep.measured_max_error == 0.0 and rep.analytic_term == 0.0
+        # above the cap the value is known without the distance matrix
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "15")
+        X = PointSet(np.zeros((4, 3)), 0.0)
+        G, rep = approx_sq_distance(spec, X, None, X, t=5, eps=0.5, seed=0)
+        assert G.matrix().tolist() == [[1.0] * 4] * 4 and rep.analytic_term == 0.0
 
     def test_local_remainder_never_worse_than_global(self):
         # same analytic profile and order: the sample-aware remainder wins
