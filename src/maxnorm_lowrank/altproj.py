@@ -214,6 +214,7 @@ def binary_search_eps(
     r: RankSpec,
     cfg: AltProjConfig = AltProjConfig(),
     seed: SeedLike = 0,
+    pool=None,
 ) -> BinarySearchResult:
     """Bisect over eps for the smallest level at which the projections converge.
 
@@ -224,8 +225,14 @@ def binary_search_eps(
     rank-r approximation and never worse than that baseline.  Each probe
     first runs from the last feasible iterate; one seeded Gaussian start
     is the fallback, tried only when the warm start fails.  The whole
-    search is deterministic for a seed.
+    search is deterministic for a seed, so running it in a worker of
+    ``pool`` (a ``multiprocessing`` pool; ``run_experiment``'s is forked,
+    which is POSIX-only) returns bitwise the inline result.
     """
+    return _bisect(F, r, cfg, seed) if pool is None else pool.apply(_bisect, (F, r, cfg, seed))
+
+
+def _bisect(F: np.ndarray, r: RankSpec, cfg: AltProjConfig, seed: SeedLike) -> BinarySearchResult:
     F = np.asarray(F, dtype=np.float64)
     limit = max_norm(F)
     if limit == 0.0:
@@ -289,12 +296,14 @@ def run_trials(
     radius: float = 1.0,
     experiment: str = "single",
     function: str = "custom",
+    pool=None,
 ) -> TrialSummary:
     """Repeat the sample/solve experiment and report the median relative error.
 
     Every trial draws fresh points and a fresh solver start from split
     substreams of ``seed``.  For matrices the truncated-SVD baseline
-    error on the same instance is recorded alongside.
+    error on the same instance is recorded alongside.  Each search runs
+    in a worker of ``pool`` when one is given; the rest stays inline.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -305,7 +314,7 @@ def run_trials(
         streams = child.spawn(4)
         F = _dense_target(spec, scheme, n, m, radius, streams[:3])
         start = time.perf_counter()
-        result = binary_search_eps(F, r, cfg, streams[3])
+        result = binary_search_eps(F, r, cfg, streams[3], pool=pool)
         elapsed = time.perf_counter() - start
         rel_errors.append(result.relative)
         records.append(

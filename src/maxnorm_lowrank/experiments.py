@@ -8,14 +8,10 @@ deliberately small enough to finish in minutes and are not the ones
 behind the original figures.
 
 ``run_experiment`` runs grid points on ``jobs`` threads, and the CSV is
-the same for every ``jobs`` value.  Two altproj loops overlap only as far
-as their numpy calls release the interpreter lock.  On a small matrix
-target (n up to ``_SERIAL_ALTPROJ_N``) the loop is many small calls bound
-by the interpreter, two in flight only contend, so such altproj trials
-run one at a time under a module lock while the constructive routes of
-other grid points still overlap them.  Larger matrices (the default
-n = 400) and tensors spend most of each iteration outside the
-interpreter, and their altproj trials run side by side.
+the same for every ``jobs`` value.  An altproj search is a loop of small
+numpy calls bound by the interpreter lock, so with ``jobs > 1`` each one
+runs in one of ``jobs`` worker processes, forked (POSIX only) before the
+first thread starts, while its grid-point thread waits for the result.
 
 One route table serves ``cli approx`` and the grid: ``COVERS`` maps each
 route to the functions it covers, ``READS`` to the options it reads, and
@@ -28,10 +24,10 @@ of every route option.
 
 from __future__ import annotations
 
-import contextlib
+import ctypes
 import itertools
 import math
-import threading
+import multiprocessing
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -80,14 +76,6 @@ GRID_ROUTES = {"taylor": "taylor-dist", "rff": "rff", "tt": "tt-taylor"}
 APPLICABLE = {"altproj": FUNCTIONS} | {
     alg: tuple(f for f in FUNCTIONS if f in COVERS[route]) for alg, route in GRID_ROUTES.items()
 }
-
-# Altproj trials on n x n matrix targets up to this n run one at a time.
-# On 2 cores, at r = 4 and 10, two unserialised loops made jobs=2 1.4-1.6x
-# slower than jobs=1 at n = 100, mostly slower at n = 150, mostly faster at
-# n = 200 and 1.4-1.8x faster at n = 300-400; on tensor targets jobs=2 was
-# already faster at n = 20.
-_SERIAL_ALTPROJ_N = 175
-_ALTPROJ_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -287,18 +275,15 @@ def _constructive_records(
 
 def _run_grid_point(
     cfg: ExperimentConfig, n: int, m: int, r: int, seed_word: int,
-    trial_seed_words: Sequence[int],
+    trial_seed_words: Sequence[int], pool,
 ) -> list[ExperimentRecord]:
-    spec = kernel_for(cfg.function, cfg.radius)
     records: list[ExperimentRecord] = []
     if "altproj" in cfg.algorithms:
-        serial = spec.arg_kind != kernels.ARG_HOIP and n <= _SERIAL_ALTPROJ_N
-        with _ALTPROJ_LOCK if serial else contextlib.nullcontext():
-            summary = run_trials(
-                spec, cfg.scheme, n, m, r,
-                cfg=cfg.solver(), trials=cfg.trials, seed=seed_word,
-                radius=cfg.radius, experiment=cfg.experiment, function=cfg.function,
-            )
+        summary = run_trials(
+            kernel_for(cfg.function, cfg.radius), cfg.scheme, n, m, r,
+            cfg=cfg.solver(), trials=cfg.trials, seed=seed_word,
+            radius=cfg.radius, experiment=cfg.experiment, function=cfg.function, pool=pool,
+        )
         records.extend(summary.records)
         records.append(
             ExperimentRecord(
@@ -312,6 +297,20 @@ def _run_grid_point(
     return records
 
 
+def _one_blas_thread():
+    """Set the OpenBLAS of numpy's wheels, when found, to one thread in an altproj worker.
+
+    ``jobs`` workers with a BLAS thread per core each oversubscribe the
+    cores: with no ``OPENBLAS_NUM_THREADS`` pin, the ``altproj_varm`` grid
+    took 5.4 s at jobs=2 without this and 1.3 s with it (2 cores).
+    """
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the configured grid and write the CSV; returns the records."""
     cfg.validate()
@@ -320,19 +319,26 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     root = np.random.SeedSequence(cfg.seed)
     words = root.generate_state(len(grid) * (1 + cfg.trials), dtype=np.uint64)
     jobs = min(cfg.jobs, len(grid))
+    # forked while this is the only thread, so no worker inherits a held lock
+    forked = jobs > 1 and "altproj" in cfg.algorithms
+    procs = multiprocessing.get_context("fork").Pool(jobs, _one_blas_thread) if forked else None
 
     def task(idx: int) -> list[ExperimentRecord]:
         n, m, r = grid[idx]
         base = idx * (1 + cfg.trials)
         seed_word = int(words[base])
         trial_words = [int(w) for w in words[base + 1 : base + 1 + cfg.trials]]
-        return _run_grid_point(cfg, n, m, r, seed_word, trial_words)
+        return _run_grid_point(cfg, n, m, r, seed_word, trial_words, procs)
 
-    if jobs == 1:
-        chunks = [task(i) for i in range(len(grid))]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(task, range(len(grid))))
+    try:
+        if jobs == 1:
+            chunks = [task(i) for i in range(len(grid))]
+        else:
+            with ThreadPoolExecutor(max_workers=jobs) as threads:
+                chunks = list(threads.map(task, range(len(grid))))
+    finally:
+        if procs is not None:
+            procs.terminate()  # also joins the workers
     records = [rec for chunk in chunks for rec in chunk]
     with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
         write_csv(records, fh)

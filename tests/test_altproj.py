@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ class TestBinarySearch:
         assert again.eps_star == first.eps_star
         assert again.evaluations == first.evaluations
         np.testing.assert_array_equal(again.approximant, first.approximant)
+
+    def test_pool_result_is_the_inline_one(self, searches):
+        # a matrix of the suite and a tensor target with a tuple rank
+        F, r, inline = searches[1]
+        streams = split(31, 3)
+        T = eval_kernel_tensor(kernel_for("f3", 1.0), [sample_ball(s, 8, 3) for s in streams])
+        cases = [(F, r, SUITE[1][4], inline), (T, (2, 2), 31, binary_search_eps(T, (2, 2), CFG, 31))]
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            for target, rank, seed, ref in cases:
+                res = binary_search_eps(target, rank, CFG, seed, pool=pool)
+                assert (res.eps_star, res.relative, res.evaluations) == (
+                    ref.eps_star, ref.relative, ref.evaluations)
+                np.testing.assert_array_equal(res.approximant, ref.approximant)
 
     def test_upper_bracket_never_increases(self, monkeypatch):
         F = _target("gauss", 40, 10, 21)

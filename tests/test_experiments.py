@@ -1,10 +1,13 @@
+import ctypes
+import multiprocessing
 import threading
-import time
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from maxnorm_lowrank import experiments
+from maxnorm_lowrank import altproj, experiments
 from maxnorm_lowrank.altproj import AltProjConfig
 from maxnorm_lowrank.experiments import (
     ExperimentConfig,
@@ -21,32 +24,85 @@ TOY_VARM = dict(
 )
 
 
+# the toy grid, a tensor target and a matrix the size of a real experiment's
+JOBS_GRIDS = {
+    "toy": TOY_VARM,
+    "tensor": {**TOY_VARM, "function": "f3", "n_grid": (12,)},
+    "n200": {**TOY_VARM, "n_grid": (200,)},
+}
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Records and CSV lines without ``wall_time_s`` of the toy grid at jobs=1 and jobs=2."""
+    """Records and CSV lines without ``wall_time_s`` of each grid at jobs=1 and jobs=2."""
     drop = COLUMNS.index("wall_time_s")
     out = {}
-    for jobs in (1, 2):
-        path = tmp_path_factory.mktemp("varm") / f"jobs{jobs}.csv"
-        records = run_experiment(ExperimentConfig(output=str(path), jobs=jobs, **TOY_VARM))
-        lines = path.read_text(encoding="utf-8").splitlines()
-        out[jobs] = records, lines[:2] + [
-            ",".join(v for i, v in enumerate(ln.split(",")) if i != drop) for ln in lines[2:]
-        ]
+    for name, grid in JOBS_GRIDS.items():
+        for jobs in (1, 2):
+            path = tmp_path_factory.mktemp("varm") / f"{name}-jobs{jobs}.csv"
+            records = run_experiment(ExperimentConfig(output=str(path), jobs=jobs, **grid))
+            assert multiprocessing.active_children() == []
+            lines = path.read_text(encoding="utf-8").splitlines()
+            out[name, jobs] = records, lines[:2] + [
+                ",".join(v for i, v in enumerate(ln.split(",")) if i != drop) for ln in lines[2:]
+            ]
     return out
 
 
 def test_csv_independent_of_jobs(runs):
-    records, lines = runs[1]
-    assert len(records) == 2 * (2 * 2 + 1)  # per m: altproj and tsvd per trial, median
-    assert lines == runs[2][1]
+    # per m: altproj and tsvd per trial (a tensor has no tsvd row), then the median
+    for name, per_m in (("toy", 2 * 2 + 1), ("tensor", 2 + 1), ("n200", 2 * 2 + 1)):
+        records, lines = runs[name, 1]
+        assert len(records) == 2 * per_m
+        assert lines == runs[name, 2][1], name
 
 
 def test_altproj_never_worse_than_baseline(runs):
-    found = {(rec.m, rec.trial, rec.algorithm): rec.rel_error for rec in runs[1][0]}
-    for m in TOY_VARM["m_grid"]:
-        for trial in range(TOY_VARM["trials"]):
-            assert found[(m, trial, "altproj")] <= found[(m, trial, "tsvd_baseline")]
+    for name in ("toy", "n200"):
+        grid = JOBS_GRIDS[name]
+        found = {(rec.m, rec.trial, rec.algorithm): rec.rel_error for rec in runs[name, 1][0]}
+        for m in grid["m_grid"]:
+            for trial in range(grid["trials"]):
+                assert found[(m, trial, "altproj")] <= found[(m, trial, "tsvd_baseline")]
+
+
+def _fail_on_n40(F, *args, **kwargs):
+    if F.shape[0] == 40:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return SimpleNamespace(converged=True, approximant=np.zeros_like(F))
+
+
+def test_failed_search_raises_the_same_and_leaves_no_worker(monkeypatch, tmp_path):
+    # the n = 40 grid point's search fails; at jobs=2 it fails in a forked worker,
+    # which inherits the stand-in, and the pool's workers still all exit
+    monkeypatch.setattr(altproj, "alternating_projections", _fail_on_n40)
+    raised = {}
+    for jobs in (1, 2):
+        grid = {**TOY_VARM, "experiment": "varn", "n_grid": (30, 40), "m_grid": (3,)}
+        with pytest.raises(Exception) as info:
+            run_experiment(ExperimentConfig(output=str(tmp_path / "x.csv"), jobs=jobs, **grid))
+        raised[jobs] = type(info.value)
+        assert multiprocessing.active_children() == []
+    assert raised == {1: np.linalg.LinAlgError, 2: np.linalg.LinAlgError}
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _blas_threads():
+    """Threads of the OpenBLAS that numpy's wheels bundle, or None when there is none."""
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            return lib.scipy_openblas_get_num_threads64_()
+    return None
+
+
+def test_workers_run_one_blas_thread():
+    # jobs workers with a BLAS thread per core each would oversubscribe the cores
+    with multiprocessing.get_context("fork").Pool(1, experiments._one_blas_thread) as pool:
+        threads = pool.apply(_blas_threads)
+    if threads is None:
+        pytest.skip("numpy bundles no scipy-openblas here")
+    assert threads == 1
 
 
 def _fake_trials(hook):
@@ -59,32 +115,11 @@ def _fake_trials(hook):
     return fake
 
 
-def test_small_matrix_altproj_trials_run_one_at_a_time(monkeypatch, tmp_path):
-    # a thread per grid point, all submitted at once; each call stays open long
-    # enough that an unserialised second one would overlap it
-    guard = threading.Lock()
-    state = {"in_flight": 0, "peak": 0, "calls": 0}
-
-    def hold():
-        with guard:
-            state["in_flight"] += 1
-            state["calls"] += 1
-            state["peak"] = max(state["peak"], state["in_flight"])
-        time.sleep(0.1)
-        with guard:
-            state["in_flight"] -= 1
-
-    monkeypatch.setattr(experiments, "run_trials", _fake_trials(hold))
-    grid = {**TOY_VARM, "n_grid": (experiments._SERIAL_ALTPROJ_N,), "m_grid": (3, 5, 10)}
-    run_experiment(ExperimentConfig(output=str(tmp_path / "x.csv"), jobs=3, **grid))
-    assert state["calls"] == 3
-    assert state["peak"] == 1
-
-
 @pytest.mark.parametrize("target", [
-    {"n_grid": (experiments._SERIAL_ALTPROJ_N + 1,)},
+    {"n_grid": (100,)},
+    {"n_grid": (400,)},
     {"function": "f3", "n_grid": (10,)},
-], ids=["large-matrix", "tensor"])
+], ids=["small-matrix", "large-matrix", "tensor"])
 def test_other_altproj_trials_overlap(monkeypatch, tmp_path, target):
     # the barrier only opens while both grid points are inside run_trials
     barrier = threading.Barrier(2, timeout=10)
