@@ -226,10 +226,12 @@ def binary_search_eps(
     first runs from the last feasible iterate; one seeded Gaussian start
     is the fallback, tried only when the warm start fails.  The whole
     search is deterministic for a seed, so running it in a worker of
-    ``pool`` (a ``multiprocessing`` pool; ``run_experiment``'s is forked,
-    which is POSIX-only) returns bitwise the inline result.
+    ``pool`` (a ``concurrent.futures`` executor; ``run_experiment``'s is
+    forked, which is POSIX-only) returns bitwise the inline result.
     """
-    return _bisect(F, r, cfg, seed) if pool is None else pool.apply(_bisect, (F, r, cfg, seed))
+    if pool is None:
+        return _bisect(F, r, cfg, seed)
+    return pool.submit(_bisect, F, r, cfg, seed).result()
 
 
 def _bisect(F: np.ndarray, r: RankSpec, cfg: AltProjConfig, seed: SeedLike) -> BinarySearchResult:

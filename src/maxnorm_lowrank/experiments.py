@@ -27,7 +27,8 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
-import multiprocessing
+import os
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -297,18 +298,33 @@ def _run_grid_point(
     return records
 
 
-def _one_blas_thread():
-    """Set the OpenBLAS of numpy's wheels, when found, to one thread in an altproj worker.
-
-    ``jobs`` workers with a BLAS thread per core each oversubscribe the
-    cores: with no ``OPENBLAS_NUM_THREADS`` pin, the ``altproj_varm`` grid
-    took 5.4 s at jobs=2 without this and 1.3 s with it (2 cores).
-    """
+def _openblas(action: str, *args):
+    """Call ``openblas_<action>`` of the OpenBLAS in numpy's wheels; None when there is none."""
     for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
         lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
+        for name in (f"scipy_openblas_{action}64_", f"openblas_{action}64_"):
             if hasattr(lib, name):
-                getattr(lib, name)(1)
+                return getattr(lib, name)(*args)
+    return None
+
+
+def _init_worker(parent: int):
+    """Tie an altproj worker to ``run_experiment``'s process and give it one BLAS thread.
+
+    A worker that outlived a killed parent would wait on its task queue
+    forever, holding every pipe it inherited, so on Linux the kernel ends
+    it with the parent.  ``jobs`` workers with a BLAS thread per core each
+    oversubscribe the cores: with no ``OPENBLAS_NUM_THREADS`` pin, the
+    ``altproj_varm`` grid took 5.4 s at jobs=2 that way and 1.3 s with one
+    BLAS thread per worker (2 cores).  A thread count the user set is kept.
+    """
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "prctl"):
+        libc.prctl(1, ctypes.c_ulong(signal.SIGKILL))  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent died before that
+        os._exit(1)
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        _openblas("set_num_threads", 1)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -319,9 +335,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     root = np.random.SeedSequence(cfg.seed)
     words = root.generate_state(len(grid) * (1 + cfg.trials), dtype=np.uint64)
     jobs = min(cfg.jobs, len(grid))
-    # forked while this is the only thread, so no worker inherits a held lock
-    forked = jobs > 1 and "altproj" in cfg.algorithms
-    procs = multiprocessing.get_context("fork").Pool(jobs, _one_blas_thread) if forked else None
+    procs = None
 
     def task(idx: int) -> list[ExperimentRecord]:
         n, m, r = grid[idx]
@@ -334,11 +348,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
         if jobs == 1:
             chunks = [task(i) for i in range(len(grid))]
         else:
+            if "altproj" in cfg.algorithms:
+                # imported here: at module level they add about 8 ms to every import
+                from concurrent.futures import ProcessPoolExecutor
+                from multiprocessing import get_context
+
+                fork = get_context("fork")
+                procs = ProcessPoolExecutor(jobs, fork, _init_worker, (os.getpid(),))
+                # with fork the first submit starts every worker: do it while
+                # this is the only thread, so no worker inherits a held lock
+                procs.submit(int).result()
             with ThreadPoolExecutor(max_workers=jobs) as threads:
                 chunks = list(threads.map(task, range(len(grid))))
     finally:
         if procs is not None:
-            procs.terminate()  # also joins the workers
+            procs.shutdown()  # joins the workers
     records = [rec for chunk in chunks for rec in chunk]
     with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
         write_csv(records, fh)

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ class TestBinarySearch:
         streams = split(31, 3)
         T = eval_kernel_tensor(kernel_for("f3", 1.0), [sample_ball(s, 8, 3) for s in streams])
         cases = [(F, r, SUITE[1][4], inline), (T, (2, 2), 31, binary_search_eps(T, (2, 2), CFG, 31))]
-        with multiprocessing.get_context("fork").Pool(1) as pool:
+        with ProcessPoolExecutor(1, multiprocessing.get_context("fork")) as pool:
             for target, rank, seed, ref in cases:
                 res = binary_search_eps(target, rank, CFG, seed, pool=pool)
                 assert (res.eps_star, res.relative, res.evaluations) == (

@@ -1,7 +1,11 @@
-import ctypes
 import multiprocessing
+import os
+import signal
+import sys
 import threading
-from pathlib import Path
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
 import numpy as np
@@ -87,22 +91,83 @@ def test_failed_search_raises_the_same_and_leaves_no_worker(monkeypatch, tmp_pat
     assert not (tmp_path / "x.csv").exists()
 
 
-def _blas_threads():
-    """Threads of the OpenBLAS that numpy's wheels bundle, or None when there is none."""
-    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
-        lib = ctypes.CDLL(str(path))
-        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
-            return lib.scipy_openblas_get_num_threads64_()
-    return None
+def _die(*args, **kwargs):
+    os._exit(1)
 
 
-def test_workers_run_one_blas_thread():
-    # jobs workers with a BLAS thread per core each would oversubscribe the cores
-    with multiprocessing.get_context("fork").Pool(1, experiments._one_blas_thread) as pool:
-        threads = pool.apply(_blas_threads)
-    if threads is None:
-        pytest.skip("numpy bundles no scipy-openblas here")
-    assert threads == 1
+def test_dead_worker_raises_and_leaves_no_worker(monkeypatch, tmp_path):
+    # a worker that dies (an OOM kill, a crash in LAPACK) breaks the pool
+    # instead of leaving its grid-point thread waiting forever
+    monkeypatch.setattr(altproj, "alternating_projections", _die)
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(ExperimentConfig(output=str(tmp_path / "x.csv"), jobs=2, **TOY_VARM))
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _report_and_hang(queue):
+    def probe(*args, **kwargs):
+        queue.put(os.getpid())
+        time.sleep(60)
+    return probe
+
+
+def _state(pid):
+    """The /proc state letter of ``pid``, or None when it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_workers_end_with_a_killed_parent(monkeypatch, tmp_path):
+    # a worker left behind would wait on its task queue forever, holding every
+    # pipe it inherited
+    fork = multiprocessing.get_context("fork")
+    queue = fork.Queue()
+    monkeypatch.setattr(altproj, "alternating_projections", _report_and_hang(queue))
+    cfg = ExperimentConfig(output=str(tmp_path / "x.csv"), jobs=2, **TOY_VARM)
+    parent = fork.Process(target=run_experiment, args=(cfg,))
+    parent.start()
+    workers = []
+    try:
+        workers = [queue.get(timeout=30), queue.get(timeout=30)]
+        parent.kill()
+        parent.join(timeout=10)
+        assert not parent.is_alive()
+        deadline = time.monotonic() + 10
+        while any(_state(pid) not in (None, "Z") for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [_state(pid) in (None, "Z") for pid in workers] == [True, True]
+    finally:
+        parent.kill()
+        for pid in workers:
+            if _state(pid) not in (None, "Z"):
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "pinned"])
+def test_workers_run_one_blas_thread_unless_pinned(monkeypatch, pinned):
+    # jobs workers with a BLAS thread per core each would oversubscribe the
+    # cores; a thread count the user set is left alone
+    before = experiments._openblas("get_num_threads")
+    if before is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if pinned:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    else:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    experiments._openblas("set_num_threads", 2)  # what the workers inherit
+    try:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(1, fork, experiments._init_worker, (os.getpid(),)) as pool:
+            threads = pool.submit(experiments._openblas, "get_num_threads").result()
+    finally:
+        experiments._openblas("set_num_threads", before)
+    assert threads == (2 if pinned else 1)
 
 
 def _fake_trials(hook):
