@@ -15,12 +15,14 @@ frequency set until the feature product P is within its half of the
 kernel K.  It is always in one of two states.  While the result can
 still be the features or their sketch, it holds only the feature pair
 of all frequencies drawn so far and checks its product against K one
-row block at a time, so no n1 x n2 array is formed.  Once the features
-are wider than ``min(n1, n2)`` and the sketch rank allows that width,
-the result is P itself: from then on it holds only P, and averages each
-new block of features into it.  With equal halves the features have in
-practice met their half before they are as wide as the sketch rank, so
-the sketch narrows them only when ``rho`` starts above half that rank.
+row block at a time, so no n1 x n2 array is formed; a doubling rescales
+the held columns and computes cosines and sines for the new frequencies
+only.  Once the features are wider than ``min(n1, n2)`` and the sketch
+rank allows that width, the result is P itself: from then on it holds
+only P, and averages each new block of features into it.  With equal
+halves the features have in practice met their half before they are as
+wide as the sketch rank, so the sketch narrows them only when ``rho``
+starts above half that rank.
 
 Every spec with a ``spectral_law`` qualifies, and a spec without one is
 refused.  Each Bochner pair lives on its constructor in ``kernels``
@@ -99,15 +101,20 @@ def rff_factorization(omegas: np.ndarray, X: PointSet, Y: PointSet) -> Factoriza
     )
 
 
-def _write_features(omegas: np.ndarray, points: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _write_features(
+    omegas: np.ndarray, points: np.ndarray, out: np.ndarray, scale: Optional[float] = None
+) -> np.ndarray:
     """Write the features of ``points`` for the rho ``omegas`` into ``out`` and return it.
 
     ``out`` is (len(points), 2 rho): column 2k gets cos(w_k' x) and
-    column 2k + 1 sin(w_k' x), all scaled to ``1 / sqrt(rho)``.  The
-    phases are formed one ``row_blocks`` block at a time, so the one
+    column 2k + 1 sin(w_k' x), all multiplied by ``scale``, which is
+    ``1 / sqrt(rho)`` unless given; a block of new frequencies written
+    beside held features takes the scale of the whole frequency count.
+    The phases are formed one ``row_blocks`` block at a time, so the one
     scratch array is ``ROW_BLOCK x rho``.
     """
-    scale = 1.0 / math.sqrt(omegas.shape[0])
+    if scale is None:
+        scale = 1.0 / math.sqrt(omegas.shape[0])
     phases = np.empty((min(ROW_BLOCK, points.shape[0]), omegas.shape[0]))
     for rows in row_blocks(points.shape[0]):
         block = phases[: rows.stop - rows.start]
@@ -115,6 +122,20 @@ def _write_features(omegas: np.ndarray, points: np.ndarray, out: np.ndarray) -> 
         np.cos(block, out=out[rows, 0::2])
         np.sin(block, out=out[rows, 1::2])
         out[rows] *= scale
+    return out
+
+
+def _widened(side: np.ndarray, new: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """One factor of ``side``'s frequencies and the ``new`` ones, scaled to their total count.
+
+    The held columns are copied times sqrt(rho_old / rho_new), and only
+    the new frequencies' cosines and sines are computed.
+    """
+    held = side.shape[1]
+    rho = held // 2 + new.shape[0]
+    out = np.empty((side.shape[0], 2 * rho))
+    np.multiply(side, math.sqrt(held / (2 * rho)), out=out[:, :held])
+    _write_features(new, points, out[:, held:], 1.0 / math.sqrt(rho))
     return out
 
 
@@ -172,24 +193,31 @@ def rff_then_compress(
 
     The loop holds either the features or P, never both, and never the
     kernel K.  Toward (a) and (c) it holds the feature pair of every
-    frequency drawn so far, rebuilt after each doubling, and P is never
-    formed.  From the first doubling (or the start) at which (b) holds it
-    holds P only: ``caps.require_dense_matrix`` is called there, the
-    features are dropped, and P is written a row block at a time from
-    the features of all frequencies; each later doubling averages in
-    only the new block, ``P <- (P + A_new B_new') / 2``, whose left rows
-    are built a row block at a time.  So above ``caps.dense_cap()`` only
-    form (b) is refused.
+    frequency drawn so far, and P is never formed.  A doubling widens
+    the pair one factor at a time: the held columns are copied times
+    sqrt(rho_old / rho_new), and only the new frequencies' cosines and
+    sines are computed, so each frequency's features are computed once
+    per point set.  The old factor is freed before the other one is
+    widened, so a doubling holds at most 1.25 times the new pair, plus
+    one row block of phases.  From the first doubling (or the start) at
+    which (b) holds it holds P only: ``caps.require_dense_matrix`` is
+    called there, the features are dropped, and P is written a row
+    block at a time from the features of all frequencies, computed
+    again; each later doubling averages in only the new block,
+    ``P <- (P + A_new B_new') / 2``, whose left rows are built a row
+    block at a time.  So above ``caps.dense_cap()`` only form (b) is
+    refused.
 
     Every check (``lowrank.error_and_peak``) compares K's rows (``kernels.kernel_rows``)
-    with P's one ``lowrank.ROW_BLOCK`` block at a time.  The first check
-    is complete and also takes ``max|K|``, the denominator of the
-    relative error, so a NaN in K stops the growth at once.  A later
-    check after which another doubling is allowed stops evaluating K as
-    soon as its error exceeds the target, since the growth goes on
-    either way; a check that passes, and the last one allowed, are
-    complete, so the reported feature error is always the whole
-    ``max|K - P|``.  In (a) and (b) the result is exactly the product
+    with P's one ``lowrank.ROW_BLOCK`` block at a time.  A check after
+    which another doubling is allowed stops evaluating K as soon as its
+    error exceeds the target, since the growth goes on either way.  The
+    last check is therefore complete: it passed, it was the last one
+    allowed, or its error is NaN (a NaN never exceeds the target).  So
+    the reported feature error is always the whole ``max|K - P|``, and
+    ``max|K|``, the denominator of the relative error, is taken by the
+    same pass; a NaN in K stops the growth at the first check that
+    reaches its row.  In (a) and (b) the result is exactly the product
     whose error stopped the growth, so ``measured_max_error`` is the
     feature error; the sketch of (c) is certified by row blocks
     (``jl_compress``), and its final check evaluates K's rows again.
@@ -206,39 +234,49 @@ def rff_then_compress(
 
     freq_stream, sketch_stream = split(seed, 2)
     grow_streams = iter(freq_stream.spawn(64))
-    new = omegas = sample_frequencies(spec, rho, next(grow_streams), m=X.m)
-    features = held = denom = None
-    stop = math.inf  # the first check is complete
+    # the frequency blocks drawn so far, stacked only where P is written from all
+    # of them: a stack made at each doubling sits in a hole a widening leaves,
+    # and that split free memory raised rff_verify's peak RSS by 5 MB
+    blocks = [sample_frequencies(spec, rho, next(grow_streams), m=X.m)]
+    total = rho
+    features = held = None
     while True:
-        if 2 * omegas.shape[0] <= n_min or n_min > r:  # toward (a) or (c): hold the features
-            features = None  # the narrower pair is freed before the wider one is built
-            features = rff_factorization(omegas, X, Y)
+        if 2 * total <= n_min or n_min > r:  # toward (a) or (c): hold the features
+            if features is None:
+                features = rff_factorization(blocks[0], X, Y)
+            else:  # one factor at a time, so the narrower one is freed before the next is widened
+                left, right = features.left, features.right
+                features = None
+                left = _widened(left, blocks[-1], X.points)
+                right = _widened(right, blocks[-1], Y.points)
+                features = Factorization(left, right)
+                del left, right  # so that the form-(b) switch frees the features
         else:  # form (b): hold P only
             if held is None:
                 features = None
                 caps.require_dense_matrix(X.n, Y.n)
                 held = np.empty((X.n, Y.n))
-                for rows, part in _product_rows(omegas, X, Y):
+                for rows, part in _product_rows(np.vstack(blocks), X, Y):
                     held[rows] = part
             else:
-                for rows, part in _product_rows(new, X, Y):
+                for rows, part in _product_rows(blocks[-1], X, Y):
                     held[rows] += part
                     held[rows] *= 0.5
-        feat_err, peak = error_and_peak(kernel, features if held is None else held, stop)
-        if denom is None:
-            denom = peak
-        if not (feat_err > half and 2 * omegas.shape[0] <= RHO_CAP):  # a NaN error stops too
+        growable = 2 * total <= RHO_CAP
+        # a check after which the growth may go on stops once it fails
+        feat_err, denom = error_and_peak(
+            kernel, features if held is None else held, half if growable else math.inf
+        )
+        if not (feat_err > half and growable):  # a NaN error stops too
             break
-        new = sample_frequencies(spec, omegas.shape[0], next(grow_streams), m=X.m)
-        omegas = np.vstack([omegas, new])
-        # a check after which the growth may go on can stop once it fails
-        stop = half if 2 * omegas.shape[0] <= RHO_CAP else math.inf
+        blocks.append(sample_frequencies(spec, total, next(grow_streams), m=X.m))
+        total *= 2
 
     result = features if held is None else identity_factorization(held)
     G, sketch_rep = jl_compress(result, half, sketch_stream)
     measured = feat_err if G is result else max_norm_error(kernel, G)
     report = RffReport(
-        rho=omegas.shape[0],
+        rho=total,
         feature_error=feat_err,
         feature_target=half,
         feature_certified=feat_err <= half,

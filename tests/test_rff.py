@@ -207,6 +207,19 @@ def _record_blocks(monkeypatch) -> list[np.ndarray]:
     return blocks
 
 
+def _count_features(monkeypatch) -> list[int]:
+    """Record the (cos, sin) pairs each ``rff._write_features`` call computes."""
+    pairs = []
+    write = rff._write_features
+
+    def spy(omegas, points, out, *scale):
+        pairs.append(points.shape[0] * omegas.shape[0])
+        return write(omegas, points, out, *scale)
+
+    monkeypatch.setattr(rff, "_write_features", spy)
+    return pairs
+
+
 def _assert_exact_average(spec, X, Y, G, rep, blocks):
     """G is the feature average over every drawn frequency, and its error was measured on G."""
     assert rep.measured_max_error == max_norm_error(kernel_values(spec, X, Y), G) == rep.feature_error
@@ -241,14 +254,27 @@ class TestNestedDoubling:
     def test_form_a_feature_blocks(self, seed, monkeypatch):
         X, Y = sample_ball(22, 200, 8, 1.0), sample_ball(23, 150, 8, 1.0)
         blocks = _record_blocks(monkeypatch)
+        pairs = _count_features(monkeypatch)
         G, rep = rff_then_compress(GAUSS, X, Y, rho=2, eps=0.8, seed=seed)
         assert len(blocks) > 1  # grown, so the blocks were concatenated
+        assert sum(pairs) == (200 + 150) * rep.rho  # each frequency's features once
         assert rep.feature_certified
         assert G.width == rep.rank == 2 * rep.rho
         assert G.width <= min(150, rank_formula(0.4, 200, 150))
         np.testing.assert_allclose(np.linalg.norm(G.left, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(G.right, axis=1), 1.0, atol=1e-12)
         _assert_exact_average(GAUSS, X, Y, G, rep, blocks)
+
+    def test_form_b_switch_computes_the_held_features_again(self, monkeypatch):
+        # the b-wide case above one row block: form (a) at rho 64 and 128,
+        # the switch at 256, then 512.  P is written at the switch from all
+        # 256 frequencies, so the 128 drawn before it are computed twice
+        n1, n2 = 300, 260
+        X, Y = sample_ball(32, n1, 5, 1.0), sample_ball(33, n2, 5, 1.0)
+        pairs = _count_features(monkeypatch)
+        G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4)
+        assert (rep.rho, _form(G, rep, n1, n2)) == (512, "b")
+        assert sum(pairs) == (n1 + n2) * (rep.rho + 128)
 
     @pytest.mark.parametrize("n1, n2", [(30, 45), (45, 30)])
     def test_form_b_held_product(self, n1, n2, monkeypatch):
@@ -315,9 +341,10 @@ class TestRowBlocks:
         assert (rep.rho, rep.rank, _form(G, rep, n1, n2)) == (rho, rank, form)
         assert rep.feature_error == pytest.approx(feature_error, rel=1e-12)
         assert rep.measured_max_error == pytest.approx(measured, rel=1e-12)
-        assert rep.measured_max_error == pytest.approx(
-            max_norm_error(kernel_values(spec, X, Y), G), rel=1e-12
-        )
+        K = kernel_values(spec, X, Y)
+        assert rep.measured_max_error == pytest.approx(max_norm_error(K, G), rel=1e-12)
+        # max|K| comes from the last check, which is complete
+        assert rep.measured_relative_error == rep.measured_max_error / np.abs(K).max()
 
     def test_failing_checks_stop_early_without_changing_the_result(self, monkeypatch):
         # the b-wide case above: three doublings, each check's error above
@@ -349,7 +376,9 @@ class TestRowBlocks:
         G, rep, early = run(complete=False)
         G_full, rep_full, full = run(complete=True)
         assert rep.rho == 512 and full == 4 * 3  # the first check and three doublings
-        assert early < full
+        # K is read in full only by the passing check; each failing one
+        # stops after its first block whose error exceeds the target
+        assert early <= 3 + 3
         assert rep == rep_full
         np.testing.assert_array_equal(G.left, G_full.left)
         np.testing.assert_array_equal(G.right, G_full.right)
@@ -359,7 +388,9 @@ class TestRowBlocks:
         monkeypatch.setattr(rff, "RHO_CAP", 256)
         G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4)
         assert rep.rho == 256 and not rep.feature_certified
-        assert rep.feature_error == max_norm_error(kernel_values(EXPONENTIAL, X, Y), G.matrix())
+        K = kernel_values(EXPONENTIAL, X, Y)
+        assert rep.feature_error == max_norm_error(K, G.matrix())
+        assert rep.measured_relative_error == rep.measured_max_error / np.abs(K).max()
 
     def test_traced_peak_at_benchmark_shape(self):
         # the gauss operation of the rff_verify benchmark: five doublings to form (b)
@@ -375,6 +406,34 @@ class TestRowBlocks:
         # the product and the last block's right factor, 2048 wide: about
         # 2.7 arrays; holding the kernel as well would make 3.7
         assert peak <= 3.25 * n * n * 8
+
+    def test_traced_peak_of_form_a_growth(self):
+        """Form-(a) growth at the f1 operation's shape holds 1.25 pairs at most.
+
+        Here the growth stops at rho = 512, so the final pair is
+        2 x 1500 x 1024 doubles (24.6 MB).  The last doubling widens one
+        factor while the old pair is held, 1024 + 512 + 512 columns of n
+        rows, and then the other while the first new one and the other
+        old one are held, 1024 + 1024 + 512 columns: 1.25 times the final
+        pair.  Besides that, the new block's phases are one
+        ROW_BLOCK x 256 array, and a check's scratch is a few
+        ROW_BLOCK x n blocks beside the pair, less than the quarter pair.
+        One ROW_BLOCK x n block covers the phases, the points and the
+        frequencies.  Holding the old pair until the new one is built
+        would take 1.5 pairs, 6 MB more.
+        """
+        n = 1500
+        X, Y = sample_ball(42, n, 5, 1.0), sample_ball(43, n, 5, 1.0)
+        tracemalloc.start()
+        try:
+            G, rep = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (rep.rho, _form(G, rep, n, n)) == (512, "a")
+        pair = G.left.nbytes + G.right.nbytes
+        assert pair == 2 * n * 1024 * 8
+        assert peak <= 1.25 * pair + ROW_BLOCK * n * 8
 
     def test_form_a_result_owns_exactly_its_columns(self):
         # the growth stops at rho = 64, below the widest form-(a) result for n2 = 260
