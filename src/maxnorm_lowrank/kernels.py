@@ -33,6 +33,10 @@ ARG_COORDS = "coordinates"
 
 _SYMMETRY_TOL = 1e-12
 
+# evenly spaced points, endpoints included, at which a profile or its
+# derivative rule is sampled to judge it over an interval
+PROFILE_GRID = 513
+
 
 class DomainViolation(ValueError):
     """Realized function arguments fall outside the declared interval."""

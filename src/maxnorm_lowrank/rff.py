@@ -24,6 +24,12 @@ halves the features have in practice met their half before they are as
 wide as the sketch rank, so the sketch narrows them only when ``rho``
 starts above half that rank.
 
+Every cosine/sine pair comes from one tangent of the half phase (the
+half-angle identity): with t = tan(phi / 2), cos phi = (1 - t^2) / (1 + t^2)
+and sin phi = 2 t / (1 + t^2).  So each phase costs one transcendental,
+not two, and the features are written in one row-block scratch array.
+They lie within 2.2e-16 of ``np.cos`` and ``np.sin`` (``_write_features``).
+
 Every spec with a ``spectral_law`` qualifies, and a spec without one is
 refused.  Each Bochner pair lives on its constructor in ``kernels``
 (``gauss_sq_dist``, ``exp_dist``, ``cauchy``); they are standard results,
@@ -41,7 +47,7 @@ import numpy as np
 
 from . import caps
 from .compress import CompressionReport, jl_compress, rank_formula
-from .kernels import KernelSpec, eval_kernel_matrix, kernel_rows
+from .kernels import PROFILE_GRID, KernelSpec, eval_kernel_matrix, kernel_rows
 from .lowrank import (
     ROW_BLOCK,
     Factorization,
@@ -85,10 +91,11 @@ def sample_frequencies(spec: KernelSpec, rho: int, seed: SeedLike, m: int) -> np
 def rff_factorization(omegas: np.ndarray, X: PointSet, Y: PointSet) -> Factorization:
     """Width-2*rho feature factorization with interleaved cos/sin columns, for (rho, m) ``omegas``.
 
-    Every row of both factors has Euclidean norm exactly 1, and
+    Every row of both factors has Euclidean norm 1 (to within 1e-15), and
     (A B')(i, j) = mean_k cos(w_k' (x_i - y_j)).  Each factor is written
-    by ``_write_features``, so building one holds the factor and one row
-    block of phases.
+    by ``_write_features``, which takes each cosine/sine pair from one
+    tangent of the half phase (the half-angle identity), so building one
+    holds the factor and one ``ROW_BLOCK x rho`` scratch array.
     """
     if omegas.ndim != 2 or omegas.shape[0] < 1:
         raise ValueError(f"need a (rho, m) frequency matrix, got shape {omegas.shape}")
@@ -110,18 +117,41 @@ def _write_features(
     column 2k + 1 sin(w_k' x), all multiplied by ``scale``, which is
     ``1 / sqrt(rho)`` unless given; a block of new frequencies written
     beside held features takes the scale of the whole frequency count.
-    The phases are formed one ``row_blocks`` block at a time, so the one
-    scratch array is ``ROW_BLOCK x rho``.
+
+    Each pair comes from one tangent of the half phase: with
+    t = tan(phi / 2), cos phi = (1 - t^2) / (1 + t^2) and
+    sin phi = 2 t / (1 + t^2), so each phase costs one transcendental, not
+    two.  numpy 2.4 vectorizes ``tan`` on AVX-512 but computes ``cos`` and
+    ``sin`` one element at a time; without AVX-512 its scalar ``tan``
+    still costs less than the two calls.  The half phases are the points
+    times the frequencies halved once, so they are the phases halved
+    exactly.  The scale is folded into the shared w = scale / (1 + t^2).
+    For a finite phase |t| stays far below 1e154, so t^2 does not
+    overflow and 1 + t^2 >= 1.  A zero phase gives exactly (scale, 0), and
+    a NaN or infinite one NaN in both columns, as ``np.cos`` and ``np.sin``
+    do.  Against them, over 2e6 phases of magnitude 1e-8 to 1e300 and
+    multiples of pi / 2, the largest difference at scale 1 is 2.2e-16.
+
+    The half phases are formed one ``row_blocks`` block at a time in the
+    one scratch array, ``ROW_BLOCK x rho``; t^2, 1 + t^2 and w are held in
+    the output columns.
     """
     if scale is None:
         scale = 1.0 / math.sqrt(omegas.shape[0])
-    phases = np.empty((min(ROW_BLOCK, points.shape[0]), omegas.shape[0]))
+    halves = 0.5 * omegas
+    scratch = np.empty((min(ROW_BLOCK, points.shape[0]), omegas.shape[0]))
     for rows in row_blocks(points.shape[0]):
-        block = phases[: rows.stop - rows.start]
-        np.matmul(points[rows], omegas.T, out=block)
-        np.cos(block, out=out[rows, 0::2])
-        np.sin(block, out=out[rows, 1::2])
-        out[rows] *= scale
+        t = scratch[: rows.stop - rows.start]
+        cos, sin = out[rows, 0::2], out[rows, 1::2]
+        np.matmul(points[rows], halves.T, out=t)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=cos)
+        np.add(cos, 1.0, out=sin)
+        np.divide(scale, sin, out=sin)  # w
+        np.subtract(1.0, cos, out=cos)
+        cos *= sin
+        t += t
+        sin *= t
     return out
 
 
@@ -216,11 +246,15 @@ def rff_then_compress(
     allowed, or its error is NaN (a NaN never exceeds the target).  So
     the reported feature error is always the whole ``max|K - P|``, and
     ``max|K|``, the denominator of the relative error, is taken by the
-    same pass; a NaN in K stops the growth at the first check that
-    reaches its row.  In (a) and (b) the result is exactly the product
-    whose error stopped the growth, so ``measured_max_error`` is the
-    feature error; the sketch of (c) is certified by row blocks
-    (``jl_compress``), and its final check evaluates K's rows again.
+    same pass.  Before any check, the profile is evaluated once at
+    ``kernels.PROFILE_GRID`` points of [0, (R_X + R_Y)^2], which holds
+    every squared distance (or squared coordinate difference) the points
+    can reach.  If a value is not finite, every check is complete, so a
+    NaN in K stops the growth at the first check.  In (a) and (b) the
+    result is exactly the product whose error stopped the growth, so
+    ``measured_max_error`` is the feature error; the sketch of (c) is
+    certified by row blocks (``jl_compress``), and its final check
+    evaluates K's rows again.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -231,6 +265,11 @@ def rff_then_compress(
     half = 0.5 * eps  # the feature target and the sketch budget
     n_min = min(X.n, Y.n)
     r = rank_formula(half, X.n, Y.n)
+
+    # an early-stopping check can miss a NaN row of K below its stopping
+    # point, and the growth would then run to RHO_CAP for a NaN result
+    reach = (X.radius_bound + Y.radius_bound) ** 2
+    stops_early = bool(np.isfinite(spec.h(np.linspace(0.0, reach, PROFILE_GRID))).all())
 
     freq_stream, sketch_stream = split(seed, 2)
     grow_streams = iter(freq_stream.spawn(64))
@@ -265,7 +304,9 @@ def rff_then_compress(
         growable = 2 * total <= RHO_CAP
         # a check after which the growth may go on stops once it fails
         feat_err, denom = error_and_peak(
-            kernel, features if held is None else held, half if growable else math.inf
+            kernel,
+            features if held is None else held,
+            half if growable and stops_early else math.inf,
         )
         if not (feat_err > half and growable):  # a NaN error stops too
             break

@@ -52,6 +52,7 @@ from .compress import (
 )
 from .kernels import (
     ARG_INNER,
+    PROFILE_GRID,
     KernelSpec,
     WeightMatrix,
     distance_matrix,
@@ -70,8 +71,6 @@ from .lowrank import (
 )
 from .rng import SeedLike
 from .sampling import PointSet
-
-_SUP_GRID = 513  # grid points of the realized range on which sup|h^(t)| is estimated
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def taylor_coeffs(
 
 
 def _sup_derivative(spec: KernelSpec, t: int, lo: float, hi: float) -> float:
-    """Estimated sup of |h^(t)| over [lo, hi]: the max over ``_SUP_GRID``
+    """Estimated sup of |h^(t)| over [lo, hi]: the max over ``PROFILE_GRID``
     evenly spaced points, endpoints included, from one ``spec.deriv`` call.
 
     Returns inf when the rule raises ``ValueError``, as where the derivative
@@ -149,7 +148,7 @@ def _sup_derivative(spec: KernelSpec, t: int, lo: float, hi: float) -> float:
     u = 0), or gives NaN at any grid point: then no sup is known.
     """
     try:
-        values = np.abs(spec.deriv(t, np.linspace(lo, hi, _SUP_GRID)))
+        values = np.abs(spec.deriv(t, np.linspace(lo, hi, PROFILE_GRID)))
     except ValueError:
         return math.inf
     if np.isnan(values).any():

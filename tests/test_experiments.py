@@ -391,7 +391,9 @@ def test_grid_runs_every_value_of_its_axis(experiment, axis, monkeypatch, tmp_pa
 
 
 # constructive rows of a small varm grid, pinned before their dispatch moved
-# into the route table; t=4, since at the default order every tt row reads 1.0
+# into the route table; t=4, since at the default order every tt row reads 1.0.
+# The rff rows were re-pinned when the features came to be computed from the
+# half-angle tangent, which moved some of them in the last one or two digits
 GOLDEN_GRID = dict(experiment="varm", n_grid=(20,), m_grid=(2, 3), r_grid=(2,), trials=2,
                    seed=11, eps=0.5, t=4)
 SEEDS = {(2, 0): "2926583794887213564", (2, 1): "215141457385765089",
@@ -400,19 +402,19 @@ SEEDS = {(2, 0): "2926583794887213564", (2, 1): "215141457385765089",
 # each algorithm, each trial
 CONSTRUCTIVE_GOLDEN = {
     ("f1", "independent", ("taylor", "rff")): [
-        "0.36725801622405613", "0.36978581218393625", "0.21358513185255965", "0.18974523301369706",
-        "0.31908135125800469", "0.32908307636856726", "0.19500551546916858", "0.1880878550925405",
+        "0.36725801622405613", "0.36978581218393625", "0.21358513185255967", "0.18974523301369711",
+        "0.31908135125800469", "0.32908307636856726", "0.19500551546916858", "0.18808785509254053",
     ],
     ("f1", "symmetric", ("taylor", "rff")): [
-        "0.39707721285177122", "0.35965106695873195", "0.2025547859635341", "0.1582229034258657",
-        "0.39197367981820186", "0.3930113626897791", "0.14791796925501496", "0.15017054925850265",
+        "0.39707721285177122", "0.35965106695873195", "0.2025547859635341", "0.15822290342586565",
+        "0.39197367981820186", "0.3930113626897791", "0.14791796925501496", "0.15017054925850262",
     ],
     ("gauss", "independent", ("taylor", "rff")): [
         "3.2041082345022067", "3.9419072227998582", "0.23371394524087954", "0.2473497038252343",
-        "2.789084090974443", "3.8939147413912001", "0.16289099476054583", "0.19548399619676693",
+        "2.789084090974443", "3.8939147413912001", "0.16289099476054586", "0.19548399619676696",
     ],
     ("gauss", "symmetric", ("taylor", "rff")): [
-        "4.0024462767088362", "1.8294389789353931", "0.23375435637643072", "0.24338563216030806",
+        "4.0024462767088362", "1.8294389789353931", "0.23375435637643069", "0.24338563216030801",
         "3.6123865593414419", "3.6888613765066633", "0.15488290281992129", "0.18216806019559401",
     ],
     ("f2", "independent", ("taylor",)): [

@@ -120,6 +120,50 @@ class TestRffFactorization:
                 rff_factorization(bad, X, X)
 
 
+def _pairs_of(phases: np.ndarray) -> np.ndarray:
+    """``_write_features`` of one unit frequency at scale 1: row i is the (cos, sin) of phases[i]."""
+    return rff._write_features(np.ones((1, 1)), phases[:, None], np.empty((phases.size, 2)), 1.0)
+
+
+class TestWriteFeatures:
+    """The half-angle pairs against numpy's cos and sin."""
+
+    def test_matches_cos_and_sin(self):
+        rng = np.random.default_rng(8)
+        magnitudes = 10.0 ** rng.uniform(-8.0, 300.0, 200_000)
+        quarter_turns = np.arange(-2000, 2001) * (np.pi / 2)
+        phases = np.concatenate([
+            magnitudes * rng.choice([-1.0, 1.0], magnitudes.size),
+            quarter_turns,
+            quarter_turns * 1e12,
+            rng.uniform(-10.0, 10.0, 100_000),
+        ])
+        assert phases.size > ROW_BLOCK and np.isfinite(phases).all()
+        # a finite phase neither overflows t^2 nor divides by zero
+        with np.errstate(over="raise", divide="raise"):
+            pairs = _pairs_of(phases)
+        assert np.abs(pairs[:, 0] - np.cos(phases)).max() <= 4.5e-16
+        assert np.abs(pairs[:, 1] - np.sin(phases)).max() <= 4.5e-16
+        assert np.abs(np.hypot(pairs[:, 0], pairs[:, 1]) - 1.0).max() <= 1e-15
+
+    def test_signed_zero(self):
+        # the matmul forms a zero phase as +0 whatever the signs of its
+        # factors, so every zero phase gives (1, +0), as np.cos and np.sin did
+        omegas = np.array([[1.0, 2.0], [-3.0, 0.0], [-0.0, -0.0]])
+        points = np.array([[0.0, -0.0], [-0.0, -0.0]])
+        pairs = rff._write_features(omegas, points, np.empty((2, 6)), 1.0)
+        np.testing.assert_array_equal(pairs, np.tile([1.0, 0.0], (2, 3)))
+        assert not np.signbit(pairs).any()
+        assert not np.signbit(_pairs_of(np.array([0.0, -0.0]))).any()
+
+    def test_nan_and_infinity_give_nan(self):
+        phases = np.array([np.nan, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):
+            pairs = _pairs_of(phases)
+            assert np.isnan(np.cos(phases)).all() and np.isnan(np.sin(phases)).all()
+        assert np.isnan(pairs).all()
+
+
 class TestRffThenCompress:
     def test_gaussian_end_to_end(self):
         X = sample_ball(8, 60, 40, 1.0)
@@ -315,6 +359,18 @@ def _form(G, rep, n1, n2) -> str:
     return "c"
 
 
+# the Gaussian kernel, NaN beyond squared distance 10
+NAN_FAR_GAUSS = replace(GAUSS, h=lambda u: np.where(u > 10.0, np.nan, np.exp(-u)))
+
+
+def _one_far_point(n1: int, n2: int, m: int) -> tuple[PointSet, PointSet]:
+    """X with its last point at radius 5, beyond squared distance 10 of every
+    point of Y; every other point in the unit ball."""
+    points = sample_ball(34, n1, m, 1.0).points
+    points[-1] *= 5.0 / np.linalg.norm(points[-1])
+    return PointSet(points, 5.0), sample_ball(35, n2, m, 1.0)
+
+
 # rho, rank, form, feature error and measured error of the implementation
 # that formed each doubling's whole n1 x n2 product before folding it in
 ABOVE_ONE_ROW_BLOCK = [
@@ -505,16 +561,41 @@ class TestRowBlocks:
 
     def test_nan_kernel_entry_gives_nan_errors(self):
         # one far point puts NaN entries in its row only, in the last row block
-        n1 = 2 * ROW_BLOCK + 44
-        points = sample_ball(34, n1, 6, 1.0).points
-        points[-1] *= 5.0 / np.linalg.norm(points[-1])
-        X, Y = PointSet(points, 5.0), sample_ball(35, 90, 6, 1.0)
-        spec = replace(GAUSS, h=lambda u: np.where(u > 10.0, np.nan, np.exp(-u)))
-        nan_rows = np.isnan(kernel_values(spec, X, Y)).any(axis=1)
+        X, Y = _one_far_point(2 * ROW_BLOCK + 44, 90, 6)
+        nan_rows = np.isnan(kernel_values(NAN_FAR_GAUSS, X, Y)).any(axis=1)
         assert nan_rows[-1] and not nan_rows[:-1].any()
-        _, rep = rff_then_compress(spec, X, Y, rho=8, eps=0.5, seed=1)
+        _, rep = rff_then_compress(NAN_FAR_GAUSS, X, Y, rho=8, eps=0.5, seed=1)
+        assert rep.rho == 8  # the profile is NaN within reach, so the first check is complete
         assert math.isnan(rep.feature_error) and not rep.feature_certified
         assert math.isnan(rep.measured_max_error) and math.isnan(rep.measured_relative_error)
+
+    def test_nan_row_below_an_early_stop_ends_the_growth(self):
+        # a check that stops early would not reach the far point's row, and the
+        # growth would run to rho 2048 in form (b)
+        X, Y = _one_far_point(1500, 1500, 20)
+        G, rep = rff_then_compress(NAN_FAR_GAUSS, X, Y, rho=64, eps=0.2, seed=1)
+        assert (rep.rho, G.width) == (64, 128)
+        assert math.isnan(rep.feature_error) and not rep.feature_certified
+        assert math.isnan(rep.measured_max_error) and math.isnan(rep.measured_relative_error)
+
+    def test_nan_profile_out_of_reach_grows_as_a_finite_one(self, monkeypatch):
+        # NaN only above u = 10, beyond (R_X + R_Y)^2 = 4: the growth and its
+        # early-stopping checks are those of the plain profile
+        X, Y = sample_ball(32, 300, 5, 1.0), sample_ball(33, 260, 5, 1.0)
+        spec = replace(EXPONENTIAL, h=lambda u: np.where(u > 10.0, np.nan, np.exp(-np.sqrt(u))))
+        stops = []
+        check = rff.error_and_peak
+
+        def spy(kernel, product, stop_above):
+            stops.append(stop_above)
+            return check(kernel, product, stop_above)
+
+        monkeypatch.setattr(rff, "error_and_peak", spy)
+        G, rep = rff_then_compress(spec, X, Y, rho=64, eps=0.3, seed=4)
+        assert stops == [0.15] * 4  # the b-wide case: the first check and three doublings
+        G_plain, rep_plain = rff_then_compress(EXPONENTIAL, X, Y, rho=64, eps=0.3, seed=4)
+        assert rep == rep_plain
+        np.testing.assert_array_equal(G.right, G_plain.right)
 
 
 class TestKernelValues:

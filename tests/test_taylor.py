@@ -9,6 +9,7 @@ from maxnorm_lowrank import caps, compress, taylor
 from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.kernels import (
     ARG_SQDIST,
+    PROFILE_GRID,
     DomainViolation,
     KernelSpec,
     WeightMatrix,
@@ -68,7 +69,7 @@ class TestTaylorCoeffs:
 
 def per_point_sup(spec, t, lo, hi):
     """The sup estimate one grid point at a time: the reference for the one-call form."""
-    return max(abs(spec.derivative(t, float(u))) for u in np.linspace(lo, hi, taylor._SUP_GRID))
+    return max(abs(spec.derivative(t, float(u))) for u in np.linspace(lo, hi, PROFILE_GRID))
 
 
 class TestSupDerivative:
@@ -87,7 +88,7 @@ class TestSupDerivative:
             return f1.deriv(s, u)
 
         sup = taylor._sup_derivative(replace(f1, deriv=spy), 5, *self.f1_range())
-        assert calls == [(taylor._SUP_GRID,)] and math.isfinite(sup)
+        assert calls == [(PROFILE_GRID,)] and math.isfinite(sup)
 
     @pytest.mark.parametrize("t", [1, 3, 5, 8])
     def test_matches_the_per_point_loop(self, t):
