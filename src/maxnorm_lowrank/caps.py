@@ -33,9 +33,12 @@ def dense_cap() -> int:
     raw = os.environ.get("MAXNORM_DENSE_CAP")
     if raw is None:
         return DENSE_CAP
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0  # refused below, with the variable named
     if value <= 0:
-        raise ValueError(f"MAXNORM_DENSE_CAP must be positive, got {raw!r}")
+        raise ValueError(f"MAXNORM_DENSE_CAP must be a positive integer, got {raw!r}")
     return value
 
 

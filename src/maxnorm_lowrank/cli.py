@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: generate, approx, altproj, bounds, experiment, plot.
+Subcommands: approx, altproj, bounds, experiment, plot.
 Every stochastic subcommand requires an explicit --seed.  ``approx``
 dispatches through the route table ``experiments.COVERS``: a function
 its route does not cover exits 2, and so does an option it does not read
@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from . import caps, kernels, matio
+from . import caps
 from .altproj import AltProjConfig, _dense_target, binary_search_eps
 from .experiments import (
     COVERS,
@@ -70,15 +70,6 @@ def _given(args, cls) -> dict:
     return out
 
 
-def cmd_generate(args) -> int:
-    spec = kernel_for(args.function, args.radius)
-    X, Y = _point_pair(args)
-    F = kernels.eval_kernel_matrix(spec, X, Y)
-    matio.save_matrix(args.out, F)
-    print(f"wrote {F.shape[0]} x {F.shape[1]} matrix to {args.out}")
-    return 0
-
-
 # the report fields approx prints, under "taylor" for the three Taylor routes;
 # jl adds its width and rff its sketch's certificate
 _REPORT_FIELDS = {
@@ -93,8 +84,7 @@ _REPORT_FIELDS = {
 
 # route options left unset on the command line take the experiment grid's defaults
 _APPROX_DEFAULTS = {
-    "t": ExperimentConfig.t, "r": ExperimentConfig.r_grid[0], "rho": ExperimentConfig.rho,
-    "radius": ExperimentConfig.radius,
+    "t": ExperimentConfig.t, "r": ExperimentConfig.r_grid[0], "radius": ExperimentConfig.radius,
 }
 
 
@@ -124,16 +114,13 @@ def cmd_approx(args) -> int:
     else:
         points, seed = _point_pair(args), args.seed
     G, rep = approximate(alg, args.function, args.radius, points, seed,
-                         args.eps, args.t, args.r, args.rho)
+                         args.eps, args.t, args.r)
     payload = {k: getattr(rep, k) for k in _REPORT_FIELDS.get(alg, _REPORT_FIELDS["taylor"])}
     if alg == "jl":
         payload["rank"] = G.width
     if alg == "rff":
         payload["sketch_certified"] = rep.sketch.certified
     print(json.dumps({"algorithm": alg, **payload}, indent=2, sort_keys=True, default=str))
-    if args.out_prefix and alg != "tt-taylor":
-        matio.save_matrix(args.out_prefix + ".left.bin", G.left)
-        matio.save_matrix(args.out_prefix + ".right.bin", G.right)
     return 0
 
 
@@ -194,14 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="evaluate a kernel matrix and store it")
-    p.add_argument("--function", required=True,
-                   choices=[f for f in FUNCTIONS if f not in COVERS["tt-taylor"]])
-    _add_common_points(p)
-    p.add_argument("--sampling", choices=["ball", "sphere"], default="ball")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
-
     p = sub.add_parser("approx", help="run one constructive approximation")
     p.add_argument("--algorithm", required=True, choices=list(COVERS))
     p.add_argument("--function", default="gauss",
@@ -212,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--r", type=int, default=None, help="TT target rank (tt-taylor)")
-    p.add_argument("--rho", type=int, default=None)
-    p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser(
@@ -252,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--rho", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
                    help="threads running grid points, and forked processes running their "
                    "altproj searches (default 1); the CSV is the same for any value")

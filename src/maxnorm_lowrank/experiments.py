@@ -19,7 +19,8 @@ route to the functions it covers, ``READS`` to the options it reads, and
 Taylor door serves each class: ``taylor-ip`` functions of x'y, and
 ``taylor-dist`` functions of ``||x - y||**2``, with the series' center
 picked from the function's domain.  ``ExperimentConfig`` holds the default
-of every route option.
+of every route option except rff's starting frequency count, which is
+``rff.rff_then_compress``'s default.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ COVERS = {
 READS = {
     "taylor-ip": ("t",),
     "taylor-dist": ("t", "radius"),
-    "rff": ("rho", "radius"),
+    "rff": ("radius",),
     "jl": ("radius",),
     "tt-taylor": ("t", "r", "radius"),
 }
@@ -95,7 +96,6 @@ class ExperimentConfig(AltProjConfig):
     radius: float = 1.0
     eps: float = 0.1
     t: Optional[int] = None
-    rho: int = 64
     algorithms: tuple[str, ...] = ("altproj",)
     jobs: int = 1
 
@@ -127,6 +127,8 @@ class ExperimentConfig(AltProjConfig):
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not Path(self.output).parent.is_dir():
+            raise ValueError(f"cannot write {self.output}: its directory does not exist")
         for alg in self.algorithms:
             if alg not in APPLICABLE:
                 raise ValueError(f"unknown algorithm {alg!r}")
@@ -142,8 +144,6 @@ class ExperimentConfig(AltProjConfig):
             raise ValueError(f"t must be >= 1, got {self.t}")
         if set(self.algorithms) - {"altproj"} and not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if "rff" in self.algorithms and self.rho < 1:
-            raise ValueError(f"rho must be >= 1, got {self.rho}")
         # a taylor row's error is measured on the dense n x n target (the
         # distance routes need the distance matrix); rff checks by row blocks
         # and refuses only its form (b), and tt samples entries above the cap
@@ -220,8 +220,7 @@ def kernel_for(function: str, radius: float) -> kernels.KernelSpec:
 
 
 def approximate(
-    route: str, function: str, radius: float, points, seed, eps: float,
-    t: Optional[int], r: int, rho: int,
+    route: str, function: str, radius: float, points, seed, eps: float, t: Optional[int], r: int
 ):
     """Run one route on ``points`` (three sets for tt-taylor, else (X, Y)).
 
@@ -235,7 +234,7 @@ def approximate(
         return jl_compress(Factorization(X.points, Y.points), eps, seed)
     if route == "rff":
         spec = kernel_for(function, radius)
-        return rff.rff_then_compress(spec, X, Y, rho=rho, eps=eps, seed=seed)
+        return rff.rff_then_compress(spec, X, Y, eps=eps, seed=seed)
     if route == "taylor-ip":
         spec, builder = kernels.gaussian_on_sphere(), taylor.approx_inner_product
     else:
@@ -262,8 +261,7 @@ def _constructive_records(
             else:
                 points = sample_pair(scheme, streams, lambda s: sample_ball(s, n, m, cfg.radius))
             _, rep = approximate(
-                route, cfg.function, cfg.radius, points, streams[3],
-                cfg.eps, cfg.t, r, cfg.rho,
+                route, cfg.function, cfg.radius, points, streams[3], cfg.eps, cfg.t, r
             )
             out.append(
                 ExperimentRecord(

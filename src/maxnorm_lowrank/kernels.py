@@ -6,10 +6,10 @@ profile's argument from points (``inner_product`` x'y, ``sq_distance``
 ||x - y||^2, ``hoip`` <x_1, ..., x_d>, or ``coordinates``, a product over
 coordinates of h((x_k - y_k)^2)); the ``domain`` interval; the profile
 ``h`` and its exact derivative rule ``deriv(s, u)``, both elementwise over
-an array ``u`` (``KernelSpec.derivative`` is the rule at one point); growth
-constants C, M with ``|h^(s)(u)| <= C * M**s`` on the domain, when known in
-closed form; and, for a shift-invariant positive-definite kernel, its
-Bochner ``spectral_law(rng, rho, m)``, which draws rho frequencies in R^m.
+an array ``u``; growth constants C, M with ``|h^(s)(u)| <= C * M**s`` on
+the domain, when known in closed form; and, for a shift-invariant
+positive-definite kernel, its Bochner ``spectral_law(rng, rho, m)``,
+which draws rho frequencies in R^m.
 """
 
 from __future__ import annotations
@@ -69,12 +69,6 @@ class KernelSpec:
     @property
     def has_constants(self) -> bool:
         return self.C is not None and self.M is not None
-
-    def derivative(self, s: int, xi: float) -> float:
-        """Exact s-th derivative h^(s)(xi) at one point, as a float."""
-        if s < 0:
-            raise ValueError("derivative order must be >= 0")
-        return float(self.deriv(s, xi))
 
     def covers(self, lo: float, hi: float) -> bool:
         """Whether the domain holds [lo, hi], up to ``_SYMMETRY_TOL``."""

@@ -124,9 +124,7 @@ def taylor_coeffs(
         t = default_order(eps)
     if t < 1:
         raise ValueError(f"order t must be >= 1, got {t}")
-    coeffs = np.array(
-        [spec.derivative(s, center) / math.factorial(s) for s in range(t)]
-    )
+    coeffs = np.array([float(spec.deriv(s, center)) / math.factorial(s) for s in range(t)])
     constants = radius is not None and spec.has_constants
     if radius is not None and realized is not None:
         sup = _sup_derivative(spec, t, *realized) if radius > 0 else 0.0

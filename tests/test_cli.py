@@ -3,15 +3,12 @@ import json
 import math
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
-from maxnorm_lowrank import cli, experiments, matio, rff
+from maxnorm_lowrank import cli, experiments, rff
 from maxnorm_lowrank.altproj import AltProjConfig
 from maxnorm_lowrank.experiments import kernel_for
-from maxnorm_lowrank.kernels import eval_kernel_matrix
 from maxnorm_lowrank.records import MEDIAN_TRIAL, ExperimentRecord, read_csv, write_csv
-from maxnorm_lowrank.rng import split
 from maxnorm_lowrank.sampling import sample_ball
 
 
@@ -114,9 +111,16 @@ ALTPROJ_SMALL = ["altproj", *SMALL, "--n", "8", "--m", "2", "--r", "1"]
     ["experiment", "--seed", "1", "--restarts", "2"],
     # the bounds table is the bounds subcommand
     ["experiment", "--seed", "1", "--experiment", "bounds"],
+    # rff starts from 64 frequencies; approx --rho is refused with the route options
+    ["experiment", "--seed", "1", "--rho", "8"],
+    # no command stores a matrix: approx prints its report, experiment writes its CSV
+    ["approx", "--algorithm", "jl", "--function", "linear", "--n", "8", "--m", "2", "--seed", "4",
+     "--out-prefix", "x"],
+    ["generate", *SMALL, "--n", "8", "--m", "2", "--out", "g.bin"],
 ], ids=["experiment-theta", "altproj-init", "experiment-init", "altproj-trials", "altproj-out",
         "altproj-restarts", "altproj-stall-patience", "altproj-stall-rtol",
-        "experiment-restarts", "experiment-bounds"])
+        "experiment-restarts", "experiment-bounds", "experiment-rho", "approx-out-prefix",
+        "generate"])
 def test_fixed_settings_have_no_flag(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -195,28 +199,7 @@ def test_approx_golden(flags, expected, capsys):
     assert json.loads(capsys.readouterr().out) == pytest.approx(expected, rel=1e-9)
 
 
-def test_approx_out_prefix_writes_factors(tmp_path, capsys):
-    prefix = str(tmp_path / "g")
-    assert cli.main(["approx", "--algorithm", "jl", "--function", "linear", *POINTS,
-                     "--out-prefix", prefix]) == 0
-    report = json.loads(capsys.readouterr().out)
-    left, right = matio.load_matrix(prefix + ".left.bin"), matio.load_matrix(prefix + ".right.bin")
-    assert left.shape == right.shape == (30, report["rank"])
-
-
-def test_generate_golden(tmp_path, capsys):
-    out = tmp_path / "g.bin"
-    assert cli.main(["generate", "--function", "gauss", *POINTS, "--out", str(out)]) == 0
-    assert capsys.readouterr().out == f"wrote 30 x 30 matrix to {out}\n"
-    F = matio.load_matrix(out)
-    X = sample_ball(split(5, 2)[0], 30, 3)
-    Y = sample_ball(split(5, 2)[1], 30, 3)
-    np.testing.assert_allclose(F, eval_kernel_matrix(kernel_for("gauss", 1.0), X, Y),
-                               rtol=0, atol=0)
-
-
 @pytest.mark.parametrize("command", [
-    ["generate", "--out", "unwritten.bin"],
     ["approx", "--algorithm", "rff"],
     ["altproj", "--r", "2"],
 ], ids=lambda c: c[0])
@@ -229,12 +212,6 @@ def test_cap_refusal_is_an_error_line(command, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == "error: dense 30 x 30 matrix exceeds cap 100\n"
     assert list(tmp_path.iterdir()) == []
-
-
-def test_generate_rejects_tensor(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["generate", "--function", "f3", *POINTS, "--out", str(tmp_path / "t")])
-    assert exc.value.code == 2
 
 
 def test_bounds_golden(capsys):
@@ -350,11 +327,12 @@ def test_experiment_taylor_runs_the_local_route_on_f1(tmp_path):
 READS = {
     "taylor-ip": {"t"},
     "taylor-dist": {"t", "radius"},
-    "rff": {"rho", "radius"},
+    "rff": {"radius"},
     "jl": {"radius"},
     "tt-taylor": {"t", "r", "radius"},
 }
-# theta, the RFF error split, is fixed at 1/2: no route reads it and approx has no flag
+# theta, the RFF error split, is fixed at 1/2, and rho, the starting frequency count,
+# at rff_then_compress's default: no route reads them and approx has no flag for them
 OPTION_VALUES = {"t": "2", "r": "2", "rho": "8", "theta": "0.6", "radius": "0.9"}
 
 
@@ -365,7 +343,7 @@ def test_approx_refuses_options_its_route_does_not_read(algorithm, option, capsy
     function = sorted(COVERED[algorithm])[0]
     argv = ["approx", "--algorithm", algorithm, "--function", function, *sampling,
             "--" + option, OPTION_VALUES[option], *TINY]
-    if option == "theta":
+    if option in ("theta", "rho"):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

@@ -219,7 +219,9 @@ def test_parse_config_text_every_field_kind():
     assert parse_config_text("seed = NONE\nseed = 7")["seed"] == 7
 
 
-def test_load_config_applies_overrides(tmp_path):
+def test_load_config_applies_overrides(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out dir").mkdir()  # validate refuses an output in a missing directory
     path = tmp_path / "exp.cfg"
     path.write_text(CONFIG_TEXT, encoding="utf-8")
     cfg = load_config(path, {"seed": 3, "m_grid": (4,)})
@@ -236,6 +238,7 @@ def test_load_config_applies_overrides(tmp_path):
     ("restarts = 2\n", "line 1: unknown key 'restarts'"),
     ("C = 2\n", "line 1: unknown key 'C'"),
     ("beta2 = 3\n", "line 1: unknown key 'beta2'"),
+    ("rho = 64\n", "line 1: unknown key 'rho'"),
     ("# header\nseed 4\n", "line 2: expected 'key = value'"),
     ("trials = two\n", "invalid literal"),
 ])
@@ -256,13 +259,17 @@ def test_validate_rejects_inapplicable_pairs(function, algorithm, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_validate_refuses_rff_rho_below_one(tmp_path):
-    cfg = ExperimentConfig(function="gauss", algorithms=("rff",), seed=1, rho=0,
-                           n_grid=(8,), m_grid=(2,), r_grid=(1,), trials=1,
-                           output=str(tmp_path / "x.csv"))
-    with pytest.raises(ValueError, match="rho must be >= 1, got 0"):
+def test_validate_refuses_an_output_in_a_missing_directory(monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_trials", fail)
+    cfg = ExperimentConfig(experiment="varm", function="gauss", n_grid=(100,), m_grid=(3, 10),
+                           r_grid=(4,), trials=2, bisect_iters=8, seed=1,
+                           output=str(tmp_path / "missing" / "x.csv"))
+    with pytest.raises(ValueError, match="cannot write .*/missing/x.csv: its directory does not"):
         run_experiment(cfg)
-    assert not (tmp_path / "x.csv").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("function, algorithm", [

@@ -69,7 +69,7 @@ class TestTaylorCoeffs:
 
 def per_point_sup(spec, t, lo, hi):
     """The sup estimate one grid point at a time: the reference for the one-call form."""
-    return max(abs(spec.derivative(t, float(u))) for u in np.linspace(lo, hi, PROFILE_GRID))
+    return max(abs(spec.deriv(t, float(u))) for u in np.linspace(lo, hi, PROFILE_GRID))
 
 
 class TestSupDerivative:
@@ -414,7 +414,7 @@ def truncated_series(route, spec, X, Y, t):
     else:
         D, dmin, dmax = distance_matrix(X, None, Y)
         center = 0.5 * (dmin + dmax) if route is approx_sq_distance_local else 0.0
-    c = [spec.derivative(s, center) / math.factorial(s) for s in range(t)]
+    c = [spec.deriv(s, center) / math.factorial(s) for s in range(t)]
     return spec.h(D), sum(c[s] * (D - center) ** s for s in range(t))
 
 
