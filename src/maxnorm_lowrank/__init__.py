@@ -27,7 +27,6 @@ from .compress import (
 )
 from .kernels import (
     KernelSpec,
-    WeightMatrix,
     cauchy,
     distance_matrix,
     eval_kernel_matrix,

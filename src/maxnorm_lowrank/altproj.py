@@ -32,7 +32,7 @@ import math
 import time
 from dataclasses import dataclass
 from statistics import median
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,9 +41,7 @@ from .lowrank import GRAM_RTOL, max_norm, truncated_svd
 from .records import ExperimentRecord
 from .rng import SeedLike, generator, seed_sequence, split
 from .sampling import SamplingScheme, sample_ball, sample_pair
-from .tensors import TTTensor, tt_ranks, tt_svd
-
-RankSpec = Union[int, tuple[int, ...]]
+from .tensors import TTTensor, tt_svd
 
 # extra columns of the warm subspace basis beyond the target rank
 OVERSAMPLE = 4
@@ -103,11 +101,9 @@ def clip_projection(T: np.ndarray, F: np.ndarray, eps: float) -> np.ndarray:
     return F + np.clip(T - F, -eps, eps)
 
 
-def _rank_projection(E: np.ndarray, r: RankSpec) -> np.ndarray:
+def _rank_projection(E: np.ndarray, r: int) -> np.ndarray:
     if E.ndim == 2:
-        if not isinstance(r, (int, np.integer)):
-            raise ValueError("matrix projection needs an integer rank")
-        return truncated_svd(E, min(int(r), *E.shape)).matrix()
+        return truncated_svd(E, min(r, *E.shape)).matrix()
     return tt_svd(E, max_ranks=r).dense()
 
 
@@ -136,15 +132,15 @@ def _subspace_projection(
     return (Q @ W) @ (W.T @ B), Q
 
 
-def initial_guess(F: np.ndarray, r: RankSpec, seed: SeedLike) -> np.ndarray:
-    """Gaussian low-rank starting point, rescaled to the magnitude of F."""
+def initial_guess(F: np.ndarray, r: int, seed: SeedLike) -> np.ndarray:
+    """Gaussian low-rank starting point of rank (every TT rank) r, rescaled to
+    the magnitude of F."""
     rng = generator(seed)
-    ranks = tt_ranks(r, F.ndim)
     if F.ndim == 2:
-        k = min(ranks[0], *F.shape)
+        k = min(r, *F.shape)
         T = rng.standard_normal((F.shape[0], k)) @ rng.standard_normal((k, F.shape[1]))
     else:
-        full = (1,) + ranks + (1,)
+        full = (1,) + (r,) * (F.ndim - 1) + (1,)
         cores = [
             rng.standard_normal((full[k], F.shape[k], full[k + 1]))
             for k in range(F.ndim)
@@ -157,7 +153,7 @@ def initial_guess(F: np.ndarray, r: RankSpec, seed: SeedLike) -> np.ndarray:
 
 def alternating_projections(
     F: np.ndarray,
-    r: RankSpec,
+    r: int,
     eps: float,
     cfg: AltProjConfig = AltProjConfig(),
     *,
@@ -177,11 +173,7 @@ def alternating_projections(
         # the zero (rank-0) matrix is already feasible
         return AltProjResult(np.zeros_like(F), True, 0, limit, "converged")
     T = init_dense
-    warm = (
-        F.ndim == 2
-        and isinstance(r, (int, np.integer))
-        and int(r) + OVERSAMPLE < min(F.shape)
-    )
+    warm = F.ndim == 2 and r + OVERSAMPLE < min(F.shape)
     Q = None
     threshold = eps * (1.0 + cfg.tol)
     best_gap = math.inf
@@ -189,7 +181,7 @@ def alternating_projections(
     for it in range(1, cfg.max_iters + 1):
         E = clip_projection(T, F, eps)
         if warm:
-            T, Q = _subspace_projection(E, int(r), Q)
+            T, Q = _subspace_projection(E, r, Q)
         else:
             T = _rank_projection(E, r)
         err = float(np.abs(F - T).max())
@@ -211,7 +203,7 @@ def alternating_projections(
 
 def binary_search_eps(
     F: np.ndarray,
-    r: RankSpec,
+    r: int,
     cfg: AltProjConfig = AltProjConfig(),
     seed: SeedLike = 0,
     pool=None,
@@ -234,7 +226,7 @@ def binary_search_eps(
     return pool.submit(_bisect, F, r, cfg, seed).result()
 
 
-def _bisect(F: np.ndarray, r: RankSpec, cfg: AltProjConfig, seed: SeedLike) -> BinarySearchResult:
+def _bisect(F: np.ndarray, r: int, cfg: AltProjConfig, seed: SeedLike) -> BinarySearchResult:
     F = np.asarray(F, dtype=np.float64)
     limit = max_norm(F)
     if limit == 0.0:

@@ -34,15 +34,11 @@ from .rng import split
 from .sampling import sample_ball, sample_pair, sample_sphere
 
 
-def _sample(kind: str, seed, n: int, m: int, radius: float):
-    if kind == "sphere":
-        return sample_sphere(seed, n, m)
-    return sample_ball(seed, n, m, radius)
-
-
-def _point_pair(args):
-    return sample_pair(args.scheme, split(args.seed, 2),
-                       lambda s: _sample(args.sampling, s, args.n, args.m, args.radius))
+def _sample(args, seed):
+    """taylor-ip's points lie on the unit sphere, every other route's in the ball."""
+    if args.algorithm == "taylor-ip":
+        return sample_sphere(seed, args.n, args.m)
+    return sample_ball(seed, args.n, args.m, args.radius)
 
 
 def _add_common_points(p):
@@ -97,8 +93,6 @@ def cmd_approx(args) -> int:
     elif unread:
         reads = ", ".join("--" + o for o in READS[alg])
         refusal = f"{alg} reads --eps and {reads}, not {', '.join(unread)}"
-    elif alg == "taylor-ip" and args.sampling != "sphere":
-        refusal = "taylor-ip covers the gaussian kernel on the unit sphere; pass --sampling sphere"
     elif alg == "tt-taylor" and args.scheme != "independent":
         refusal = "tensors use independent sampling only"
     if refusal:
@@ -109,10 +103,11 @@ def cmd_approx(args) -> int:
             setattr(args, option, default)
     if alg == "tt-taylor":
         streams = split(args.seed, 4)
-        points = [_sample(args.sampling, s, args.n, args.m, args.radius) for s in streams[:3]]
+        points = [_sample(args, s) for s in streams[:3]]
         seed = streams[3]
     else:
-        points, seed = _point_pair(args), args.seed
+        points = sample_pair(args.scheme, split(args.seed, 2), lambda s: _sample(args, s))
+        seed = args.seed
     G, rep = approximate(alg, args.function, args.radius, points, seed,
                          args.eps, args.t, args.r)
     payload = {k: getattr(rep, k) for k in _REPORT_FIELDS.get(alg, _REPORT_FIELDS["taylor"])}
@@ -187,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(dict.fromkeys(FUNCTIONS + sum(COVERS.values(), ()))))
     _add_common_points(p)
     p.set_defaults(radius=None)  # set only for a route that reads it
-    p.add_argument("--sampling", choices=["ball", "sphere"], default="ball")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--r", type=int, default=None, help="TT target rank (tt-taylor)")

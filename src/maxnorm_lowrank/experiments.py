@@ -118,6 +118,7 @@ class ExperimentConfig(AltProjConfig):
                     f"the {self.experiment} experiment does not vary {name[0]}: "
                     f"{name} takes one value, got {len(grid)}"
                 )
+            _refuse_repeats(name, grid)
         if max(self.r_grid) > min(self.n_grid):
             raise ValueError(
                 f"r={max(self.r_grid)} is above n={min(self.n_grid)}: "
@@ -129,6 +130,9 @@ class ExperimentConfig(AltProjConfig):
             raise ValueError("jobs must be >= 1")
         if not Path(self.output).parent.is_dir():
             raise ValueError(f"cannot write {self.output}: its directory does not exist")
+        if not self.algorithms:
+            raise ValueError("algorithms must be nonempty")
+        _refuse_repeats("algorithms", self.algorithms)
         for alg in self.algorithms:
             if alg not in APPLICABLE:
                 raise ValueError(f"unknown algorithm {alg!r}")
@@ -158,6 +162,13 @@ class ExperimentConfig(AltProjConfig):
 
     def solver(self) -> AltProjConfig:
         return AltProjConfig(**{f.name: getattr(self, f.name) for f in fields(AltProjConfig)})
+
+
+def _refuse_repeats(name: str, values: Sequence):
+    """A repeated value would write its rows twice, with the same trials and seeds."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{name} lists {value!r} twice")
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)

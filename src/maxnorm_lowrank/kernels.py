@@ -15,7 +15,7 @@ which draws rho frequencies in R^m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -31,7 +31,7 @@ ARG_SQDIST = "sq_distance"
 ARG_HOIP = "hoip"
 ARG_COORDS = "coordinates"
 
-_SYMMETRY_TOL = 1e-12
+_DOMAIN_TOL = 1e-12
 
 # evenly spaced points, endpoints included, at which a profile or its
 # derivative rule is sampled to judge it over an interval
@@ -71,9 +71,9 @@ class KernelSpec:
         return self.C is not None and self.M is not None
 
     def covers(self, lo: float, hi: float) -> bool:
-        """Whether the domain holds [lo, hi], up to ``_SYMMETRY_TOL``."""
+        """Whether the domain holds [lo, hi], up to ``_DOMAIN_TOL``."""
         dlo, dhi = self.domain
-        return not (lo < dlo - _SYMMETRY_TOL or hi > dhi + _SYMMETRY_TOL)
+        return not (lo < dlo - _DOMAIN_TOL or hi > dhi + _DOMAIN_TOL)
 
     def check_domain(self, lo: float, hi: float):
         if not self.covers(lo, hi):
@@ -144,7 +144,7 @@ def gaussian_on_sphere() -> KernelSpec:
 
 
 def gauss_sq_dist(domain: tuple[float, float] = (-4.0, 4.0)) -> KernelSpec:
-    """f(x, y) = exp(-||x - y||_W^2); profile h(u) = exp(-u).
+    """f(x, y) = exp(-||x - y||^2); profile h(u) = exp(-u).
 
     On an interval [lo, hi] the derivatives satisfy |h^(s)| <= exp(-lo),
     so C = exp(-lo) and M = 1.  Spectral law: N(0, 2 I).
@@ -212,73 +212,16 @@ def sinh_hoip(domain: tuple[float, float] = (-1.0, 1.0)) -> KernelSpec:
 
 
 # ----------------------------------------------------------------------
-# weight matrices and structured building blocks
+# structured building blocks
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Symmetric positive-definite weight; ``spectral_norm_bound`` is ||W||_2.
+def distance_matrix(X: PointSet, Y: PointSet) -> tuple[np.ndarray, float, float]:
+    """Squared distances D(i,j) = ||x_i - y_j||^2.
 
-    The eigendecomposition is computed once at construction and reused
-    by the factor builders.
+    Returns ``(D, min{D}, max{D})``, computed as ``|x_i|^2 + |y_j|^2 - 2 x_i' y_j``
+    with negative floating dust clamped to zero.
     """
-
-    entries: np.ndarray
-    spectral_norm_bound: float = field(init=False)
-    eigenvalues: np.ndarray = field(init=False, repr=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        W = np.asarray(self.entries, dtype=np.float64)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError(f"weight matrix must be square, got shape {W.shape}")
-        asym = float(np.abs(W - W.T).max()) if W.size else 0.0
-        if asym > _SYMMETRY_TOL:
-            raise ValueError(f"weight matrix not symmetric (deviation {asym:.3e})")
-        lam, U = np.linalg.eigh(W)
-        if lam.min() <= 0:
-            raise ValueError(f"weight matrix not positive-definite (min eig {lam.min():.3e})")
-        object.__setattr__(self, "entries", W)
-        object.__setattr__(self, "spectral_norm_bound", float(np.abs(lam).max()))
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", U)
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-
-def weighted_points(
-    X: PointSet, W: Optional[WeightMatrix], Y: PointSet
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Split x' W y into A B' with controlled row norms; returns (A, B, ||W||_2).
-
-    The weight is the identity (None), which gives the points themselves,
-    or a symmetric positive-definite ``WeightMatrix``, whose cached
-    eigendecomposition ``U diag(lam) U'`` gives both sides the same half
-    ``U diag(sqrt(lam))``.
-    """
-    if W is None:
-        if X.m != Y.m:
-            raise ValueError(f"identity weight needs equal dimensions, got {X.m} and {Y.m}")
-        return X.points, Y.points, 1.0
-    if X.m != W.m or Y.m != W.m:
-        raise ValueError(f"weight dimension {W.m} incompatible with points ({X.m}, {Y.m})")
-    half = W.eigenvectors * np.sqrt(W.eigenvalues)
-    return X.points @ half, Y.points @ half, float(W.spectral_norm_bound)
-
-
-def distance_matrix(
-    X: PointSet, W: Optional[WeightMatrix], Y: PointSet
-) -> tuple[np.ndarray, float, float]:
-    """Weighted squared distances D(i,j) = (x_i - y_j)' W (x_i - y_j).
-
-    Returns ``(D, min{D}, max{D})``, computed as ``|a_i|^2 + |b_j|^2 - 2 a_i' b_j``
-    from the split ``weighted_points``.  The weight is the identity (None)
-    or a positive-definite ``WeightMatrix``, so D >= 0 and negative
-    floating dust is clamped to zero.
-    """
-    A, B, _ = weighted_points(X, W, Y)
+    A, B = X.points, Y.points
     D = _clamped_sq_dist((A**2).sum(axis=1), (B**2).sum(axis=1), A @ B.T)
     return D, float(D.min()), float(D.max())
 

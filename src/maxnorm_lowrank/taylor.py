@@ -1,7 +1,7 @@
 """Truncated-Taylor low-rank constructions.
 
-Matrices generated by a smooth profile of a bilinear form, ``h(x' W y)``,
-or of a weighted squared distance, ``h(||x - y||_W^2)``, admit explicit
+Matrices generated by a smooth profile of the inner product, ``h(x'y)``,
+or of the squared distance, ``h(||x - y||^2)``, admit explicit
 low-rank approximants: truncate the Taylor series of h on the interval
 its argument can reach and write each monomial term as a Hadamard power
 of an exact factorization of the argument, the base.  ``taylor_coeffs``
@@ -23,12 +23,11 @@ plus an algebraic term ``eps * sum_tail |c_s| * (a b)**s``, ``(a, b)`` the
 base's row norms, from the sketched (or dense-fallback) tail, zero when
 nothing was approximated.  The error is measured one row block at a time
 (``lowrank.error_and_peak``); the distance routes measure it on the
-dense distance matrix, so not at all above ``caps.dense_cap()``.  The
-weight enters through ``kernels.weighted_points`` in every route.
+dense distance matrix, so not at all above ``caps.dense_cap()``.
 
 The squared-distance routes share one body (``_sq_distance``) on the
-rank-one distance identity ``D = Z1 + Z2 - 2 X W Y'``, with the series at
-zero when the spec's domain holds ``[-4 sigma R**2, 4 sigma R**2]`` (gauss,
+rank-one distance identity ``D = Z1 + Z2 - 2 X Y'``, with the series at
+zero when the spec's domain holds ``[-4 R**2, 4 R**2]`` (gauss,
 f2), else at the midpoint of the realized range, which makes profiles
 non-smooth at zero, like f1's ``exp(-sqrt(u))``, tractable.
 """
@@ -54,10 +53,8 @@ from .kernels import (
     ARG_INNER,
     PROFILE_GRID,
     KernelSpec,
-    WeightMatrix,
     distance_matrix,
     kernel_rows,
-    weighted_points,
 )
 from .lowrank import (
     Factorization,
@@ -325,62 +322,66 @@ def _build(
     )
 
 
+def _no_weight(W: None):
+    """Refuse a third positional argument other than None: the weight is the identity."""
+    if W is not None:
+        raise TypeError(f"the Taylor builders take no weight matrix, got {type(W).__name__}")
+
+
 def approx_inner_product(
     spec: KernelSpec,
     X: PointSet,
-    W: Optional[WeightMatrix],
+    W: None,
     Y: PointSet,
     t: Optional[int] = None,
     eps: float = 0.1,
     seed: SeedLike = 0,
 ) -> tuple[Factorization, TaylorReport]:
-    """Low-rank approximation of ``h(x_i' W y_j)`` with rank <= 1 + L + r, L the
+    """Low-rank approximation of ``h(x_i' y_j)`` with rank <= 1 + L + r, L the
     summed width of the exact powers (``compress.hadamard_widths``).
 
-    The series is taken at zero, for arguments ``|x' W y| <= sigma R_x R_y``.
-    The error is measured at every size, one row block of the target at a time.
+    The series is taken at zero, for arguments ``|x'y| <= R_x R_y``.  The
+    error is measured at every size, one row block of the target at a time.
+    ``W`` must be None (``_no_weight``).
     """
-    A, B, sigma = weighted_points(X, W, Y)
-    bound = sigma * X.radius_bound * Y.radius_bound
+    _no_weight(W)
+    bound = X.radius_bound * Y.radius_bound
     spec.check_domain(-bound, bound)
     plan = taylor_coeffs(spec, 0.0, t, radius=bound, eps=eps)
-    target = kernel_rows(replace(spec, arg_kind=ARG_INNER), _points(A), _points(B))
-    return _build(spec, Factorization(A, B), plan, eps, seed, target, bound)
-
-
-def _points(P: np.ndarray) -> PointSet:
-    """The rows of ``P`` as a point set, with their largest norm as the radius."""
-    return PointSet(P, float(np.linalg.norm(P, axis=1).max()))
+    target = kernel_rows(replace(spec, arg_kind=ARG_INNER), X, Y)
+    return _build(spec, Factorization(X.points, Y.points), plan, eps, seed, target, bound)
 
 
 def _distance_base(A: np.ndarray, B: np.ndarray, extra: Sequence[RankOne] = ()) -> Factorization:
     """Factorization of ``Z1 + Z2 - 2 A B' (+ extra)``, the distance matrix of
-    the weighted points ``A``, ``B`` (``kernels.weighted_points``)."""
-    rx = (A**2).sum(axis=1)  # x' W x = ||x' U diag(sqrt(lam))||^2
+    the points ``A``, ``B``."""
+    rx = (A**2).sum(axis=1)
     ry = (B**2).sum(axis=1)
     terms = [RankOne(rx, np.ones(B.shape[0])), RankOne(np.ones(A.shape[0]), ry), *extra]
     return augment_rank_one(Factorization(-math.sqrt(2.0) * A, math.sqrt(2.0) * B), terms)
 
 
 def _sq_distance(
-    spec: KernelSpec, X: PointSet, W: Optional[WeightMatrix], Y: PointSet,
+    spec: KernelSpec, X: PointSet, W: None, Y: PointSet,
     t: Optional[int], eps: float, seed: SeedLike, midpoint: bool,
 ) -> tuple[Factorization, TaylorReport]:
     """The one body of both distance routes.
 
-    The series is at zero, for ``|D| <= 4 sigma R**2``, unless ``midpoint``
+    The series is at zero, for ``|D| <= 4 R**2``, unless ``midpoint``
     or the spec's domain does not hold that interval.  Then it is at the
     midpoint ``xi`` of the realized range, which the domain must hold, for
-    ``|D - xi| <= 8 sigma R**2``, with the remainder's sup estimated on the
+    ``|D - xi| <= 8 R**2``, with the remainder's sup estimated on the
     range; a single realized value gives the exact constant ``h(xi)``.  The
     range is read off the dense distance matrix, so the midpoint raises
     ``caps.DenseCapExceeded`` above the dense cap.  With every point at the
     origin (``R = 0``) the one realized value is 0, known at any size, and
     the result is the exact constant ``h(0)``: the series at zero would need
-    h's derivatives at 0, which f1's profile does not have.
+    h's derivatives at 0, which f1's profile does not have.  ``W`` must be
+    None (``_no_weight``).
     """
-    A, B, sigma = weighted_points(X, W, Y)
-    bound = 4.0 * sigma * max(X.radius_bound, Y.radius_bound) ** 2
+    _no_weight(W)
+    A, B = X.points, Y.points
+    bound = 4.0 * max(X.radius_bound, Y.radius_bound) ** 2
     midpoint = midpoint or bound == 0.0 or not spec.covers(-bound, bound)
     n1, n2, cap = X.n, Y.n, caps.dense_cap()
     if n1 * n2 > cap:
@@ -391,7 +392,7 @@ def _sq_distance(
             )
         target, dmin, dmax = None, 0.0, 0.0
     else:
-        D, dmin, dmax = distance_matrix(X, W, Y)
+        D, dmin, dmax = distance_matrix(X, Y)
         target = _profile_rows(spec, D)
     if not midpoint:
         plan = taylor_coeffs(spec, 0.0, t, radius=bound, eps=eps)
@@ -409,13 +410,13 @@ def _sq_distance(
 def approx_sq_distance(
     spec: KernelSpec,
     X: PointSet,
-    W: Optional[WeightMatrix],
+    W: None,
     Y: PointSet,
     t: Optional[int] = None,
     eps: float = 0.1,
     seed: SeedLike = 0,
 ) -> tuple[Factorization, TaylorReport]:
-    """Low-rank approximation of ``h(||x_i - y_j||_W^2)``, with the series at
+    """Low-rank approximation of ``h(||x_i - y_j||^2)``, with the series at
     zero where the spec's domain allows it and at the midpoint of the realized
     range otherwise (``_sq_distance``)."""
     return _sq_distance(spec, X, W, Y, t, eps, seed, midpoint=False)
@@ -424,7 +425,7 @@ def approx_sq_distance(
 def approx_sq_distance_local(
     spec: KernelSpec,
     X: PointSet,
-    W: Optional[WeightMatrix],
+    W: None,
     Y: PointSet,
     t: Optional[int] = None,
     eps: float = 0.1,

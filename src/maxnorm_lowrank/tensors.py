@@ -20,6 +20,7 @@ caps the ranks at the sizes of the unfoldings.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -84,14 +85,14 @@ class CPTensor:
 
 @dataclass(frozen=True)
 class TTTensor:
-    """Tensor train: order-3 cores of shape (r_{k-1}, n_k, r_k), r_0 = r_d = 1."""
+    """Tensor train of d >= 2 order-3 cores of shape (r_{k-1}, n_k, r_k), r_0 = r_d = 1."""
 
     cores: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         cores = tuple(np.asarray(c, dtype=np.float64) for c in self.cores)
-        if not cores:
-            raise ValueError("TT tensor needs at least one core")
+        if len(cores) < 2:
+            raise ValueError("TT tensor needs at least two cores")
         if cores[0].shape[0] != 1 or cores[-1].shape[2] != 1:
             raise ValueError("boundary TT ranks must be 1")
         for a, b in zip(cores, cores[1:]):
@@ -152,8 +153,6 @@ class TTTensor:
         check of ``taylor_tt_approx`` passes such batches.
         """
         idx = np.asarray(idx, dtype=np.intp)
-        if self.order == 1:
-            return self.cores[0][0, idx[:, 0], 0]
         if idx.shape[0] == 0:
             return np.empty(0)
         first = self.cores[0][0]  # (n_1, r_1)
@@ -393,8 +392,6 @@ def tt_add(Ta: TTTensor, Tb: TTTensor) -> TTTensor:
     if Ta.shape != Tb.shape:
         raise ValueError(f"mode sizes disagree: {Ta.shape} vs {Tb.shape}")
     d = Ta.order
-    if d == 1:
-        return TTTensor((Ta.cores[0] + Tb.cores[0],))
     cores = []
     for k in range(d):
         a, b = Ta.cores[k], Tb.cores[k]
@@ -425,31 +422,22 @@ def tt_hadamard(Ta: TTTensor, Tb: TTTensor) -> TTTensor:
     return TTTensor(tuple(cores))
 
 
-def tt_ranks(ranks: Sequence[int] | int, d: int) -> tuple[int, ...]:
-    """The d - 1 internal ranks of an order-d train: one int for all, or exactly d - 1."""
-    if isinstance(ranks, (int, np.integer)):
-        return (int(ranks),) * (d - 1)
-    ranks = tuple(int(k) for k in ranks)
-    if len(ranks) != d - 1:
-        raise ValueError(f"need {d - 1} TT ranks, got {ranks}")
-    return ranks
-
-
-def tt_svd(T: np.ndarray, max_ranks: Sequence[int] | int) -> TTTensor:
-    """Sequential-unfolding SVD compression of a dense tensor to ranks <= ``max_ranks``."""
+def tt_svd(T: np.ndarray, max_ranks: int) -> TTTensor:
+    """Sequential-unfolding SVD compression of a dense tensor, every inner rank
+    capped at the one int ``max_ranks``."""
     T = np.asarray(T, dtype=np.float64)
     if T.ndim < 2:
         raise ValueError("need a tensor with at least 2 modes")
     d = T.ndim
     shape = T.shape
-    max_ranks = tt_ranks(max_ranks, d)
+    max_ranks = operator.index(max_ranks)  # one int; a list of ranks raises TypeError
     cores = []
     C = T.reshape(1, *shape)
     r_prev = 1
     for k in range(d - 1):
         mat = C.reshape(r_prev * shape[k], -1)
         U, s, Vt = np.linalg.svd(mat, full_matrices=False)
-        r = max(1, min(s.size, max_ranks[k]))
+        r = max(1, min(s.size, max_ranks))
         cores.append(U[:, :r].reshape(r_prev, shape[k], r))
         C = (s[:r, None] * Vt[:r]).reshape(r, *shape[k + 1 :])
         r_prev = r
@@ -457,14 +445,12 @@ def tt_svd(T: np.ndarray, max_ranks: Sequence[int] | int) -> TTTensor:
     return TTTensor(tuple(cores))
 
 
-def tt_round(T: TTTensor, max_ranks: Sequence[int] | int) -> TTTensor:
-    """Quasi-optimal TT recompression to ranks <= ``max_ranks``: orthogonalize
-    right-to-left, truncate left-to-right."""
+def tt_round(T: TTTensor, max_ranks: int) -> TTTensor:
+    """Quasi-optimal TT recompression, every inner rank capped at the one int
+    ``max_ranks``: orthogonalize right-to-left, truncate left-to-right."""
     d = T.order
-    max_ranks = tt_ranks(max_ranks, d)
+    max_ranks = operator.index(max_ranks)  # one int; a list of ranks raises TypeError
     cores = [c.copy() for c in T.cores]
-    if d == 1:
-        return TTTensor(tuple(cores))
 
     # right-to-left orthogonalization
     for k in range(d - 1, 0, -1):
@@ -480,7 +466,7 @@ def tt_round(T: TTTensor, max_ranks: Sequence[int] | int) -> TTTensor:
         r0, n, r1 = cores[k].shape
         mat = cores[k].reshape(r0 * n, r1)
         U, s, Vt = np.linalg.svd(mat, full_matrices=False)
-        r = max(1, min(s.size, max_ranks[k]))
+        r = max(1, min(s.size, max_ranks))
         cores[k] = U[:, :r].reshape(r0, n, r)
         carry = s[:r, None] * Vt[:r]
         cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=([1], [0]))

@@ -86,11 +86,11 @@ class TestBinarySearch:
         np.testing.assert_array_equal(again.approximant, first.approximant)
 
     def test_pool_result_is_the_inline_one(self, searches):
-        # a matrix of the suite and a tensor target with a tuple rank
+        # a matrix of the suite and a tensor target
         F, r, inline = searches[1]
         streams = split(31, 3)
         T = eval_kernel_tensor(kernel_for("f3", 1.0), [sample_ball(s, 8, 3) for s in streams])
-        cases = [(F, r, SUITE[1][4], inline), (T, (2, 2), 31, binary_search_eps(T, (2, 2), CFG, 31))]
+        cases = [(F, r, SUITE[1][4], inline), (T, 2, 31, binary_search_eps(T, 2, CFG, 31))]
         with ProcessPoolExecutor(1, multiprocessing.get_context("fork")) as pool:
             for target, rank, seed, ref in cases:
                 res = binary_search_eps(target, rank, CFG, seed, pool=pool)
@@ -174,10 +174,9 @@ class TestBinarySearch:
     def test_tensor(self):
         streams = split(31, 3)
         F = eval_kernel_tensor(kernel_for("f3", 1.0), [sample_ball(s, 8, 3) for s in streams])
-        ranks = (2, 2)
         cfg = AltProjConfig(max_iters=100, bisect_iters=4)
-        res = binary_search_eps(F, ranks, cfg, 31)
-        baseline = max_norm(F - tt_svd(F, max_ranks=ranks).dense())
+        res = binary_search_eps(F, 2, cfg, 31)
+        baseline = max_norm(F - tt_svd(F, max_ranks=2).dense())
         assert res.eps_star <= baseline
         assert max_norm(F - res.approximant) <= res.eps_star * (1.0 + cfg.tol)
         n = F.shape[0]
@@ -232,10 +231,9 @@ class TestAlternatingProjections:
 class TestInitialGuess:
     def test_tt_start_matches_core_contraction(self):
         F = np.ones((4, 5, 6))
-        ranks = (2, 3)
-        T = initial_guess(F, ranks, 7)
+        T = initial_guess(F, 2, 7)
         rng = generator(7)
-        full = (1, 2, 3, 1)
+        full = (1, 2, 2, 1)
         cores = [rng.standard_normal((full[k], F.shape[k], full[k + 1])) for k in range(3)]
         ref = np.einsum("ia,ajb,bk->ijk", cores[0][0], cores[1], cores[2][..., 0])
         np.testing.assert_allclose(T, ref / np.abs(ref).max(), rtol=1e-12, atol=1e-14)
@@ -245,13 +243,6 @@ class TestInitialGuess:
         T = initial_guess(F, 2, 8)
         assert max_norm(T) == pytest.approx(3.0)
         assert np.linalg.matrix_rank(T) <= 2
-
-    def test_one_rank_per_inner_connection(self):
-        for shape, ranks in (((4, 5, 6), (2,)), ((4, 5, 6), (2, 2, 2)), ((5, 4), (2, 3))):
-            with pytest.raises(ValueError, match="TT ranks"):
-                initial_guess(np.ones(shape), ranks, 0)
-        np.testing.assert_array_equal(initial_guess(np.ones((5, 4)), (2,), 8),
-                                      initial_guess(np.ones((5, 4)), 2, 8))
 
 
 def _svd_ritz(E, r, Q):

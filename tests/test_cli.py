@@ -117,10 +117,13 @@ ALTPROJ_SMALL = ["altproj", *SMALL, "--n", "8", "--m", "2", "--r", "1"]
     ["approx", "--algorithm", "jl", "--function", "linear", "--n", "8", "--m", "2", "--seed", "4",
      "--out-prefix", "x"],
     ["generate", *SMALL, "--n", "8", "--m", "2", "--out", "g.bin"],
+    # each route draws its own points: taylor-ip the unit sphere, the others the ball
+    ["approx", "--algorithm", "taylor-ip", "--function", "gauss", "--n", "8", "--m", "2",
+     "--seed", "4", "--sampling", "sphere"],
 ], ids=["experiment-theta", "altproj-init", "experiment-init", "altproj-trials", "altproj-out",
         "altproj-restarts", "altproj-stall-patience", "altproj-stall-rtol",
         "experiment-restarts", "experiment-bounds", "experiment-rho", "approx-out-prefix",
-        "generate"])
+        "generate", "approx-sampling"])
 def test_fixed_settings_have_no_flag(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -155,7 +158,7 @@ def test_altproj_single_run_targets(flags, expected, capsys):
 POINTS = ["--n", "30", "--m", "3", "--seed", "5"]
 
 APPROX_GOLDEN = [
-    (["--algorithm", "taylor-ip", "--function", "gauss", "--sampling", "sphere"], {
+    (["--algorithm", "taylor-ip", "--function", "gauss"], {
         "algorithm": "taylor-ip", "certified": True, "certified_bound": 1.3333333333333333,
         "corollary_bound": 0.6886926782609291, "measured_relative_error": 0.323133261907516,
         "order": 3, "rank": 10, "regime_ok": False, "sketched_powers": [],
@@ -280,9 +283,7 @@ TINY = ["--n", "6", "--m", "2", "--seed", "1"]
 @pytest.mark.parametrize("function", APPROX_FUNCTIONS)
 @pytest.mark.parametrize("algorithm", list(COVERED))
 def test_approx_refuses_functions_its_route_does_not_cover(algorithm, function, capsys):
-    sampling = ["--sampling", "sphere"] if algorithm == "taylor-ip" else []
-    code = cli.main(["approx", "--algorithm", algorithm, "--function", function,
-                     *sampling, *TINY])
+    code = cli.main(["approx", "--algorithm", algorithm, "--function", function, *TINY])
     assert code == (0 if function in COVERED[algorithm] else 2)
     if code == 2:  # the refusal names what the route covers
         err = capsys.readouterr().err
@@ -313,9 +314,21 @@ def test_rff_covers_exactly_the_functions_with_a_spectral_law():
         rff.rff_then_compress(kernel_for("f2", 1.0), X, X)
 
 
-def test_taylor_ip_refuses_the_ball():
-    assert cli.main(["approx", "--algorithm", "taylor-ip", "--function", "gauss",
-                     "--sampling", "ball", *TINY]) == 2
+def test_each_route_draws_its_own_points(monkeypatch, capsys):
+    # taylor-ip covers the gaussian kernel on the unit sphere; the others sample the ball
+    drawn = []
+    for name in ("sample_ball", "sample_sphere"):
+        def spy(*args, _name=name, _draw=getattr(cli, name)):
+            drawn.append(_name)
+            return _draw(*args)
+
+        monkeypatch.setattr(cli, name, spy)
+    for algorithm, functions in COVERED.items():
+        drawn.clear()
+        argv = ["approx", "--algorithm", algorithm, "--function", min(functions), *TINY]
+        assert cli.main(argv) == 0
+        expected = "sample_sphere" if algorithm == "taylor-ip" else "sample_ball"
+        assert drawn == [expected] * (3 if algorithm == "tt-taylor" else 2)
 
 
 def test_experiment_taylor_runs_the_local_route_on_f1(tmp_path):
@@ -339,9 +352,8 @@ OPTION_VALUES = {"t": "2", "r": "2", "rho": "8", "theta": "0.6", "radius": "0.9"
 @pytest.mark.parametrize("option", list(OPTION_VALUES))
 @pytest.mark.parametrize("algorithm", list(READS))
 def test_approx_refuses_options_its_route_does_not_read(algorithm, option, capsys):
-    sampling = ["--sampling", "sphere"] if algorithm == "taylor-ip" else []
     function = sorted(COVERED[algorithm])[0]
-    argv = ["approx", "--algorithm", algorithm, "--function", function, *sampling,
+    argv = ["approx", "--algorithm", algorithm, "--function", function,
             "--" + option, OPTION_VALUES[option], *TINY]
     if option in ("theta", "rho"):
         with pytest.raises(SystemExit) as exc:

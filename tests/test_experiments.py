@@ -324,7 +324,12 @@ def test_validate_lets_tt_sample_above_the_cap(monkeypatch):
     ({"function": "f3", "algorithms": ("tt",), "t": 0}, "t must be >= 1, got 0"),
     ({"radius": -1.0}, "radius must be > 0, got -1.0"),
     ({"radius": 0.0, "algorithms": ("rff",)}, "radius must be > 0, got 0.0"),
-], ids=["eps-above", "eps-zero", "t-zero", "radius-negative", "radius-zero"])
+    # each would run nothing, or write rows twice with the same trials and seeds
+    ({"algorithms": ()}, "algorithms must be nonempty"),
+    ({"algorithms": ("rff", "rff")}, "algorithms lists 'rff' twice"),
+    ({"experiment": "varm", "m_grid": (3, 3)}, "m_grid lists 3 twice"),
+], ids=["eps-above", "eps-zero", "t-zero", "radius-negative", "radius-zero",
+        "algorithms-empty", "algorithms-repeated", "varied-axis-repeated"])
 def test_validate_refuses_route_settings_before_any_trial(settings, message, monkeypatch, tmp_path):
     def fail(*args, **kwargs):
         raise AssertionError("a trial ran")
@@ -436,12 +441,15 @@ CONSTRUCTIVE_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("function, scheme, algorithms", list(CONSTRUCTIVE_GOLDEN),
-                         ids=["-".join(k[:2]) for k in CONSTRUCTIVE_GOLDEN])
-def test_constructive_rows_golden(function, scheme, algorithms, tmp_path):
+# the same rows at any jobs value
+@pytest.mark.parametrize("function, scheme, algorithms, jobs", [
+    pytest.param(*key, jobs, id="-".join(key[:2]) + ("" if jobs == 1 else f"-jobs{jobs}"))
+    for key in CONSTRUCTIVE_GOLDEN for jobs in (1, 2)
+])
+def test_constructive_rows_golden(function, scheme, algorithms, jobs, tmp_path):
     path = tmp_path / "x.csv"
     run_experiment(ExperimentConfig(function=function, scheme=scheme, algorithms=algorithms,
-                                    output=str(path), **GOLDEN_GRID))
+                                    output=str(path), jobs=jobs, **GOLDEN_GRID))
     keep = [COLUMNS.index(c) for c in ("algorithm", "m", "trial", "seed", "rel_error")]
     rows = [[ln.split(",")[i] for i in keep]
             for ln in path.read_text(encoding="utf-8").splitlines()[2:]]

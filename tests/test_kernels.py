@@ -8,7 +8,6 @@ from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.kernels import (
     DomainViolation,
     KernelSpec,
-    WeightMatrix,
     cauchy,
     distance_matrix,
     eval_kernel_matrix,
@@ -35,55 +34,36 @@ def pts(rows, radius=None):
 class TestDistanceMatrix:
     def test_symmetric_zero_diagonal(self):
         X = pts([[0.3, 0.4], [-0.1, 0.9]])
-        D, dmin, dmax = distance_matrix(X, None, X)
+        D, dmin, dmax = distance_matrix(X, X)
         np.testing.assert_allclose(np.diag(D), 0.0, atol=1e-14)
         assert dmin >= 0.0
 
     def test_weighted_hand_value(self):
+        # the weight is the identity: D = (0 - 3)**2
         X = pts([[0.0]])
         Y = pts([[3.0]])
-        W = WeightMatrix(np.array([[2.0]]))
-        D, dmin, dmax = distance_matrix(X, W, Y)
-        assert D[0, 0] == pytest.approx(18.0)
-        assert dmin == dmax == pytest.approx(18.0)
+        D, dmin, dmax = distance_matrix(X, Y)
+        assert D[0, 0] == pytest.approx(9.0)
+        assert dmin == dmax == pytest.approx(9.0)
 
     def test_rank_one_plus_gram_identity(self):
-        # D = rowsq(X) 1' + 1 rowsq(Y)' - 2 X W Y', entrywise
+        # D = rowsq(X) 1' + 1 rowsq(Y)' - 2 X Y', entrywise
         rng = np.random.default_rng(0)
         X = pts(rng.normal(size=(17, 5)))
         Y = pts(rng.normal(size=(11, 5)))
-        A = rng.normal(size=(5, 5))
-        W = WeightMatrix(A @ A.T + 5 * np.eye(5))
-        D, _, _ = distance_matrix(X, W, Y)
-        rx = ((X.points @ W.entries) * X.points).sum(1)
-        ry = ((Y.points @ W.entries) * Y.points).sum(1)
-        expected = rx[:, None] + ry[None, :] - 2 * X.points @ W.entries @ Y.points.T
+        D, _, _ = distance_matrix(X, Y)
+        rx = (X.points * X.points).sum(1)
+        ry = (Y.points * Y.points).sum(1)
+        expected = rx[:, None] + ry[None, :] - 2 * X.points @ Y.points.T
         assert np.abs(D - expected).max() <= 1e-10
 
     def test_nonnegative_for_pd_weight(self):
+        # the identity weight: floating dust below zero is clamped
         rng = np.random.default_rng(1)
         X = pts(rng.normal(size=(20, 4)))
         Y = pts(rng.normal(size=(20, 4)))
-        A = rng.normal(size=(4, 4))
-        W = WeightMatrix(A @ A.T + 0.5 * np.eye(4))
-        _, dmin, _ = distance_matrix(X, W, Y)
+        _, dmin, _ = distance_matrix(X, Y)
         assert dmin >= 0.0
-
-
-class TestWeightMatrix:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            WeightMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="positive-definite"):
-            WeightMatrix(np.array([[1.0, 0.0], [0.0, -0.5]]))
-
-    def test_spectral_bound(self):
-        W = WeightMatrix(np.diag([1.0, 3.0]))
-        assert W.spectral_norm_bound == pytest.approx(3.0)
-        with pytest.raises(TypeError):
-            WeightMatrix(np.diag([1.0, 3.0]), spectral_norm_bound=4.0)
 
 
 class TestEvalKernelMatrix:
@@ -129,7 +109,7 @@ class TestEvalKernelMatrix:
         # 300 rows: two full row blocks and a partial one
         X, Y = sample_ball(12, 300, 5, 1.0), sample_ball(13, 70, 5, 1.0)
         if spec.arg_kind == "sq_distance":
-            args = distance_matrix(X, None, Y)[0]
+            args = distance_matrix(X, Y)[0]
         elif spec.arg_kind == "coordinates":
             args = None
         else:

@@ -12,7 +12,6 @@ from maxnorm_lowrank.kernels import (
     PROFILE_GRID,
     DomainViolation,
     KernelSpec,
-    WeightMatrix,
     distance_matrix,
     exp_dist,
     gauss_sq_dist,
@@ -75,7 +74,7 @@ def per_point_sup(spec, t, lo, hi):
 class TestSupDerivative:
     def f1_range(self):
         # the benchmark's f1 shape: two independent 600-point samples of the 8-ball
-        _, dmin, dmax = distance_matrix(sample_ball(31, 600, 8), None, sample_ball(32, 600, 8))
+        _, dmin, dmax = distance_matrix(sample_ball(31, 600, 8), sample_ball(32, 600, 8))
         assert dmin > 0.0
         return dmin, dmax
 
@@ -117,20 +116,10 @@ class TestApproxInnerProduct:
         G, rep = approx_inner_product(gaussian_on_sphere(), X, None, Y, t=2, eps=0.2, seed=5)
         assert rep.certified
         assert rep.measured_max_error <= rep.corollary_bound
-        # corollary bound: C [e^-t + eps (e^{M sigma R^2} - 1)]
+        # corollary bound: C [e^-t + eps (e^{M R^2} - 1)]
         assert rep.corollary_bound == pytest.approx(
             math.exp(-2) + 0.2 * (math.exp(2) - 1), rel=1e-12
         )
-
-    def test_weight_doubles_exponent(self):
-        X = sample_ball(1, 10, 4, 1.0)
-        Y = sample_ball(2, 10, 4, 1.0)
-        spec = gauss_sq_dist((-8, 8))
-        _, rep1 = approx_inner_product(spec, X, None, Y, t=2, eps=0.3, seed=1)
-        _, rep2 = approx_inner_product(
-            spec, X, WeightMatrix(2.0 * np.eye(4)), Y, t=2, eps=0.3, seed=1
-        )
-        assert rep2.exponent_arg == pytest.approx(2 * rep1.exponent_arg)
 
     def test_rank_budget(self):
         X = sample_sphere(3, 30, 12)
@@ -171,13 +160,11 @@ class TestApproxSqDistance:
         X = sample_ball(1, 20, 5, 1.0)
         Y = sample_ball(2, 20, 5, 1.0)
         spec = identity_profile((-8, 8), arg_kind=ARG_SQDIST)
-        Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(5, 5)))
-        for W in (None, WeightMatrix((Q * [0.5, 0.8, 1.0, 1.2, 1.5]) @ Q.T)):
-            G, rep = approx_sq_distance(spec, X, W, Y, t=2, eps=0.5, seed=0)
-            D, _, _ = distance_matrix(X, W, Y)
-            assert max_norm_error(D, G) <= 1e-10
-            # the distance matrix has rank <= m + 2
-            assert rep.rank <= 5 + 2
+        G, rep = approx_sq_distance(spec, X, None, Y, t=2, eps=0.5, seed=0)
+        D, _, _ = distance_matrix(X, Y)
+        assert max_norm_error(D, G) <= 1e-10
+        # the distance matrix has rank <= m + 2
+        assert rep.rank <= 5 + 2
 
     def test_measured_below_certified_bound(self):
         X = sample_ball(3, 60, 30, 1.0)
@@ -289,6 +276,14 @@ ROUTES = [
     (approx_sq_distance, gauss_sq_dist((-4, 4)), sample_ball, 3),
     (approx_sq_distance_local, gauss_sq_dist((-4, 4)), sample_ball, 3),
 ]
+
+
+def test_builders_refuse_a_weight():
+    # the third positional slot takes only None: the weight is the identity
+    for route, spec, sample, m in ROUTES:
+        X = sample(1, 6, m)
+        with pytest.raises(TypeError, match="no weight matrix"):
+            route(spec, X, np.eye(m), X, t=2, eps=0.5, seed=0)
 
 
 class TestAssemble:
@@ -412,7 +407,7 @@ def truncated_series(route, spec, X, Y, t):
     if route is approx_inner_product:
         D, center = X.points @ Y.points.T, 0.0
     else:
-        D, dmin, dmax = distance_matrix(X, None, Y)
+        D, dmin, dmax = distance_matrix(X, Y)
         center = 0.5 * (dmin + dmax) if route is approx_sq_distance_local else 0.0
     c = [spec.deriv(s, center) / math.factorial(s) for s in range(t)]
     return spec.h(D), sum(c[s] * (D - center) ** s for s in range(t))
@@ -480,7 +475,7 @@ class TestExactSum:
         spec = gauss_sq_dist((-4, 4))
         G, rep = approx_sq_distance_local(spec, X, None, Y, t=4, eps=eps, seed=8)
         assert rep.sketched_powers == [2, 3] and rep.sketch.certified
-        _, dmin, dmax = distance_matrix(X, None, Y)
+        _, dmin, dmax = distance_matrix(X, Y)
         xi = 0.5 * (dmin + dmax)
         A, B = X.points, Y.points
         base = compress.augment_rank_one(

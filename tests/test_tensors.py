@@ -131,7 +131,7 @@ class TestTTSvd:
     def test_full_ranks_lossless(self):
         rng = np.random.default_rng(5)
         T = rng.normal(size=(4, 5, 3))
-        tt = tt_svd(T, max_ranks=(20, 20))
+        tt = tt_svd(T, max_ranks=20)
         assert np.abs(tt.dense() - T).max() <= 1e-10
 
     def test_cp_width_bounds_tt_ranks(self):
@@ -149,16 +149,20 @@ class TestTTSvd:
         with pytest.raises(TypeError):
             tt_round(tt_ones((2, 2, 2)), tol=0.1)
 
-    @pytest.mark.parametrize("method", ["tt_svd", "tt_round"])
-    def test_one_rank_per_inner_connection(self, method):
+    def test_one_rank_for_every_connection(self):
         T = np.random.default_rng(6).normal(size=(4, 5, 6))
-        run = {"tt_svd": lambda ranks: tt_svd(T, max_ranks=ranks),
-               "tt_round": lambda ranks: tt_round(tt_svd(T, max_ranks=6), max_ranks=ranks)}[method]
-        for ranks in ([2], [2, 2, 2], ()):
-            with pytest.raises(ValueError, match="need 2 TT ranks"):
-                run(ranks)
-        assert run(2).ranks == run([2, 2]).ranks == (2, 2)
-        assert run(np.array([3, 2])).ranks == (3, 2)
+        for ranks in ([2, 2], (3, 2), np.array([3, 2])):
+            with pytest.raises(TypeError):
+                tt_svd(T, max_ranks=ranks)
+            with pytest.raises(TypeError):
+                tt_round(tt_svd(T, max_ranks=6), max_ranks=ranks)
+        assert tt_svd(T, max_ranks=np.int64(2)).ranks == (2, 2)
+
+    def test_train_needs_two_cores(self):
+        with pytest.raises(ValueError, match="at least two cores"):
+            TTTensor((np.ones((1, 4, 1)),))
+        with pytest.raises(ValueError, match="at least two cores"):
+            TTTensor(())
 
 
 class TestCpToTT:
@@ -235,20 +239,20 @@ class TestTTHadamardAndRound:
     def test_round_generous_ranks_lossless(self):
         rng = np.random.default_rng(15)
         T = random_tt(rng, (4, 5, 6), (3, 4))
-        R = tt_round(T, max_ranks=(10, 10))
+        R = tt_round(T, max_ranks=10)
         assert np.abs(R.dense() - T.dense()).max() <= 1e-10
 
     def test_round_rank_one_unchanged(self):
         rng = np.random.default_rng(16)
         T = random_tt(rng, (3, 4, 5), (1, 1))
-        R = tt_round(T, max_ranks=(1, 1))
+        R = tt_round(T, max_ranks=1)
         np.testing.assert_allclose(R.dense(), T.dense(), atol=1e-10)
 
     def test_round_to_rank_one_quasi_optimal(self):
         # oracle: best outer-product approximation by ALS from several starts
         rng = np.random.default_rng(5)
         A = rng.normal(size=(3, 3, 3))
-        rounded = tt_round(tt_svd(A, max_ranks=(3, 3)), max_ranks=(1, 1))
+        rounded = tt_round(tt_svd(A, max_ranks=3), max_ranks=1)
         err = np.linalg.norm(A - rounded.dense())
 
         best = math.inf
