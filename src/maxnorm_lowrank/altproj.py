@@ -58,10 +58,10 @@ class AltProjConfig:
 
     ``max_iters`` caps the iterations of one eps-run, ``tol`` is the
     relative slack of its feasibility test and ``bisect_iters`` the number
-    of bisection probes.  ``cli._add_solver_flags`` builds one flag per
-    field for the ``altproj`` and ``experiment`` subcommands, and
-    ``ExperimentConfig`` inherits the fields as config-file keys.  The
-    stall rule is fixed (``STALL_PATIENCE``, ``STALL_RTOL``).
+    of bisection probes.  ``ExperimentConfig`` inherits the fields as
+    config-file keys, and the ``altproj`` and ``experiment`` subcommands
+    build one flag per field.  The stall rule is fixed (``STALL_PATIENCE``,
+    ``STALL_RTOL``).
     """
 
     max_iters: int = 500
@@ -71,6 +71,8 @@ class AltProjConfig:
     def __post_init__(self):
         if self.max_iters < 1 or self.bisect_iters < 1:
             raise ValueError("iteration counts must be >= 1")
+        if not self.tol >= 0:  # also refuses NaN, under which no probe converges
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 Subcommands: approx, altproj, bounds, experiment, plot.
 Every stochastic subcommand requires an explicit --seed.  ``approx``
-dispatches through the route table ``experiments.COVERS``: a function
-its route does not cover exits 2, and so does an option it does not read
-(``experiments.READS``).
+dispatches through the route table ``experiments.ROUTES``: a function
+its route does not cover exits 2, and so does an option it does not read.
+``experiment`` has one flag per ``ExperimentConfig`` field and ``altproj``
+one per ``AltProjConfig`` field, each parsed as its config-file line is.
 """
 
 from __future__ import annotations
@@ -13,17 +14,17 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import caps
 from .altproj import AltProjConfig, _dense_target, binary_search_eps
 from .experiments import (
-    COVERS,
-    EXPERIMENTS,
     FUNCTIONS,
-    READS,
+    ROUTES,
     ExperimentConfig,
+    _parse_value,
     approximate,
     emit_plot_data,
     kernel_for,
@@ -31,14 +32,6 @@ from .experiments import (
     run_experiment,
 )
 from .rng import split
-from .sampling import sample_ball, sample_pair, sample_sphere
-
-
-def _sample(args, seed):
-    """taylor-ip's points lie on the unit sphere, every other route's in the ball."""
-    if args.algorithm == "taylor-ip":
-        return sample_sphere(seed, args.n, args.m)
-    return sample_ball(seed, args.n, args.m, args.radius)
 
 
 def _add_common_points(p):
@@ -49,33 +42,20 @@ def _add_common_points(p):
     p.add_argument("--scheme", choices=["independent", "symmetric"], default="independent")
 
 
-def _add_solver_flags(p):
-    """One flag per ``AltProjConfig`` field; unset flags keep the dataclass default."""
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--bisect-iters", dest="bisect_iters", type=int, default=None)
+def _add_config_flags(p, cls):
+    """One flag per field of dataclass ``cls``; a flag left out is absent from the namespace."""
+    for f in fields(cls):
+        def parse(raw, _name=f.name):
+            return _parse_value(_name, raw)
+
+        parse.__name__ = f.name  # argparse names it in "invalid <name> value"
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=parse,
+                       default=argparse.SUPPRESS, **f.metadata)
 
 
 def _given(args, cls) -> dict:
     """The fields of dataclass ``cls`` that were set on the command line."""
-    out = {}
-    for f in fields(cls):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            out[f.name] = tuple(value) if isinstance(value, list) else value
-    return out
-
-
-# the report fields approx prints, under "taylor" for the three Taylor routes;
-# jl adds its width and rff its sketch's certificate
-_REPORT_FIELDS = {
-    "tt-taylor": ("ranks", "rank_budget", "measured_relative_error", "error_sampled",
-                  "incremental_powers"),
-    "jl": ("requested_rank", "achieved_max_error", "target_bound", "attempts", "certified"),
-    "rff": ("rank", "rho", "feature_error", "feature_certified", "measured_relative_error"),
-    "taylor": ("rank", "order", "measured_relative_error", "certified_bound", "corollary_bound",
-               "regime_ok", "certified", "sketched_powers"),
-}
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
 
 
 # route options left unset on the command line take the experiment grid's defaults
@@ -86,14 +66,15 @@ _APPROX_DEFAULTS = {
 
 def cmd_approx(args) -> int:
     alg, refusal = args.algorithm, None
+    route = ROUTES[alg]
     unread = ["--" + o for o in _APPROX_DEFAULTS
-              if getattr(args, o) is not None and o not in READS[alg]]
-    if args.function not in COVERS[alg]:
-        refusal = f"{alg} covers {', '.join(COVERS[alg])}, not {args.function}"
+              if getattr(args, o) is not None and o not in route.reads]
+    if args.function not in route.covers:
+        refusal = f"{alg} covers {', '.join(route.covers)}, not {args.function}"
     elif unread:
-        reads = ", ".join("--" + o for o in READS[alg])
+        reads = ", ".join("--" + o for o in route.reads)
         refusal = f"{alg} reads --eps and {reads}, not {', '.join(unread)}"
-    elif alg == "tt-taylor" and args.scheme != "independent":
+    elif route.tensor and args.scheme != "independent":
         refusal = "tensors use independent sampling only"
     if refusal:
         print(refusal, file=sys.stderr)
@@ -101,20 +82,13 @@ def cmd_approx(args) -> int:
     for option, default in _APPROX_DEFAULTS.items():
         if getattr(args, option) is None:
             setattr(args, option, default)
-    if alg == "tt-taylor":
-        streams = split(args.seed, 4)
-        points = [_sample(args, s) for s in streams[:3]]
-        seed = streams[3]
-    else:
-        points = sample_pair(args.scheme, split(args.seed, 2), lambda s: _sample(args, s))
-        seed = args.seed
-    G, rep = approximate(alg, args.function, args.radius, points, seed,
-                         args.eps, args.t, args.r)
-    payload = {k: getattr(rep, k) for k in _REPORT_FIELDS.get(alg, _REPORT_FIELDS["taylor"])}
-    if alg == "jl":
-        payload["rank"] = G.width
-    if alg == "rff":
-        payload["sketch_certified"] = rep.sketch.certified
+    # a pair route draws the streams split(seed, 2) gave and builds with --seed itself
+    streams = split(args.seed, 4)
+    points = route.points(args.scheme, streams, args.n, args.m, args.radius)
+    G, rep = approximate(alg, args.function, args.radius, points,
+                         streams[3] if route.tensor else args.seed, args.eps, args.t, args.r)
+    payload = {k.replace(".", "_"): G.width if k == "rank" else attrgetter(k)(rep)
+               for k in route.prints}
     print(json.dumps({"algorithm": alg, **payload}, indent=2, sort_keys=True, default=str))
     return 0
 
@@ -147,11 +121,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_experiment(args) -> int:
     overrides = _given(args, ExperimentConfig)
-    if args.config:
-        cfg = load_config(args.config, overrides)
-    else:
-        cfg = ExperimentConfig(**overrides)
-        cfg.validate()
+    cfg = load_config(args.config, overrides) if args.config else ExperimentConfig(**overrides)
     records = run_experiment(cfg)
     print(f"wrote {len(records)} rows to {cfg.output}")
     return 0
@@ -177,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("approx", help="run one constructive approximation")
-    p.add_argument("--algorithm", required=True, choices=list(COVERS))
-    p.add_argument("--function", default="gauss",
-                   choices=list(dict.fromkeys(FUNCTIONS + sum(COVERS.values(), ()))))
+    p.add_argument("--algorithm", required=True, choices=list(ROUTES))
+    p.add_argument("--function", default="gauss", choices=list(dict.fromkeys(
+        FUNCTIONS + sum((route.covers for route in ROUTES.values()), ()))))
     _add_common_points(p)
     p.set_defaults(radius=None)  # set only for a route that reads it
     p.add_argument("--eps", type=float, default=0.1)
@@ -195,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", choices=FUNCTIONS, required=True)
     _add_common_points(p)
     p.add_argument("--r", type=int, required=True)
-    _add_solver_flags(p)
+    _add_config_flags(p, AltProjConfig)
     p.set_defaults(func=cmd_altproj)
 
     p = sub.add_parser("bounds", help="closed-form rank-bound table")
@@ -212,22 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a full experiment grid to CSV")
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--experiment", choices=EXPERIMENTS, default=None)
-    p.add_argument("--function", choices=FUNCTIONS, default=None)
-    p.add_argument("--scheme", choices=["independent", "symmetric"], default=None)
-    p.add_argument("--n-grid", dest="n_grid", type=_int_list, default=None)
-    p.add_argument("--m-grid", dest="m_grid", type=_int_list, default=None)
-    p.add_argument("--r-grid", dest="r_grid", type=_int_list, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="threads running grid points, and forked processes running their "
-                   "altproj searches (default 1); the CSV is the same for any value")
-    p.add_argument("--algorithms", type=lambda s: s.split(","), default=None)
-    _add_solver_flags(p)
+    _add_config_flags(p, ExperimentConfig)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("plot", help="aggregate an experiment CSV for plotting")

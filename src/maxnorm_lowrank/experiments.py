@@ -13,14 +13,14 @@ numpy calls bound by the interpreter lock, so with ``jobs > 1`` each one
 runs in one of ``jobs`` worker processes, forked (POSIX only) before the
 first thread starts, while its grid-point thread waits for the result.
 
-One route table serves ``cli approx`` and the grid: ``COVERS`` maps each
-route to the functions it covers, ``READS`` to the options it reads, and
-``GRID_ROUTES`` each experiment algorithm to the one route it runs.  One
-Taylor door serves each class: ``taylor-ip`` functions of x'y, and
-``taylor-dist`` functions of ``||x - y||**2``, with the series' center
-picked from the function's domain.  ``ExperimentConfig`` holds the default
-of every route option except rff's starting frequency count, which is
-``rff.rff_then_compress``'s default.
+One route table serves ``cli approx`` and the grid: ``ROUTES`` holds what
+each route covers, reads, prints and draws, ``GRID_ROUTES`` maps each
+experiment algorithm to the one route it runs, and ``approximate`` maps a
+route to its builder.  One Taylor door serves each class: ``taylor-ip``
+functions of x'y, and ``taylor-dist`` functions of ``||x - y||**2``, with
+the series' center picked from the function's domain.  ``ExperimentConfig``
+holds the default of every route option except rff's starting frequency
+count, which is ``rff.rff_then_compress``'s default.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import os
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -50,33 +50,60 @@ from .records import (
     read_csv,
     write_csv,
 )
-from .rng import split
-from .sampling import SamplingScheme, sample_ball, sample_pair
+from .rng import seed_sequence, split
+from .sampling import SamplingScheme, sample_ball, sample_pair, sample_sphere
 
 # the grid axis each experiment varies; every other axis takes one value
 VARIED_AXIS = {"varm": "m_grid", "varr": "r_grid", "varn": "n_grid", "single": None}
 EXPERIMENTS = tuple(VARIED_AXIS)
 FUNCTIONS = ("f1", "f2", "f3", "gauss")
+
+
+@dataclass(frozen=True)
+class Route:
+    """The functions a route covers, the options it reads besides eps and the
+    report fields ``cli approx`` prints.  A ``tensor`` route draws three
+    independent point sets instead of an (X, Y) pair, a ``sphere`` route
+    the unit sphere instead of the ball."""
+
+    covers: tuple[str, ...]
+    reads: tuple[str, ...]
+    prints: tuple[str, ...]
+    tensor: bool = False
+    sphere: bool = False
+
+    def points(self, scheme, streams, n: int, m: int, radius: float):
+        """Three sets from ``streams[:3]`` for a tensor route, else the (X, Y) pair."""
+        def draw(s):
+            return sample_sphere(s, n, m) if self.sphere else sample_ball(s, n, m, radius)
+
+        if self.tensor:
+            return [draw(s) for s in streams[:3]]
+        return sample_pair(scheme, streams, draw)
+
+
+_TAYLOR_PRINTS = ("rank", "order", "measured_relative_error", "certified_bound",
+                  "corollary_bound", "regime_ok", "certified", "sketched_powers")
 # rff needs a positive-definite shift-invariant kernel, taylor-dist a distance
-# kernel (f1 has no Taylor series at zero, so it takes one at a positive distance)
-COVERS = {
-    "taylor-ip": ("gauss",),
-    "taylor-dist": ("f1", "f2", "gauss"),
-    "rff": ("f1", "gauss", "cauchy"),
-    "jl": ("linear",),
-    "tt-taylor": ("f3",),
-}
-# the options each route reads besides eps; cli approx refuses the others
-READS = {
-    "taylor-ip": ("t",),
-    "taylor-dist": ("t", "radius"),
-    "rff": ("radius",),
-    "jl": ("radius",),
-    "tt-taylor": ("t", "r", "radius"),
+# kernel (f1 has no Taylor series at zero, so it takes one at a positive distance);
+# a printed "rank" is the approximant's width, a dotted field one of a sub-report
+ROUTES = {
+    "taylor-ip": Route(("gauss",), ("t",), _TAYLOR_PRINTS, sphere=True),
+    "taylor-dist": Route(("f1", "f2", "gauss"), ("t", "radius"), _TAYLOR_PRINTS),
+    "rff": Route(("f1", "gauss", "cauchy"), ("radius",),
+                 ("rank", "rho", "feature_error", "feature_certified", "measured_relative_error",
+                  "sketch.certified")),
+    "jl": Route(("linear",), ("radius",),
+                ("rank", "requested_rank", "achieved_max_error", "target_bound", "attempts",
+                 "certified")),
+    "tt-taylor": Route(("f3",), ("t", "r", "radius"),
+                       ("ranks", "rank_budget", "measured_relative_error", "error_sampled",
+                        "incremental_powers"), tensor=True),
 }
 GRID_ROUTES = {"taylor": "taylor-dist", "rff": "rff", "tt": "tt-taylor"}
 APPLICABLE = {"altproj": FUNCTIONS} | {
-    alg: tuple(f for f in FUNCTIONS if f in COVERS[route]) for alg, route in GRID_ROUTES.items()
+    alg: tuple(f for f in FUNCTIONS if f in ROUTES[route].covers)
+    for alg, route in GRID_ROUTES.items()
 }
 
 
@@ -84,9 +111,10 @@ APPLICABLE = {"altproj": FUNCTIONS} | {
 class ExperimentConfig(AltProjConfig):
     """One experiment grid; the solver hyperparameters are inherited from ``AltProjConfig``."""
 
-    experiment: str = "single"
-    function: str = "f1"
-    scheme: str = "independent"
+    experiment: str = field(default="single", metadata={"choices": EXPERIMENTS})
+    function: str = field(default="f1", metadata={"choices": FUNCTIONS})
+    scheme: str = field(default="independent",
+                        metadata={"choices": tuple(s.value for s in SamplingScheme)})
     n_grid: tuple[int, ...] = (400,)
     m_grid: tuple[int, ...] = (100,)
     r_grid: tuple[int, ...] = (10,)
@@ -97,7 +125,9 @@ class ExperimentConfig(AltProjConfig):
     eps: float = 0.1
     t: Optional[int] = None
     algorithms: tuple[str, ...] = ("altproj",)
-    jobs: int = 1
+    jobs: int = field(default=1, metadata={
+        "help": "threads running grid points, and forked processes running their altproj "
+                "searches (default 1); the CSV is the same for any value"})
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
@@ -267,10 +297,7 @@ def _constructive_records(
             seed_word = int(point_seed_words[trial])
             streams = split(seed_word, 4)
             start = time.perf_counter()
-            if route == "tt-taylor":
-                points = [sample_ball(s, n, m, cfg.radius) for s in streams[:3]]
-            else:
-                points = sample_pair(scheme, streams, lambda s: sample_ball(s, n, m, cfg.radius))
+            points = ROUTES[route].points(scheme, streams, n, m, cfg.radius)
             _, rep = approximate(
                 route, cfg.function, cfg.radius, points, streams[3], cfg.eps, cfg.t, r
             )
@@ -341,7 +368,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     cfg.validate()
     # validate leaves more than one value on the varied axis only
     grid = list(itertools.product(cfg.n_grid, cfg.m_grid, cfg.r_grid))
-    root = np.random.SeedSequence(cfg.seed)
+    root = seed_sequence(cfg.seed)
     words = root.generate_state(len(grid) * (1 + cfg.trials), dtype=np.uint64)
     jobs = min(cfg.jobs, len(grid))
     procs = None

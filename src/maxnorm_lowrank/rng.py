@@ -19,7 +19,8 @@ def seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
     """Seed sequence for ``seed``; a given ``SeedSequence`` is copied, never advanced.
 
     ``spawn`` on the copy leaves the caller's object as it was, so the
-    same object passed twice gives the same substreams both times.
+    same object passed twice gives the same substreams both times.  A
+    negative integer seed is refused by name.
     """
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(
@@ -28,7 +29,10 @@ def seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
             pool_size=seed.pool_size,
             n_children_spawned=seed.n_children_spawned,
         )
-    return np.random.SeedSequence(int(seed))
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence(seed)
 
 
 def generator(seed: SeedLike) -> np.random.Generator:

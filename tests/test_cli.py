@@ -7,16 +7,21 @@ import pytest
 
 from maxnorm_lowrank import cli, experiments, rff
 from maxnorm_lowrank.altproj import AltProjConfig
-from maxnorm_lowrank.experiments import kernel_for
+from maxnorm_lowrank.experiments import ExperimentConfig, kernel_for
 from maxnorm_lowrank.records import MEDIAN_TRIAL, ExperimentRecord, read_csv, write_csv
 from maxnorm_lowrank.sampling import sample_ball
 
 
-def _actions(command: str) -> dict:
-    """The parser actions of one subcommand, by destination."""
+def _action_list(command: str) -> list:
+    """The parser actions of one subcommand."""
     commands = next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in commands.choices[command]._actions}
+    return commands.choices[command]._actions
+
+
+def _actions(command: str) -> dict:
+    """The parser actions of one subcommand, by destination."""
+    return {a.dest: a for a in _action_list(command)}
 
 
 def _solver_values():
@@ -308,7 +313,7 @@ def test_rff_covers_exactly_the_functions_with_a_spectral_law():
     assert functions
     for function in functions:
         has_law = kernel_for(function, 1.0).spectral_law is not None
-        assert (function in experiments.COVERS["rff"]) == has_law, function
+        assert (function in experiments.ROUTES["rff"].covers) == has_law, function
     X = sample_ball(1, 6, 2)
     with pytest.raises(ValueError, match="Schoenberg"):
         rff.rff_then_compress(kernel_for("f2", 1.0), X, X)
@@ -318,11 +323,11 @@ def test_each_route_draws_its_own_points(monkeypatch, capsys):
     # taylor-ip covers the gaussian kernel on the unit sphere; the others sample the ball
     drawn = []
     for name in ("sample_ball", "sample_sphere"):
-        def spy(*args, _name=name, _draw=getattr(cli, name)):
+        def spy(*args, _name=name, _draw=getattr(experiments, name)):
             drawn.append(_name)
             return _draw(*args)
 
-        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(experiments, name, spy)
     for algorithm, functions in COVERED.items():
         drawn.clear()
         argv = ["approx", "--algorithm", algorithm, "--function", min(functions), *TINY]
@@ -375,3 +380,100 @@ def test_altproj_tensor_refuses_symmetric_scheme(capsys):
     code = cli.main([*ALTPROJ_ARGS, "--function", "f3", "--n", "8", "--scheme", "symmetric"])
     assert code == 1
     assert "tensors use independent sampling only" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# one declaration per setting: a flag for every config field
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, cls", [
+    ("experiment", ExperimentConfig), ("altproj", AltProjConfig),
+], ids=["experiment", "altproj"])
+def test_each_config_field_has_one_flag(command, cls):
+    actions = _action_list(command)
+    for f in fields(cls):
+        flags = [a.option_strings for a in actions if a.dest == f.name]
+        assert flags == [["--" + f.name.replace("_", "-")]], f.name
+    if command == "experiment":  # every other setting lives in the config file
+        names = {f.name for f in fields(cls)}
+        assert {a.dest for a in actions} - names == {"help", "config"}
+
+
+# one non-default text per ExperimentConfig field, valid with the defaults of the others
+FIELD_TEXT = {
+    "max_iters": "7", "tol": "1e-5", "bisect_iters": "3", "experiment": "varr",
+    "function": "gauss", "scheme": "symmetric", "n_grid": "12", "m_grid": "3",
+    "r_grid": "2", "trials": "2", "seed": "9", "output": "out.csv", "radius": "0.5",
+    "eps": "0.2", "t": "4", "algorithms": "taylor, rff", "jobs": "2",
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+def test_flag_takes_the_text_of_its_config_line(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or [])
+    given = {"seed": "1", name: FIELD_TEXT[name]}
+    config = tmp_path / "exp.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in given.items()), encoding="utf-8")
+    flags = [x for k, v in given.items() for x in ("--" + k.replace("_", "-"), v)]
+    assert cli.main(["experiment", *flags]) == 0
+    assert cli.main(["experiment", "--config", str(config)]) == 0
+    assert seen[0] == seen[1] != ExperimentConfig(seed=1)
+
+
+def _rows(path) -> list[tuple]:
+    """The CSV rows without their wall time."""
+    with open(path, encoding="utf-8") as fh:
+        return [(r.n, r.m, r.r, r.trial, r.seed, r.algorithm, r.rel_error) for r in read_csv(fh)]
+
+
+def test_experiment_t_flag_writes_the_rows_of_a_config_line(tmp_path):
+    grid = ["--algorithms", "tt", "--function", "f3", "--n-grid", "10", "--m-grid", "3",
+            "--r-grid", "2", "--trials", "2", "--seed", "1"]
+    config = tmp_path / "t.cfg"
+    config.write_text("t = 4\n", encoding="utf-8")
+    runs = {"flag": ["--t", "4"], "config": ["--config", str(config)], "default": []}
+    for name, extra in runs.items():
+        argv = ["experiment", *grid, *extra, "--output", str(tmp_path / f"{name}.csv")]
+        assert cli.main(argv) == 0
+    flag, config_rows, default = (_rows(tmp_path / f"{name}.csv") for name in runs)
+    assert [row[5] for row in flag] == ["tt", "tt"]
+    assert flag == config_rows != default
+
+
+def _no_probe(*args, **kwargs):
+    raise AssertionError("a probe ran")
+
+
+@pytest.mark.parametrize("argv, config", [
+    ([*ALTPROJ_SMALL, "--tol", "-1"], None),
+    (["experiment", "--seed", "1", "--n-grid", "8", "--m-grid", "2", "--r-grid", "1",
+      "--trials", "1", "--tol", "nan"], None),
+    (["experiment", "--seed", "1", "--n-grid", "8", "--m-grid", "2", "--r-grid", "1",
+      "--trials", "1"], "tol = -1\n"),
+], ids=["altproj-flag", "experiment-flag", "config-line"])
+def test_tol_refused_before_any_probe(argv, config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "binary_search_eps", _no_probe)
+    monkeypatch.setattr(experiments, "run_trials", _no_probe)
+    if config is not None:
+        (tmp_path / "exp.cfg").write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", "exp.cfg"]
+    assert cli.main(argv) == 1
+    value = "nan" if "nan" in argv else "-1.0"
+    assert capsys.readouterr().err == f"error: tol must be >= 0, got {value}\n"
+    assert not (tmp_path / "experiment.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "--algorithm", "taylor-ip", "--n", "6", "--m", "2"],
+    ["altproj", "--function", "gauss", "--n", "6", "--m", "2", "--r", "1"],
+    ["experiment", "--n-grid", "8", "--m-grid", "2", "--r-grid", "1", "--trials", "1"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_refused_by_name(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+    assert list(tmp_path.iterdir()) == []

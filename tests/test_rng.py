@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from maxnorm_lowrank.rng import seed_sequence, split
 
@@ -23,3 +24,11 @@ def test_split_leaves_the_callers_sequence_alone():
     assert [c.spawn_key for c in first] == [c.spawn_key for c in again] == [(0,), (1,)]
     # the children are the ones the first spawn of the caller's object would give
     assert [c.spawn_key for c in ss.spawn(2)] == [(0,), (1,)]
+
+
+def test_negative_seed_is_refused_by_name():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        seed_sequence(-3)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        split(np.int64(-1), 2)
+    assert seed_sequence(0).entropy == 0
