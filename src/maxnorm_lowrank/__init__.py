@@ -8,7 +8,6 @@ from .altproj import (
     alternating_projections,
     binary_search_eps,
     clip_projection,
-    run_trials,
 )
 from .bounds import (
     analytical_rank_bound,
@@ -25,6 +24,7 @@ from .compress import (
     khatri_rao_rows,
     rank_formula,
 )
+from .experiments import run_trials
 from .kernels import (
     KernelSpec,
     cauchy,

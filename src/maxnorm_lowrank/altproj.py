@@ -23,7 +23,9 @@ TT-SVD for tensors, where it is quasi-optimal).
 The bisection starts from the exact rank projection of the target itself,
 which is feasible at its own error, so the result is never worse than
 the truncated-SVD (TT-SVD) baseline; each probe is warm-started from the
-last feasible iterate.
+last feasible iterate.  The result carries that baseline's error and time,
+so reporting the baseline takes no second SVD.  ``dense_target`` builds
+the target; the trials, their points and rows are ``experiments.run_trials``'s.
 """
 
 from __future__ import annotations
@@ -31,16 +33,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from statistics import median
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .kernels import ARG_HOIP, KernelSpec, eval_kernel_matrix, eval_kernel_tensor
 from .lowrank import GRAM_RTOL, max_norm, truncated_svd
-from .records import ExperimentRecord
-from .rng import SeedLike, generator, seed_sequence, split
-from .sampling import SamplingScheme, sample_ball, sample_pair
+from .rng import SeedLike, generator, split
+from .sampling import sample_ball  # noqa: F401  perfbench wraps altproj.sample_ball (ROADMAP 2b)
 from .tensors import TTTensor, tt_svd
 
 # extra columns of the warm subspace basis beyond the target rank
@@ -90,6 +90,16 @@ class BinarySearchResult:
     relative: float
     approximant: np.ndarray
     evaluations: int
+    baseline_relative: float
+    baseline_s: float
+
+
+def dense_target(spec: KernelSpec, points) -> np.ndarray:
+    """The target ``spec`` gives on ``points``: the tensor on three point sets
+    for a HOIP spec, else the matrix on an (X, Y) pair."""
+    if spec.arg_kind == ARG_HOIP:
+        return eval_kernel_tensor(spec, points)
+    return eval_kernel_matrix(spec, *points)
 
 
 def clip_projection(T: np.ndarray, F: np.ndarray, eps: float) -> np.ndarray:
@@ -216,7 +226,8 @@ def binary_search_eps(
     (truncated SVD, or TT-SVD for tensors), or ``||F||_max`` (the rank-0
     matrix) when that is smaller; both are feasible for free, so the
     result is a valid upper bound on the optimal entrywise error of
-    rank-r approximation and never worse than that baseline.  Each probe
+    rank-r approximation and never worse than that baseline, whose
+    unclamped relative error and time the result reports.  Each probe
     first runs from the last feasible iterate; one seeded Gaussian start
     is the fallback, tried only when the warm start fails.  The whole
     search is deterministic for a seed, so running it in a worker of
@@ -232,9 +243,12 @@ def _bisect(F: np.ndarray, r: int, cfg: AltProjConfig, seed: SeedLike) -> Binary
     F = np.asarray(F, dtype=np.float64)
     limit = max_norm(F)
     if limit == 0.0:
-        return BinarySearchResult(0.0, 0.0, np.zeros_like(F), 0)
+        return BinarySearchResult(0.0, 0.0, np.zeros_like(F), 0, 0.0, 0.0)
+    start = time.perf_counter()
     best_T = _rank_projection(F, r)
     hi = max_norm(F - best_T)
+    baseline_s = time.perf_counter() - start
+    baseline_relative = hi / limit
     if hi > limit:
         best_T, hi = np.zeros_like(F), limit
     fallback = initial_guess(F, r, split(seed, 1)[0])
@@ -254,80 +268,4 @@ def _bisect(F: np.ndarray, r: int, cfg: AltProjConfig, seed: SeedLike) -> Binary
             best_T = hit.approximant
         else:
             lo = mid
-    return BinarySearchResult(hi, hi / limit, best_T, evaluations)
-
-
-def _dense_target(
-    spec: KernelSpec,
-    scheme: SamplingScheme | str,
-    n: int,
-    m: int,
-    radius: float,
-    point_seeds: Sequence,
-) -> np.ndarray:
-    scheme = SamplingScheme.coerce(scheme)
-    if spec.arg_kind == ARG_HOIP:
-        if scheme is not SamplingScheme.INDEPENDENT:
-            raise ValueError("tensors use independent sampling only")
-        return eval_kernel_tensor(spec, [sample_ball(s, n, m, radius) for s in point_seeds[:3]])
-    X, Y = sample_pair(scheme, point_seeds, lambda s: sample_ball(s, n, m, radius))
-    return eval_kernel_matrix(spec, X, Y)
-
-
-@dataclass
-class TrialSummary:
-    median_relative: float
-    records: list[ExperimentRecord]
-
-
-def run_trials(
-    spec: KernelSpec,
-    scheme: SamplingScheme | str,
-    n: int,
-    m: int,
-    r: int,
-    cfg: AltProjConfig = AltProjConfig(),
-    trials: int = 5,
-    seed: int = 0,
-    radius: float = 1.0,
-    experiment: str = "single",
-    function: str = "custom",
-    pool=None,
-) -> TrialSummary:
-    """Repeat the sample/solve experiment and report the median relative error.
-
-    Every trial draws fresh points and a fresh solver start from split
-    substreams of ``seed``.  For matrices the truncated-SVD baseline
-    error on the same instance is recorded alongside.  Each search runs
-    in a worker of ``pool`` when one is given; the rest stays inline.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    scheme = SamplingScheme.coerce(scheme)
-    records: list[ExperimentRecord] = []
-    rel_errors: list[float] = []
-    for trial, child in enumerate(split(seed_sequence(seed), trials)):
-        streams = child.spawn(4)
-        F = _dense_target(spec, scheme, n, m, radius, streams[:3])
-        start = time.perf_counter()
-        result = binary_search_eps(F, r, cfg, streams[3], pool=pool)
-        elapsed = time.perf_counter() - start
-        rel_errors.append(result.relative)
-        records.append(
-            ExperimentRecord(
-                experiment, function, scheme.value, n, m, r, trial, int(seed),
-                "altproj", result.relative, elapsed,
-            )
-        )
-        if F.ndim == 2:
-            start = time.perf_counter()
-            G = truncated_svd(F, min(r, *F.shape))
-            base_rel = float(np.abs(F - G.matrix()).max()) / max_norm(F)
-            elapsed = time.perf_counter() - start
-            records.append(
-                ExperimentRecord(
-                    experiment, function, scheme.value, n, m, r, trial, int(seed),
-                    "tsvd_baseline", base_rel, elapsed,
-                )
-            )
-    return TrialSummary(float(median(rel_errors)), records)
+    return BinarySearchResult(hi, hi / limit, best_T, evaluations, baseline_relative, baseline_s)

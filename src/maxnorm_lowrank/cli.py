@@ -6,6 +6,9 @@ dispatches through the route table ``experiments.ROUTES``: a function
 its route does not cover exits 2, and so does an option it does not read.
 ``experiment`` has one flag per ``ExperimentConfig`` field and ``altproj``
 one per ``AltProjConfig`` field, each parsed as its config-file line is.
+``altproj`` draws its points as one experiment trial does
+(``experiments.draw_points``) and runs one search on the target
+``altproj.dense_target`` builds.
 """
 
 from __future__ import annotations
@@ -19,18 +22,20 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import caps
-from .altproj import AltProjConfig, _dense_target, binary_search_eps
+from .altproj import AltProjConfig, binary_search_eps, dense_target
 from .experiments import (
     FUNCTIONS,
     ROUTES,
     ExperimentConfig,
     _parse_value,
     approximate,
+    draw_points,
     emit_plot_data,
     kernel_for,
     load_config,
     run_experiment,
 )
+from .kernels import ARG_HOIP
 from .rng import split
 
 
@@ -99,7 +104,9 @@ def cmd_altproj(args) -> int:
     spec = kernel_for(args.function, args.radius)
     cfg = AltProjConfig(**_given(args, AltProjConfig))
     streams = split(args.seed, 4)
-    F = _dense_target(spec, args.scheme, args.n, args.m, args.radius, streams[:3])
+    points = draw_points(args.scheme, streams, args.n, args.m, args.radius,
+                         spec.arg_kind == ARG_HOIP)
+    F = dense_target(spec, points)
     result = binary_search_eps(F, args.r, cfg, streams[3])
     print(f"eps* = {result.eps_star:.6g} (relative {result.relative:.6g}) "
           f"after {result.evaluations} solver runs")

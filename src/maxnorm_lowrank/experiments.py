@@ -8,15 +8,19 @@ deliberately small enough to finish in minutes and are not the ones
 behind the original figures.
 
 ``run_experiment`` runs grid points on ``jobs`` threads, and the CSV is
-the same for every ``jobs`` value.  An altproj search is a loop of small
-numpy calls bound by the interpreter lock, so with ``jobs > 1`` each one
-runs in one of ``jobs`` worker processes, forked (POSIX only) before the
-first thread starts, while its grid-point thread waits for the result.
+the same for every ``jobs`` value.  ``run_trials`` runs a grid point's
+altproj trials in order: it draws each trial's points, has ``altproj``
+build the target and search it, and writes the trial's rows.  An altproj
+search is a loop of small numpy calls bound by the interpreter lock, so
+with ``jobs > 1`` each one runs in one of ``jobs`` worker processes,
+forked (POSIX only) before the first thread starts, while its grid-point
+thread waits for the result.
 
 One route table serves ``cli approx`` and the grid: ``ROUTES`` holds what
 each route covers, reads, prints and draws, ``GRID_ROUTES`` maps each
 experiment algorithm to the one route it runs, and ``approximate`` maps a
-route to its builder.  One Taylor door serves each class: ``taylor-ip``
+route to its builder.  ``draw_points``, behind ``Route.points``, also draws
+the altproj trials' points.  One Taylor door serves each class: ``taylor-ip``
 functions of x'y, and ``taylor-dist`` functions of ``||x - y||**2``, with
 the series' center picked from the function's domain.  ``ExperimentConfig``
 holds the default of every route option except rff's starting frequency
@@ -34,12 +38,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from statistics import median
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import caps, kernels, rff, taylor, tensors
-from .altproj import AltProjConfig, run_trials
+from . import altproj, caps, kernels, rff, taylor, tensors
+from .altproj import AltProjConfig
 from .compress import jl_compress
 from .lowrank import Factorization
 from .records import (
@@ -73,13 +78,24 @@ class Route:
     sphere: bool = False
 
     def points(self, scheme, streams, n: int, m: int, radius: float):
-        """Three sets from ``streams[:3]`` for a tensor route, else the (X, Y) pair."""
-        def draw(s):
-            return sample_sphere(s, n, m) if self.sphere else sample_ball(s, n, m, radius)
+        return draw_points(scheme, streams, n, m, radius, self.tensor, self.sphere)
 
-        if self.tensor:
-            return [draw(s) for s in streams[:3]]
-        return sample_pair(scheme, streams, draw)
+
+def draw_points(scheme, streams, n: int, m: int, radius: float, tensor: bool = False,
+                sphere: bool = False):
+    """Three independent sets from ``streams[:3]`` for a tensor, else the (X, Y) pair.
+
+    Points are uniform on the ball of ``radius``, or on the unit sphere
+    when ``sphere``; a tensor refuses the symmetric scheme.
+    """
+    def draw(s):
+        return sample_sphere(s, n, m) if sphere else sample_ball(s, n, m, radius)
+
+    if tensor:
+        if SamplingScheme.coerce(scheme) is not SamplingScheme.INDEPENDENT:
+            raise ValueError("tensors use independent sampling only")
+        return [draw(s) for s in streams[:3]]
+    return sample_pair(scheme, streams, draw)
 
 
 _TAYLOR_PRINTS = ("rank", "order", "measured_relative_error", "certified_bound",
@@ -172,8 +188,8 @@ class ExperimentConfig(AltProjConfig):
                     f"not {self.function}"
                 )
         # the options a route reads, refused before any trial runs
-        if self.radius <= 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:  # also refuses NaN
+            raise ValueError(f"radius must lie in (0, inf), got {self.radius}")
         if self.t is not None and self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if set(self.algorithms) - {"altproj"} and not 0.0 < self.eps < 1.0:
@@ -310,28 +326,55 @@ def _constructive_records(
     return out
 
 
+def run_trials(
+    spec: kernels.KernelSpec, scheme: SamplingScheme | str, n: int, m: int, r: int,
+    cfg: AltProjConfig = AltProjConfig(), trials: int = 5, seed: int = 0, radius: float = 1.0,
+    experiment: str = "single", function: str = "custom", pool=None,
+) -> list[ExperimentRecord]:
+    """Repeat the sample/solve experiment; the rows end with the median relative error.
+
+    Every trial draws fresh points and a fresh solver start from split
+    substreams of ``seed``, in order on the calling thread.  For matrices
+    a ``tsvd_baseline`` row follows each ``altproj`` row: the search's own
+    upper bracket, the truncated SVD of the same instance.  Each search
+    runs in a worker of ``pool`` when one is given; the rest stays inline.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    scheme = SamplingScheme.coerce(scheme)
+
+    def row(trial: int, algorithm: str, rel_error: float, wall: float) -> ExperimentRecord:
+        return ExperimentRecord(experiment, function, scheme.value, n, m, r, trial, int(seed),
+                                algorithm, rel_error, wall)
+
+    records: list[ExperimentRecord] = []
+    for trial, child in enumerate(split(seed_sequence(seed), trials)):
+        streams = child.spawn(4)
+        points = draw_points(scheme, streams, n, m, radius, spec.arg_kind == kernels.ARG_HOIP)
+        F = altproj.dense_target(spec, points)
+        start = time.perf_counter()
+        result = altproj.binary_search_eps(F, r, cfg, streams[3], pool=pool)
+        records.append(row(trial, "altproj", result.relative, time.perf_counter() - start))
+        if F.ndim == 2:
+            records.append(row(trial, "tsvd_baseline", result.baseline_relative,
+                               result.baseline_s))
+    rel_errors = [rec.rel_error for rec in records if rec.algorithm == "altproj"]
+    records.append(row(MEDIAN_TRIAL, "altproj_median", float(median(rel_errors)), 0.0))
+    return records
+
+
 def _run_grid_point(
     cfg: ExperimentConfig, n: int, m: int, r: int, seed_word: int,
     trial_seed_words: Sequence[int], pool,
 ) -> list[ExperimentRecord]:
     records: list[ExperimentRecord] = []
     if "altproj" in cfg.algorithms:
-        summary = run_trials(
+        records = run_trials(
             kernel_for(cfg.function, cfg.radius), cfg.scheme, n, m, r,
             cfg=cfg.solver(), trials=cfg.trials, seed=seed_word,
             radius=cfg.radius, experiment=cfg.experiment, function=cfg.function, pool=pool,
         )
-        records.extend(summary.records)
-        records.append(
-            ExperimentRecord(
-                cfg.experiment, cfg.function,
-                SamplingScheme.coerce(cfg.scheme).value, n, m, r,
-                MEDIAN_TRIAL, seed_word, "altproj_median",
-                summary.median_relative, 0.0,
-            )
-        )
-    records.extend(_constructive_records(cfg, n, m, r, trial_seed_words))
-    return records
+    return records + _constructive_records(cfg, n, m, r, trial_seed_words)
 
 
 def _openblas(action: str, *args):

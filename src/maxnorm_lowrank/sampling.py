@@ -9,6 +9,7 @@ own draws) and ``symmetric`` (columns reuse the row points).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +93,8 @@ def sample_ball(seed: SeedLike, n: int, m: int, R: float = 1.0) -> PointSet:
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if R <= 0:
-        raise ValueError(f"need R > 0, got R={R}")
+    if not 0.0 < R < math.inf:  # also refuses NaN
+        raise ValueError(f"radius R must lie in (0, inf), got {R}")
     rng = generator(seed)
     directions = _unit_directions(rng, n, m)
     radii = R * rng.random(n) ** (1.0 / m)

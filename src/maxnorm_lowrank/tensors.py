@@ -547,7 +547,9 @@ def taylor_tt_approx(
     to 65536), so beside the result the check holds those columns, their
     8-byte sort order, one slab with the samples in it, and one
     ``ENTRY_BLOCK`` of h arguments.  The dense check holds one slab of h
-    and one of the TT, and takes the error in place in the latter.
+    and one of the TT, and takes the error in place in the latter.  When
+    the measured error exceeds max|h| on the checked entries, the result
+    is the zero train (ranks 1), with that max as its error.
     """
     R_eff = max(
         (float(np.sqrt((f**2).sum(axis=1).max())) for f in P.factors), default=0.0
@@ -607,6 +609,10 @@ def taylor_tt_approx(
             measured = np.maximum(measured, np.abs(G, out=G).max())
             del F, G  # before the next slab's are formed
     measured, denom = float(measured), float(denom)
+    if measured > denom:
+        # the zero train is closer on the same entries: return it, as altproj's
+        # search returns the zero matrix when that beats its rank projection
+        total, measured = tt_ones(shape).scaled(0.0), denom
     relative = measured / denom if denom else math.inf
 
     report = TTApproxReport(

@@ -371,6 +371,14 @@ def test_approx_refuses_options_its_route_does_not_read(algorithm, option, capsy
         assert capsys.readouterr().err.strip().endswith("not --" + option)
 
 
+def test_approx_refuses_a_non_finite_radius(capsys):
+    # NaN passed every comparison, and jl printed certified: true with target_bound NaN
+    argv = ["approx", "--algorithm", "jl", "--function", "linear", "--n", "8", "--m", "2",
+            "--seed", "1", "--radius", "nan"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: radius R must lie in (0, inf), got nan\n")
+
+
 def test_approx_tt_taylor_refuses_symmetric_scheme():
     assert cli.main(["approx", "--algorithm", "tt-taylor", "--function", "f3",
                      "--scheme", "symmetric", *TINY]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,8 @@ class TestSampleBall:
         assert norms.max() < 2.5
         assert P.radius_bound == 2.5
 
-    @pytest.mark.parametrize("n,m,R", [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0), (1, 1, -2.0)])
+    @pytest.mark.parametrize("n,m,R", [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0), (1, 1, -2.0),
+                                       (1, 1, math.inf), (1, 1, math.nan)])
     def test_invalid_arguments(self, n, m, R):
         with pytest.raises(ValueError):
             sample_ball(0, n, m, R)
