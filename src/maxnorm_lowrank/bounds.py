@@ -157,7 +157,15 @@ def stage_two_onset(eps: float) -> int:
 def three_stage_profile(
     eps: float, n_grid: Iterable[int], beta2: Optional[int] = None
 ) -> StageProfile:
-    """Rank-bound evolution ``r_n = min(n, sketch formula, beta2)`` with stage labels."""
+    """Rank-bound evolution ``r_n = min(n, sketch formula, beta2)`` with stage labels.
+
+    An empty ``n_grid`` and a ``beta2`` below 1 are refused.
+    """
+    n_grid = tuple(n_grid)
+    if not n_grid:
+        raise ValueError("n_grid must be nonempty")
+    if beta2 is not None and beta2 < 1:
+        raise ValueError(f"beta2 must be >= 1, got {beta2}")
     points = tuple(_stage_bound(eps, int(n), beta2) for n in n_grid)
     return StageProfile(points, stage_two_onset(eps))
 

@@ -22,7 +22,10 @@ experiment algorithm to the one route it runs, and ``approximate`` maps a
 route to its builder.  ``draw_points``, behind ``Route.points``, also draws
 the altproj trials' points.  One Taylor door serves each class: ``taylor-ip``
 functions of x'y, and ``taylor-dist`` functions of ``||x - y||**2``, with
-the series' center picked from the function's domain.  ``ExperimentConfig``
+the series at the midpoint of the realized distance range.  Every route
+measures its error by row blocks or samples above ``caps.dense_cap()``,
+so ``ExperimentConfig.validate`` sets no size limit: a route whose own
+dense step does not fit refuses when it runs.  ``ExperimentConfig``
 holds the default of every route option except rff's starting frequency
 count, which is ``rff.rff_then_compress``'s default.
 """
@@ -43,7 +46,7 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 
 import numpy as np
 
-from . import altproj, caps, kernels, rff, taylor, tensors
+from . import altproj, kernels, rff, taylor, tensors
 from .altproj import AltProjConfig
 from .compress import jl_compress
 from .lowrank import Factorization
@@ -101,8 +104,8 @@ def draw_points(scheme, streams, n: int, m: int, radius: float, tensor: bool = F
 _TAYLOR_PRINTS = ("rank", "order", "measured_relative_error", "certified_bound",
                   "corollary_bound", "regime_ok", "certified", "sketched_powers")
 # rff needs a positive-definite shift-invariant kernel, taylor-dist a distance
-# kernel (f1 has no Taylor series at zero, so it takes one at a positive distance);
-# a printed "rank" is the approximant's width, a dotted field one of a sub-report
+# kernel (f1 too: its series is at a realized distance, not at zero); a printed
+# "rank" is the approximant's width, a dotted field one of a sub-report
 ROUTES = {
     "taylor-ip": Route(("gauss",), ("t",), _TAYLOR_PRINTS, sphere=True),
     "taylor-dist": Route(("f1", "f2", "gauss"), ("t", "radius"), _TAYLOR_PRINTS),
@@ -194,15 +197,6 @@ class ExperimentConfig(AltProjConfig):
             raise ValueError(f"t must be >= 1, got {self.t}")
         if set(self.algorithms) - {"altproj"} and not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        # a taylor row's error is measured on the dense n x n target (the
-        # distance routes need the distance matrix); rff checks by row blocks
-        # and refuses only its form (b), and tt samples entries above the cap
-        n, cap = max(self.n_grid), caps.dense_cap()
-        if "taylor" in self.algorithms and n * n > cap:
-            raise ValueError(
-                "the taylor algorithm measures its error on the dense n x n target: "
-                f"n={n} needs {n * n} entries, above the matrix cap {cap}"
-            )
         if self.function == "f3" and SamplingScheme.coerce(self.scheme) is not SamplingScheme.INDEPENDENT:
             raise ValueError("tensors use independent sampling only")
 
@@ -260,17 +254,20 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> Experimen
 
 
 def kernel_for(function: str, radius: float) -> kernels.KernelSpec:
-    """Kernel spec for a named test function on the ball of the given radius."""
+    """Kernel spec for a named test function on the ball of the given radius.
+
+    A distance profile's domain is its argument's range, [0, 4 R**2].
+    """
     R2 = radius**2
     if function == "f1":
         return kernels.exp_dist((0.0, 4.0 * R2))
     if function == "f2":
-        return kernels.quartic_dist((-4.0 * R2, 4.0 * R2))
+        return kernels.quartic_dist((0.0, 4.0 * R2))
     if function == "f3":
         R3 = radius**3
         return kernels.sinh_hoip((-R3, R3))
     if function == "gauss":
-        return kernels.gauss_sq_dist((-4.0 * R2, 4.0 * R2))
+        return kernels.gauss_sq_dist((0.0, 4.0 * R2))
     if function == "cauchy":
         return kernels.cauchy((0.0, 4.0 * R2))
     raise ValueError(f"unknown function {function!r}")

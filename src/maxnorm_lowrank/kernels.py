@@ -10,6 +10,11 @@ an array ``u``; growth constants C, M with ``|h^(s)(u)| <= C * M**s`` on
 the domain, when known in closed form; and, for a shift-invariant
 positive-definite kernel, its Bochner ``spectral_law(rng, rho, m)``,
 which draws rho frequencies in R^m.
+
+Squared distances are formed in one place, ``_clamped_sq_dist``:
+``distance_matrix`` holds them all with their range, ``distance_range``
+reads only the range one row block at a time, and ``kernel_rows``
+applies a profile to them one row block at a time.
 """
 
 from __future__ import annotations
@@ -224,6 +229,18 @@ def distance_matrix(X: PointSet, Y: PointSet) -> tuple[np.ndarray, float, float]
     A, B = X.points, Y.points
     D = _clamped_sq_dist((A**2).sum(axis=1), (B**2).sum(axis=1), A @ B.T)
     return D, float(D.min()), float(D.max())
+
+
+def distance_range(X: PointSet, Y: PointSet) -> tuple[float, float]:
+    """``(min{D}, max{D})`` of the squared distances, read one ``row_blocks``
+    block at a time, so the scratch is O(ROW_BLOCK * n2) and D is never held."""
+    A, B = X.points, Y.points
+    rx, ry = (A**2).sum(axis=1), (B**2).sum(axis=1)
+    lo, hi = math.inf, -math.inf
+    for rows in row_blocks(X.n):
+        block = _clamped_sq_dist(rx[rows], ry, A[rows] @ B.T)
+        lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
+    return lo, hi
 
 
 def _clamped_sq_dist(rx: np.ndarray, ry: np.ndarray, cross: np.ndarray) -> np.ndarray:

@@ -169,15 +169,20 @@ APPROX_GOLDEN = [
         "order": 3, "rank": 10, "regime_ok": False, "sketched_powers": [],
     }),
     (["--algorithm", "taylor-dist", "--function", "f2"], {
-        "algorithm": "taylor-dist", "certified": True, "certified_bound": math.inf,
-        "corollary_bound": math.inf, "measured_relative_error": 13.350174745662416,
-        "order": 3, "rank": 16, "regime_ok": False, "sketched_powers": [],
+        "algorithm": "taylor-dist", "certified": True, "certified_bound": 4.356882836415745,
+        "corollary_bound": math.inf, "measured_relative_error": 0.42851564385031377,
+        "order": 3, "rank": 21, "regime_ok": False, "sketched_powers": [],
     }),
     (["--algorithm", "taylor-dist", "--function", "f1"], {
         "algorithm": "taylor-dist", "certified": True,
         "certified_bound": 9878.513386765868, "corollary_bound": math.inf,
-        "measured_relative_error": 0.3999854235551656, "order": 3, "rank": 28,
+        "measured_relative_error": 0.3999854235551656, "order": 3, "rank": 21,
         "regime_ok": False, "sketched_powers": [],
+    }),
+    (["--algorithm", "taylor-dist", "--function", "gauss"], {
+        "algorithm": "taylor-dist", "certified": True, "certified_bound": 1.0964487320464262,
+        "corollary_bound": 298.04558577254073, "measured_relative_error": 0.2922059936608061,
+        "order": 3, "rank": 21, "regime_ok": False, "sketched_powers": [],
     }),
     (["--algorithm", "rff", "--function", "f1"], {
         "algorithm": "rff", "feature_certified": True, "feature_error": 0.047913482199407637,
@@ -232,6 +237,19 @@ def test_bounds_golden(capsys):
         "1000,13423,120,26818,732856,linear\n"
     )
     assert captured.err == "# stage-2 onset for eps=0.1: n = 18695\n"
+
+
+def test_bounds_refuses_a_beta2_below_one(capsys):
+    # a constant stage below rank 1 labels every row "constant"
+    assert cli.main(["bounds", "--eps", "0.1", "--beta2", "-5", "--n-grid", "10,1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: beta2 must be >= 1, got -5\n"
+
+
+def test_bounds_refuses_an_empty_grid(capsys):
+    assert cli.main(["bounds", "--eps", "0.1", "--n-grid", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: n_grid must be nonempty\n"
 
 
 def test_bounds_to_file(tmp_path, capsys):

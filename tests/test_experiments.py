@@ -13,6 +13,7 @@ import pytest
 
 from maxnorm_lowrank import altproj, experiments
 from maxnorm_lowrank.altproj import AltProjConfig
+from maxnorm_lowrank.caps import DenseCapExceeded
 from maxnorm_lowrank.experiments import (
     ExperimentConfig,
     kernel_for,
@@ -336,18 +337,25 @@ def test_config_is_frozen():
     assert cfg.solver() == AltProjConfig()
 
 
-@pytest.mark.parametrize("algorithm, function", [("taylor", "f1"), ("taylor", "gauss")])
-def test_validate_refuses_dense_targets_above_the_cap(algorithm, function, monkeypatch, tmp_path):
-    # the error of a taylor row is measured on the dense n x n target
+@pytest.mark.parametrize("function", ["f1", "gauss"])
+def test_taylor_grid_runs_above_the_cap(function, monkeypatch, tmp_path):
+    # a taylor row reads its distance range and its error by row blocks, and at
+    # n = 200, m = 3, t = 4 every factor (400 x 35 entries at most) fits under the
+    # cap, so the row above the cap is the row below it; at a cap of 100 the
+    # factors do not fit either, and the builder refuses
+    cfg = ExperimentConfig(function=function, algorithms=("taylor",), seed=1, n_grid=(200,),
+                           m_grid=(3,), trials=1, t=4, output=str(tmp_path / "x.csv"))
+    [below] = run_experiment(cfg)
+    monkeypatch.setenv("MAXNORM_DENSE_CAP", str(200 * 200 - 1))
+    [above] = run_experiment(cfg)
+    assert (above.algorithm, above.n, above.seed) == ("taylor", 200, below.seed)
+    assert 0.0 < above.rel_error < 1.0
+    assert above.rel_error == pytest.approx(below.rel_error, rel=1e-9)
     monkeypatch.setenv("MAXNORM_DENSE_CAP", "100")
-    cfg = ExperimentConfig(experiment="varn", function=function, algorithms=(algorithm,),
-                           seed=1, n_grid=(8, 11), m_grid=(2,), r_grid=(1,), trials=1,
-                           output=str(tmp_path / "x.csv"))
-    with pytest.raises(ValueError, match=f"the {algorithm} algorithm .* n=11 needs 121 entries, "
-                                         "above the matrix cap 100"):
+    (tmp_path / "x.csv").unlink()
+    with pytest.raises(DenseCapExceeded, match="dense 200 x 200 matrix exceeds cap 100"):
         run_experiment(cfg)
     assert not (tmp_path / "x.csv").exists()
-    ExperimentConfig(function=function, algorithms=(algorithm,), seed=1, n_grid=(10,)).validate()
 
 
 def test_rff_grid_runs_above_the_cap(monkeypatch, tmp_path):
@@ -455,7 +463,10 @@ def test_grid_runs_every_value_of_its_axis(experiment, axis, monkeypatch, tmp_pa
 # constructive rows of a small varm grid, pinned before their dispatch moved
 # into the route table; t=4, since at the default order every tt row reads 1.0.
 # The rff rows were re-pinned when the features came to be computed from the
-# half-angle tangent, which moved some of them in the last one or two digits
+# half-angle tangent, which moved some of them in the last one or two digits.
+# The taylor rows were re-pinned when every distance series moved to the
+# realized midpoint: gauss and f2 from 1.8-12.1 to below 1 (one f2 row is the
+# zero matrix, at 1), f1 in the last digits only, from the narrower base
 GOLDEN_GRID = dict(experiment="varm", n_grid=(20,), m_grid=(2, 3), r_grid=(2,), trials=2,
                    seed=11, eps=0.5, t=4)
 SEEDS = {(2, 0): "2926583794887213564", (2, 1): "215141457385765089",
@@ -464,26 +475,26 @@ SEEDS = {(2, 0): "2926583794887213564", (2, 1): "215141457385765089",
 # each algorithm, each trial
 CONSTRUCTIVE_GOLDEN = {
     ("f1", "independent", ("taylor", "rff")): [
-        "0.36725801622405613", "0.36978581218393625", "0.21358513185255967", "0.18974523301369711",
-        "0.31908135125800469", "0.32908307636856726", "0.19500551546916858", "0.18808785509254053",
+        "0.36725801622405613", "0.36978581218393691", "0.21358513185255967", "0.18974523301369711",
+        "0.3190813512580048", "0.3290830763685671", "0.19500551546916858", "0.18808785509254053",
     ],
     ("f1", "symmetric", ("taylor", "rff")): [
-        "0.39707721285177122", "0.35965106695873195", "0.2025547859635341", "0.15822290342586565",
-        "0.39197367981820186", "0.3930113626897791", "0.14791796925501496", "0.15017054925850262",
+        "0.39707721285177078", "0.35965106695873195", "0.2025547859635341", "0.15822290342586565",
+        "0.39197367981820219", "0.39301136268977899", "0.14791796925501496", "0.15017054925850262",
     ],
     ("gauss", "independent", ("taylor", "rff")): [
-        "3.2041082345022067", "3.9419072227998582", "0.23371394524087954", "0.2473497038252343",
-        "2.789084090974443", "3.8939147413912001", "0.16289099476054586", "0.19548399619676696",
+        "0.093052839600277382", "0.10878079910228078", "0.23371394524087954", "0.2473497038252343",
+        "0.082401632517026063", "0.10611096188949039", "0.16289099476054586", "0.19548399619676696",
     ],
     ("gauss", "symmetric", ("taylor", "rff")): [
-        "4.0024462767088362", "1.8294389789353931", "0.23375435637643069", "0.24338563216030801",
-        "3.6123865593414419", "3.6888613765066633", "0.15488290281992129", "0.18216806019559401",
+        "0.11035237594550018", "0.059910451834716327", "0.23375435637643069", "0.24338563216030801",
+        "0.10213109432516276", "0.10376651308511908", "0.15488290281992129", "0.18216806019559401",
     ],
     ("f2", "independent", ("taylor",)): [
-        "10.554014786278342", "11.980499600566072", "9.6358863969362414", "11.816997944700478",
+        "1", "0.93505020292096297", "0.98684722480911735", "0.91521134002567583",
     ],
     ("f2", "symmetric", ("taylor",)): [
-        "12.107260912424996", "7.4477414772786368", "11.369056953675411", "11.516283169813207",
+        "0.93233355437618637", "0.89630769614548433", "0.97562931469869363", "0.96818465910549167",
     ],
     ("f3", "independent", ("tt",)): [
         "0.014611132072630578", "0.011907887556574792", "0.47954190535241731", "0.75419962801302254",
@@ -494,12 +505,18 @@ CONSTRUCTIVE_GOLDEN = {
 # from the AVX-512 ones; the test reads the loops numpy reports it dispatches.
 AVX2_GOLDEN = {
     ("f1", "independent", ("taylor", "rff")): [
-        "0.36725801622405618", "0.36978581218393625", "0.21358513185255965", "0.18974523301369711",
-        "0.31908135125800546", "0.32908307636856726", "0.19500551546916836", "0.18808785509254053",
+        "0.36725801622405618", "0.36978581218393691", "0.21358513185255965", "0.18974523301369711",
+        "0.31908135125800569", "0.3290830763685671", "0.19500551546916836", "0.18808785509254053",
     ],
     ("gauss", "independent", ("taylor", "rff")): [
-        "3.2041082345022067", "3.9419072227998582", "0.23371394524087954", "0.2473497038252343",
-        "2.7890840909744425", "3.8939147413911983", "0.16289099476054578", "0.19548399619676693",
+        "0.093052839600277382", "0.10878079910228078", "0.23371394524087954", "0.2473497038252343",
+        "0.082401632517026049", "0.10611096188949039", "0.16289099476054578", "0.19548399619676693",
+    ],
+    ("f2", "independent", ("taylor",)): [
+        "1", "0.93505020292096297", "0.98684722480911757", "0.91521134002567472",
+    ],
+    ("f2", "symmetric", ("taylor",)): [
+        "0.93233355437618637", "0.89630769614548433", "0.97562931469869385", "0.96818465910549167",
     ],
     ("f3", "independent", ("tt",)): [
         "0.014611132072630576", "0.011907887556574792", "0.47954190535241742", "0.75419962801302243",

@@ -163,8 +163,8 @@ class TestApproxSqDistance:
         G, rep = approx_sq_distance(spec, X, None, Y, t=2, eps=0.5, seed=0)
         D, _, _ = distance_matrix(X, Y)
         assert max_norm_error(D, G) <= 1e-10
-        # the distance matrix has rank <= m + 2
-        assert rep.rank <= 5 + 2
+        # the constant h(xi) = xi beside the shifted distance matrix, of rank <= m + 2
+        assert rep.rank <= 1 + 5 + 2
 
     def test_measured_below_certified_bound(self):
         X = sample_ball(3, 60, 30, 1.0)
@@ -209,21 +209,23 @@ class TestApproxSqDistanceLocal:
         G, rep = approx_sq_distance(spec, X, None, X, t=5, eps=0.5, seed=0)
         assert G.matrix().tolist() == [[1.0]]
         assert rep.measured_max_error == 0.0 and rep.analytic_term == 0.0
-        # above the cap the value is known without the distance matrix
+        # above the cap the one value is read by row blocks
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "15")
         X = PointSet(np.zeros((4, 3)), 0.0)
         G, rep = approx_sq_distance(spec, X, None, X, t=5, eps=0.5, seed=0)
         assert G.matrix().tolist() == [[1.0] * 4] * 4 and rep.analytic_term == 0.0
 
     def test_local_remainder_never_worse_than_global(self):
-        # same analytic profile and order: the sample-aware remainder wins
+        # same profile and order: the remainder at the realized midpoint, over half
+        # the realized range, is within the a priori one at zero over |D| <= 4 R**2
         X = sample_ball(13, 25, 6, 1.0)
         Y = sample_ball(14, 25, 6, 1.0)
-        spec = gauss_sq_dist((-4, 4))
+        spec = gauss_sq_dist((0, 4))
         for t in (2, 3, 5):
-            _, rep_g = approx_sq_distance(spec, X, None, Y, t=t, eps=0.3, seed=1)
-            _, rep_l = approx_sq_distance_local(spec, X, None, Y, t=t, eps=0.3, seed=1)
-            assert rep_l.analytic_term <= rep_g.analytic_term + 1e-12
+            _, rep = approx_sq_distance(spec, X, None, Y, t=t, eps=0.3, seed=1)
+            global_bound = taylor_coeffs(spec, 0.0, t, radius=4.0).remainder_bound
+            assert rep.analytic_term <= global_bound
+            assert rep.analytic_term <= 2.0**t / math.factorial(t)
 
     def test_zero_min_distance_reports_infinite_remainder(self):
         # symmetric points: min D = 0 where exp(-sqrt(u)) is not smooth
@@ -234,26 +236,31 @@ class TestApproxSqDistanceLocal:
         assert rep.measured_max_error is not None
 
     def test_f1_through_the_one_door(self):
-        # exp_dist's domain [0, 4] does not hold [-4, 4]: approx_sq_distance takes
-        # the midpoint series, bit for bit the local route's
+        # exp_dist has no series at zero: the route sums the one at the realized
+        # midpoint, exactly here (every power passes through)
         X, Y = sample_ball(18, 40, 3, 1.0), sample_ball(19, 40, 3, 1.0)
         spec = exp_dist((0.0, 4.0))
         G, rep = approx_sq_distance(spec, X, None, Y, t=4, eps=0.3, seed=4)
-        G_l, rep_l = approx_sq_distance_local(spec, X, None, Y, t=4, eps=0.3, seed=4)
-        assert G.left.tobytes() == G_l.left.tobytes()
-        assert G.right.tobytes() == G_l.right.tobytes()
-        assert repr(rep) == repr(rep_l)
+        assert rep.sketched_powers == [] and rep.fallback_powers == []
+        F, P = truncated_series(approx_sq_distance, spec, X, Y, 4)
+        assert max_norm_error(P, G) <= 1e-12 * np.abs(P).max()
+        assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), rel=1e-12)
 
-    @pytest.mark.parametrize("route", [approx_sq_distance, approx_sq_distance_local])
-    def test_midpoint_checks_the_domain(self, route):
-        # unit-ball distances reach far beyond [-0.1, 0.1]; the midpoint series refuses too
+    def test_the_local_name_is_the_one_route(self):
+        # kept only as a second name for the benchmark harness
+        assert approx_sq_distance_local is approx_sq_distance
+
+    @pytest.mark.parametrize("name", ["approx_sq_distance", "approx_sq_distance_local"])
+    def test_midpoint_checks_the_domain(self, name):
+        # unit-ball distances reach far beyond [-0.1, 0.1]; both names refuse
         X, Y = sample_ball(20, 12, 3, 1.0), sample_ball(21, 12, 3, 1.0)
         with pytest.raises(DomainViolation, match="outside declared domain"):
-            route(gauss_sq_dist((-0.1, 0.1)), X, None, Y, t=3, eps=0.3, seed=0)
+            getattr(taylor, name)(gauss_sq_dist((-0.1, 0.1)), X, None, Y, t=3, eps=0.3, seed=0)
 
-    def test_refuses_above_the_matrix_cap(self, monkeypatch):
-        # the realized range needs the 60 x 60 = 3600-entry distance matrix: above a
-        # cap of 3000 the route refuses before building it, at 3600 it measures
+    def test_reads_the_range_by_row_blocks_above_the_matrix_cap(self, monkeypatch):
+        # below the 60 x 60 = 3600-entry cap the route holds the distance matrix;
+        # above it, it reads the range by row blocks and never builds it, with the
+        # same series: the ranges agree to the last bits of the blocked products
         X, Y = sample_ball(16, 60, 3, 1.0), sample_ball(17, 60, 3, 1.0)
         spec = exp_dist((0.0, 4.0))
         original = taylor.distance_matrix
@@ -263,19 +270,35 @@ class TestApproxSqDistanceLocal:
             return original(*args)
 
         monkeypatch.setattr(taylor, "distance_matrix", guarded)
-        monkeypatch.setenv("MAXNORM_DENSE_CAP", "3000")
-        with pytest.raises(DenseCapExceeded, match=r"60x60 .* cap 3000"):
-            approx_sq_distance_local(spec, X, None, Y, t=3, eps=0.3, seed=3)
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "3600")
-        _, rep = approx_sq_distance_local(spec, X, None, Y, t=3, eps=0.3, seed=3)
-        assert rep.measured_max_error is not None
+        G, rep = approx_sq_distance(spec, X, None, Y, t=3, eps=0.3, seed=3)
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", "3599")
+        G_b, rep_b = approx_sq_distance(spec, X, None, Y, t=3, eps=0.3, seed=3)
+        assert G_b.width == G.width and max_norm_error(G.matrix(), G_b) <= 1e-12
+        assert rep_b.measured_max_error == pytest.approx(rep.measured_max_error, rel=1e-9)
+        assert rep_b.analytic_term == pytest.approx(rep.analytic_term, rel=1e-9)
+
+    def test_error_measured_above_the_matrix_cap(self, monkeypatch):
+        # the target is read one row block at a time, so the cap does not skip the check
+        X, Y = sample_ball(7, 300, 3), sample_ball(8, 300, 3)
+        spec = gauss_sq_dist((0, 4))
+        monkeypatch.setenv("MAXNORM_DENSE_CAP", str(300 * 300 - 1))
+        G, rep = approx_sq_distance(spec, X, None, Y, t=3, eps=0.9, seed=1)
+        monkeypatch.delenv("MAXNORM_DENSE_CAP")
+        F = spec.h(distance_matrix(X, Y)[0])
+        assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), rel=1e-12)
+        assert rep.measured_relative_error == pytest.approx(
+            max_norm_error(F, G) / np.abs(F).max(), rel=1e-12
+        )
 
 
+# approx_sq_distance_local is approx_sq_distance: its cases run f1, with no series at zero
 ROUTES = [
     (approx_inner_product, gaussian_on_sphere(), sample_sphere, 5),
     (approx_sq_distance, gauss_sq_dist((-4, 4)), sample_ball, 3),
-    (approx_sq_distance_local, gauss_sq_dist((-4, 4)), sample_ball, 3),
+    (approx_sq_distance_local, exp_dist(), sample_ball, 3),
 ]
+ROUTE_IDS = ["approx_inner_product", "approx_sq_distance", "approx_sq_distance_local"]
 
 
 def test_builders_refuse_a_weight():
@@ -287,8 +310,7 @@ def test_builders_refuse_a_weight():
 
 
 class TestAssemble:
-    @pytest.mark.parametrize("route, spec, sample, m", ROUTES,
-                             ids=[r[0].__name__ for r in ROUTES])
+    @pytest.mark.parametrize("route, spec, sample, m", ROUTES, ids=ROUTE_IDS)
     def test_width_reduced_exactly(self, monkeypatch, route, spec, sample, m):
         X, Y = sample(21, 30, m), sample(22, 30, m)
         G, rep = route(spec, X, None, Y, t=4, eps=0.5, seed=3)
@@ -374,6 +396,19 @@ class TestAssemble:
         assert rep.measured_max_error <= rep.certified_bound
 
 
+def record_sums(monkeypatch):
+    """The factorizations ``_assemble`` returns, before the zero rule can replace them."""
+    sums = []
+
+    def recorded(*args, _original=taylor._assemble):
+        assembly = _original(*args)
+        sums.append(assembly.result)
+        return assembly
+
+    monkeypatch.setattr(taylor, "_assemble", recorded)
+    return sums
+
+
 def count_calls(monkeypatch):
     """Count the calls of every step a Taylor sum may take besides the exact sum."""
     counts = Counter()
@@ -403,28 +438,29 @@ def series_width(base_width, t, n1, n2, r):
 
 
 def truncated_series(route, spec, X, Y, t):
-    """The target and the truncated series sum_s c_s D**s the route sums, built here."""
+    """The target and the truncated series the route sums, built here: at zero
+    for the inner product, at the realized midpoint for the distance."""
     if route is approx_inner_product:
         D, center = X.points @ Y.points.T, 0.0
     else:
         D, dmin, dmax = distance_matrix(X, Y)
-        center = 0.5 * (dmin + dmax) if route is approx_sq_distance_local else 0.0
+        center = 0.5 * (dmin + dmax)
     c = [spec.deriv(s, center) / math.factorial(s) for s in range(t)]
     return spec.h(D), sum(c[s] * (D - center) ** s for s in range(t))
 
 
-# every base is 16 wide: the m points, plus two rank-one distance columns, plus the shift
+# every base is 16 wide: the m points, plus, for a distance, two rank-one
+# columns, the shift folded into the first; the local cases run f1
 WIDE_ROUTES = [
     (approx_inner_product, gaussian_on_sphere(), sample_sphere, 16),
     (approx_sq_distance, gauss_sq_dist((-4, 4)), sample_ball, 14),
-    (approx_sq_distance_local, gauss_sq_dist((-4, 4)), sample_ball, 13),
+    (approx_sq_distance_local, exp_dist(), sample_ball, 14),
 ]
-WIDE_IDS = [r[0].__name__ for r in WIDE_ROUTES]
 
 
 class TestExactSum:
     @pytest.mark.parametrize("n1, n2", [(50, 70), (70, 50)])
-    @pytest.mark.parametrize("route, spec, sample, m", WIDE_ROUTES, ids=WIDE_IDS)
+    @pytest.mark.parametrize("route, spec, sample, m", WIDE_ROUTES, ids=ROUTE_IDS)
     def test_series_summed_exactly(self, monkeypatch, route, spec, sample, m, n1, n2):
         # r = 103 < n1 + n2 = 120: the square and cube are a tail with a Gram root,
         # yet the sum would be 1 + 16 + 103 = 120 >= min(n1, n2) wide
@@ -442,7 +478,7 @@ class TestExactSum:
         assert rep.certified
 
     @pytest.mark.parametrize("n1, exact", [(132, True), (133, False)])
-    @pytest.mark.parametrize("route, spec, sample, m", WIDE_ROUTES, ids=WIDE_IDS)
+    @pytest.mark.parametrize("route, spec, sample, m", WIDE_ROUTES, ids=ROUTE_IDS)
     def test_sketched_only_when_it_narrows_the_sum(
         self, monkeypatch, route, spec, sample, m, n1, exact
     ):
@@ -451,9 +487,11 @@ class TestExactSum:
         assert compress.rank_formula(eps, n1, n2) == r
         W = series_width(16, 4, n1, n2, r)
         assert W == (n1 if exact else n1 - 1)
-        counts = count_calls(monkeypatch)
+        counts, sums = count_calls(monkeypatch), record_sums(monkeypatch)
         X, Y = sample(33, n1, m), sample(34, n2, m)
         G, rep = route(spec, X, None, Y, t=4, eps=eps, seed=8)
+        # at eps ~ 0.95 a sketched sum may lose to the zero matrix, which then replaces it
+        assert G.width == (1 if rep.measured_relative_error == 1.0 else sums[0].width)
         if exact:
             assert counts == {} and rep.sketched_powers == []
             assert G.width == n1
@@ -461,7 +499,7 @@ class TestExactSum:
             assert counts["hadamard_compress"] == 1 and counts["reduce_width"] == 1
             assert counts["jl_compress"] == counts["eigh"] == 1
             assert rep.sketched_powers == [2, 3]
-            assert G.width == W == n1 - 1
+            assert sums[0].width == W == n1 - 1
             assert rep.algebraic_term > 0.0
         F, _ = truncated_series(route, spec, X, Y, 4)
         assert rep.measured_max_error == pytest.approx(max_norm_error(F, G), rel=1e-12)
@@ -471,7 +509,7 @@ class TestExactSum:
         # over the sketched powers, (a, b) the row norms of the shifted distance base
         n1, n2, r = 133, 260, 115
         eps = math.sqrt(9.0 * math.log(3 * n1 * n2) / (r - 0.5))
-        X, Y = sample_ball(33, n1, 13), sample_ball(34, n2, 13)
+        X, Y = sample_ball(33, n1, 14), sample_ball(34, n2, 14)
         spec = gauss_sq_dist((-4, 4))
         G, rep = approx_sq_distance_local(spec, X, None, Y, t=4, eps=eps, seed=8)
         assert rep.sketched_powers == [2, 3] and rep.sketch.certified
@@ -480,8 +518,8 @@ class TestExactSum:
         A, B = X.points, Y.points
         base = compress.augment_rank_one(
             Factorization(-math.sqrt(2.0) * A, math.sqrt(2.0) * B),
-            [RankOne((A**2).sum(axis=1), np.ones(n2)), RankOne(np.ones(n1), (B**2).sum(axis=1)),
-             RankOne(np.full(n1, -xi), np.ones(n2))],
+            [RankOne((A**2).sum(axis=1) - xi, np.ones(n2)),
+             RankOne(np.ones(n1), (B**2).sum(axis=1))],
         )
         ab = math.prod(base.row_norms())
         c = taylor_coeffs(spec, xi, 4).coefficients
@@ -490,11 +528,27 @@ class TestExactSum:
         )
         assert rep.measured_max_error <= rep.certified_bound
 
-    # the local route refuses above the cap (TestApproxSqDistanceLocal)
+    def test_a_sum_worse_than_zero_gives_the_zero_matrix(self, monkeypatch):
+        # the sketched gauss case above: at eps ~ 0.95 the sum is farther from F than
+        # the zero matrix, so the result is the zero matrix, with max|F| as its error
+        n1, n2, r = 133, 260, 115
+        eps = math.sqrt(9.0 * math.log(3 * n1 * n2) / (r - 0.5))
+        X, Y = sample_ball(33, n1, 14), sample_ball(34, n2, 14)
+        spec = gauss_sq_dist((-4, 4))
+        sums = record_sums(monkeypatch)
+        G, rep = approx_sq_distance(spec, X, None, Y, t=4, eps=eps, seed=8)
+        F = spec.h(distance_matrix(X, Y)[0])
+        assert max_norm_error(F, sums[0]) > np.abs(F).max()
+        assert G.width == rep.rank == 1 and not G.matrix().any()
+        assert rep.measured_max_error == np.abs(F).max()
+        assert rep.measured_relative_error == 1.0
+        assert rep.sketched_powers == [2, 3]
+
     @pytest.mark.parametrize("route, spec, sample, m", [
         (approx_inner_product, gaussian_on_sphere(), sample_sphere, 4),
         (approx_sq_distance, gauss_sq_dist((-4, 4)), sample_ball, 2),
-    ], ids=WIDE_IDS[:2])
+        (approx_sq_distance_local, exp_dist(), sample_ball, 2),
+    ], ids=ROUTE_IDS)
     def test_above_the_matrix_cap_the_powers_are_compressed(
         self, monkeypatch, route, spec, sample, m
     ):
@@ -510,9 +564,11 @@ class TestExactSum:
         route(spec, X, None, Y, t=t, eps=eps, seed=9)
         assert counts == {}
         monkeypatch.setenv("MAXNORM_DENSE_CAP", str(cap))
+        sums = record_sums(monkeypatch)
         G, rep = route(spec, X, None, Y, t=t, eps=eps, seed=9)
         assert counts["hadamard_compress"] == counts["jl_compress"] == 1
         assert counts["reduce_width"] == 1 and counts["eigh"] == 0
         assert rep.sketched_powers == [7] and rep.fallback_powers == []
-        assert G.width == n
+        assert sums[0].width == n
+        assert G.width == (1 if rep.measured_relative_error == 1.0 else n)
 
