@@ -178,25 +178,37 @@ def alternating_projections(
     ``max_iters`` budget -- is reported in the ``converged`` flag and the
     ``stop`` reason, never as an exception.  Feasibility is always tested
     on the returned rank-<=r iterate itself.
+
+    The loop holds two buffers of F's shape: D = T - F, clipped in place,
+    and the clipped iterate E = F + D, which is ``clip_projection(T, F,
+    eps)`` to the last bit; the error is ``max_norm`` of the next T - F,
+    written back into D for the next clip.
     """
     F = np.asarray(F, dtype=np.float64)
     limit = max_norm(F)
     if eps >= limit:
         # the zero (rank-0) matrix is already feasible
         return AltProjResult(np.zeros_like(F), True, 0, limit, "converged")
-    T = init_dense
+    T = np.asarray(init_dense, dtype=np.float64)
+    if T.shape != F.shape:
+        raise ValueError(f"shape mismatch: {T.shape} vs {F.shape}")
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    D = T - F
+    E = np.empty_like(F)
     warm = F.ndim == 2 and r + OVERSAMPLE < min(F.shape)
     Q = None
     threshold = eps * (1.0 + cfg.tol)
     best_gap = math.inf
     stalled = 0
     for it in range(1, cfg.max_iters + 1):
-        E = clip_projection(T, F, eps)
+        np.clip(D, -eps, eps, out=D)
+        np.add(F, D, out=E)
         if warm:
             T, Q = _subspace_projection(E, r, Q)
         else:
             T = _rank_projection(E, r)
-        err = float(np.abs(F - T).max())
+        err = max_norm(np.subtract(T, F, out=D))
         if err <= threshold:
             return AltProjResult(T, True, it, err, "converged")
         # track the feasibility gap, not the raw error: near the boundary the

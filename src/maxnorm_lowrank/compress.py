@@ -19,6 +19,7 @@ tail's rows, which is all that a Gaussian sketch sees of them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -116,6 +117,21 @@ def khatri_rao_rows(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _multisets(m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``C(m+s-1, s) x s`` table of the multisets of s of m columns, in
+    lexicographic order, and their weights ``s!/alpha!``; both read-only."""
+    alphas = list(itertools.combinations_with_replacement(range(m), s))
+    cols = np.array(alphas, dtype=np.intp).reshape(len(alphas), s)
+    weights = np.array([
+        math.factorial(s) // math.prod(math.factorial(c) for c in Counter(alpha).values())
+        for alpha in alphas
+    ], dtype=np.float64)
+    cols.setflags(write=False)
+    weights.setflags(write=False)
+    return cols, weights
+
+
 def symmetric_power_blocks(
     blocks: Sequence[np.ndarray], s: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -123,25 +139,23 @@ def symmetric_power_blocks(
 
     By the multinomial theorem ``(sum_a x_a y_a)**s`` is the sum over the
     ``C(m+s-1, s)`` multisets alpha of s of the m columns of ``(s!/alpha!)
-    prod_{a in alpha} x_a y_a``.  Returns, for each block, the matrix whose
-    column alpha is the entrywise product of the block's columns in alpha
-    (multisets in lexicographic order), and the weights ``s!/alpha!``;
-    callers decide where the weights go.
+    prod_{a in alpha} x_a y_a``.  Returns, for each block, a new matrix
+    whose column alpha is the entrywise product of the block's columns in
+    alpha (multisets in lexicographic order), and the weights ``s!/alpha!``,
+    a read-only array shared by every call with the same m and s; callers
+    decide where the weights go.  Each product is formed in place, one
+    gathered column set at a time, in the order ``a_1 a_2 ... a_s``.
     """
     if s < 1:
         raise ValueError(f"power must be >= 1, got {s}")
-    m = blocks[0].shape[1]
-    alphas = list(itertools.combinations_with_replacement(range(m), s))
-    cols = np.array(alphas, dtype=np.intp).reshape(len(alphas), s)
-    weights = np.array([
-        math.factorial(s) // math.prod(math.factorial(c) for c in Counter(alpha).values())
-        for alpha in alphas
-    ], dtype=np.float64)
+    cols, weights = _multisets(blocks[0].shape[1], s)
     out = []
     for block in blocks:
-        g = block[:, cols[:, 0]]
+        g = np.take(block, cols[:, 0], axis=1)
+        gathered = np.empty_like(g) if s > 1 else None
         for j in range(1, s):
-            g = g * block[:, cols[:, j]]
+            # the table's indices are in range: "clip" writes into gathered unbuffered
+            g *= np.take(block, cols[:, j], axis=1, out=gathered, mode="clip")
         out.append(g)
     return out, weights
 

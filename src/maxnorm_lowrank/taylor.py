@@ -282,19 +282,19 @@ def _profile_rows(spec: KernelSpec, D: np.ndarray) -> RowEvaluator:
 
 def _build(
     spec: KernelSpec, base: Factorization, plan: TaylorPlan, eps: float, seed: SeedLike,
-    target: RowEvaluator, arg_bound: float,
+    target: RowEvaluator,
 ) -> tuple[Factorization, TaylorReport]:
     """Sum the plan's series of ``base`` and report on it against ``target``'s
     rows; every route ends here.
 
     When the measured error exceeds max|F| on the same rows, the result is
     the zero factorization (width 1), with that max as its error, as in
-    ``tensors.taylor_tt_approx``.  The corollary's exponent is ``M *
-    arg_bound``, ``arg_bound`` the route's a priori bound on the series'
-    argument.  The algebraic term is eps times ``sum_s |c_s| (a b)**s``,
-    ``(a, b) = base.row_norms()``, over the sketched or dense-fallback tail:
-    the bound ``compress.tail_factor`` puts on the factor the sketch
-    certifies.  A power that passed through is exact.
+    ``tensors.taylor_tt_approx``.  With ``(a, b) = base.row_norms()``, the
+    sketch sees power s of the base bounded by ``(a b)**s``, so the
+    corollary's exponent is ``M a b``, and the algebraic term is eps times
+    ``sum_s |c_s| (a b)**s`` over the sketched or dense-fallback tail: the
+    bound ``compress.tail_factor`` puts on the factor the sketch certifies.
+    A power that passed through is exact.
     """
     asm = _assemble(base, plan, eps, seed)
     result = asm.result
@@ -304,12 +304,12 @@ def _build(
         n1, n2 = result.shape
         result, measured = Factorization(np.zeros((n1, 1)), np.zeros((n2, 1))), peak
     relative = measured / peak if peak > 0 else math.inf
+    ab = math.prod(base.row_norms())
     if spec.has_constants:
-        exponent_arg = spec.M * arg_bound
+        exponent_arg = spec.M * ab
         corollary = spec.C * (math.exp(-plan.order) + eps * math.expm1(exponent_arg))
     else:
         exponent_arg, corollary = math.nan, math.inf
-    ab = math.prod(base.row_norms())
     approximated = asm.sketched_powers + asm.fallback_powers
     algebraic = eps * sum(abs(float(plan.coefficients[s])) * ab**s for s in approximated)
     return result, TaylorReport(
@@ -359,7 +359,7 @@ def approx_inner_product(
     spec.check_domain(-bound, bound)
     plan = taylor_coeffs(spec, 0.0, t, radius=bound, eps=eps)
     target = kernel_rows(replace(spec, arg_kind=ARG_INNER), X, Y)
-    return _build(spec, Factorization(X.points, Y.points), plan, eps, seed, target, bound)
+    return _build(spec, Factorization(X.points, Y.points), plan, eps, seed, target)
 
 
 def _distance_base(A: np.ndarray, B: np.ndarray, xi: float) -> Factorization:
@@ -387,8 +387,7 @@ def approx_sq_distance(
     remainder's sup estimated on the range; a single realized value, as
     with every point at the origin, gives the exact constant ``h(xi)``.
     The range is read off the held distance matrix within the dense cap,
-    and by row blocks above it.  The corollary takes ``8 R**2`` as its
-    argument bound.  ``W`` must be None (``_no_weight``).
+    and by row blocks above it.  ``W`` must be None (``_no_weight``).
     """
     _no_weight(W)
     if X.n * Y.n <= caps.dense_cap():
@@ -402,8 +401,7 @@ def approx_sq_distance(
     if dmax - dmin <= 1e-15 * max(1.0, abs(dmax)):
         t, half = 1, 0.0  # a single realized distance value: h(xi) * ones is exact
     plan = taylor_coeffs(spec, xi, t, radius=half, eps=eps, realized=(dmin, dmax))
-    bound = 8.0 * max(X.radius_bound, Y.radius_bound) ** 2
-    return _build(spec, _distance_base(X.points, Y.points, xi), plan, eps, seed, target, bound)
+    return _build(spec, _distance_base(X.points, Y.points, xi), plan, eps, seed, target)
 
 
 # the benchmark harness wraps and calls this name

@@ -5,16 +5,19 @@ CP tensor whose factors are the point matrices.  A truncated Taylor
 series of the profile function h turns ``h(<x, y, z, ...>)`` into a sum
 of entrywise powers of that CP tensor.  The s-th power of a width-m CP
 tensor is again CP, of width ``C(m+s-1, s)`` when its terms are indexed
-by multisets of columns (``cp_symmetric_power``), and each power is
-rounded straight to a TT by a TT-SVD computed from the CP factors'
-Gram matrices (``cp_tt_svd``), so neither the ``m**s``-wide
-Khatri-Rao factors nor an exact TT with ``L x n x L`` cores is formed.
-When that route's largest matrix is above ``caps.dense_cap()`` entries
-the power is built incrementally instead, as the Hadamard product of
-the previous power and P, rounded after each step.  Sums add TT ranks
+by multisets of columns (``cp_symmetric_power``).  A power of width
+L <= r, no wider than its first and last modes, already is a train with
+the ranks its TT-SVD would keep, and is converted exactly (``cp_to_tt``).
+Every other power is rounded straight to a TT by a TT-SVD computed from
+the CP factors' Gram matrices (``cp_tt_svd``), so neither the
+``m**s``-wide Khatri-Rao factors nor an exact TT with ``L x n x L`` cores
+is formed.  When that route's largest matrix is above ``caps.dense_cap()``
+entries the power is built incrementally instead, as the Hadamard product
+of the previous power and P, rounded after each step.  Sums add TT ranks
 blockwise, so at most t - 1 powers of rank <= r and the constant already
-fit the rank budget ``1 + (t - 1) * r``; the final rounding sweep only
-caps the ranks at the sizes of the unfoldings.
+fit the rank budget ``1 + (t - 1) * r``; a final rounding sweep could only
+cap the ranks at the sizes of the unfoldings, so it runs only where a
+summed rank exceeds one.
 """
 
 from __future__ import annotations
@@ -36,8 +39,11 @@ from .taylor import taylor_coeffs
 
 # samples per block in ``TTTensor.entries`` and in the sampled error check
 ENTRY_BLOCK = 2**15
-# entries per slab in the dense error check and in ``TTTensor.entries``
+# entries per slab in ``TTTensor.entries`` and in the sampled error check
 SLAB_ENTRIES = 2**20
+# entries per slab in the dense error check: a slab's arguments, h values
+# and TT values then stay in a core's cache
+CHECK_SLAB_ENTRIES = 2**17
 # ``TTTensor.entries`` forms slabs when it has at least one sample per this
 # many entries of the tensor
 SLAB_COST_RATIO = 64
@@ -286,7 +292,7 @@ def cp_symmetric_power(T: CPTensor, s: int) -> CPTensor:
     prod_{a in alpha} F_k[i_k, a]``; the weights go into the first factor.
     """
     factors, weights = symmetric_power_blocks(T.factors, s)
-    factors[0] = factors[0] * weights
+    factors[0] *= weights
     return CPTensor(tuple(factors))
 
 
@@ -496,13 +502,22 @@ def _power_in_tt(
 ) -> TTTensor:
     """s-th entrywise power of P as a TT with ranks <= ``round_ranks``.
 
-    A TT-SVD of the symmetric-power CP tensor when its largest matrix
-    fits under the dense cap; otherwise the rounded Hadamard product of
-    the previous power and P.
+    The exact ``cp_to_tt`` of the width-L symmetric-power CP tensor when
+    L <= ``round_ranks`` and L <= min(n_1, n_d) and its L x n x L cores
+    fit under the dense cap: the TT-SVD would keep rank L at every step,
+    so it would truncate nothing.  Otherwise a TT-SVD of that CP tensor
+    when its largest matrix fits under the dense cap, and else the
+    rounded Hadamard product of the previous power and P.
     """
     if s not in cache:
         width = math.comb(P.width + s - 1, s)
-        if _cp_tt_svd_entries(P.shape, width, round_ranks) <= caps.dense_cap():
+        shape, cap = P.shape, caps.dense_cap()
+        if (
+            width <= min(round_ranks, shape[0], shape[-1])
+            and width * width * max(shape[1:-1], default=0) <= cap
+        ):
+            cache[s] = cp_to_tt(cp_symmetric_power(P, s))
+        elif _cp_tt_svd_entries(shape, width, round_ranks) <= cap:
             cache[s] = cp_tt_svd(cp_symmetric_power(P, s), round_ranks)
         elif s == 1:
             cache[s] = tt_round(cp_to_tt(P), max_ranks=round_ranks)
@@ -511,6 +526,104 @@ def _power_in_tt(
             cache[s] = tt_round(tt_hadamard(prev, cp_to_tt(P)), max_ranks=round_ranks)
             incremental.append(s)
     return cache[s]
+
+
+def _rounding_truncates(T: TTTensor) -> bool:
+    """Whether ``tt_round`` at a budget no smaller than T's ranks can drop one.
+
+    It can only where a core (r_{k-1}, n_k, r_k) has ``r_k > r_{k-1} n_k``
+    or ``r_{k-1} > n_k r_k``: otherwise the QR of the right-to-left sweep
+    and the SVD of the left-to-right sweep both keep every rank, and the
+    rounding only changes the basis (Oseledets, SISC 2011).
+    """
+    return any(r1 > r0 * n or r0 > n * r1 for r0, n, r1 in (c.shape for c in T.cores))
+
+
+def _slab_rows(factors: Sequence[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """Row-wise products of the factors over the slab ``lo <= i_1 < hi``:
+    row ``((i_1 - lo) n_2 + i_2) n_3 + ...`` is ``F_1[i_1] * F_2[i_2] * ...``."""
+    rows = factors[0][lo:hi]
+    for f in factors[1:]:
+        rows = (rows[:, None, :] * f[None, :, :]).reshape(-1, f.shape[1])
+    return rows
+
+
+def _dense_check(spec: KernelSpec, P: CPTensor, T: TTTensor) -> tuple[float, float]:
+    """``(max |h(P) - T|, max |h(P)|)`` over every entry, by mode-1 slabs.
+
+    A slab holds the leading indices ``lo <= i_1 < hi`` of about
+    ``CHECK_SLAB_ENTRIES`` entries, at least one index: h's argument is
+    the slab's row-wise product of the first d - 1 factors times the
+    last factor transposed, and the TT values are the first d - 1 cores
+    contracted over the slab times the last core.  Beside the factors
+    and cores it holds one slab each of arguments, h and TT values, and
+    takes the error in place in the last.
+    """
+    cores = T.cores
+    last_core = cores[-1][:, :, 0]  # (r_{d-1}, n_d)
+    step = max(1, CHECK_SLAB_ENTRIES // math.prod(P.shape[1:]))
+    measured = denom = 0.0
+    for lo in range(0, P.shape[0], step):
+        F = spec.h(_slab_rows(P.factors[:-1], lo, lo + step) @ P.factors[-1].T)
+        left = cores[0][0, lo : lo + step]
+        for core in cores[1:-1]:
+            r0, _, r1 = core.shape
+            left = (left @ core.reshape(r0, -1)).reshape(-1, r1)
+        G = left @ last_core
+        denom = np.maximum(denom, max_norm(F))
+        np.subtract(F, G, out=G)
+        measured = np.maximum(measured, max_norm(G))  # unlike max, keeps a NaN error
+    return float(measured), float(denom)
+
+
+def _sampled_check(
+    spec: KernelSpec, P: CPTensor, T: TTTensor, seed: SeedLike
+) -> tuple[float, float]:
+    """``(max |h(P) - T|, max |h(P)|)`` over ``CHECK_SAMPLES`` random entries.
+
+    One index column is drawn per mode, kept in the narrowest unsigned
+    dtype that holds its mode's indices (1 byte per sample up to n = 256,
+    2 up to 65536), and the samples are grouped by mode-1 slabs of at
+    most ``SLAB_ENTRIES`` entries with one stable sort.  Each group's
+    indices are written once into an intp array, its TT values come from
+    one ``TTTensor.entries`` call, and its h values ``ENTRY_BLOCK``
+    samples at a time: the arguments are the rows of the slab's product
+    of the first two factors (the first alone at d = 2), times the
+    further factors' rows, summed; the same products in the same order
+    as ``x * y * z``.  Beside the result the check holds the index
+    columns, their 8-byte sort order, one slab with the samples in it,
+    and one ``ENTRY_BLOCK`` of h arguments.
+    """
+    shape, d = P.shape, P.order
+    rng = generator(seed)
+    cols = [
+        rng.integers(0, n, size=CHECK_SAMPLES).astype(np.min_scalar_type(n - 1))
+        for n in shape
+    ]
+    step = max(1, SLAB_ENTRIES // math.prod(shape[1:]))
+    head = min(2, d - 1)  # modes whose row-wise product a slab holds
+    measured = denom = 0.0
+    for k, sel in _slab_groups(cols[0], shape[0], step):
+        lo = k * step
+        idx = np.empty((d, sel.shape[0]), dtype=np.intp)
+        for j, c in enumerate(cols):
+            idx[j] = c[sel]
+        g_vals = T.entries(idx.T)
+        lead = _slab_rows(P.factors[:head], lo, lo + step)
+        key = idx[0] - lo
+        if head == 2:
+            key *= shape[1]
+            key += idx[1]
+        for b in range(0, sel.shape[0], ENTRY_BLOCK):
+            block = slice(b, b + ENTRY_BLOCK)
+            args = np.take(lead, key[block], axis=0)
+            for f, col in zip(P.factors[head:], idx[head:]):
+                args *= np.take(f, col[block], axis=0)
+            f_vals = spec.h(args.sum(axis=1))
+            err = np.abs(f_vals - g_vals[block]).max()
+            measured = np.maximum(measured, err)  # unlike max, keeps a NaN error
+            denom = np.maximum(denom, np.abs(f_vals).max())
+    return float(measured), float(denom)
 
 
 def taylor_tt_approx(
@@ -528,28 +641,22 @@ def taylor_tt_approx(
     ``t=None`` takes ``taylor.default_order(eps)``, the only use of ``eps``.
 
     Each nonzero-coefficient entrywise power of ``P`` is carried to the
-    TT format and rounded to ranks <= ``r`` (a deterministic TT-SVD
-    surrogate for the randomized compression step, whose constant is not
-    known explicitly; the achieved error is therefore measured, never
-    asserted from theory).  Powers are summed with the Taylor weights,
-    which gives ranks <= ``1 + (t - 1) * r`` already, and the sum is
-    rounded once more, which caps its ranks at the unfolding sizes.
+    TT format with ranks <= ``r`` (``_power_in_tt``: a deterministic
+    TT-SVD surrogate for the randomized compression step, whose constant
+    is not known explicitly; the achieved error is therefore measured,
+    never asserted from theory).  Powers are summed with the Taylor
+    weights, which gives ranks <= ``1 + (t - 1) * r`` already.  The sum
+    is rounded once more only where that can drop a rank, that is where
+    a summed rank exceeds the size of an unfolding (``_rounding_truncates``);
+    elsewhere the rounding would only change the basis.
 
-    The error is measured against the dense tensor, in mode-1 slabs of
-    at most ``SLAB_ENTRIES`` entries, when it fits under ``caps.dense_cap()``,
-    otherwise estimated on ``CHECK_SAMPLES`` random entries (the only
-    use of ``seed``).  The sampled check draws one index column per mode,
-    groups the samples by the same mode-1 slabs with one stable sort, and
-    takes each group's TT values from one ``TTTensor.entries`` call and
-    its h values ``ENTRY_BLOCK`` samples at a time, keeping only the two
-    maxima.  Each index column is kept in the narrowest unsigned dtype
-    that holds its mode's indices (1 byte per sample up to n = 256, 2 up
-    to 65536), so beside the result the check holds those columns, their
-    8-byte sort order, one slab with the samples in it, and one
-    ``ENTRY_BLOCK`` of h arguments.  The dense check holds one slab of h
-    and one of the TT, and takes the error in place in the latter.  When
-    the measured error exceeds max|h| on the checked entries, the result
-    is the zero train (ranks 1), with that max as its error.
+    The error is measured against the dense tensor when it fits under
+    ``caps.dense_cap()`` (``_dense_check``, in mode-1 slabs of about
+    ``CHECK_SLAB_ENTRIES`` entries), otherwise estimated on
+    ``CHECK_SAMPLES`` random entries (``_sampled_check``, the only use of
+    ``seed``), keeping only the two maxima.  When the measured error
+    exceeds max|h| on the checked entries, the result is the zero train
+    (ranks 1), with that max as its error.
     """
     R_eff = max(
         (float(np.sqrt((f**2).sum(axis=1).max())) for f in P.factors), default=0.0
@@ -575,40 +682,15 @@ def taylor_tt_approx(
         total = term if total is None else tt_add(total, term)
     if total is None:
         total = tt_ones(shape).scaled(0.0)
-    total = tt_round(total, max_ranks=budget)
+    if _rounding_truncates(total):
+        total = tt_round(total, max_ranks=budget)
 
     # measured error: dense when affordable, sampled otherwise
     sampled = P.size() > caps.dense_cap()
-    measured = denom = 0.0
-    step = max(1, SLAB_ENTRIES // math.prod(shape[1:]))
     if sampled:
-        rng = generator(seed)
-        cols = [
-            rng.integers(0, n, size=CHECK_SAMPLES).astype(np.min_scalar_type(n - 1))
-            for n in shape
-        ]
-        for _, sel in _slab_groups(cols[0], shape[0], step):
-            idx = np.column_stack([c[sel] for c in cols])
-            g_vals = total.entries(idx)
-            for lo in range(0, sel.shape[0], ENTRY_BLOCK):
-                block = idx[lo : lo + ENTRY_BLOCK]
-                args = np.ones((block.shape[0], P.width))
-                for j, f in enumerate(P.factors):
-                    args *= np.take(f, block[:, j], axis=0)
-                f_vals = spec.h(args.sum(axis=1))
-                err = np.abs(f_vals - g_vals[lo : lo + ENTRY_BLOCK]).max()
-                measured = np.maximum(measured, err)  # unlike max, keeps a NaN error
-                denom = np.maximum(denom, np.abs(f_vals).max())
+        measured, denom = _sampled_check(spec, P, total, seed)
     else:
-        for lo in range(0, shape[0], step):
-            rows = slice(lo, lo + step)
-            F = spec.h(CPTensor((P.factors[0][rows], *P.factors[1:])).dense())
-            G = TTTensor((total.cores[0][:, rows], *total.cores[1:])).dense()
-            denom = np.maximum(denom, max_norm(F))
-            np.subtract(F, G, out=G)
-            measured = np.maximum(measured, np.abs(G, out=G).max())
-            del F, G  # before the next slab's are formed
-    measured, denom = float(measured), float(denom)
+        measured, denom = _dense_check(spec, P, total)
     if measured > denom:
         # the zero train is closer on the same entries: return it, as altproj's
         # search returns the zero matrix when that beats its rank projection

@@ -227,6 +227,59 @@ class TestAlternatingProjections:
                                       init_dense=initial_guess(F, 3, 45))
         assert np.linalg.matrix_rank(res.approximant) <= 3
 
+    def test_rejects_bad_input_before_iterating(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a projection ran")
+
+        monkeypatch.setattr(altproj, "_subspace_projection", fail)
+        monkeypatch.setattr(altproj, "_rank_projection", fail)
+        F = _target("gauss", 20, 3, 46)
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            alternating_projections(F, 3, -1e-3, CFG, init_dense=np.zeros_like(F))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            alternating_projections(F, 3, 0.1, CFG, init_dense=np.zeros((20, 19)))
+
+    @pytest.mark.parametrize("shape, r", [((40, 30), 3), ((6, 5), 3), ((6, 6, 6), 2)])
+    def test_held_buffers_give_the_clip_projection_loop_bitwise(self, shape, r):
+        # the loop as written with clip_projection: the held D and E must give
+        # the same floats in the same order
+        def reference(F, r, eps, cfg, T):
+            warm = F.ndim == 2 and r + altproj.OVERSAMPLE < min(F.shape)
+            Q, threshold = None, eps * (1.0 + cfg.tol)
+            best_gap, stalled = math.inf, 0
+            for it in range(1, cfg.max_iters + 1):
+                E = clip_projection(T, F, eps)
+                if warm:
+                    T, Q = altproj._subspace_projection(E, r, Q)
+                else:
+                    T = altproj._rank_projection(E, r)
+                err = float(np.abs(F - T).max())
+                if err <= threshold:
+                    return T, it, "converged", err
+                gap = err - eps
+                if gap < best_gap * (1.0 - altproj.STALL_RTOL):
+                    best_gap, stalled = gap, 0
+                else:
+                    best_gap = min(best_gap, gap)
+                    stalled += 1
+                    if stalled >= altproj.STALL_PATIENCE:
+                        return T, it, "stalled", err
+            return T, cfg.max_iters, "budget", err
+
+        if len(shape) == 2:
+            F = _target("gauss", shape[0], 3, 47)[:, : shape[1]]
+        else:
+            F = eval_kernel_tensor(kernel_for("f3", 1.0), [sample_ball(s, 6, 3) for s in split(47, 3)])
+        best = altproj._rank_projection(F, r)
+        top = max_norm(F - best)
+        # converged on the matrices, out of budget or stalled on the tensor and below
+        for seed, frac in enumerate((0.9, 0.5, 1e-3)):
+            T0 = best if seed == 0 else initial_guess(F, r, seed)
+            res = alternating_projections(F, r, frac * top, CFG, init_dense=T0.copy())
+            T, iters, stop, err = reference(F, r, frac * top, CFG, T0.copy())
+            assert (res.iters, res.stop, res.max_error) == (iters, stop, err)
+            np.testing.assert_array_equal(res.approximant, T)
+
 
 class TestInitialGuess:
     def test_tt_start_matches_core_contraction(self):

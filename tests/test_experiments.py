@@ -466,7 +466,10 @@ def test_grid_runs_every_value_of_its_axis(experiment, axis, monkeypatch, tmp_pa
 # half-angle tangent, which moved some of them in the last one or two digits.
 # The taylor rows were re-pinned when every distance series moved to the
 # realized midpoint: gauss and f2 from 1.8-12.1 to below 1 (one f2 row is the
-# zero matrix, at 1), f1 in the last digits only, from the narrower base
+# zero matrix, at 1), f1 in the last digits only, from the narrower base.
+# The f3 tt rows moved in the last digits when the final TT rounding, an exact
+# change of basis at these ranks, was skipped and the dense error check came
+# to form the same entries by other products
 GOLDEN_GRID = dict(experiment="varm", n_grid=(20,), m_grid=(2, 3), r_grid=(2,), trials=2,
                    seed=11, eps=0.5, t=4)
 SEEDS = {(2, 0): "2926583794887213564", (2, 1): "215141457385765089",
@@ -497,7 +500,7 @@ CONSTRUCTIVE_GOLDEN = {
         "0.93233355437618637", "0.89630769614548433", "0.97562931469869363", "0.96818465910549167",
     ],
     ("f3", "independent", ("tt",)): [
-        "0.014611132072630578", "0.011907887556574792", "0.47954190535241731", "0.75419962801302254",
+        "0.014611132072630578", "0.011907887556575309", "0.47954190535241731", "0.75419962801302276",
     ],
 }
 # The keys whose rows differ when numpy runs np.exp, expm1, log1p and power
@@ -519,7 +522,7 @@ AVX2_GOLDEN = {
         "0.93233355437618637", "0.89630769614548433", "0.97562931469869385", "0.96818465910549167",
     ],
     ("f3", "independent", ("tt",)): [
-        "0.014611132072630576", "0.011907887556574792", "0.47954190535241742", "0.75419962801302243",
+        "0.014611132072630576", "0.011907887556575309", "0.47954190535241742", "0.75419962801302265",
     ],
 }
 try:

@@ -151,6 +151,19 @@ class TestApproxInnerProduct:
 
 
 class TestApproxSqDistance:
+    def test_corollary_exponent_is_the_base_row_norm_product(self):
+        # the sketch bounds power s of the base D - xi by (a b)**s, (a, b) its row norms
+        X, Y = sample_ball(3, 60, 30, 1.0), sample_ball(4, 60, 30, 1.0)
+        spec = gauss_sq_dist((-4, 4))
+        _, rep = approx_sq_distance(spec, X, None, Y, t=4, eps=0.25, seed=6)
+        _, dmin, dmax = distance_matrix(X, Y)
+        ab = math.prod(taylor._distance_base(X.points, Y.points, 0.5 * (dmin + dmax)).row_norms())
+        assert ab < 8.0  # tighter than the a priori argument bound 8 R**2 at R = 1
+        assert rep.exponent_arg == spec.M * ab
+        assert rep.corollary_bound == pytest.approx(
+            spec.C * (math.exp(-4) + 0.25 * math.expm1(spec.M * ab)), rel=1e-12
+        )
+
     def test_single_point_exact(self):
         X = PointSet(np.array([[0.5, 0.0]]), 0.5)
         G, rep = approx_sq_distance(gauss_sq_dist((-1, 1)), X, None, X, t=3, eps=0.5, seed=0)

@@ -673,6 +673,94 @@ class TestDenseCheckAtBenchmarkScale:
         finally:
             tracemalloc.stop()
         assert not rep.error_sampled
-        # one slab of 26 * 200**2 entries (8 MB) of h and one of TT values
-        # at a time, with the error taken in place
+        # the construction, then one slab of 3 * 200**2 entries (1 MB) each of
+        # arguments, h and TT values at a time, with the error taken in place
         assert peak <= 34 * 2**20
+
+
+class TestNoExactWorkRedone:
+    """The final rounding runs only where it can drop a rank, and a power
+    that already is a train at its TT-SVD's ranks goes through ``cp_to_tt``."""
+
+    @staticmethod
+    def _count_rounding(monkeypatch):
+        calls = []
+        original = tensors.tt_round
+
+        def counting(T, max_ranks):
+            calls.append(T.ranks)
+            return original(T, max_ranks)
+
+        monkeypatch.setattr(tensors, "tt_round", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_no_rounding_at_benchmark_shape(self, monkeypatch, n):
+        # the tt_taylor benchmark's profile, order and rank on three width-6 point sets
+        calls = self._count_rounding(monkeypatch)
+        P = cp_from_points([sample_ball(1800 + n + j, n, 6) for j in range(3)])
+        G, rep = taylor_tt_approx(sinh_hoip(), P, 8, 10, seed=n)
+        assert calls == [] and rep.error_sampled == (n == 300)
+        rounded = tt_round(G, max_ranks=rep.rank_budget)
+        assert rounded.ranks == G.ranks == (36, 36)
+        # the two trains agree on every checked entry to rounding error
+        rng = np.random.default_rng(n)
+        idx = np.column_stack([rng.integers(0, k, 2 * 10**5) for k in P.shape])
+        f = sinh_hoip().h(np.einsum("bi,bi,bi->b", *(F[idx[:, j]] for j, F in enumerate(P.factors))))
+        assert np.abs(G.entries(idx) - rounded.entries(idx)).max() <= 1e-12 * np.abs(f).max()
+
+    def test_rounding_runs_where_ranks_exceed_an_unfolding(self, monkeypatch):
+        # summed ranks 3 + 4 + 4 exceed the 5 rows of the first unfolding
+        calls = self._count_rounding(monkeypatch)
+        P = cp_from_points([sample_ball(s, 5, 3) for s in (1901, 1902, 1903)])
+        G, rep = taylor_tt_approx(sinh_hoip(), P, 6, 4, seed=0)
+        assert calls == [(11, 11)]
+        assert G.ranks == rep.ranks == (5, 5)
+        F = sinh_hoip().h(P.dense())
+        assert rep.measured_max_error == pytest.approx(np.abs(F - G.dense()).max(), rel=1e-12)
+
+    @pytest.mark.parametrize("shape, m, s", [
+        ((7, 8, 9), 3, 1), ((7, 8, 9), 2, 2), ((6, 7), 2, 3), ((5, 4, 3, 6), 2, 2),
+    ])
+    def test_power_through_cp_to_tt_is_the_tt_svd(self, monkeypatch, shape, m, s):
+        rng = np.random.default_rng(70 + s)
+        P = random_cp(rng, shape, m)
+        width, r = math.comb(m + s - 1, s), 4
+        assert width <= min(r, shape[0], shape[-1])
+        converted = []
+        original = tensors.cp_to_tt
+        monkeypatch.setattr(tensors, "cp_to_tt", lambda T: converted.append(T.width) or original(T))
+        tt = tensors._power_in_tt(P, s, r, [], {})
+        assert converted == [width]
+        ref = cp_tt_svd(cp_symmetric_power(P, s), r)
+        assert tt.ranks == ref.ranks == (width,) * (len(shape) - 1)
+        expected = P.dense() ** s
+        assert np.abs(tt.dense() - ref.dense()).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(tt.dense() - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("shape", [(30, 40), (9, 8, 7, 10)])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_error_of_other_orders(self, monkeypatch, shape, sampled):
+        sets = [sample_ball(2000 + k, n, 3, 1.0) for k, n in enumerate(shape)]
+        P = cp_from_points(sets)
+        spec = sinh_hoip()
+        size = 3000
+        if sampled:
+            monkeypatch.setenv("MAXNORM_DENSE_CAP", str(math.prod(shape) - 1))
+            monkeypatch.setattr(tensors, "CHECK_SAMPLES", size)
+        # slabs of two leading indices on either path
+        slab = 2 * math.prod(shape[1:])
+        monkeypatch.setattr(tensors, "CHECK_SLAB_ENTRIES", slab)
+        monkeypatch.setattr(tensors, "SLAB_ENTRIES", slab)
+        G, rep = taylor_tt_approx(spec, P, 5, 3, seed=12)
+        monkeypatch.delenv("MAXNORM_DENSE_CAP", raising=False)
+        assert rep.error_sampled == sampled
+        F, g = spec.h(P.dense()), G.dense()
+        if sampled:
+            rng = generator(12)
+            idx = tuple(rng.integers(0, n, size=size) for n in shape)
+            F, g = F[idx], g[idx]
+        assert rep.measured_max_error == pytest.approx(np.abs(F - g).max(), rel=1e-12)
+        assert rep.measured_relative_error == pytest.approx(
+            np.abs(F - g).max() / np.abs(F).max(), rel=1e-12
+        )
