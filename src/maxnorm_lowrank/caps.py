@@ -9,12 +9,11 @@ instead of silently allocating hundreds of gigabytes.  The cap bounds
 * a dense n1 x n2 matrix (``require_dense_matrix``) and each exact
   factor (N = n1 + n2 rows) that ``compress.hadamard_compress`` builds;
 * a dense tensor, and the size above which ``tensors.taylor_tt_approx``
-  checks its error on sampled entries instead of densely;
+  checks its error on seeded mode-1 slices instead of on every one;
 * in ``tensors``, the widest factor of an exact Khatri-Rao power
   (n * L**s entries), each L x n x L core of an exact CP -> TT
-  conversion, the largest matrix of a power's Gram-based TT-SVD (a
-  power above it is built incrementally) and the (k n_2) x r_2
-  contraction that ``TTTensor.entries`` gathers rows from.
+  conversion and the largest matrix of a power's Gram-based TT-SVD (a
+  power above it is built incrementally).
 
 ``rff.rff_then_compress`` holds an n1 x n2 array, its feature product,
 only when its result is that product (its form (b)), so only that form

@@ -18,6 +18,16 @@ blockwise, so at most t - 1 powers of rank <= r and the constant already
 fit the rank budget ``1 + (t - 1) * r``; a final rounding sweep could only
 cap the ranks at the sizes of the unfoldings, so it runs only where a
 summed rank exceeds one.
+
+The error of the result is measured by one check on whole mode-1 slices
+``i_1 = const`` (``_slab_check``): every slice when the tensor fits under
+the dense cap, otherwise the k seeded slices that hold at least
+``CHECK_SAMPLES`` entries, drawn without replacement, and never fewer than
+one.  The reported error is then the largest of k slice maxima, so with
+confidence 1 - delta at most ln(1/delta)/k of all slices hold an entry
+above it (each draw misses a fraction p of the slices with probability at
+most 1 - p, and (1 - p)**k <= exp(-p k)); at n = 300 the check draws
+k = 12 slices, so at 95 % confidence at most a quarter of them do.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,17 +47,13 @@ from .rng import SeedLike, generator
 from .sampling import PointSet
 from .taylor import taylor_coeffs
 
-# samples per block in ``TTTensor.entries`` and in the sampled error check
+# samples per block in ``TTTensor.entries``
 ENTRY_BLOCK = 2**15
-# entries per slab in ``TTTensor.entries`` and in the sampled error check
-SLAB_ENTRIES = 2**20
-# entries per slab in the dense error check: a slab's arguments, h values
-# and TT values then stay in a core's cache
+# entries per slab in the error check: a slab's arguments, h values and TT
+# values then stay in a core's cache
 CHECK_SLAB_ENTRIES = 2**17
-# ``TTTensor.entries`` forms slabs when it has at least one sample per this
-# many entries of the tensor
-SLAB_COST_RATIO = 64
-# entries the sampled error check of ``taylor_tt_approx`` draws
+# entries the error check of ``taylor_tt_approx`` covers, at least, above
+# the dense cap: it draws the fewest whole mode-1 slices that hold them
 CHECK_SAMPLES = 10**6
 
 
@@ -135,54 +141,19 @@ class TTTensor:
     def entries(self, idx: np.ndarray) -> np.ndarray:
         """Evaluate a batch of entries; ``idx`` has shape (batch, d).
 
-        When it fits under the dense cap, the first two cores are first
-        contracted over the range of leading indices the batch spans,
-        ``lo <= i_1 < hi``, into a ((hi - lo) n_2, r_2) matrix ``first``,
-        indexed by ``(i_1 - lo) n_2 + i_2``.  Then one of two routes runs.
-
-        * Per sample, ``ENTRY_BLOCK`` samples at a time in O(block * r)
-          memory: the block's rows of ``first`` are gathered, each further
-          middle core is applied by one matmul per distinct index in the
-          block, and the last core by a row-wise dot product.
-        * By slabs, for an order-3 train with ``first`` formed and at least
-          one sample per ``SLAB_COST_RATIO`` entries of that range of the
-          tensor: the samples are grouped by slab with a stable sort, each
-          slab of at most ``SLAB_ENTRIES`` entries is formed by one matmul
-          ``first[rows] @ last.T``, and its samples are gathered from it.
-          A gathered sample costs about 100 times a slab entry (300 ns
-          against 3 ns at r = 36 on one OpenBLAS thread of an x86 core),
-          so this is the cheaper route above that density.
-
-        Besides arrays of batch size, a batch confined to leading indices
-        whose slice of the tensor holds at most ``SLAB_ENTRIES`` entries
-        thus costs one slab and its part of ``first``; the sampled error
-        check of ``taylor_tt_approx`` passes such batches.
+        ``ENTRY_BLOCK`` samples at a time in O(block * r) memory: the
+        block's rows of the first core are gathered, each middle core is
+        applied by one matmul per distinct index in the block
+        (``_apply_core``), and the last core by a row-wise dot product.
         """
         idx = np.asarray(idx, dtype=np.intp)
-        if idx.shape[0] == 0:
-            return np.empty(0)
         first = self.cores[0][0]  # (n_1, r_1)
-        rows = idx[:, 0]
-        start = 1
-        i_lo, i_hi = rows.min(), rows.max() + 1
-        n2, r2 = self.cores[1].shape[1:]
-        if self.order > 2 and (i_hi - i_lo) * n2 * r2 <= caps.dense_cap():
-            first = np.tensordot(first[i_lo:i_hi], self.cores[1], axes=1).reshape(-1, r2)
-            rows = (rows - i_lo) * n2 + idx[:, 1]
-            start = 2
         last = self.cores[-1][:, :, 0].T  # (n_d, r_{d-1})
-        if (
-            self.order == 3
-            and start == 2
-            and last.shape[0] <= SLAB_ENTRIES
-            and idx.shape[0] * SLAB_COST_RATIO >= first.shape[0] * last.shape[0]
-        ):
-            return _entries_by_slabs(first, last, rows, idx[:, 2])
         out = np.empty(idx.shape[0])
         for lo in range(0, idx.shape[0], ENTRY_BLOCK):
             block = slice(lo, lo + ENTRY_BLOCK)
-            left = first[rows[block]]
-            for k in range(start, self.order - 1):
+            left = first[idx[block, 0]]
+            for k in range(1, self.order - 1):
                 left = _apply_core(left, self.cores[k], idx[block, k])
             out[block] = np.einsum("br,br->b", left, last[idx[block, -1]])
         return out
@@ -191,39 +162,6 @@ class TTTensor:
         cores = list(self.cores)
         cores[0] = cores[0] * c
         return TTTensor(tuple(cores))
-
-
-def _entries_by_slabs(
-    first: np.ndarray, last: np.ndarray, rows: np.ndarray, col: np.ndarray
-) -> np.ndarray:
-    """Entries ``first[rows[b]] @ last[col[b]]``, gathered from slabs ``first[lo:hi] @ last.T``."""
-    n = last.shape[0]
-    step = SLAB_ENTRIES // n
-    flat = rows * n + col
-    out = np.empty(rows.shape[0])
-    for k, sel in _slab_groups(rows, first.shape[0], step):
-        lo = k * step
-        out[sel] = np.take(first[lo : lo + step] @ last.T, flat[sel] - lo * n)
-    return out
-
-
-def _slab_groups(keys: np.ndarray, n: int, step: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``(k, positions of the keys in [k step, (k + 1) step))`` for each nonempty slab k.
-
-    ``keys`` lie in ``range(n)`` and may be of any integer dtype that holds
-    ``n - 1``; each slab's positions come in increasing order, from one
-    stable sort of the slab numbers.
-    """
-    count = -(-n // step)
-    if count == 1:  # one slab; a step >= n may not fit the keys' dtype
-        yield 0, np.arange(keys.shape[0])
-        return
-    slab = (keys // step).astype(np.min_scalar_type(count - 1))
-    order = np.argsort(slab, kind="stable")  # a radix sort for up to 2**16 slabs
-    counts = np.bincount(slab, minlength=count)
-    ends = np.cumsum(counts)
-    for k in np.flatnonzero(counts):
-        yield int(k), order[ends[k] - counts[k] : ends[k]]
 
 
 def _apply_core(left: np.ndarray, core: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -539,33 +477,33 @@ def _rounding_truncates(T: TTTensor) -> bool:
     return any(r1 > r0 * n or r0 > n * r1 for r0, n, r1 in (c.shape for c in T.cores))
 
 
-def _slab_rows(factors: Sequence[np.ndarray], lo: int, hi: int) -> np.ndarray:
-    """Row-wise products of the factors over the slab ``lo <= i_1 < hi``:
-    row ``((i_1 - lo) n_2 + i_2) n_3 + ...`` is ``F_1[i_1] * F_2[i_2] * ...``."""
-    rows = factors[0][lo:hi]
+def _slab_rows(factors: Sequence[np.ndarray], rows: slice | np.ndarray) -> np.ndarray:
+    """Row-wise products of the factors over the leading indices ``rows``:
+    row ``(j n_2 + i_2) n_3 + ...`` is ``F_1[rows][j] * F_2[i_2] * ...``."""
+    out = factors[0][rows]
     for f in factors[1:]:
-        rows = (rows[:, None, :] * f[None, :, :]).reshape(-1, f.shape[1])
-    return rows
+        out = (out[:, None, :] * f[None, :, :]).reshape(-1, f.shape[1])
+    return out
 
 
-def _dense_check(spec: KernelSpec, P: CPTensor, T: TTTensor) -> tuple[float, float]:
-    """``(max |h(P) - T|, max |h(P)|)`` over every entry, by mode-1 slabs.
+def _slab_check(
+    spec: KernelSpec, P: CPTensor, T: TTTensor, blocks: Sequence[slice | np.ndarray]
+) -> tuple[float, float]:
+    """``(max |h(P) - T|, max |h(P)|)`` over the mode-1 slabs ``P[rows]``, rows in ``blocks``.
 
-    A slab holds the leading indices ``lo <= i_1 < hi`` of about
-    ``CHECK_SLAB_ENTRIES`` entries, at least one index: h's argument is
-    the slab's row-wise product of the first d - 1 factors times the
-    last factor transposed, and the TT values are the first d - 1 cores
-    contracted over the slab times the last core.  Beside the factors
-    and cores it holds one slab each of arguments, h and TT values, and
-    takes the error in place in the last.
+    Each block is a slice or an index array of leading indices i_1: h's
+    argument is the slab's row-wise product of the first d - 1 factors
+    times the last factor transposed, and the TT values are the first
+    d - 1 cores contracted over the slab times the last core.  Beside the
+    factors and cores it holds one slab each of arguments, h and TT
+    values, and takes the error in place in the last.
     """
     cores = T.cores
     last_core = cores[-1][:, :, 0]  # (r_{d-1}, n_d)
-    step = max(1, CHECK_SLAB_ENTRIES // math.prod(P.shape[1:]))
     measured = denom = 0.0
-    for lo in range(0, P.shape[0], step):
-        F = spec.h(_slab_rows(P.factors[:-1], lo, lo + step) @ P.factors[-1].T)
-        left = cores[0][0, lo : lo + step]
+    for rows in blocks:
+        F = spec.h(_slab_rows(P.factors[:-1], rows) @ P.factors[-1].T)
+        left = cores[0][0, rows]
         for core in cores[1:-1]:
             r0, _, r1 = core.shape
             left = (left @ core.reshape(r0, -1)).reshape(-1, r1)
@@ -573,56 +511,6 @@ def _dense_check(spec: KernelSpec, P: CPTensor, T: TTTensor) -> tuple[float, flo
         denom = np.maximum(denom, max_norm(F))
         np.subtract(F, G, out=G)
         measured = np.maximum(measured, max_norm(G))  # unlike max, keeps a NaN error
-    return float(measured), float(denom)
-
-
-def _sampled_check(
-    spec: KernelSpec, P: CPTensor, T: TTTensor, seed: SeedLike
-) -> tuple[float, float]:
-    """``(max |h(P) - T|, max |h(P)|)`` over ``CHECK_SAMPLES`` random entries.
-
-    One index column is drawn per mode, kept in the narrowest unsigned
-    dtype that holds its mode's indices (1 byte per sample up to n = 256,
-    2 up to 65536), and the samples are grouped by mode-1 slabs of at
-    most ``SLAB_ENTRIES`` entries with one stable sort.  Each group's
-    indices are written once into an intp array, its TT values come from
-    one ``TTTensor.entries`` call, and its h values ``ENTRY_BLOCK``
-    samples at a time: the arguments are the rows of the slab's product
-    of the first two factors (the first alone at d = 2), times the
-    further factors' rows, summed; the same products in the same order
-    as ``x * y * z``.  Beside the result the check holds the index
-    columns, their 8-byte sort order, one slab with the samples in it,
-    and one ``ENTRY_BLOCK`` of h arguments.
-    """
-    shape, d = P.shape, P.order
-    rng = generator(seed)
-    cols = [
-        rng.integers(0, n, size=CHECK_SAMPLES).astype(np.min_scalar_type(n - 1))
-        for n in shape
-    ]
-    step = max(1, SLAB_ENTRIES // math.prod(shape[1:]))
-    head = min(2, d - 1)  # modes whose row-wise product a slab holds
-    measured = denom = 0.0
-    for k, sel in _slab_groups(cols[0], shape[0], step):
-        lo = k * step
-        idx = np.empty((d, sel.shape[0]), dtype=np.intp)
-        for j, c in enumerate(cols):
-            idx[j] = c[sel]
-        g_vals = T.entries(idx.T)
-        lead = _slab_rows(P.factors[:head], lo, lo + step)
-        key = idx[0] - lo
-        if head == 2:
-            key *= shape[1]
-            key += idx[1]
-        for b in range(0, sel.shape[0], ENTRY_BLOCK):
-            block = slice(b, b + ENTRY_BLOCK)
-            args = np.take(lead, key[block], axis=0)
-            for f, col in zip(P.factors[head:], idx[head:]):
-                args *= np.take(f, col[block], axis=0)
-            f_vals = spec.h(args.sum(axis=1))
-            err = np.abs(f_vals - g_vals[block]).max()
-            measured = np.maximum(measured, err)  # unlike max, keeps a NaN error
-            denom = np.maximum(denom, np.abs(f_vals).max())
     return float(measured), float(denom)
 
 
@@ -650,13 +538,16 @@ def taylor_tt_approx(
     a summed rank exceeds the size of an unfolding (``_rounding_truncates``);
     elsewhere the rounding would only change the basis.
 
-    The error is measured against the dense tensor when it fits under
-    ``caps.dense_cap()`` (``_dense_check``, in mode-1 slabs of about
-    ``CHECK_SLAB_ENTRIES`` entries), otherwise estimated on
-    ``CHECK_SAMPLES`` random entries (``_sampled_check``, the only use of
-    ``seed``), keeping only the two maxima.  When the measured error
-    exceeds max|h| on the checked entries, the result is the zero train
-    (ranks 1), with that max as its error.
+    The error is measured by ``_slab_check`` in mode-1 slabs of about
+    ``CHECK_SLAB_ENTRIES`` entries, keeping only the two maxima: over
+    every entry when the tensor fits under ``caps.dense_cap()``,
+    otherwise over ``k = min(n_1, ceil(CHECK_SAMPLES / (n_2 ... n_d)))``
+    whole slices ``i_1 = const`` drawn without replacement by
+    ``generator(seed)`` (the only use of ``seed``), at least one.  Above
+    the cap the error is thus a lower estimate: with confidence 1 - delta
+    at most a fraction ln(1/delta)/k of the n_1 slices hold an entry above
+    it.  When the measured error exceeds max|h| on the checked entries,
+    the result is the zero train (ranks 1), with that max as its error.
     """
     R_eff = max(
         (float(np.sqrt((f**2).sum(axis=1).max())) for f in P.factors), default=0.0
@@ -685,12 +576,17 @@ def taylor_tt_approx(
     if _rounding_truncates(total):
         total = tt_round(total, max_ranks=budget)
 
-    # measured error: dense when affordable, sampled otherwise
+    # measured error: on every mode-1 slice when affordable, else on seeded ones
     sampled = P.size() > caps.dense_cap()
+    per_slice = math.prod(shape[1:])
+    step = max(1, CHECK_SLAB_ENTRIES // per_slice)
     if sampled:
-        measured, denom = _sampled_check(spec, P, total, seed)
+        k = min(shape[0], -(-CHECK_SAMPLES // per_slice))
+        picks = np.sort(generator(seed).choice(shape[0], k, replace=False))
+        blocks = [picks[lo : lo + step] for lo in range(0, k, step)]
     else:
-        measured, denom = _dense_check(spec, P, total)
+        blocks = [slice(lo, lo + step) for lo in range(0, shape[0], step)]
+    measured, denom = _slab_check(spec, P, total, blocks)
     if measured > denom:
         # the zero train is closer on the same entries: return it, as altproj's
         # search returns the zero matrix when that beats its rank projection

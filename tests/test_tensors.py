@@ -12,7 +12,6 @@ from maxnorm_lowrank.kernels import ARG_HOIP, KernelSpec, eval_kernel_tensor, si
 from maxnorm_lowrank.rng import generator
 from maxnorm_lowrank.sampling import PointSet, sample_ball
 from maxnorm_lowrank.tensors import (
-    ENTRY_BLOCK,
     CPTensor,
     TTTensor,
     cp_from_points,
@@ -311,7 +310,8 @@ class TestTaylorTTApprox:
         assert all(r <= 1 + 4 * 4 for r in rep.ranks)
 
     def test_single_sample_check(self, monkeypatch):
-        # 20**3 entries above the cap take the sampled check
+        # 20**3 entries above the cap take the sampled check, which covers one
+        # whole mode-1 slice however few entries it is asked for
         P = cp_from_points([sample_ball(s, 20, 3, 1.0) for s in (7, 8, 9)])
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "1000")
         monkeypatch.setattr(tensors, "CHECK_SAMPLES", 1)
@@ -473,7 +473,7 @@ class TestBlockedEntries:
         rng = np.random.default_rng(60)
         T = random_tt(rng, shape, ranks)
         dense = T.dense()
-        if cap is not None:  # too small to contract the first two cores
+        if cap is not None:  # a tiny cap: entries must not depend on it
             monkeypatch.setenv("MAXNORM_DENSE_CAP", cap)
         for batch in (tensors.ENTRY_BLOCK + 123, 0):
             idx = np.column_stack([rng.integers(0, n, batch) for n in shape])
@@ -493,67 +493,37 @@ class TestBlockedEntries:
             tracemalloc.stop()
         assert peak < 64 * 2**20  # a (36, 2e5, 36) gather alone is 2 GB
 
-    @staticmethod
-    def _spy_slabs(monkeypatch):
-        calls = []
-        original = tensors._entries_by_slabs
-
-        def spy(*args):
-            calls.append(args[2].shape[0])
-            return original(*args)
-
-        monkeypatch.setattr(tensors, "_entries_by_slabs", spy)
-        return calls
-
-    def test_slabs_match_dense(self, monkeypatch):
-        rng = np.random.default_rng(62)
-        shape = (5, 6, 7)
-        T = random_tt(rng, shape, (3, 4))
-        dense = T.dense()
-        # 7 merged (i_1, i_2) rows per slab: rows 6 and 7 sit on either side of a boundary
-        monkeypatch.setattr(tensors, "SLAB_ENTRIES", 50)
-        corners = np.array(np.meshgrid(*[[0, n - 1] for n in shape])).reshape(3, -1).T
-        boundary = np.array([[1, 0, 6], [1, 1, 0], [0, 5, 3], [1, 1, 3]])
-        random = np.column_stack([rng.integers(0, n, 20) for n in shape])
-        idx = np.concatenate([corners, boundary, random, random[:5], corners])
-        calls = self._spy_slabs(monkeypatch)
-        values = T.entries(idx)
-        assert calls == [idx.shape[0]]
-        np.testing.assert_allclose(values, dense[tuple(idx.T)], rtol=1e-12, atol=1e-12)
-        # no samples is below every density and takes the per-sample route
-        assert T.entries(np.empty((0, 3), dtype=int)).shape == (0,)
-        assert calls == [idx.shape[0]]
-
     @pytest.mark.parametrize("shape, ranks, batch", [
-        ((4, 5, 3, 6), (3, 5, 2), 400),  # order 4: one sample per 0.9 entries
+        ((4, 5, 3, 6), (3, 5, 2), 400),  # order 4, more samples than entries
         ((9, 10, 11), (3, 4), 15),  # order 3, one sample per 66 entries
     ])
-    def test_block_path_below_slab_density_or_off_order_3(self, monkeypatch, shape, ranks, batch):
+    def test_block_path_below_slab_density_or_off_order_3(self, shape, ranks, batch):
         rng = np.random.default_rng(63)
         T = random_tt(rng, shape, ranks)
         idx = np.column_stack([rng.integers(0, n, batch) for n in shape])
-        calls = self._spy_slabs(monkeypatch)
         values = T.entries(idx)
-        assert calls == []
         np.testing.assert_allclose(values, T.dense()[tuple(idx.T)], rtol=1e-12, atol=1e-12)
 
     def test_sampled_error_matches_direct_recomputation(self, monkeypatch):
-        # 40**3 entries, about half of them sampled
+        # 40**3 entries; 22 of the 40 mode-1 slices hold 34000 samples
         sets = [sample_ball(s, 40, 3, 1.0) for s in (7, 8, 9)]
         P = cp_from_points(sets)
         spec = sinh_hoip()
-        size = tensors.ENTRY_BLOCK + 1000
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "20000")
-        monkeypatch.setattr(tensors, "CHECK_SAMPLES", size)
+        monkeypatch.setattr(tensors, "CHECK_SAMPLES", 34000)
+        monkeypatch.setattr(tensors, "CHECK_SLAB_ENTRIES", 1600)  # one slice per slab
         G, rep = taylor_tt_approx(spec, P, t=4, r=4, seed=11)
         monkeypatch.delenv("MAXNORM_DENSE_CAP")
         assert rep.error_sampled
-        rng = generator(11)
-        idx = np.column_stack([rng.integers(0, 40, size=size) for _ in range(3)])
-        f = spec.h(np.einsum("bi,bi,bi->b", *(S.points[idx[:, j]] for j, S in enumerate(sets))))
-        g = G.dense()[tuple(idx.T)]
-        expected = np.abs(f - g).max() / np.abs(f).max()
-        assert rep.measured_relative_error == pytest.approx(expected, rel=1e-12)
+        picks = np.sort(generator(11).choice(40, 22, replace=False))
+        F, g = spec.h(P.dense())[picks], G.dense()[picks]
+        assert rep.measured_max_error == pytest.approx(np.abs(F - g).max(), rel=1e-12)
+        assert rep.measured_relative_error == pytest.approx(
+            np.abs(F - g).max() / np.abs(F).max(), rel=1e-12
+        )
+        # the same slab products over every slice: the drawn ones are among them
+        exact, _ = tensors._slab_check(spec, P, G, [slice(i, i + 1) for i in range(40)])
+        assert rep.measured_max_error <= exact
 
     def test_sampled_error_keeps_a_nan(self, monkeypatch):
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "20000")
@@ -576,62 +546,6 @@ class TestBlockedEntries:
         )
         return taylor_tt_approx(spec, cp_from_points(sets), t=4, r=4, seed=11)[1]
 
-    @pytest.mark.parametrize("n, step", [(256, 300), (200, 1000), (1000, 300), (60000, 700)])
-    def test_slab_groups_of_narrow_keys(self, n, step):
-        # a step above 255 is out of range for uint8 keys, and for uint16 keys above 65535
-        rng = np.random.default_rng(66)
-        keys = np.r_[0, n - 1, rng.integers(0, n, 5000)]
-        narrow = keys.astype(np.min_scalar_type(n - 1))
-        assert narrow.itemsize < keys.itemsize
-        groups = [(k, sel.tolist()) for k, sel in tensors._slab_groups(keys, n, step)]
-        assert [(k, sel.tolist()) for k, sel in tensors._slab_groups(narrow, n, step)] == groups
-        assert sorted(i for _, sel in groups for i in sel) == list(range(keys.shape[0]))
-        for k, sel in groups:
-            assert (keys[sel] // step == k).all() and sel == sorted(sel)
-
-    @pytest.mark.parametrize("lead", [(3, 4), (0, 12), (5, 9)])
-    def test_batches_confined_to_leading_rows_match_dense(self, monkeypatch, lead):
-        rng = np.random.default_rng(64)
-        shape = (12, 9, 8)
-        T = random_tt(rng, shape, (3, 4))
-        dense = T.dense()
-        # 6 merged (i_1, i_2) rows per slab, so a batch over several leading
-        # indices spans slab edges both inside and across them
-        monkeypatch.setattr(tensors, "SLAB_ENTRIES", 50)
-        calls = self._spy_slabs(monkeypatch)
-        lo, hi = lead
-        slabbed = []
-        for batch in (200, 3):  # above and, for a wide range, below the slab density
-            idx = np.column_stack(
-                [np.r_[lo, hi - 1, rng.integers(lo, hi, batch - 2)]]
-                + [rng.integers(0, n, batch) for n in shape[1:]]
-            )
-            np.testing.assert_allclose(T.entries(idx), dense[tuple(idx.T)], rtol=1e-12, atol=1e-12)
-            # the density rule counts the entries of the leading range only
-            if batch * tensors.SLAB_COST_RATIO >= (hi - lo) * shape[1] * shape[2]:
-                slabbed.append(batch)
-        assert calls == slabbed == ([200, 3] if hi - lo == 1 else [200])
-
-    def test_first_two_cores_contracted_over_the_batch_range_only(self):
-        rng = np.random.default_rng(65)
-        n, r = 300, 36
-        T = random_tt(rng, (n, n, n), (r, r))
-        # leading indices 22..32: one slab of the sampled error check, 11 n^2 entries
-        idx = np.column_stack(
-            [rng.integers(22, 33, ENTRY_BLOCK)] + [rng.integers(0, n, ENTRY_BLOCK) for _ in range(2)]
-        )
-        tracemalloc.start()
-        try:
-            values = T.entries(idx)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # contracting all n leading indices alone would take n * n * r * 8 = 26 MB
-        assert peak < 16 * 2**20
-        first = np.tensordot(T.cores[0][0], T.cores[1], axes=1)
-        expected = np.einsum("br,br->b", first[idx[:, 0], idx[:, 1]], T.cores[2][:, idx[:, 2], 0].T)
-        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
-
 
 class TestSampledCheckAtBenchmarkScale:
     """The profile, shape, order and rank of the tt_taylor benchmark's sampled call."""
@@ -639,14 +553,24 @@ class TestSampledCheckAtBenchmarkScale:
     @staticmethod
     def _call():
         P = cp_from_points([sample_ball(s, 300, 6) for s in (1601, 1602, 1603)])
-        return taylor_tt_approx(sinh_hoip(), P, 8, 10, seed=1604)
+        return P, *taylor_tt_approx(sinh_hoip(), P, 8, 10, seed=1604)
 
     def test_sampled_errors_unchanged(self):
-        # equal to the maxima over all 10**6 samples evaluated in one batch
-        _, rep = self._call()
+        # the maxima over the 12 seeded mode-1 slices of 300**2 entries that
+        # hold 10**6 entries, recomputed directly below; the maximum over
+        # every slice is 0.0170369
+        P, G, rep = self._call()
         assert rep.error_sampled
-        assert rep.measured_max_error == pytest.approx(0.016006486935337683, rel=1e-12)
-        assert rep.measured_relative_error == pytest.approx(0.022878531056326472, rel=1e-12)
+        assert rep.measured_max_error == pytest.approx(0.013685803040080269, rel=1e-12)
+        assert rep.measured_relative_error == pytest.approx(0.024549897790694383, rel=1e-12)
+        picks = np.sort(generator(1604).choice(300, 12, replace=False))
+        X, Y, Z = P.factors
+        F = sinh_hoip().h(np.einsum("az,bz,cz->abc", X[picks], Y, Z))
+        g = np.einsum("ar,rbs,sc->abc", G.cores[0][0, picks], G.cores[1], G.cores[2][:, :, 0])
+        assert rep.measured_max_error == pytest.approx(np.abs(F - g).max(), rel=1e-12)
+        assert rep.measured_relative_error == pytest.approx(
+            np.abs(F - g).max() / np.abs(F).max(), rel=1e-12
+        )
 
     def test_traced_peak(self):
         tracemalloc.start()
@@ -656,9 +580,9 @@ class TestSampledCheckAtBenchmarkScale:
         finally:
             tracemalloc.stop()
         # the construction's cp_tt_svd of power 7 takes about 15 MB over what
-        # it is given; the check holds its uint16 index columns (2 MB each)
-        # and their sort order (8 MB), then one slab at a time
-        assert peak <= 40 * 2**20
+        # it is given; the check then holds one drawn slice of 300**2 entries
+        # (0.7 MB) each of arguments, h and TT values at a time (23 MB in all)
+        assert peak <= 28 * 2**20
 
 
 class TestDenseCheckAtBenchmarkScale:
@@ -744,22 +668,22 @@ class TestNoExactWorkRedone:
         sets = [sample_ball(2000 + k, n, 3, 1.0) for k, n in enumerate(shape)]
         P = cp_from_points(sets)
         spec = sinh_hoip()
-        size = 3000
+        size = 1000
         if sampled:
             monkeypatch.setenv("MAXNORM_DENSE_CAP", str(math.prod(shape) - 1))
             monkeypatch.setattr(tensors, "CHECK_SAMPLES", size)
         # slabs of two leading indices on either path
-        slab = 2 * math.prod(shape[1:])
-        monkeypatch.setattr(tensors, "CHECK_SLAB_ENTRIES", slab)
-        monkeypatch.setattr(tensors, "SLAB_ENTRIES", slab)
+        monkeypatch.setattr(tensors, "CHECK_SLAB_ENTRIES", 2 * math.prod(shape[1:]))
         G, rep = taylor_tt_approx(spec, P, 5, 3, seed=12)
         monkeypatch.delenv("MAXNORM_DENSE_CAP", raising=False)
         assert rep.error_sampled == sampled
         F, g = spec.h(P.dense()), G.dense()
         if sampled:
-            rng = generator(12)
-            idx = tuple(rng.integers(0, n, size=size) for n in shape)
-            F, g = F[idx], g[idx]
+            # 25 of 30 slices at order 2, 2 of 9 at order 4
+            k = -(-size // math.prod(shape[1:]))
+            assert k < shape[0]
+            picks = np.sort(generator(12).choice(shape[0], k, replace=False))
+            F, g = F[picks], g[picks]
         assert rep.measured_max_error == pytest.approx(np.abs(F - g).max(), rel=1e-12)
         assert rep.measured_relative_error == pytest.approx(
             np.abs(F - g).max() / np.abs(F).max(), rel=1e-12
