@@ -9,7 +9,8 @@ instead of silently allocating hundreds of gigabytes.  The cap bounds
 * a dense n1 x n2 matrix (``require_dense_matrix``) and each exact
   factor (N = n1 + n2 rows) that ``compress.hadamard_compress`` builds;
 * a dense tensor, and the size above which ``tensors.taylor_tt_approx``
-  checks its error on seeded mode-1 slices instead of on every one;
+  checks its error on seeded mode-1 slices instead of on every one (in
+  slabs of ``tensors.CHECK_SLAB_ENTRIES`` entries either way);
 * in ``tensors``, the widest factor of an exact Khatri-Rao power
   (n * L**s entries), each L x n x L core of an exact CP -> TT
   conversion and the largest matrix of a power's Gram-based TT-SVD (a

@@ -27,7 +27,10 @@ one.  The reported error is then the largest of k slice maxima, so with
 confidence 1 - delta at most ln(1/delta)/k of all slices hold an entry
 above it (each draw misses a fraction p of the slices with probability at
 most 1 - p, and (1 - p)**k <= exp(-p k)); at n = 300 the check draws
-k = 12 slices, so at 95 % confidence at most a quarter of them do.
+k = 12 slices, so at 95 % confidence at most a quarter of them do.  This
+bounds slices, weaker than as many scattered entries would: their maximum
+leaves at most ln(1/delta)/CHECK_SAMPLES of the entries above it.  Each
+slice is checked in slabs of about ``CHECK_SLAB_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -477,34 +480,47 @@ def _rounding_truncates(T: TTTensor) -> bool:
     return any(r1 > r0 * n or r0 > n * r1 for r0, n, r1 in (c.shape for c in T.cores))
 
 
-def _slab_rows(factors: Sequence[np.ndarray], rows: slice | np.ndarray) -> np.ndarray:
-    """Row-wise products of the factors over the leading indices ``rows``:
-    row ``(j n_2 + i_2) n_3 + ...`` is ``F_1[rows][j] * F_2[i_2] * ...``."""
-    out = factors[0][rows]
+def _slab_rows(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise products of the factors: row ``(i_1 n_2 + i_2) n_3 + ...``
+    is ``F_1[i_1] * F_2[i_2] * ...``."""
+    out = factors[0]
     for f in factors[1:]:
         out = (out[:, None, :] * f[None, :, :]).reshape(-1, f.shape[1])
     return out
 
 
 def _slab_check(
-    spec: KernelSpec, P: CPTensor, T: TTTensor, blocks: Sequence[slice | np.ndarray]
+    spec: KernelSpec, P: CPTensor, T: TTTensor, rows: np.ndarray
 ) -> tuple[float, float]:
-    """``(max |h(P) - T|, max |h(P)|)`` over the mode-1 slabs ``P[rows]``, rows in ``blocks``.
+    """``(max |h(P) - T|, max |h(P)|)`` over the whole mode-1 slices ``i_1`` in ``rows``.
 
-    Each block is a slice or an index array of leading indices i_1: h's
-    argument is the slab's row-wise product of the first d - 1 factors
-    times the last factor transposed, and the TT values are the first
-    d - 1 cores contracted over the slab times the last core.  Beside the
-    factors and cores it holds one slab each of arguments, h and TT
-    values, and takes the error in place in the last.
+    A slab of about ``CHECK_SLAB_ENTRIES`` entries is a run of tuples
+    ``(i_1, ..., i_j)``, j the fewest leading modes (short of the last)
+    whose trailing modes fit a slab, times every trailing index.  h's
+    argument is the row-wise product of the leading factors' rows and the
+    trailing factors but the last, times the last factor transposed; the
+    TT values apply the next j - 1 cores per index (``_apply_core``) and
+    contract the others over the slab.  Beside the factors and cores it
+    holds one slab each of arguments, h and TT values, and takes the
+    error in place in the last.
     """
-    cores = T.cores
+    shape, cores = P.shape, T.cores
+    j = 1
+    while j < P.order - 1 and math.prod(shape[j:]) > CHECK_SLAB_ENTRIES:
+        j += 1
+    lead_shape = (len(rows), *shape[1:j])
+    count = math.prod(lead_shape)
+    step = max(1, CHECK_SLAB_ENTRIES // math.prod(shape[j:]))
     last_core = cores[-1][:, :, 0]  # (r_{d-1}, n_d)
     measured = denom = 0.0
-    for rows in blocks:
-        F = spec.h(_slab_rows(P.factors[:-1], rows) @ P.factors[-1].T)
-        left = cores[0][0, rows]
-        for core in cores[1:-1]:
+    for lo in range(0, count, step):
+        lead = np.unravel_index(np.arange(lo, min(lo + step, count)), lead_shape)
+        arg, left = P.factors[0][rows[lead[0]]], cores[0][0, rows[lead[0]]]
+        for k in range(1, j):
+            arg = arg * P.factors[k][lead[k]]
+            left = _apply_core(left, cores[k], lead[k])
+        F = spec.h(_slab_rows((arg, *P.factors[j:-1])) @ P.factors[-1].T)
+        for core in cores[j:-1]:
             r0, _, r1 = core.shape
             left = (left @ core.reshape(r0, -1)).reshape(-1, r1)
         G = left @ last_core
@@ -538,7 +554,7 @@ def taylor_tt_approx(
     a summed rank exceeds the size of an unfolding (``_rounding_truncates``);
     elsewhere the rounding would only change the basis.
 
-    The error is measured by ``_slab_check`` in mode-1 slabs of about
+    The error is measured by ``_slab_check`` in slabs of about
     ``CHECK_SLAB_ENTRIES`` entries, keeping only the two maxima: over
     every entry when the tensor fits under ``caps.dense_cap()``,
     otherwise over ``k = min(n_1, ceil(CHECK_SAMPLES / (n_2 ... n_d)))``
@@ -546,8 +562,9 @@ def taylor_tt_approx(
     ``generator(seed)`` (the only use of ``seed``), at least one.  Above
     the cap the error is thus a lower estimate: with confidence 1 - delta
     at most a fraction ln(1/delta)/k of the n_1 slices hold an entry above
-    it.  When the measured error exceeds max|h| on the checked entries,
-    the result is the zero train (ranks 1), with that max as its error.
+    it, weaker than a per-entry sample of as many entries would give.
+    When the measured error exceeds max|h| on the checked entries, the
+    result is the zero train (ranks 1), with that max as its error.
     """
     R_eff = max(
         (float(np.sqrt((f**2).sum(axis=1).max())) for f in P.factors), default=0.0
@@ -578,15 +595,11 @@ def taylor_tt_approx(
 
     # measured error: on every mode-1 slice when affordable, else on seeded ones
     sampled = P.size() > caps.dense_cap()
-    per_slice = math.prod(shape[1:])
-    step = max(1, CHECK_SLAB_ENTRIES // per_slice)
+    rows = np.arange(shape[0])
     if sampled:
-        k = min(shape[0], -(-CHECK_SAMPLES // per_slice))
-        picks = np.sort(generator(seed).choice(shape[0], k, replace=False))
-        blocks = [picks[lo : lo + step] for lo in range(0, k, step)]
-    else:
-        blocks = [slice(lo, lo + step) for lo in range(0, shape[0], step)]
-    measured, denom = _slab_check(spec, P, total, blocks)
+        k = min(shape[0], -(-CHECK_SAMPLES // math.prod(shape[1:])))
+        rows = np.sort(generator(seed).choice(shape[0], k, replace=False))
+    measured, denom = _slab_check(spec, P, total, rows)
     if measured > denom:
         # the zero train is closer on the same entries: return it, as altproj's
         # search returns the zero matrix when that beats its rank projection

@@ -522,8 +522,39 @@ class TestBlockedEntries:
             np.abs(F - g).max() / np.abs(F).max(), rel=1e-12
         )
         # the same slab products over every slice: the drawn ones are among them
-        exact, _ = tensors._slab_check(spec, P, G, [slice(i, i + 1) for i in range(40)])
+        exact, _ = tensors._slab_check(spec, P, G, np.arange(40))
         assert rep.measured_max_error <= exact
+
+    @pytest.mark.parametrize("shape, slab", [
+        ((9, 30, 40), 280),  # runs of 7 (i_1, i_2) rows of 40, across slices
+        ((5, 8, 7, 10), 220),  # runs of 3 (i_1, i_2) blocks of 70
+        ((5, 8, 7, 10), 30),  # runs of 3 (i_1, i_2, i_3) rows of 10
+    ])
+    def test_slices_split_along_later_modes(self, monkeypatch, shape, slab):
+        sets = [sample_ball(2100 + k, n, 3, 1.0) for k, n in enumerate(shape)]
+        P = cp_from_points(sets)
+        spec = sinh_hoip()
+        G, _ = taylor_tt_approx(spec, P, 5, 3, seed=13)
+        rows = np.array([1, 3, 4])
+        monkeypatch.setattr(tensors, "CHECK_SLAB_ENTRIES", slab)
+        measured, denom = tensors._slab_check(spec, P, G, rows)
+        F, g = spec.h(P.dense())[rows], G.dense()[rows]
+        assert measured == pytest.approx(np.abs(F - g).max(), rel=1e-12)
+        assert denom == pytest.approx(np.abs(F).max(), rel=1e-12)
+
+    @pytest.mark.parametrize("shape, ranks", [((1000,) * 3, (8, 8)), ((100,) * 4, (8, 8, 8))])
+    def test_memory_of_a_slice_above_a_slab(self, shape, ranks):
+        # above the cap the check takes at least one whole slice, here of 10**6
+        # entries (8 MB each of arguments, h and TT values); it holds slabs
+        rng = np.random.default_rng(64)
+        P, T = random_cp(rng, shape, 3), random_tt(rng, shape, ranks)
+        tracemalloc.start()
+        try:
+            tensors._slab_check(sinh_hoip(), P, T, np.array([7]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * tensors.CHECK_SLAB_ENTRIES  # measured: 4 slabs
 
     def test_sampled_error_keeps_a_nan(self, monkeypatch):
         monkeypatch.setenv("MAXNORM_DENSE_CAP", "20000")
